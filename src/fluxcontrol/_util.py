@@ -48,18 +48,3 @@ def centering_matrix(n):
     """Projector removing the per-entry mean: identity minus the all-ones rank-1 part."""
     return np.eye(n) - np.full((n, n), 1.0 / n)
 
-
-def mean_zero_basis(n):
-    """Deterministic orthonormal basis (n x (n-1)) of the mean-zero subspace.
-
-    Helmert-style columns: column k has k ones, then -k, then zeros,
-    scaled to unit norm. Columns are orthogonal to the all-ones vector.
-    """
-    if n < 2:
-        raise InvalidInputError("mean-zero basis needs n >= 2")
-    q = np.zeros((n, n - 1))
-    for k in range(1, n):
-        q[:k, k - 1] = 1.0
-        q[k, k - 1] = -float(k)
-        q[:, k - 1] /= np.sqrt(k * (k + 1.0))
-    return q

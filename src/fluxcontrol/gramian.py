@@ -36,36 +36,32 @@ class GramianBundle:
         kappa: weighted quadratic form v^T W v for the bundle's weighting
             (all-ones by default).
         eigenvalues: eigenvalues of W sorted descending.
-        eigenvectors: matching eigenvector columns.
     """
 
     W: np.ndarray
     t_star: float
     kappa: float
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, W, t_star: float, weights=None) -> "GramianBundle":
-        """Validate, symmetrize, and eigendecompose a computed Gramian."""
+        """Validate and symmetrize a computed Gramian and take its eigenvalues."""
         W = np.asarray(W, dtype=float)
         n = W.shape[0]
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
         if np.linalg.norm(W - W.T) > 1e-10 * np.linalg.norm(W) + 1e-300:
             raise InvalidInputError("gramian is not symmetric within tolerance")
         W = 0.5 * (W + W.T)
-        vals, vecs = np.linalg.eigh(W)
+        vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
-        order = np.argsort(vals)[::-1]
         v = np.ones(n) if weights is None else as_vector(weights, n=n, name="weights")
         kap = max(float(v @ W @ v), 0.0)
         return cls(
             W=W,
             t_star=float(t_star),
             kappa=kap,
-            eigenvalues=vals[order],
-            eigenvectors=vecs[:, order],
+            eigenvalues=vals[::-1],
         )
 
     @property

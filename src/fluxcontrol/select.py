@@ -2,16 +2,22 @@
 
 Given the autonomous endpoint ``z`` and a Gramian ``W``, each solver picks the
 state satisfying its goal at the least value of the energy quadratic form
-``(z - x)^T W^{-1} (z - x)``. Linear goals have a closed form; quadratic goals
-reduce to a secular equation in the Lagrange multiplier, falling back to an
-eigenvector solution when no interior root exists.
+``(z - x)^T W^{-1} (z - x)``. Linear goals have a closed form. Every quadratic
+goal ``||O x - d||^2 = eta`` (variance: ``O = D``, ``d = 0``; repulsion:
+``O = I``, ``d = z``; general QCLS) goes through one solver: a single
+eigendecomposition of ``O W O^T`` turns the constraint into a diagonal secular
+equation in the Lagrange multiplier, solved by safeguarded Newton at O(n) per
+step. When no root exists below the pole (the hard case), the residual is
+completed along the pole eigenvector. Each selection carries the adjoint
+vector ``p`` with ``x* = z + W p`` and energy ``p^T W p``, so ``W`` is never
+inverted.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_matrix, as_vector, canonical_sign, centering_matrix, mean_zero_basis
+from ._util import as_matrix, as_vector, canonical_sign, centering_matrix
 from .errors import (
     GoalUncontrollableError,
     InfeasibleGoalError,
@@ -102,12 +108,16 @@ def mean_goal(n: int, eta: float) -> LinearGoal:
 
 @dataclass(frozen=True)
 class StateSelection:
-    """Solver output: optimal state, shadow price, energy, and bindingness."""
+    """Solver output: optimal state, shadow price, energy, bindingness, adjoint.
+
+    The adjoint vector ``p`` gives ``x_star = z + W p`` and ``energy = p^T W p``.
+    """
 
     x_star: np.ndarray
     multiplier: float
     energy: float
     binding: bool
+    p: np.ndarray
 
 
 def binding_check(goal, z) -> bool:
@@ -126,7 +136,9 @@ def binding_check(goal, z) -> bool:
 
 
 def _corner(z: np.ndarray) -> StateSelection:
-    return StateSelection(x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False)
+    return StateSelection(
+        x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
+    )
 
 
 def select_mean_state(W: GramianBundle, z, goal: LinearGoal) -> StateSelection:
@@ -146,57 +158,27 @@ def select_mean_state(W: GramianBundle, z, goal: LinearGoal) -> StateSelection:
             "observer v^T x cannot be moved by this schematic (v^T W v is zero)"
         )
     alpha = float(v @ z) - goal.c
-    x_star = z - (alpha / kap) * (W.W @ v)
+    p = -(alpha / kap) * v
     return StateSelection(
-        x_star=x_star,
+        x_star=z + W.W @ p,
         multiplier=2.0 * alpha / kap,
         energy=alpha * alpha / kap,
         binding=True,
+        p=p,
     )
 
 
-def _pick_leading_eigvec(values_desc, vectors, ref) -> np.ndarray:
-    """Leading eigenvector; degenerate top eigenvalues resolved deterministically.
+def _pick_leading_eigvec(u, top, ref) -> int:
+    """Pick one of the columns ``top`` of ``u``, eigenvectors tied at the top eigenvalue.
 
-    Among eigenvectors tied at the top eigenvalue, prefer the one with the
-    largest |inner product with ref|; remaining ties go to the candidate whose
-    largest-magnitude entry sits at the lowest index.
+    Prefer the one with the largest |inner product with ref|; remaining ties
+    go to the candidate whose largest-magnitude entry sits at the lowest index,
+    then to the earliest in ``top``.
     """
-    lam0 = values_desc[0]
-    top = np.where(values_desc >= lam0 - _DEGENERACY_RTOL * abs(lam0))[0]
-    if top.size == 1:
-        return vectors[:, top[0]]
-    scores = np.abs(vectors[:, top].T @ ref)
+    scores = np.abs(u[:, top].T @ ref)
     best = scores.max()
     cands = [i for i, s in zip(top, scores) if s >= best - 1e-12 * (1.0 + best)]
-    pick = min(cands, key=lambda i: int(np.argmax(np.abs(vectors[:, i]))))
-    return vectors[:, pick]
-
-
-def select_repulsion_state(W: GramianBundle, z, eta: float) -> StateSelection:
-    """Push the endpoint a squared distance ``eta`` away from its autonomous value.
-
-    The optimal displacement is the leading eigenvector of the Gramian scaled
-    to squared length ``eta``; the energy is ``eta`` over the top eigenvalue.
-    """
-    z = as_vector(z, n=W.n, name="z")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
-    if eta == 0.0:
-        return _corner(z)
-    if not W.is_positive_definite():
-        raise RequiresControllabilityError(
-            "repulsion state selection requires a positive definite Gramian"
-        )
-    w = _pick_leading_eigvec(W.eigenvalues, W.eigenvectors, z)
-    omega = canonical_sign(w, ref=z) * np.sqrt(eta)
-    lam_max = W.lam_max
-    return StateSelection(
-        x_star=z + omega,
-        multiplier=1.0 / lam_max,
-        energy=eta / lam_max,
-        binding=True,
-    )
+    return min(cands, key=lambda i: int(np.argmax(np.abs(u[:, i]))))
 
 
 def _solve_secular(eval_fn, lo, hi, target, lam_tol=1e-10, max_iter=200):
@@ -208,42 +190,125 @@ def _solve_secular(eval_fn, lo, hi, target, lam_tol=1e-10, max_iter=200):
     """
     lam = 0.5 * (lo + hi)
     for _ in range(max_iter):
-        try:
-            f, fp = eval_fn(lam)
-        except np.linalg.LinAlgError:
-            f, fp = np.inf, np.inf
-        if np.isfinite(f) and abs(f - target) <= 1e-12 * (1.0 + abs(target)):
+        f, fp = eval_fn(lam)
+        if abs(f - target) <= 1e-12 * (1.0 + abs(target)):
             return lam
-        if np.isfinite(f) and f < target:
+        if f < target:
             lo = lam
         else:
             hi = lam
         if hi - lo <= lam_tol * max(1.0, abs(hi)):
             return 0.5 * (lo + hi)
-        nxt = None
-        if np.isfinite(f) and np.isfinite(fp) and fp > 0.0:
-            cand = lam - (f - target) / fp
-            if lo < cand < hi:
-                nxt = cand
-        lam = nxt if nxt is not None else 0.5 * (lo + hi)
+        step = (f - target) / fp if fp > 0.0 else np.inf
+        lam = lam - step if lo < lam - step < hi else 0.5 * (lo + hi)
     return lam
 
 
-def _range_distance_sq(O: np.ndarray, d: np.ndarray) -> float:
-    """Squared distance from d to the column space of O."""
-    sol, *_ = np.linalg.lstsq(O, d, rcond=None)
-    r = d - O @ sol
-    return float(r @ r)
+def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> StateSelection:
+    """Minimize ``(x - z)^T W^{-1} (x - z)`` subject to ``||O x - d||^2 = eta``.
+
+    Stationarity gives ``x = z + W p`` with the adjoint ``p = lam O^T r`` and
+    residual ``r = O x - d``. In the eigenbasis ``O W O^T = U diag(theta) U^T``
+    with ``c = U^T (O z - d)`` the residual is ``c_i / (1 - lam theta_i)``, so
+    the constraint is the diagonal secular equation
+    ``sum_i c_i^2 / (1 - lam theta_i)^2 = eta`` and the energy is
+    ``lam^2 sum_i theta_i r_i^2 = p^T W p``. Expand takes the root in
+    ``[0, 1/theta_max)``; when none exists (``c`` misses the pole eigenspace)
+    the residual is completed along the pole eigenvector at
+    ``lam = 1/theta_max``. Contract takes the root below zero, down to the
+    ``lam -> -inf`` limit ``lam r_i -> -c_i / theta_i`` that attains the
+    reachable minimum ``sum_{theta_i = 0} c_i^2``. ``W`` is never inverted.
+    """
+    r0 = O @ z - d
+    f0 = float(r0 @ r0)
+    binding = f0 < eta if sense == "expand" else f0 > eta
+    if not binding:
+        return _corner(z)
+
+    owo = O @ W.W @ O.T
+    theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
+    c = u.T @ r0
+    theta_max = float(theta[-1])
+    if sense == "contract":
+        null = theta <= theta.size * np.finfo(float).eps * max(theta_max, 0.0)
+        eta_min = float(c[null] @ c[null])
+        if eta < eta_min - 1e-12 * (1.0 + eta_min):
+            raise InfeasibleGoalError(
+                f"contract goal eta={eta} below the reachable minimum {eta_min}",
+                min_eta=eta_min,
+            )
+    if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
+        raise GoalUncontrollableError("O W O^T is zero; the goal statistic cannot be moved")
+
+    # Work in mu = lam * theta_max, so the pole sits at mu = 1 whatever W's scale.
+    th = theta / theta_max
+
+    def secular(mu: float):
+        s = 1.0 / (1.0 - mu * th)
+        g = c * c * s * s
+        return float(g.sum()), 2.0 * float((g * th * s).sum())
+
+    if sense == "contract":
+        if eta <= eta_min:
+            # Exact attainment: the multiplier diverges, so take the limit.
+            lam_r = np.where(null, 0.0, -c / np.where(null, 1.0, theta))
+            return _adjoint_selection(W, z, O, u, theta, -np.inf, lam_r)
+        # f(mu) - eta_min <= sum (c_i / (mu th_i))^2 brackets the root from below.
+        spread = float(np.sum((c[~null] / th[~null]) ** 2))
+        mu = _solve_secular(secular, -np.sqrt(spread / (eta - eta_min)), 0.0, eta)
+    else:
+        hi = 1.0 - 1e-9
+        if secular(hi)[0] >= eta:
+            mu = _solve_secular(secular, 0.0, hi, eta)
+        else:
+            # Hard case: c has no weight on the pole eigenspace, and the rest
+            # of the residual falls short of eta even at the pole.
+            pole = th >= 1.0 - _DEGENERACY_RTOL
+            r = np.where(pole, 0.0, c / np.where(pole, 1.0, 1.0 - th))
+            k = _pick_leading_eigvec(u, np.flatnonzero(pole)[::-1], z)
+            # Either sign costs the same; orient the pole displacement W O^T u_k.
+            w = W.W @ (O.T @ u[:, k])
+            sign = 1.0 if float(canonical_sign(w, ref=z) @ w) > 0.0 else -1.0
+            r[k] = sign * np.sqrt(max(eta - float(r @ r), 0.0))
+            return _adjoint_selection(W, z, O, u, theta, 1.0 / theta_max, r / theta_max)
+    lam = mu / theta_max
+    return _adjoint_selection(W, z, O, u, theta, lam, lam * c / (1.0 - mu * th))
+
+
+def _adjoint_selection(W, z, O, u, theta, lam, lam_r) -> StateSelection:
+    """Selection from the eigenbasis coordinates of ``lam r``: ``p = O^T U lam_r``."""
+    p = O.T @ (u @ lam_r)
+    energy = float(theta @ (lam_r * lam_r))
+    return StateSelection(
+        x_star=z + W.W @ p, multiplier=lam, energy=max(energy, 0.0), binding=True, p=p
+    )
+
+
+def select_repulsion_state(W: GramianBundle, z, eta: float) -> StateSelection:
+    """Push the endpoint a squared distance ``eta`` away from its autonomous value.
+
+    The quadratic goal with ``O = I`` and ``d = z``: ``c = 0``, so the
+    displacement is the leading eigenvector of the Gramian scaled to squared
+    length ``eta``, and the energy is ``eta`` over the top eigenvalue.
+    """
+    z = as_vector(z, n=W.n, name="z")
+    if eta < 0:
+        raise InvalidInputError("eta must be nonnegative")
+    if eta == 0.0:
+        return _corner(z)
+    if not W.is_positive_definite():
+        raise RequiresControllabilityError(
+            "repulsion state selection requires a positive definite Gramian"
+        )
+    return _solve_quadratic(W, z, np.eye(W.n), z, eta, "expand")
 
 
 def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> StateSelection:
     """Least squares in the energy metric with a quadratic equality constraint.
 
-    Solves the stationary system ``(W^{-1} - lam O^T O) x = W^{-1} z - lam O^T d``
-    at the multiplier closest to zero that satisfies ``||O x - d||^2 = eta``
+    Finds the multiplier closest to zero that satisfies ``||O x - d||^2 = eta``
     (smallest nonnegative root for the expand sense, largest nonpositive for
-    contract). When no interior root exists below the multiplier's pole, the
-    solution on the pole's eigenspace is returned.
+    contract); see ``_solve_quadratic``.
     """
     z = as_vector(z, n=W.n, name="z")
     n = W.n
@@ -257,131 +322,15 @@ def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> 
         raise RequiresControllabilityError(
             "quadratically constrained selection requires a positive definite Gramian"
         )
-
-    r0 = O @ z - d
-    f0 = float(r0 @ r0)
-    if sense == "expand" and not f0 < eta:
-        return _corner(z)
-    if sense == "contract" and not f0 > eta:
-        return _corner(z)
-
-    if sense == "contract":
-        eta_min = _range_distance_sq(O, d)
-        if eta < eta_min - 1e-12 * (1.0 + eta_min):
-            raise InfeasibleGoalError(
-                f"contract goal eta={eta} below the reachable minimum {eta_min}",
-                min_eta=eta_min,
-            )
-
-    owo = O @ W.W @ O.T
-    theta = np.linalg.eigvalsh(owo)
-    theta_max = float(theta[-1])
-    if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
-        raise GoalUncontrollableError("O W O^T is zero; the statistic cannot be moved")
-    lam_pole = 1.0 / theta_max
-
-    wot = W.W @ O.T
-    wotd = wot @ d
-
-    def state_at(lam: float) -> np.ndarray:
-        return np.linalg.solve(np.eye(n) - lam * (wot @ O), z - lam * wotd)
-
-    def eval_fn(lam: float):
-        k = np.eye(n) - lam * (wot @ O)
-        x = np.linalg.solve(k, z - lam * wotd)
-        r = O @ x - d
-        f = float(r @ r)
-        fp = 2.0 * float(r @ (O @ np.linalg.solve(k, wot @ r)))
-        return f, fp
-
-    def finish(x: np.ndarray, lam: float) -> StateSelection:
-        dx = x - z
-        energy = float(dx @ np.linalg.solve(W.W, dx))
-        return StateSelection(
-            x_star=x, multiplier=lam, energy=max(energy, 0.0), binding=True
-        )
-
-    if sense == "contract":
-        lo = -max(1.0, lam_pole)
-        for _ in range(200):
-            try:
-                f_lo, _ = eval_fn(lo)
-            except np.linalg.LinAlgError:
-                f_lo = np.inf
-            if f_lo <= eta:
-                break
-            lo *= 2.0
-        else:
-            eta_min = _range_distance_sq(O, d)
-            if eta >= eta_min - 1e-12 * (1.0 + eta_min):
-                # Exact attainment: the multiplier diverges (the constraint
-                # gradient vanishes there), so return the limit solution.
-                mu = np.linalg.pinv(owo, rcond=1e-12) @ (d - O @ z)
-                sel = finish(z + wot @ mu, -np.inf)
-                return sel
-            raise InfeasibleGoalError(
-                f"no contract multiplier reaches eta={eta}; minimum is {eta_min}",
-                min_eta=eta_min,
-            )
-        lam = _solve_secular(eval_fn, lo, 0.0, eta)
-        return finish(state_at(lam), lam)
-
-    hi = lam_pole * (1.0 - 1e-9)
-    try:
-        f_hi, _ = eval_fn(hi)
-    except np.linalg.LinAlgError:
-        f_hi = np.inf
-    if f_hi >= eta:
-        lam = _solve_secular(eval_fn, 0.0, hi, eta)
-        return finish(state_at(lam), lam)
-
-    # No interior root: the secular function stays below eta up to the pole,
-    # so the solution carries a component of the pole's eigenvector.
-    vals, vecs = np.linalg.eigh(owo)
-    u = _pick_leading_eigvec(vals[::-1], vecs[:, ::-1], z)
-    omega = wot @ u
-    omega = omega / np.linalg.norm(omega)
-    k_pole = np.eye(n) - lam_pole * (wot @ O)
-    x_p, *_ = np.linalg.lstsq(k_pole, z - lam_pole * wotd, rcond=None)
-    rp = O @ x_p - d
-    o_omega = O @ omega
-    a = float(o_omega @ o_omega)
-    b = 2.0 * float(rp @ o_omega)
-    c = float(rp @ rp) - eta
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0 or a <= 0.0:
-        raise InfeasibleGoalError(
-            "pole eigenspace cannot reach the requested threshold",
-            min_eta=float(rp @ rp),
-        )
-    sq = np.sqrt(disc)
-    candidates = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
-    selections = [finish(x_p + rho * omega, lam_pole) for rho in candidates]
-    e0, e1 = selections[0].energy, selections[1].energy
-    if abs(e0 - e1) > 1e-10 * (1.0 + max(e0, e1)):
-        return selections[0] if e0 < e1 else selections[1]
-    # Equal-cost pair: orient the displacement deterministically.
-    deltas = [sel.x_star - z for sel in selections]
-    keyed = canonical_sign(deltas[0], ref=z)
-    return selections[0] if np.allclose(keyed, deltas[0]) else selections[1]
-
-
-def _variance_reduction(W: GramianBundle):
-    """Eigen-data of the Gramian restricted to the mean-zero subspace."""
-    n = W.n
-    q = mean_zero_basis(n)
-    t = q.T @ W.W @ q
-    theta, y = np.linalg.eigh(0.5 * (t + t.T))
-    return q, theta, y
+    return _solve_quadratic(W, z, O, d, eta, sense)
 
 
 def select_variance_state(W: GramianBundle, z, eta: float) -> StateSelection:
     """Drive the sample variance of the state up to ``eta`` at minimum energy.
 
-    Searches the secular equation below the smallest positive generalized
-    eigenvalue of the inverse Gramian against the centering projector; when no
-    interior multiplier exists the displacement falls on the corresponding
-    generalized eigenvector.
+    The quadratic goal with the centering projector ``O = D`` and ``d = 0``.
+    It needs no inverse of ``W``, so singular Gramians are fine as long as
+    some mean-zero direction is controllable.
     """
     n = W.n
     if n < 2:
@@ -389,62 +338,7 @@ def select_variance_state(W: GramianBundle, z, eta: float) -> StateSelection:
     z = as_vector(z, n=n, name="z")
     if eta < 0:
         raise InvalidInputError("eta must be nonnegative")
-    dz = z - z.mean()
-    if not float(dz @ dz) < eta:
-        return _corner(z)
-
-    q, theta, y = _variance_reduction(W)
-    theta_max = float(theta[-1])
-    if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
-        raise GoalUncontrollableError(
-            "no mean-zero direction is controllable; variance cannot be raised"
-        )
-    lam_min_plus = 1.0 / theta_max
-
-    d_mat = centering_matrix(n)
-    wd = W.W @ d_mat
-
-    def eval_fn(psi: float):
-        k = np.eye(n) - psi * wd
-        x = np.linalg.solve(k, z)
-        dx = x - x.mean()
-        g = float(dx @ dx)
-        gp = 2.0 * float(dx @ np.linalg.solve(k, W.W @ dx))
-        return g, gp
-
-    psi_hi = lam_min_plus * (1.0 - 1e-9)
-    try:
-        g_hi, _ = eval_fn(psi_hi)
-    except np.linalg.LinAlgError:
-        g_hi = np.inf
-    if g_hi >= eta:
-        psi = _solve_secular(eval_fn, 0.0, psi_hi, eta)
-        x = np.linalg.solve(np.eye(n) - psi * wd, z)
-        dx = x - x.mean()
-        energy = psi * psi * float(dx @ (W.W @ dx))
-        return StateSelection(
-            x_star=x, multiplier=psi, energy=max(energy, 0.0), binding=True
-        )
-
-    omega_raw = W.W @ (q @ _pick_leading_eigvec(theta[::-1], y[:, ::-1], q.T @ z))
-    s = float(np.linalg.norm(omega_raw))
-    omega = canonical_sign(omega_raw / s, ref=z)
-    d_omega = omega - omega.mean()
-    a = float(d_omega @ d_omega)
-    b = -2.0 * float(dz @ d_omega)
-    c = float(dz @ dz) - eta
-    sq = np.sqrt(b * b - 4.0 * a * c)
-    roots = sorted([(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)], key=abs)
-    rho = roots[0]
-    if abs(abs(roots[0]) - abs(roots[1])) <= 1e-12 * (1.0 + abs(roots[0])):
-        rho = abs(roots[0])
-    energy = rho * rho * theta_max / (s * s)
-    return StateSelection(
-        x_star=z - rho * omega,
-        multiplier=lam_min_plus,
-        energy=max(energy, 0.0),
-        binding=True,
-    )
+    return _solve_quadratic(W, z, centering_matrix(n), np.zeros(n), eta, "expand")
 
 
 def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
@@ -460,8 +354,8 @@ def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
     z = as_vector(z, n=n, name="z")
     if eta < 0:
         raise InvalidInputError("eta must be nonnegative")
-    _, theta, _ = _variance_reduction(W)
-    theta_max = float(theta[-1])
+    d_mat = centering_matrix(n)
+    theta_max = float(np.linalg.eigvalsh(d_mat @ W.W @ d_mat)[-1])
     if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
         raise GoalUncontrollableError(
             "no mean-zero direction is controllable; variance cannot be raised"
@@ -512,10 +406,6 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     if isinstance(goal, VarianceGoal):
         return select_variance_state(W, z, goal.eta)
     if isinstance(goal, RepulsionGoal):
-        z_arr = as_vector(z, n=W.n, name="z")
-        plain_o = goal.O is None or np.array_equal(goal.O, np.eye(W.n))
-        if plain_o and goal.sense == "expand" and np.array_equal(goal.d, z_arr):
-            return select_repulsion_state(W, z_arr, goal.eta)
         o = goal.O if goal.O is not None else np.eye(W.n)
-        return solve_qcls(W, z_arr, o, goal.d, goal.eta, sense=goal.sense)
+        return solve_qcls(W, z, o, goal.d, goal.eta, sense=goal.sense)
     raise InvalidInputError(f"unknown goal type {type(goal).__name__}")

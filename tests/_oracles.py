@@ -80,6 +80,20 @@ def variance_grid_min_energy(w_mat, z, eta, samples=4_000):
     return best
 
 
+def mean_zero_basis(n):
+    """Orthonormal Helmert basis (n x (n-1)) of the mean-zero subspace.
+
+    Column k has k ones, then -k, then zeros, scaled to unit norm, so every
+    column is orthogonal to the all-ones vector.
+    """
+    q = np.zeros((n, n - 1))
+    for k in range(1, n):
+        q[:k, k - 1] = 1.0
+        q[k, k - 1] = -float(k)
+        q[:, k - 1] /= np.sqrt(k * (k + 1.0))
+    return q
+
+
 def brute_force_min_drivers(a_mat):
     """Largest geometric multiplicity via per-eigenvalue null-space ranks."""
     n = a_mat.shape[0]

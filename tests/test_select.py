@@ -12,6 +12,7 @@ from fluxcontrol.errors import (
 
 from _oracles import (
     kkt_mean_oracle,
+    mean_zero_basis,
     random_stable_system,
     scalar_min_energy,
     sphere_grid_min_energy,
@@ -347,11 +348,30 @@ class TestSelectVarianceState:
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
             sel = fc.select_variance_state(bundle, z, eta)
-            from fluxcontrol._util import mean_zero_basis
-
             q = mean_zero_basis(n)
             lam_cap = 1.0 / np.linalg.eigvalsh(q.T @ bundle.W @ q)[-1]
             assert 0.0 < sel.multiplier <= lam_cap * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("alpha, beta, ratio", [(0.5, 0.3, 4.0), (0.2, -1.0, 6.0)])
+    def test_hard_case_matches_grid_and_qcls(self, alpha, beta, ratio):
+        # Dz is orthogonal to the top eigenvector of D W D, and eta is so far
+        # above ||Dz||^2 that no multiplier below the pole reaches it.
+        w_mat = np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]])
+        d_mat = np.eye(3) - 1.0 / 3.0
+        theta, u = np.linalg.eigh(d_mat @ w_mat @ d_mat)
+        z = alpha * u[:, 1] + beta * np.ones(3)
+        dz = d_mat @ z
+        assert abs(float(dz @ u[:, 2])) < 1e-12 and float(dz @ dz) > 0.01
+        eta = ratio * float(dz @ dz)
+        bundle = _bundle_from(w_mat)
+        sel = fc.select_variance_state(bundle, z, eta)
+        assert sel.multiplier == pytest.approx(1.0 / theta[-1], rel=1e-12)
+        assert sel.energy <= variance_grid_min_energy(w_mat, z, eta, samples=6000) + 1e-8
+        qcls = fc.solve_qcls(bundle, z, d_mat, np.zeros(3), eta)
+        assert sel.energy == pytest.approx(qcls.energy, rel=1e-10)
+        npt.assert_allclose(sel.x_star, qcls.x_star, rtol=1e-10, atol=1e-12)
+        dx = d_mat @ sel.x_star
+        assert float(dx @ dx) == pytest.approx(eta, rel=1e-10)
 
     def test_energy_matches_quadratic_form(self, rng):
         # Reported energy equals the defining form (z - x)^T W^{-1} (z - x).

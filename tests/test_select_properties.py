@@ -1,0 +1,136 @@
+"""Property tests of the adjoint vector ``p`` every state selection returns.
+
+For each goal kind: ``W p = x* - z``, ``E = p^T W p``, the goal holds at
+``x*``, ``E`` is monotone in ``eta`` and scaling ``W`` by ``c`` scales ``E``
+by ``1/c``. Examples are derandomized so reruns draw the same instances.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fluxcontrol as fc
+
+KINDS = ["mean", "variance", "expand", "contract", "repulsion", "corner", "limit"]
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=70)
+
+
+def _centered(x):
+    return x - x.mean()
+
+
+def _problem(kind, rng, n):
+    """``(z, select(bundle, eta), statistic(x), (eta_lo, eta_hi), energy_rises)``.
+
+    ``statistic(x)`` equals ``eta`` when the goal holds with equality.
+    """
+    z = rng.standard_normal(n)
+    o = rng.standard_normal((n, n))
+    d = rng.standard_normal(n)
+
+    def qcls_stat(x):
+        r = o @ x - d
+        return float(r @ r)
+
+    f0 = qcls_stat(z)
+    if kind == "mean":
+        v = rng.standard_normal(n)
+        base = float(v @ z)
+        return (z, lambda b, eta: fc.select_mean_state(b, z, fc.LinearGoal(v, base + eta)),
+                lambda x: float(v @ x) - base, (0.5, 2.0), True)
+    if kind in ("variance", "corner"):
+        z = 0.1 * z if kind == "variance" else 3.0 * z
+        spread = float(_centered(z) @ _centered(z))
+        etas = (spread + 0.5, spread + 2.0) if kind == "variance" else (0.3 * spread, 0.6 * spread)
+        return (z, lambda b, eta: fc.select_variance_state(b, z, eta),
+                lambda x: float(_centered(x) @ _centered(x)), etas, True)
+    if kind == "expand":
+        return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "expand"),
+                qcls_stat, (f0 + 0.5, f0 + 2.0), True)
+    if kind == "contract":
+        return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "contract"),
+                qcls_stat, (0.3 * f0, 0.6 * f0), False)
+    if kind == "repulsion":
+        return (z, lambda b, eta: fc.select_repulsion_state(b, z, eta),
+                lambda x: float((x - z) @ (x - z)), (0.5, 2.0), True)
+    # Rank-deficient O with d in its range: eta = 0 is reached only in the
+    # lam -> -inf limit.
+    o[:, -1] = o[:, :-1] @ rng.standard_normal(n - 1)
+    d = o @ rng.standard_normal(n)
+    f0 = qcls_stat(z)
+    return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "contract"),
+            qcls_stat, (0.0, 0.5 * f0), False)
+
+
+def _check_selection(w_mat, z, sel, statistic, eta, kind):
+    dx = sel.x_star - z
+    wp = w_mat @ sel.p
+    scale = max(np.linalg.norm(dx), np.finfo(float).tiny)
+    assert np.linalg.norm(wp - dx) <= 1e-8 * scale + 1e-14
+    assert sel.energy == pytest.approx(float(sel.p @ wp), rel=1e-8, abs=1e-14)
+    if kind == "corner":
+        assert not sel.binding and sel.energy == 0.0
+        assert not np.any(sel.p)
+        assert statistic(sel.x_star) >= eta
+    else:
+        assert sel.binding
+        assert statistic(sel.x_star) == pytest.approx(eta, rel=1e-8, abs=1e-10)
+
+
+def _check_monotone_and_scaling(w_mat, select, etas, rises, scale, z, statistic, kind):
+    bundle = fc.GramianBundle.from_matrix(w_mat, 1.0)
+    lo, hi = (select(bundle, eta) for eta in etas)
+    for sel, eta in zip((lo, hi), etas):
+        _check_selection(w_mat, z, sel, statistic, eta, kind)
+    e_lo, e_hi = (lo.energy, hi.energy) if rises else (hi.energy, lo.energy)
+    assert e_lo <= e_hi * (1.0 + 1e-10) + 1e-14
+    scaled = select(fc.GramianBundle.from_matrix(scale * w_mat, 1.0), etas[1])
+    assert scaled.energy * scale == pytest.approx(hi.energy, rel=1e-8, abs=1e-14)
+    return lo, hi
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    scale=st.floats(0.1, 10.0),
+)
+def test_adjoint_properties_on_pd_gramians(kind, seed, n, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    w_mat = a @ a.T + 0.1 * np.eye(n)
+    z, select, statistic, etas, rises = _problem(kind, rng, n)
+    lo, _ = _check_monotone_and_scaling(w_mat, select, etas, rises, scale, z, statistic, kind)
+    if kind == "limit":
+        assert lo.multiplier == -np.inf
+
+
+@pytest.fixture(scope="module")
+def karate_two_inputs(karate):
+    system = karate["system"]
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((system.n, 2))
+    return fc.reachability_gramian(system, fc.InputSchematic(b), 3.0).W
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.1, 10.0),
+    z_size=st.sampled_from([0.0, 0.01]),
+)
+def test_variance_adjoint_on_singular_karate_gramian(karate_two_inputs, seed, scale, z_size):
+    # Two inputs on 34 nodes leave W numerically singular (cond ~1e17), so
+    # x* - z must come out in range(W) as W p, with no inverse of W anywhere.
+    # A zero endpoint puts the selection in the hard case.
+    w_mat = karate_two_inputs
+    rng = np.random.default_rng(seed)
+    z = z_size * rng.standard_normal(w_mat.shape[0])
+    spread = float(_centered(z) @ _centered(z))
+    etas = (spread + float(rng.uniform(0.1, 1.0)), spread + float(rng.uniform(1.0, 2.0)))
+    _check_monotone_and_scaling(
+        w_mat, lambda b, eta: fc.select_variance_state(b, z, eta), etas, True, scale, z,
+        lambda x: float(_centered(x) @ _centered(x)), "variance",
+    )
