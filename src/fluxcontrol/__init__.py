@@ -42,9 +42,7 @@ from .placement import (
     pgme_driver_select,
     place_mean_optimal,
     project_sphere,
-    project_tangent,
     ram_baseline,
-    sphere_norm_gradient,
 )
 from .select import (
     LinearGoal,
@@ -101,8 +99,6 @@ __all__ = [
     "GpgmConfig",
     "PlacementResult",
     "project_sphere",
-    "sphere_norm_gradient",
-    "project_tangent",
     "place_mean_optimal",
     "gpgm",
     "gpgm_multistart",

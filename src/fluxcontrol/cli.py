@@ -85,7 +85,6 @@ def _build_parser():
     gpgm_args.add_argument("--delta-star", type=float, default=1e-6)
     gpgm_args.add_argument("--epsilon", type=float, default=1e-6)
     gpgm_args.add_argument("--max-iters", type=int, default=10_000)
-    gpgm_args.add_argument("--fd-step", type=float, default=1e-6)
     gpgm_args.add_argument("--seed", type=int, default=0, help="base RNG seed")
     gpgm_args.add_argument("--starts", type=int, default=5, help="multistart count")
 
@@ -195,7 +194,6 @@ def _gpgm_config(args):
         delta_star=args.delta_star,
         epsilon=args.epsilon,
         max_iters=args.max_iters,
-        fd_step=args.fd_step,
         seed=args.seed,
     )
 

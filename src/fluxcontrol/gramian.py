@@ -149,7 +149,7 @@ def reachability_gramian(
     t_star: float,
     weights=None,
 ) -> GramianBundle:
-    """Finite-horizon reachability Gramian of (A, B) by the block-exponential method.
+    """Finite-horizon reachability Gramian of (A, B).
 
     Args:
         system: dynamics.
@@ -158,14 +158,11 @@ def reachability_gramian(
         weights: observer weighting for the cached ``kappa``; all-ones default.
 
     Returns:
-        GramianBundle with the symmetrized Gramian and its eigendecomposition.
+        GramianBundle with the symmetrized Gramian and its eigenvalues.
     """
-    if not np.isfinite(t_star) or t_star <= 0:
-        raise InvalidInputError("t_star must be a positive real")
     if schematic.n != system.n:
         raise InvalidInputError("schematic row count must match system size")
-    w = _van_loan_gramian(system.A, schematic.B @ schematic.B.T, float(t_star))
-    return GramianBundle.from_matrix(w, t_star, weights=weights)
+    return GramianEvaluator(system, t_star).bundle(schematic.B, weights=weights)
 
 
 def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
@@ -233,48 +230,53 @@ def kappa(bundle: GramianBundle, v) -> float:
 
 
 class GramianEvaluator:
-    """Repeated Gramian evaluation at a fixed system and horizon.
+    """Gramian integrals at a fixed system and horizon.
 
-    For symmetric dynamics the integral has a closed form in the eigenbasis
-    (entrywise ``(exp((a_i + a_j) T) - 1) / (a_i + a_j)`` weights on the
-    projected input outer product), which is orders of magnitude faster than
-    the block exponential and agrees with it to roundoff. Nonsymmetric
-    dynamics fall back to the block-exponential path per call.
+    Serves the reachability Gramian ``W(B) = int exp(tA) B B^T exp(tA^T) dt``
+    and the flux matrix ``Phi(v) = int exp(tA^T) v v^T exp(tA) dt``. For
+    symmetric dynamics both have a closed form in the eigenbasis (entrywise
+    ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
+    product), orders of magnitude faster than the block exponential and equal
+    to it to roundoff. Nonsymmetric dynamics take the block-exponential path
+    per call.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
     _SERIES_TOL = 1e-8
 
-    def __init__(self, system: LinearSystem, t_star: float, transpose: bool = False):
+    def __init__(self, system: LinearSystem, t_star: float):
         if not np.isfinite(t_star) or t_star <= 0:
             raise InvalidInputError("t_star must be a positive real")
         self.system = system
         self.t_star = float(t_star)
-        a = system.A.T if transpose else system.A
-        self._A = a
         self._symmetric = system.is_symmetric()
         if self._symmetric:
-            eigvals, eigvecs = np.linalg.eigh(a)
-            self._eigvals = eigvals
-            self._eigvecs = eigvecs
+            eigvals, self._eigvecs = np.linalg.eigh(system.A)
             s = eigvals[:, None] + eigvals[None, :]
             small = np.abs(s) < self._SERIES_TOL
             safe = np.where(small, 1.0, s)
-            growth = (np.exp(safe * self.t_star) - 1.0) / safe
+            growth = np.expm1(safe * self.t_star) / safe
             series = self.t_star + 0.5 * self.t_star**2 * s
             self._weights = np.where(small, series, growth)
 
-    def matrix(self, B) -> np.ndarray:
-        """Gramian of the fixed (A, t*) for the input matrix ``B``."""
+    def _integral(self, a: np.ndarray, B) -> np.ndarray:
+        """int_0^T exp(ta) B B^T exp(ta^T) dt for a = A or A^T (equal when symmetric)."""
         b = np.asarray(B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if not self._symmetric:
-            return _van_loan_gramian(self._A, b @ b.T, self.t_star)
+            return _van_loan_gramian(a, b @ b.T, self.t_star)
         bt = self._eigvecs.T @ b
-        core = self._weights * (bt @ bt.T)
-        w = self._eigvecs @ core @ self._eigvecs.T
+        w = self._eigvecs @ (self._weights * (bt @ bt.T)) @ self._eigvecs.T
         return 0.5 * (w + w.T)
+
+    def matrix(self, B) -> np.ndarray:
+        """Gramian of the fixed (A, t*) for the input matrix ``B``."""
+        return self._integral(self.system.A, B)
+
+    def flux(self, v) -> np.ndarray:
+        """Flux matrix of the weighting ``v``: the Gramian of (A^T, v)."""
+        return self._integral(self.system.A.T, v)
 
     def bundle(self, B, weights=None) -> GramianBundle:
         return GramianBundle.from_matrix(self.matrix(B), self.t_star, weights=weights)

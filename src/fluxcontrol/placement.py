@@ -2,8 +2,10 @@
 
 Linear observer goals admit a closed-form optimum (every column on the top
 eigenvector of the flux matrix). Quadratic goals are optimized by projected
-gradient descent over the schematic with a nested state-selection solve per
-candidate, tangent-space projection, and renormalization onto the sphere.
+gradient descent over the schematic: one state selection per candidate, whose
+adjoint ``p`` gives the energy gradient ``-2 Phi(p) B`` in closed form (the
+envelope theorem on ``E = p^T W(B) p``, with ``Phi`` the flux matrix),
+tangent-space projection, and renormalization onto the sphere.
 """
 
 import warnings
@@ -25,8 +27,6 @@ __all__ = [
     "GpgmConfig",
     "PlacementResult",
     "project_sphere",
-    "sphere_norm_gradient",
-    "project_tangent",
     "place_mean_optimal",
     "gpgm",
     "gpgm_multistart",
@@ -45,10 +45,8 @@ class GpgmConfig:
     Attributes:
         sigma: initial step size.
         delta_star: stop once successive iterates align within this tolerance.
-        epsilon: sphere-shrink constant keeping the norm gradient nonzero;
-            iterates live on tr(B^T B) = m + epsilon.
+        epsilon: sphere offset; iterates live on tr(B^T B) = m + epsilon.
         max_iters: iteration cap.
-        fd_step: base finite-difference step for the energy gradient.
         seed: initialization seed.
     """
 
@@ -56,11 +54,10 @@ class GpgmConfig:
     delta_star: float = 1e-6
     epsilon: float = 1e-6
     max_iters: int = 10_000
-    fd_step: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("sigma", "delta_star", "epsilon", "fd_step"):
+        for name in ("sigma", "delta_star", "epsilon"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be positive")
         if self.max_iters < 1:
@@ -90,22 +87,9 @@ def project_sphere(B, epsilon: float = 0.0) -> np.ndarray:
     return b * np.sqrt((m + epsilon) / tr)
 
 
-def sphere_norm_gradient(B, m: int | None = None) -> np.ndarray:
-    """Gradient of the squared sphere defect (tr(B^T B) - m)^2 at B."""
-    b = np.asarray(B, dtype=float)
-    if m is None:
-        m = b.shape[1]
-    return 2.0 * (float(np.sum(b * b)) - m) * b
-
-
-def project_tangent(vec, B, m: int | None = None) -> np.ndarray:
-    """Remove the component of a vectorized direction along the norm gradient."""
-    v = np.asarray(vec, dtype=float).ravel()
-    g = sphere_norm_gradient(B, m).ravel()
-    gg = float(g @ g)
-    if gg == 0.0:
-        return v.copy()
-    return v - g * (float(g @ v) / gg)
+def _tangent(g: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Remove the component of a direction along B, the sphere's normal."""
+    return g - B * (float(np.sum(g * B)) / float(np.sum(B * B)))
 
 
 def place_mean_optimal(
@@ -144,46 +128,6 @@ def place_mean_optimal(
     )
 
 
-class _EnergyObjective:
-    """Nested constrained-state energy as a function of the schematic."""
-
-    def __init__(self, system: LinearSystem, t_star: float, z: np.ndarray, goal):
-        self._evaluator = GramianEvaluator(system, t_star)
-        self._z = z
-        self._goal = goal
-
-    def __call__(self, B: np.ndarray) -> float:
-        bundle = self._evaluator.bundle(B)
-        return select_state(bundle, self._z, self._goal).energy
-
-
-def _fd_gradient(objective, B: np.ndarray, e_center: float, step: float) -> np.ndarray:
-    """Central finite differences entrywise; one-sided when a side is infeasible."""
-    grad = np.zeros_like(B)
-    for i in range(B.shape[0]):
-        for j in range(B.shape[1]):
-            h = step * (1.0 + abs(B[i, j]))
-            plus = B.copy()
-            plus[i, j] += h
-            minus = B.copy()
-            minus[i, j] -= h
-            try:
-                ep = objective(plus)
-            except FluxControlError:
-                ep = None
-            try:
-                em = objective(minus)
-            except FluxControlError:
-                em = None
-            if ep is not None and em is not None:
-                grad[i, j] = (ep - em) / (2.0 * h)
-            elif ep is not None:
-                grad[i, j] = (ep - e_center) / h
-            elif em is not None:
-                grad[i, j] = (e_center - em) / h
-    return grad
-
-
 def gpgm(
     system: LinearSystem,
     x0,
@@ -195,8 +139,8 @@ def gpgm(
 ) -> PlacementResult:
     """Projected gradient descent over the schematic for a moment goal.
 
-    Per iteration: finite-difference gradient of the nested state-selection
-    energy, tangent projection, step, renormalization onto the shrunken
+    Per iteration: the energy gradient ``-2 Phi(p) B`` from the current
+    selection's adjoint, tangent projection, step, renormalization onto the
     sphere, and backtracking halvings when the candidate raises the energy or
     its state selection is infeasible. Stops when successive iterates align
     within ``delta_star`` or no usable step remains; returns the best iterate.
@@ -234,35 +178,37 @@ def gpgm(
     if not binding_check(goal, z):
         return result(b, 0.0, 0, True, [0.0])
 
-    objective = _EnergyObjective(system, t_star, z, goal)
+    evaluator = GramianEvaluator(system, t_star)
+
+    def select(B: np.ndarray):
+        return select_state(evaluator.bundle(B), z, goal)
+
     try:
-        e_cur = objective(b)
+        sel = select(b)
     except FluxControlError as exc:
         raise PlacementAbortError(
             f"state selection infeasible at the initial schematic: {exc}"
         ) from exc
 
-    trace = [e_cur]
-    best_e, best_b = e_cur, b.copy()
+    trace = [sel.energy]
+    best_e, best_b = sel.energy, b.copy()
     iters = 0
     converged = False
     for k in range(cfg.max_iters):
         iters = k + 1
-        grad = _fd_gradient(objective, b, e_cur, cfg.fd_step)
-        direction = project_tangent(grad.ravel(), b, m).reshape(b.shape)
+        direction = _tangent(-2.0 * evaluator.flux(sel.p) @ b, b)
         sigma = cfg.sigma
         accepted = False
         infeasible = 0
-        cand, e_cand = None, None
         for _ in range(_MAX_HALVINGS + 1):
             cand = project_sphere(b - sigma * direction, epsilon=cfg.epsilon)
             try:
-                e_cand = objective(cand)
+                cand_sel = select(cand)
             except FluxControlError:
                 infeasible += 1
                 sigma *= 0.5
                 continue
-            if e_cand <= e_cur * (1.0 + 1e-12) + 1e-15:
+            if cand_sel.energy <= sel.energy * (1.0 + 1e-12) + 1e-15:
                 accepted = True
                 break
             sigma *= 0.5
@@ -275,10 +221,10 @@ def gpgm(
             converged = True
             break
         delta = float(np.sum(b * cand)) / (m + cfg.epsilon)
-        b, e_cur = cand, e_cand
-        trace.append(e_cur)
-        if e_cur < best_e:
-            best_e, best_b = e_cur, b.copy()
+        b, sel = cand, cand_sel
+        trace.append(sel.energy)
+        if sel.energy < best_e:
+            best_e, best_b = sel.energy, b.copy()
         if 1.0 - delta < cfg.delta_star:
             converged = True
             break

@@ -94,15 +94,9 @@ def min_energy_controller(
 
     else:
         at = system.A.T
-        cache: dict[float, np.ndarray] = {}
 
         def control(t: float) -> np.ndarray:
-            u = cache.get(t)
-            if u is None:
-                u = bt @ (expm(at * (t_star - t)) @ p)
-                cache.clear()
-                cache[t] = u
-            return u
+            return bt @ (expm(at * (t_star - t)) @ p)
 
     return control
 

@@ -8,6 +8,8 @@ counting, so agreement is evidence rather than tautology.
 import numpy as np
 from scipy.linalg import null_space
 
+from fluxcontrol.errors import FluxControlError
+
 
 def random_stable_system(rng, n, max_real=-0.1, scale=1.0):
     """Dense matrix with all eigenvalue real parts at or below ``max_real``."""
@@ -92,6 +94,37 @@ def mean_zero_basis(n):
         q[k, k - 1] = -float(k)
         q[:, k - 1] /= np.sqrt(k * (k + 1.0))
     return q
+
+
+def fd_gradient(objective, b_mat, e_center, step=1e-6):
+    """Entrywise finite-difference gradient of ``objective`` at ``b_mat``.
+
+    Central differences with step ``step * (1 + |b_ij|)``; one-sided when a
+    side raises a ``FluxControlError`` (infeasible), zero when both do.
+    """
+    grad = np.zeros_like(b_mat)
+    for i in range(b_mat.shape[0]):
+        for j in range(b_mat.shape[1]):
+            h = step * (1.0 + abs(b_mat[i, j]))
+            plus = b_mat.copy()
+            plus[i, j] += h
+            minus = b_mat.copy()
+            minus[i, j] -= h
+            try:
+                ep = objective(plus)
+            except FluxControlError:
+                ep = None
+            try:
+                em = objective(minus)
+            except FluxControlError:
+                em = None
+            if ep is not None and em is not None:
+                grad[i, j] = (ep - em) / (2.0 * h)
+            elif ep is not None:
+                grad[i, j] = (ep - e_center) / h
+            elif em is not None:
+                grad[i, j] = (e_center - em) / h
+    return grad
 
 
 def brute_force_min_drivers(a_mat):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
 from fluxcontrol.errors import InvalidInputError
+from fluxcontrol.gramian import _van_loan_gramian
 
 from _oracles import random_stable_system, simpson_scalar_gramian
 
@@ -171,7 +174,7 @@ class TestGramianEvaluator:
         for _ in range(3):
             b = rng.random((34, 2))
             w_fast = ev.matrix(b)
-            w_block = fc.reachability_gramian(system, fc.InputSchematic(b), 3.0).W
+            w_block = _van_loan_gramian(system.A, b @ b.T, 3.0)
             assert np.linalg.norm(w_fast - w_block) <= 1e-10 * np.linalg.norm(w_block)
 
     def test_nonsymmetric_falls_back(self, rng):
@@ -187,5 +190,19 @@ class TestGramianEvaluator:
         a = np.diag([1e-9, -1e-9])
         ev = fc.GramianEvaluator(fc.LinearSystem(a), 2.0)
         b = np.ones((2, 1))
-        w_ref = fc.reachability_gramian(fc.LinearSystem(a), fc.InputSchematic(b), 2.0).W
+        w_ref = _van_loan_gramian(a, b @ b.T, 2.0)
         npt.assert_allclose(ev.matrix(b), w_ref, rtol=1e-10)
+
+    def test_weights_just_above_series_cutoff(self):
+        # s = 2a = 1.01e-8 takes the closed form, where exp(s t) - 1 cancels.
+        a = 0.505e-8
+        ev = fc.GramianEvaluator(fc.LinearSystem(np.diag([a, a])), 1.0)
+        expected = math.expm1(2.0 * a) / (2.0 * a)
+        npt.assert_allclose(ev.matrix(np.eye(2)), expected * np.eye(2), rtol=1e-13, atol=0.0)
+
+    def test_flux_matches_block_exponential(self, karate, rng):
+        for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
+            ev = fc.GramianEvaluator(system, 1.3)
+            v = rng.standard_normal(system.n)
+            phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)
+            assert np.linalg.norm(ev.flux(v) - phi) <= 1e-10 * np.linalg.norm(phi)
