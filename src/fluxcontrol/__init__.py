@@ -60,7 +60,7 @@ from .select import (
     solve_qcls,
     variance_energy_bound,
 )
-from .trajectory import Trajectory, min_energy_controller, min_energy_input, simulate
+from .trajectory import Trajectory, min_energy_controller, simulate
 
 __version__ = "0.1.0"
 
@@ -110,7 +110,6 @@ __all__ = [
     "centrality_histogram",
     "Trajectory",
     "min_energy_controller",
-    "min_energy_input",
     "simulate",
     "parse_edge_list",
     "load_dense_matrix",

@@ -18,7 +18,7 @@ from . import __version__
 from ._util import as_vector
 from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError
-from .gramian import reachability_gramian
+from .gramian import GramianEvaluator, reachability_gramian
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
 from .linsys import InputSchematic, LinearSystem, laplacian_system, transition_matrix
 from .placement import (
@@ -348,11 +348,10 @@ def _cmd_simulate(args, outdir):
                         x0, t_star, args.steps)
         summary["autonomous"] = True
     else:
-        bundle = reachability_gramian(system, schematic, t_star)
+        evaluator = GramianEvaluator(system, t_star)
         z = transition_matrix(system, t_star) @ x0
-        selection = select_state(bundle, z, goal)
-        controller = min_energy_controller(system, schematic, bundle, x0,
-                                           selection.x_star, t_star)
+        selection = select_state(evaluator.bundle(schematic.B), z, goal)
+        controller = min_energy_controller(evaluator, schematic, selection.p)
         traj = simulate(system, schematic, controller, x0, t_star, args.steps)
         summary.update({
             "autonomous": False,

@@ -25,10 +25,6 @@ class InfeasibleGoalError(FluxControlError):
         self.min_eta = float(min_eta)
 
 
-class UnreachableStateError(FluxControlError):
-    """Requested displacement lies outside the range of the Gramian."""
-
-
 class DivergenceError(FluxControlError):
     """Simulated state left the representable range; carries last valid time."""
 

@@ -33,8 +33,8 @@ class GramianBundle:
     Attributes:
         W: symmetric positive semidefinite n x n matrix.
         t_star: horizon the integral was taken over.
-        kappa: weighted quadratic form v^T W v for the bundle's weighting
-            (all-ones by default).
+        kappa: quadratic form 1^T W 1 of the all-ones weighting; the
+            module function ``kappa`` serves any other weighting.
         eigenvalues: eigenvalues of W sorted descending.
     """
 
@@ -44,7 +44,7 @@ class GramianBundle:
     eigenvalues: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_matrix(cls, W, t_star: float, weights=None) -> "GramianBundle":
+    def from_matrix(cls, W, t_star: float) -> "GramianBundle":
         """Validate and symmetrize a computed Gramian and take its eigenvalues."""
         W = np.asarray(W, dtype=float)
         n = W.shape[0]
@@ -55,8 +55,8 @@ class GramianBundle:
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
-        v = np.ones(n) if weights is None else as_vector(weights, n=n, name="weights")
-        kap = max(float(v @ W @ v), 0.0)
+        ones = np.ones(n)
+        kap = max(float(ones @ W @ ones), 0.0)
         return cls(
             W=W,
             t_star=float(t_star),
@@ -147,22 +147,18 @@ def reachability_gramian(
     system: LinearSystem,
     schematic: InputSchematic,
     t_star: float,
-    weights=None,
 ) -> GramianBundle:
     """Finite-horizon reachability Gramian of (A, B).
 
     Args:
         system: dynamics.
-        schematic: input matrix B.
+        schematic: input matrix B, with one row per state.
         t_star: horizon, must be positive.
-        weights: observer weighting for the cached ``kappa``; all-ones default.
 
     Returns:
         GramianBundle with the symmetrized Gramian and its eigenvalues.
     """
-    if schematic.n != system.n:
-        raise InvalidInputError("schematic row count must match system size")
-    return GramianEvaluator(system, t_star).bundle(schematic.B, weights=weights)
+    return GramianEvaluator(system, t_star).bundle(schematic.B)
 
 
 def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
@@ -238,7 +234,8 @@ class GramianEvaluator:
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
     product), orders of magnitude faster than the block exponential and equal
     to it to roundoff. Nonsymmetric dynamics take the block-exponential path
-    per call.
+    per call. The same split serves the adjoint trajectory ``exp(sA^T) p``
+    that steers the system to a selected state.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -251,8 +248,8 @@ class GramianEvaluator:
         self.t_star = float(t_star)
         self._symmetric = system.is_symmetric()
         if self._symmetric:
-            eigvals, self._eigvecs = np.linalg.eigh(system.A)
-            s = eigvals[:, None] + eigvals[None, :]
+            self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
+            s = self._eigvals[:, None] + self._eigvals[None, :]
             small = np.abs(s) < self._SERIES_TOL
             safe = np.where(small, 1.0, s)
             growth = np.expm1(safe * self.t_star) / safe
@@ -264,6 +261,8 @@ class GramianEvaluator:
         b = np.asarray(B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
+        if b.shape[0] != self.system.n:
+            raise InvalidInputError("schematic row count must match system size")
         if not self._symmetric:
             return _van_loan_gramian(a, b @ b.T, self.t_star)
         bt = self._eigvecs.T @ b
@@ -278,5 +277,13 @@ class GramianEvaluator:
         """Flux matrix of the weighting ``v``: the Gramian of (A^T, v)."""
         return self._integral(self.system.A.T, v)
 
-    def bundle(self, B, weights=None) -> GramianBundle:
-        return GramianBundle.from_matrix(self.matrix(B), self.t_star, weights=weights)
+    def bundle(self, B) -> GramianBundle:
+        return GramianBundle.from_matrix(self.matrix(B), self.t_star)
+
+    def adjoint(self, p):
+        """The adjoint trajectory ``s -> exp(s A^T) p`` as a function of ``s``."""
+        p = as_vector(p, n=self.system.n, name="p")
+        if not self._symmetric:
+            return lambda s: expm(self.system.A.T * s) @ p
+        pe = self._eigvecs.T @ p
+        return lambda s: self._eigvecs @ (np.exp(self._eigvals * s) * pe)

@@ -1,20 +1,17 @@
-"""Open-loop minimum-energy input synthesis and trajectory simulation."""
+"""Open-loop minimum-energy input ``u(t) = B^T exp(A^T (t* - t)) p`` from a state
+selection's adjoint vector ``p``, and fixed-grid RK4 trajectory simulation."""
 
 import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._util import as_vector
-from .errors import DivergenceError, InvalidInputError, UnreachableStateError
-from .gramian import GramianBundle
-from .linsys import InputSchematic, LinearSystem, transition_matrix
+from .errors import DivergenceError, InvalidInputError
+from .gramian import GramianEvaluator
+from .linsys import InputSchematic, LinearSystem
 
-__all__ = ["Trajectory", "min_energy_controller", "min_energy_input", "simulate"]
-
-# Relative spectral cutoff for the Gramian pseudo-inverse.
-_PINV_RCOND = 1e-10
+__all__ = ["Trajectory", "min_energy_controller", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -51,69 +48,21 @@ class Trajectory:
                 writer.writerow(f"{x:.17g}" for x in row)
 
 
-def _gramian_matrix(W) -> np.ndarray:
-    return W.W if isinstance(W, GramianBundle) else np.asarray(W, dtype=float)
+def min_energy_controller(evaluator: GramianEvaluator, schematic: InputSchematic, p):
+    """Open-loop minimum-energy input ``u(t) = B^T exp(A^T (t* - t)) p``.
 
-
-def min_energy_controller(
-    system: LinearSystem,
-    schematic: InputSchematic,
-    W,
-    x0,
-    x_star,
-    t_star: float,
-):
-    """Open-loop input signal driving x0 to x_star by the horizon.
-
-    The signal back-propagates the Gramian-weighted displacement through the
-    adjoint dynamics. The Gramian is pseudo-inverted with a spectral cutoff so
-    output-controllable but not fully controllable systems remain simulable;
-    displacements outside the Gramian's range raise.
+    ``p`` is the adjoint vector of a state selection made on the Gramian
+    ``W(B)`` of this evaluator and schematic (``x* = z + W p``). The input then
+    reaches ``x*`` at the evaluator's horizon with energy ``p^T W p``, and no
+    Gramian is ever inverted.
     """
-    if not np.isfinite(t_star) or t_star <= 0:
-        raise InvalidInputError("t_star must be a positive real")
-    x0 = as_vector(x0, n=system.n, name="x0")
-    x_star = as_vector(x_star, n=system.n, name="x_star")
-    w = _gramian_matrix(W)
-    z = transition_matrix(system, t_star) @ x0
-    delta = x_star - z
-    p = np.linalg.pinv(w, rcond=_PINV_RCOND, hermitian=True) @ delta
-    residual = np.linalg.norm(w @ p - delta)
-    if residual > 1e-8 * (1.0 + np.linalg.norm(delta)):
-        raise UnreachableStateError(
-            "target displacement lies outside the range of the Gramian"
-        )
+    adjoint = evaluator.adjoint(p)
+    bt, t_star = schematic.B.T, evaluator.t_star
 
-    bt = schematic.B.T
-    if system.is_symmetric():
-        evals, evecs = np.linalg.eigh(system.A)
-        pe = evecs.T @ p
-
-        def control(t: float) -> np.ndarray:
-            return bt @ (evecs @ (np.exp(evals * (t_star - t)) * pe))
-
-    else:
-        at = system.A.T
-
-        def control(t: float) -> np.ndarray:
-            return bt @ (expm(at * (t_star - t)) @ p)
+    def control(t: float) -> np.ndarray:
+        return bt @ adjoint(t_star - t)
 
     return control
-
-
-def min_energy_input(
-    system: LinearSystem,
-    schematic: InputSchematic,
-    W,
-    x0,
-    x_star,
-    t_star: float,
-    t: float,
-) -> np.ndarray:
-    """Minimum-energy input value at a single time in [0, t_star]."""
-    if not 0.0 <= t <= t_star:
-        raise InvalidInputError("t must lie in [0, t_star]")
-    return min_energy_controller(system, schematic, W, x0, x_star, t_star)(float(t))
 
 
 def simulate(

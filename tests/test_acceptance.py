@@ -245,7 +245,7 @@ def test_criterion_7_trajectory_consistency():
         z = fc.transition_matrix(system, t_star) @ x0
         goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
         sel = fc.select_mean_state(bundle, z, goal)
-        controller = fc.min_energy_controller(system, schematic, bundle, x0, sel.x_star, t_star)
+        controller = fc.min_energy_controller(fc.GramianEvaluator(system, t_star), schematic, sel.p)
         traj = fc.simulate(system, schematic, controller, x0, t_star, 2000)
         endpoint_err = np.linalg.norm(traj.endpoint - sel.x_star) / (
             1.0 + np.linalg.norm(sel.x_star)

@@ -145,6 +145,35 @@ def test_simulate_mean_goal(tmp_path, path_graph):
     assert len(lines) == 402
 
 
+def test_simulate_reaches_selection_on_singular_gramian(tmp_path, karate_path):
+    # One random input on karate: W is singular to machine precision, yet the
+    # controller built from the selection's adjoint reaches x*.
+    out = tmp_path / "sim"
+    code = main([
+        "simulate", "--input", karate_path, "--mode", "laplacian",
+        "--method", "ram", "--m", "1", "--goal", "variance", "--eta", "4",
+        "--x0", "random", "--t-star", "3", "--steps", "400", "--out", str(out),
+    ])
+    assert code == 0
+    summary = json.loads((out / "simulate.json").read_text())
+    x_star = np.asarray(summary["selection"]["x_star"])
+    assert summary["endpoint_error"] <= 1e-6 * (1 + np.linalg.norm(x_star))
+
+
+def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph):
+    b_path = tmp_path / "b.csv"
+    b_path.write_text("1\n0\n0\n")
+    out = tmp_path / "err"
+    code = main([
+        "simulate", "--input", path_graph, "--mode", "laplacian",
+        "--goal", "variance", "--eta", "1.0", "--b", str(b_path),
+        "--steps", "10", "--out", str(out),
+    ])
+    assert code == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "InvalidInputError"
+
+
 def test_compare_small_graph(tmp_path, path_graph):
     out = tmp_path / "cmp"
     code = main([

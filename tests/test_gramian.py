@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import expm
 
 import fluxcontrol as fc
 from fluxcontrol.errors import InvalidInputError
@@ -11,8 +12,8 @@ from fluxcontrol.gramian import _van_loan_gramian
 from _oracles import random_stable_system, simpson_scalar_gramian
 
 
-def _bundle(a, b, t_star, **kw):
-    return fc.reachability_gramian(fc.LinearSystem(np.atleast_2d(a)), fc.InputSchematic(b), t_star, **kw)
+def _bundle(a, b, t_star):
+    return fc.reachability_gramian(fc.LinearSystem(np.atleast_2d(a)), fc.InputSchematic(b), t_star)
 
 
 class TestReachabilityGramian:
@@ -99,11 +100,9 @@ class TestFluxMatrix:
         fm = fc.flux_matrix(fc.LinearSystem(a), v, 1.2)
         for _ in range(10):
             b = rng.standard_normal((4, 2))
-            w = fc.reachability_gramian(
-                fc.LinearSystem(a), fc.InputSchematic(b), 1.2, weights=v
-            )
+            w = fc.reachability_gramian(fc.LinearSystem(a), fc.InputSchematic(b), 1.2)
             trace_form = float(np.trace(b.T @ fm.Phi @ b))
-            assert w.kappa == pytest.approx(trace_form, rel=1e-8)
+            assert fc.kappa(w, v) == pytest.approx(trace_form, rel=1e-8)
 
 
 class TestGramianQuadrature:
@@ -206,3 +205,17 @@ class TestGramianEvaluator:
             v = rng.standard_normal(system.n)
             phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)
             assert np.linalg.norm(ev.flux(v) - phi) <= 1e-10 * np.linalg.norm(phi)
+
+    def test_adjoint_matches_expm(self, karate, rng):
+        for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
+            ev = fc.GramianEvaluator(system, 2.0)
+            p = rng.standard_normal(system.n)
+            adjoint = ev.adjoint(p)
+            for s in (0.0, 0.7, 2.0):
+                ref = expm(system.A.T * s) @ p
+                assert np.linalg.norm(adjoint(s) - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    def test_row_count_mismatch_rejected(self):
+        ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
+        with pytest.raises(InvalidInputError):
+            ev.matrix(np.ones((4, 1)))

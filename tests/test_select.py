@@ -20,8 +20,8 @@ from _oracles import (
 )
 
 
-def _bundle_from(w_mat, t_star=1.0, weights=None):
-    return fc.GramianBundle.from_matrix(np.asarray(w_mat, dtype=float), t_star, weights=weights)
+def _bundle_from(w_mat, t_star=1.0):
+    return fc.GramianBundle.from_matrix(np.asarray(w_mat, dtype=float), t_star)
 
 
 def _random_pd_bundle(rng, n, t_star=1.0):

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
-from fluxcontrol.errors import DivergenceError, InvalidInputError, UnreachableStateError
+from fluxcontrol.errors import DivergenceError, InvalidInputError
 
 from _oracles import random_stable_system, scalar_min_energy
 
@@ -18,49 +18,52 @@ class TestMinEnergyInput:
         system = fc.LinearSystem(a)
         schematic = fc.InputSchematic.identity(3)
         x0 = rng.standard_normal(3)
-        w = fc.reachability_gramian(system, schematic, 1.0)
+        evaluator = fc.GramianEvaluator(system, 1.0)
         z = fc.transition_matrix(system, 1.0) @ x0
+        # Already met at z: the selection is the corner x* = z with p = 0.
+        goal = fc.LinearGoal(np.ones(3), float(np.ones(3) @ z) - 1.0)
+        sel = fc.select_mean_state(evaluator.bundle(schematic.B), z, goal)
+        assert not sel.binding
+        u = fc.min_energy_controller(evaluator, schematic, sel.p)
         for t in (0.0, 0.4, 1.0):
-            u = fc.min_energy_input(system, schematic, w, x0, z, 1.0, t)
-            npt.assert_allclose(u, np.zeros(3), atol=1e-10)
+            npt.assert_allclose(u(t), np.zeros(3), atol=1e-10)
 
     def test_scalar_constant_input(self):
         system = fc.LinearSystem([[0.0]])
         schematic = fc.InputSchematic([[1.0]])
-        w = fc.reachability_gramian(system, schematic, 1.0)
+        evaluator = fc.GramianEvaluator(system, 1.0)
+        w = evaluator.matrix(schematic.B)
+        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]])
         for t in (0.0, 0.5, 1.0):
-            u = fc.min_energy_input(system, schematic, w, [0.0], [1.0], 1.0, t)
-            assert u[0] == pytest.approx(1.0, rel=1e-12)
+            assert u(t)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_longer_horizon_halves_input(self):
         system = fc.LinearSystem([[0.0]])
         schematic = fc.InputSchematic([[1.0]])
-        w = fc.reachability_gramian(system, schematic, 2.0)
-        u = fc.min_energy_input(system, schematic, w, [0.0], [1.0], 2.0, 1.3)
-        assert u[0] == pytest.approx(0.5, rel=1e-12)
-        traj = fc.simulate(
-            system,
-            schematic,
-            fc.min_energy_controller(system, schematic, w, [0.0], [1.0], 2.0),
-            [0.0],
-            2.0,
-            400,
-        )
+        evaluator = fc.GramianEvaluator(system, 2.0)
+        w = evaluator.matrix(schematic.B)
+        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]])
+        assert u(1.3)[0] == pytest.approx(0.5, rel=1e-12)
+        traj = fc.simulate(system, schematic, u, [0.0], 2.0, 400)
         assert traj.total_energy == pytest.approx(scalar_min_energy(1.0, 2.0), rel=1e-8)
 
-    def test_unreachable_displacement_raises(self):
-        system = fc.LinearSystem(np.zeros((2, 2)))
-        schematic = fc.InputSchematic.single_node(2, 0)
-        w = fc.reachability_gramian(system, schematic, 1.0)
-        with pytest.raises(UnreachableStateError):
-            fc.min_energy_input(system, schematic, w, np.zeros(2), [0.0, 1.0], 1.0, 0.5)
-
-    def test_time_outside_horizon_rejected(self):
-        system = fc.LinearSystem([[0.0]])
-        schematic = fc.InputSchematic([[1.0]])
-        w = fc.reachability_gramian(system, schematic, 1.0)
-        with pytest.raises(InvalidInputError):
-            fc.min_energy_input(system, schematic, w, [0.0], [1.0], 1.0, 1.5)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("goal", [fc.VarianceGoal(4.0), fc.mean_goal(34, 1.0)],
+                             ids=["variance", "mean"])
+    def test_reaches_selection_on_singular_karate_gramian(self, karate, goal, m):
+        # cond(W) is 1e16 or worse here: a pseudo-inverse of W drops directions
+        # the selection used, while the selection's own adjoint p does not.
+        system, t_star = karate["system"], 3.0
+        schematic = fc.ram_baseline(34, m, seed=0)
+        x0 = np.random.default_rng(0).standard_normal(34)
+        evaluator = fc.GramianEvaluator(system, t_star)
+        z = fc.transition_matrix(system, t_star) @ x0
+        sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
+        assert sel.binding
+        u = fc.min_energy_controller(evaluator, schematic, sel.p)
+        traj = fc.simulate(system, schematic, u, x0, t_star, 400)
+        assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-6 * (1.0 + np.linalg.norm(sel.x_star))
+        assert abs(traj.total_energy - sel.energy) <= 1e-6 * sel.energy
 
 
 class TestSimulate:
@@ -109,7 +112,7 @@ class TestSimulate:
             goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
             sel = fc.select_mean_state(w, z, goal)
             controller = fc.min_energy_controller(
-                system, schematic, w, x0, sel.x_star, t_star
+                fc.GramianEvaluator(system, t_star), schematic, sel.p
             )
             traj = fc.simulate(system, schematic, controller, x0, t_star, 2000)
             err = np.linalg.norm(traj.endpoint - sel.x_star)
