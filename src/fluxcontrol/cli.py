@@ -351,7 +351,7 @@ def _cmd_simulate(args, outdir):
         evaluator = GramianEvaluator(system, t_star)
         z = transition_matrix(system, t_star) @ x0
         selection = select_state(evaluator.bundle(schematic.B), z, goal)
-        controller = min_energy_controller(evaluator, schematic, selection.p)
+        controller = min_energy_controller(evaluator, schematic, selection.p, args.steps)
         traj = simulate(system, schematic, controller, x0, t_star, args.steps)
         summary.update({
             "autonomous": False,

@@ -234,8 +234,8 @@ class GramianEvaluator:
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
     product), orders of magnitude faster than the block exponential and equal
     to it to roundoff. Nonsymmetric dynamics take the block-exponential path
-    per call. The same split serves the adjoint trajectory ``exp(sA^T) p``
-    that steers the system to a selected state.
+    per call. The adjoint trajectory ``exp(sA^T) p`` that steers the system
+    to a selected state is sampled on a uniform grid with one propagator.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -280,10 +280,19 @@ class GramianEvaluator:
     def bundle(self, B) -> GramianBundle:
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)
 
-    def adjoint(self, p):
-        """The adjoint trajectory ``s -> exp(s A^T) p`` as a function of ``s``."""
+    def adjoint(self, p, samples: int) -> np.ndarray:
+        """Rows ``exp(s_j A^T) p``, ``s_j = j t*/samples``, built upward from
+        ``s = 0`` by one propagator (eigenpairs if A is symmetric, else ``expm``)."""
         p = as_vector(p, n=self.system.n, name="p")
-        if not self._symmetric:
-            return lambda s: expm(self.system.A.T * s) @ p
-        pe = self._eigvecs.T @ p
-        return lambda s: self._eigvecs @ (np.exp(self._eigvals * s) * pe)
+        if samples < 1:
+            raise InvalidInputError("samples must be at least 1")
+        delta = self.t_star / samples
+        if self._symmetric:
+            step = (self._eigvecs * np.exp(self._eigvals * delta)) @ self._eigvecs.T
+        else:
+            step = expm(self.system.A.T * delta)
+        out = np.empty((samples + 1, self.system.n))
+        out[0] = p
+        for j in range(samples):
+            out[j + 1] = step @ out[j]
+        return out

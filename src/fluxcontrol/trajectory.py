@@ -1,7 +1,6 @@
 """Open-loop minimum-energy input ``u(t) = B^T exp(A^T (t* - t)) p`` from a state
-selection's adjoint vector ``p``, and fixed-grid RK4 trajectory simulation."""
+selection's adjoint ``p``, sampled on the RK4 half-step grid, and fixed-grid RK4 simulation."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,35 +31,40 @@ class Trajectory:
         return float(self.cumulative_energy[-1])
 
     def write_csv(self, path) -> None:
-        n = self.states.shape[1]
-        m = self.inputs.shape[1]
-        header = (
-            ["t"]
-            + [f"x_{i + 1}" for i in range(n)]
-            + [f"u_{j + 1}" for j in range(m)]
-            + ["E_cum"]
-        )
+        n, m = self.states.shape[1], self.inputs.shape[1]
+        header = ["t", *(f"x_{i + 1}" for i in range(n)),
+                  *(f"u_{j + 1}" for j in range(m)), "E_cum"]
+        data = np.column_stack([self.times, self.states, self.inputs, self.cumulative_energy])
+        # Rows end in "\r\n" as csv.writer's do; one row at a time keeps memory flat.
+        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for k in range(self.times.shape[0]):
-                row = [self.times[k], *self.states[k], *self.inputs[k], self.cumulative_energy[k]]
-                writer.writerow(f"{x:.17g}" for x in row)
+            fh.write(",".join(header) + "\r\n")
+            for r in data:
+                fh.write(row % tuple(r.tolist()))
 
 
-def min_energy_controller(evaluator: GramianEvaluator, schematic: InputSchematic, p):
+def min_energy_controller(evaluator: GramianEvaluator, schematic: InputSchematic, p, steps: int):
     """Open-loop minimum-energy input ``u(t) = B^T exp(A^T (t* - t)) p``.
 
     ``p`` is the adjoint vector of a state selection made on the Gramian
     ``W(B)`` of this evaluator and schematic (``x* = z + W p``). The input then
     reaches ``x*`` at the evaluator's horizon with energy ``p^T W p``, and no
-    Gramian is ever inverted.
+    Gramian is ever inverted. It is sampled once on the half-step grid
+    ``t_j = j t*/(2 steps)`` of ``simulate``; ``u(t)`` accepts only those times.
     """
-    adjoint = evaluator.adjoint(p)
-    bt, t_star = schematic.B.T, evaluator.t_star
+    if steps < 1:
+        raise InvalidInputError("steps must be at least 1")
+    samples = 2 * steps
+    inputs = (evaluator.adjoint(p, samples) @ schematic.B)[::-1]
+    half = evaluator.t_star / samples
 
     def control(t: float) -> np.ndarray:
-        return bt @ adjoint(t_star - t)
+        # Off-grid tolerance in half steps: simulate's times carry ~1e-16 t* roundoff.
+        j = float(t) / half
+        k = round(j) if -1e-6 <= j <= samples + 1e-6 else -1
+        if k < 0 or abs(j - k) > 1e-6:
+            raise InvalidInputError(f"t={t!r} is not on the controller's time grid")
+        return inputs[k].copy()
 
     return control
 

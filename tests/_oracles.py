@@ -5,6 +5,8 @@ inverses, KKT linear solves, dense grid searches, and brute-force rank
 counting, so agreement is evidence rather than tautology.
 """
 
+import csv
+
 import numpy as np
 from scipy.linalg import null_space
 
@@ -197,3 +199,15 @@ def simpson_scalar_gramian(a, t_star, steps):
     wgt[1:-1:2] = 4.0
     wgt[2:-1:2] = 2.0
     return float((t_star / steps) / 3.0 * (wgt @ f))
+
+
+def write_trajectory_csv_reference(traj, path):
+    """``Trajectory.write_csv`` as ``csv.writer`` with one ``%.17g`` field per value."""
+    n, m = traj.states.shape[1], traj.inputs.shape[1]
+    header = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)] + ["E_cum"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for k in range(traj.times.shape[0]):
+            row = [traj.times[k], *traj.states[k], *traj.inputs[k], traj.cumulative_energy[k]]
+            writer.writerow(f"{x:.17g}" for x in row)

@@ -210,10 +210,29 @@ class TestGramianEvaluator:
         for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
             ev = fc.GramianEvaluator(system, 2.0)
             p = rng.standard_normal(system.n)
-            adjoint = ev.adjoint(p)
+            adjoint = ev.adjoint(p, 20)
             for s in (0.0, 0.7, 2.0):
                 ref = expm(system.A.T * s) @ p
-                assert np.linalg.norm(adjoint(s) - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+                lam = adjoint[round(s / 0.1)]
+                assert np.linalg.norm(lam - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    def test_adjoint_accumulation_over_many_samples(self, karate, rng):
+        # Each sample is one more product with the propagator, so roundoff
+        # grows with the sample index; the last rows carry the most.
+        non_normal = -np.eye(6) + 5.0 * np.eye(6, k=1)
+        for system in (karate["system"], fc.LinearSystem(non_normal)):
+            ev = fc.GramianEvaluator(system, 2.0)
+            p = rng.standard_normal(system.n)
+            adjoint = ev.adjoint(p, 4000)
+            assert adjoint.shape == (4001, system.n)
+            for j in range(0, 4001, 400):
+                ref = expm(system.A.T * (j * 2.0 / 4000)) @ p
+                assert np.linalg.norm(adjoint[j] - ref) <= 1e-11 * (1.0 + np.linalg.norm(ref))
+
+    def test_adjoint_needs_a_sample(self):
+        ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((2, 2))), 1.0)
+        with pytest.raises(InvalidInputError):
+            ev.adjoint(np.ones(2), 0)
 
     def test_row_count_mismatch_rejected(self):
         ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)

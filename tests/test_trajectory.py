@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
+from fluxcontrol import gramian
 from fluxcontrol.errors import DivergenceError, InvalidInputError
 
-from _oracles import random_stable_system, scalar_min_energy
+from _oracles import random_stable_system, scalar_min_energy, write_trajectory_csv_reference
 
 
 def _zero_input(m):
@@ -24,7 +25,7 @@ class TestMinEnergyInput:
         goal = fc.LinearGoal(np.ones(3), float(np.ones(3) @ z) - 1.0)
         sel = fc.select_mean_state(evaluator.bundle(schematic.B), z, goal)
         assert not sel.binding
-        u = fc.min_energy_controller(evaluator, schematic, sel.p)
+        u = fc.min_energy_controller(evaluator, schematic, sel.p, 10)
         for t in (0.0, 0.4, 1.0):
             npt.assert_allclose(u(t), np.zeros(3), atol=1e-10)
 
@@ -33,7 +34,7 @@ class TestMinEnergyInput:
         schematic = fc.InputSchematic([[1.0]])
         evaluator = fc.GramianEvaluator(system, 1.0)
         w = evaluator.matrix(schematic.B)
-        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]])
+        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]], 10)
         for t in (0.0, 0.5, 1.0):
             assert u(t)[0] == pytest.approx(1.0, rel=1e-12)
 
@@ -42,7 +43,7 @@ class TestMinEnergyInput:
         schematic = fc.InputSchematic([[1.0]])
         evaluator = fc.GramianEvaluator(system, 2.0)
         w = evaluator.matrix(schematic.B)
-        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]])
+        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]], 400)
         assert u(1.3)[0] == pytest.approx(0.5, rel=1e-12)
         traj = fc.simulate(system, schematic, u, [0.0], 2.0, 400)
         assert traj.total_energy == pytest.approx(scalar_min_energy(1.0, 2.0), rel=1e-8)
@@ -60,10 +61,61 @@ class TestMinEnergyInput:
         z = fc.transition_matrix(system, t_star) @ x0
         sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
         assert sel.binding
-        u = fc.min_energy_controller(evaluator, schematic, sel.p)
+        u = fc.min_energy_controller(evaluator, schematic, sel.p, 400)
         traj = fc.simulate(system, schematic, u, x0, t_star, 400)
         assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-6 * (1.0 + np.linalg.norm(sel.x_star))
         assert abs(traj.total_energy - sel.energy) <= 1e-6 * sel.energy
+
+
+    def _scalar_controller(self, steps):
+        evaluator = fc.GramianEvaluator(fc.LinearSystem([[0.0]]), 1.0)
+        return fc.min_energy_controller(evaluator, fc.InputSchematic([[1.0]]), [1.0], steps)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(InvalidInputError):
+            self._scalar_controller(steps)
+
+    @pytest.mark.parametrize("t", [-0.05, 1.05, float("nan"), float("inf")])
+    def test_time_outside_horizon_rejected(self, t):
+        u = self._scalar_controller(10)
+        with pytest.raises(InvalidInputError):
+            u(t)
+
+    def test_time_off_grid_rejected(self):
+        u = self._scalar_controller(10)
+        assert u(0.35)[0] == pytest.approx(1.0)
+        with pytest.raises(InvalidInputError):
+            u(0.36)
+
+    def test_grid_tolerance_scales_with_the_half_step(self):
+        # At 10^6 steps the half step is 5e-7; simulate's rounding of t + h/2
+        # stays inside the tolerance, a tenth of a half step does not.
+        steps = 10**6
+        u = self._scalar_controller(steps)
+        t = 0.3 + 0.5 * (1.0 / steps)
+        u(t * (1.0 + 1e-15))
+        with pytest.raises(InvalidInputError):
+            u(t + 0.05 / steps)
+
+    @pytest.mark.parametrize("steps", [50, 500])
+    def test_adjoint_takes_one_expm_whatever_the_steps(self, karate, rng, monkeypatch, steps):
+        calls = []
+        expm = gramian.expm
+
+        def counting(a):
+            calls.append(None)
+            return expm(a)
+
+        monkeypatch.setattr(gramian, "expm", counting)
+        nonsymmetric = fc.LinearSystem(random_stable_system(rng, 5))
+        for system, expected in ((nonsymmetric, 1), (karate["system"], 0)):
+            calls.clear()
+            schematic = fc.InputSchematic(rng.standard_normal((system.n, 2)))
+            evaluator = fc.GramianEvaluator(system, 1.5)
+            u = fc.min_energy_controller(evaluator, schematic, rng.standard_normal(system.n), steps)
+            fc.simulate(system, schematic, u, np.zeros(system.n), 1.5, steps)
+            assert len(calls) == expected
 
 
 class TestSimulate:
@@ -112,7 +164,7 @@ class TestSimulate:
             goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
             sel = fc.select_mean_state(w, z, goal)
             controller = fc.min_energy_controller(
-                fc.GramianEvaluator(system, t_star), schematic, sel.p
+                fc.GramianEvaluator(system, t_star), schematic, sel.p, 2000
             )
             traj = fc.simulate(system, schematic, controller, x0, t_star, 2000)
             err = np.linalg.norm(traj.endpoint - sel.x_star)
@@ -156,3 +208,18 @@ class TestSimulate:
         assert len(lines) == 6
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 1.0, 2.0, 0.0, 0.0, 0.0]
+
+    def test_csv_bytes_match_csv_writer_reference(self, tmp_path, rng):
+        specials = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, np.nan, np.inf, -np.inf])
+        for k in range(20):
+            n, m, rows = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
+            cols = [rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+                    for width in (1, n, m, 1)]
+            for col in cols:
+                mask = rng.random(col.shape) < 0.3
+                col[mask] = rng.choice(specials, size=int(mask.sum()))
+            traj = fc.Trajectory(times=cols[0][:, 0], states=cols[1], inputs=cols[2],
+                                 cumulative_energy=cols[3][:, 0])
+            traj.write_csv(tmp_path / f"{k}.csv")
+            write_trajectory_csv_reference(traj, tmp_path / f"{k}.ref.csv")
+            assert (tmp_path / f"{k}.csv").read_bytes() == (tmp_path / f"{k}.ref.csv").read_bytes()
