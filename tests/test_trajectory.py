@@ -66,7 +66,6 @@ class TestMinEnergyInput:
         assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-6 * (1.0 + np.linalg.norm(sel.x_star))
         assert abs(traj.total_energy - sel.energy) <= 1e-6 * sel.energy
 
-
     def _scalar_controller(self, steps):
         evaluator = fc.GramianEvaluator(fc.LinearSystem([[0.0]]), 1.0)
         return fc.min_energy_controller(evaluator, fc.InputSchematic([[1.0]]), [1.0], steps)
@@ -88,15 +87,16 @@ class TestMinEnergyInput:
         with pytest.raises(InvalidInputError):
             u(0.36)
 
-    def test_grid_tolerance_scales_with_the_half_step(self):
-        # At 10^6 steps the half step is 5e-7; simulate's rounding of t + h/2
-        # stays inside the tolerance, a tenth of a half step does not.
-        steps = 10**6
-        u = self._scalar_controller(steps)
-        t = 0.3 + 0.5 * (1.0 / steps)
-        u(t * (1.0 + 1e-15))
+    @pytest.mark.parametrize("t_star", [1e-9, 1e5 / 3])
+    def test_grid_tolerance_scales_with_the_half_step(self, t_star):
+        # The tolerance is a fraction of the half step: simulate's own times
+        # pass at any horizon, a tenth of a half step off the grid does not.
+        system, schematic = fc.LinearSystem([[0.0]]), fc.InputSchematic([[1.0]])
+        evaluator = fc.GramianEvaluator(system, t_star)
+        u = fc.min_energy_controller(evaluator, schematic, [1.0], 1000)
+        fc.simulate(system, schematic, u, [0.0], t_star, 1000)
         with pytest.raises(InvalidInputError):
-            u(t + 0.05 / steps)
+            u(0.3 * t_star + 0.05 * t_star / 1000)
 
     @pytest.mark.parametrize("steps", [50, 500])
     def test_adjoint_takes_one_expm_whatever_the_steps(self, karate, rng, monkeypatch, steps):
