@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,15 +21,15 @@ from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError
 from .gramian import GramianEvaluator, reachability_gramian
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
-from .linsys import InputSchematic, LinearSystem, laplacian_system, transition_matrix
+from .linsys import InputSchematic, LinearSystem, laplacian_system
 from .placement import (
     GpgmConfig,
+    PlacementResult,
     gpgm_multistart,
     place_mean_optimal,
     ram_baseline,
 )
 from .select import (
-    LinearGoal,
     RepulsionGoal,
     VarianceGoal,
     mean_goal,
@@ -166,7 +167,7 @@ def _build_schematic(args, system):
 
 
 def _build_goal(args, n):
-    if not getattr(args, "goal", None):
+    if not args.goal:
         return None
     if args.goal == "mean":
         return mean_goal(n, args.eta)
@@ -178,7 +179,7 @@ def _build_goal(args, n):
 
 
 def _build_x0(args, n):
-    raw = getattr(args, "x0", "zeros")
+    raw = args.x0
     if isinstance(raw, (list, tuple)):
         return as_vector(raw, n=n, name="x0")
     if raw == "zeros":
@@ -239,8 +240,37 @@ def _selection_payload(selection):
     }
 
 
-def _placement_payload(result):
-    return {
+def _setup(args):
+    """System, goal, x0, ``z = exp(t* A) x0`` and the run's one Gramian evaluator."""
+    system, _ = _build_system(args)
+    goal = _build_goal(args, system.n)
+    x0 = _build_x0(args, system.n)
+    evaluator = GramianEvaluator(system, args.t_star[0])
+    return system, goal, x0, evaluator.propagate(x0), evaluator
+
+
+def _place(args, system, goal, x0, z, evaluator):
+    """The schematic for ``--method`` (``--b`` when none is given) and its
+    placement payload. Flux and ram report the goal's selection energy on the
+    schematic; with no goal, flux reports ``1/(m lambda)`` and ram none."""
+    method = getattr(args, "method", None)
+    if method is None:
+        return _build_schematic(args, system), None
+    if method == "gpgm":
+        if goal is None:
+            raise InvalidInputError("gpgm placement needs --goal")
+        result = gpgm_multistart(system, x0, evaluator.t_star, goal, args.m,
+                                 config=_gpgm_config(args), n_starts=args.starts)
+    elif method == "flux":
+        result = place_mean_optimal(system, np.ones(system.n), evaluator.t_star, args.m)
+    else:
+        schematic = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
+        result = PlacementResult(B_star=schematic, energy=None, iterations=0,
+                                 converged=True, energy_trace=np.array([]))
+    if method != "gpgm" and goal is not None:
+        energy = select_state(evaluator.bundle(result.B_star.B), z, goal).energy
+        result = replace(result, energy=energy, energy_trace=np.array([energy]))
+    return result.B_star, {
         "B": result.B_star.B,
         "energy": result.energy,
         "iterations": result.iterations,
@@ -278,78 +308,29 @@ def _cmd_flux(args, outdir):
 
 
 def _cmd_select_state(args, outdir):
-    system, _ = _build_system(args)
-    schematic = _build_schematic(args, system)
-    goal = _build_goal(args, system.n)
+    system, goal, _, z, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
-    t_star = args.t_star[0]
-    x0 = _build_x0(args, system.n)
-    bundle = reachability_gramian(system, schematic, t_star)
-    z = transition_matrix(system, t_star) @ x0
-    selection = select_state(bundle, z, goal)
+    selection = select_state(evaluator.bundle(_build_schematic(args, system).B), z, goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
 def _cmd_place(args, outdir):
-    system, _ = _build_system(args)
-    goal = _build_goal(args, system.n)
-    t_star = args.t_star[0]
-    x0 = _build_x0(args, system.n)
-    if args.method == "flux":
-        if goal is not None and not isinstance(goal, LinearGoal):
-            raise InvalidInputError("flux placement applies to the mean goal only")
-        threshold = goal.c if goal is not None else None
-        result = place_mean_optimal(system, np.ones(system.n), t_star, args.m,
-                                    x0=x0 if goal is not None else None,
-                                    threshold=threshold)
-        payload = _placement_payload(result)
-    elif args.method == "gpgm":
-        if goal is None:
-            raise InvalidInputError("gpgm placement needs --goal")
-        result = gpgm_multistart(system, x0, t_star, goal, args.m,
-                                 config=_gpgm_config(args), n_starts=args.starts)
-        payload = _placement_payload(result)
-    else:
-        schematic = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
-        payload = {"B": schematic.B, "iterations": 0, "converged": True, "trace": []}
-        if goal is not None:
-            bundle = reachability_gramian(system, schematic, t_star)
-            z = transition_matrix(system, t_star) @ _build_x0(args, system.n)
-            payload["energy"] = select_state(bundle, z, goal).energy
-        else:
-            payload["energy"] = None
-    write_matrix_csv(outdir / "B.csv", np.asarray(payload["B"], dtype=float))
+    schematic, payload = _place(args, *_setup(args))
+    write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
 
 
-def _resolve_simulation_schematic(args, system, goal, t_star, x0):
-    if args.method == "flux":
-        return place_mean_optimal(system, np.ones(system.n), t_star, args.m).B_star
-    if args.method == "gpgm":
-        if goal is None:
-            raise InvalidInputError("gpgm placement needs --goal")
-        return gpgm_multistart(system, x0, t_star, goal, args.m,
-                               config=_gpgm_config(args), n_starts=args.starts).B_star
-    if args.method == "ram":
-        return ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
-    return _build_schematic(args, system)
-
-
 def _cmd_simulate(args, outdir):
-    system, _ = _build_system(args)
-    goal = _build_goal(args, system.n)
+    system, goal, x0, z, evaluator = _setup(args)
+    schematic, _ = _place(args, system, goal, x0, z, evaluator)
     t_star = args.t_star[0]
-    x0 = _build_x0(args, system.n)
-    schematic = _resolve_simulation_schematic(args, system, goal, t_star, x0)
     summary = {"t_star": t_star, "steps": args.steps, "m": schematic.m}
     if goal is None:
         traj = simulate(system, schematic, lambda t: np.zeros(schematic.m),
                         x0, t_star, args.steps)
         summary["autonomous"] = True
     else:
-        evaluator = GramianEvaluator(system, t_star)
-        z = transition_matrix(system, t_star) @ x0
         selection = select_state(evaluator.bundle(schematic.B), z, goal)
         controller = min_energy_controller(evaluator, schematic, selection.p, args.steps)
         traj = simulate(system, schematic, controller, x0, t_star, args.steps)
@@ -366,21 +347,16 @@ def _cmd_simulate(args, outdir):
 
 
 def _cmd_compare(args, outdir):
-    system, _ = _build_system(args)
-    goal = _build_goal(args, system.n)
+    system, goal, x0, z, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("compare needs --goal")
-    t_star = args.t_star[0]
-    x0 = _build_x0(args, system.n)
-    z = transition_matrix(system, t_star) @ x0
 
-    gpgm_result = gpgm_multistart(system, x0, t_star, goal, args.m,
+    gpgm_result = gpgm_multistart(system, x0, evaluator.t_star, goal, args.m,
                                   config=_gpgm_config(args), n_starts=args.starts)
     ram_energies = []
     for seed in range(args.seed, args.seed + args.seeds):
         schematic = ram_baseline(system.n, args.m, seed=seed, epsilon=args.epsilon)
-        bundle = reachability_gramian(system, schematic, t_star)
-        ram_energies.append(select_state(bundle, z, goal).energy)
+        ram_energies.append(select_state(evaluator.bundle(schematic.B), z, goal).energy)
     median_ram = float(np.median(ram_energies))
 
     with open(outdir / "compare.csv", "w") as fh:

@@ -234,8 +234,9 @@ class GramianEvaluator:
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
     product), orders of magnitude faster than the block exponential and equal
     to it to roundoff. Nonsymmetric dynamics take the block-exponential path
-    per call. The adjoint trajectory ``exp(sA^T) p`` that steers the system
-    to a selected state is sampled on a uniform grid with one propagator.
+    per call. One propagator (eigenpairs, else ``expm``) serves the endpoint
+    ``exp(t* A) x0`` of the autonomous run and the adjoint trajectory
+    ``exp(sA^T) p`` that steers it to a selected state on a uniform grid.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -252,7 +253,8 @@ class GramianEvaluator:
             s = self._eigvals[:, None] + self._eigvals[None, :]
             small = np.abs(s) < self._SERIES_TOL
             safe = np.where(small, 1.0, s)
-            growth = np.expm1(safe * self.t_star) / safe
+            # expm1 only off the series entries: expm1(t*) overflows past ~709.8.
+            growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
             series = self.t_star + 0.5 * self.t_star**2 * s
             self._weights = np.where(small, series, growth)
 
@@ -280,17 +282,24 @@ class GramianEvaluator:
     def bundle(self, B) -> GramianBundle:
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)
 
+    def _propagator(self, a: np.ndarray, s: float) -> np.ndarray:
+        """exp(s a) for a = A or A^T: eigenpairs if A is symmetric, else ``expm``."""
+        if self._symmetric:
+            return (self._eigvecs * np.exp(self._eigvals * s)) @ self._eigvecs.T
+        return expm(a * s)
+
+    def propagate(self, x0) -> np.ndarray:
+        """Autonomous endpoint ``exp(t* A) x0``."""
+        x0 = as_vector(x0, n=self.system.n, name="x0")
+        return self._propagator(self.system.A, self.t_star) @ x0
+
     def adjoint(self, p, samples: int) -> np.ndarray:
         """Rows ``exp(s_j A^T) p``, ``s_j = j t*/samples``, built upward from
-        ``s = 0`` by one propagator (eigenpairs if A is symmetric, else ``expm``)."""
+        ``s = 0`` by one propagator."""
         p = as_vector(p, n=self.system.n, name="p")
         if samples < 1:
             raise InvalidInputError("samples must be at least 1")
-        delta = self.t_star / samples
-        if self._symmetric:
-            step = (self._eigvecs * np.exp(self._eigvals * delta)) @ self._eigvecs.T
-        else:
-            step = expm(self.system.A.T * delta)
+        step = self._propagator(self.system.A.T, self.t_star / samples)
         out = np.empty((samples + 1, self.system.n))
         out[0] = p
         for j in range(samples):

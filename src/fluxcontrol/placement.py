@@ -13,14 +13,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import as_vector
 from .errors import (
     FluxControlError,
     InvalidInputError,
     PlacementAbortError,
 )
 from .gramian import GramianEvaluator, flux_matrix
-from .linsys import InputSchematic, LinearSystem, transition_matrix
+from .linsys import InputSchematic, LinearSystem
 from .select import binding_check, select_state
 
 __all__ = [
@@ -97,28 +96,21 @@ def place_mean_optimal(
     v,
     t_star: float,
     m: int,
-    x0=None,
-    threshold: float | None = None,
 ) -> PlacementResult:
     """Closed-form optimal schematic for a linear observer goal.
 
     Every column is the unit top eigenvector of the flux matrix of ``v``, so
-    the weighted Gramian sum equals ``m`` times the top flux eigenvalue. The
-    reported energy is the constraint-gap-squared over that product when
-    ``x0`` and ``threshold`` are given, otherwise the per-unit-gap multiplier.
+    ``v^T W v`` equals ``m`` times the top flux eigenvalue ``lambda``. The
+    reported energy is the per-unit-gap ``1/(m lambda)``; the energy for a
+    goal ``v^T x >= c`` is ``select_state`` on this schematic, which is the
+    squared gap times that, or 0 when the goal already holds.
     """
     if m < 1:
         raise InvalidInputError("m must be at least 1")
     fm = flux_matrix(system, v, t_star)
-    lam, top = fm.lam_max, fm.top_vector
-    b = np.tile(top[:, None], (1, m))
+    b = np.tile(fm.top_vector[:, None], (1, m))
     schematic = InputSchematic(b, sphere_normalized=True, epsilon=0.0)
-    if x0 is not None and threshold is not None:
-        z = transition_matrix(system, t_star) @ as_vector(x0, n=system.n, name="x0")
-        alpha = float(fm.v @ z) - float(threshold)
-        energy = alpha * alpha / (m * lam)
-    else:
-        energy = 1.0 / (m * lam)
+    energy = 1.0 / (m * fm.lam_max)
     return PlacementResult(
         B_star=schematic,
         energy=energy,
@@ -148,8 +140,8 @@ def gpgm(
     if m < 1:
         raise InvalidInputError("m must be at least 1")
     cfg = config if config is not None else GpgmConfig()
-    x0 = as_vector(x0, n=system.n, name="x0")
-    z = transition_matrix(system, t_star) @ x0
+    evaluator = GramianEvaluator(system, t_star)
+    z = evaluator.propagate(x0)
 
     if B_init is None:
         b = np.random.default_rng(cfg.seed).random((system.n, m))
@@ -177,8 +169,6 @@ def gpgm(
 
     if not binding_check(goal, z):
         return result(b, 0.0, 0, True, [0.0])
-
-    evaluator = GramianEvaluator(system, t_star)
 
     def select(B: np.ndarray):
         return select_state(evaluator.bundle(B), z, goal)

@@ -282,3 +282,44 @@ def test_unknown_config_key_fails(tmp_path, path_graph):
         "--config", str(cfg), "--out", str(out),
     ])
     assert code == 1
+
+
+def _run(tmp_path, name, *argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
+def test_place_flux_reports_zero_energy_when_the_goal_holds(tmp_path, path_graph):
+    # The average of x0 = 1 stays at 1 under Laplacian dynamics, above -5.
+    out = _run(tmp_path, "pf", "place", "--input", path_graph, "--method", "flux",
+               "--goal", "mean", "--eta", "-5", "--x0", "1,1,1,1")
+    payload = json.loads((out / "placement.json").read_text())
+    assert payload["energy"] == 0.0
+    assert payload["trace"] == [0.0]
+
+
+def test_flux_schematic_energy_agrees_across_subcommands(tmp_path, path_graph):
+    common = ["--input", path_graph, "--mode", "adjacency", "--goal", "variance",
+              "--x0", "1,2,3,4", "--eta", "500", "--m", "2"]
+    placed = _run(tmp_path, "pf", "place", *common, "--method", "flux")
+    energy = json.loads((placed / "placement.json").read_text())["energy"]
+    selected = _run(tmp_path, "sel", "select-state", *common, "--b", str(placed / "B.csv"))
+    assert json.loads((selected / "selection.json").read_text())["energy"] == energy
+    simulated = _run(tmp_path, "sim", "simulate", *common, "--method", "flux", "--steps", "50")
+    assert json.loads((simulated / "simulate.json").read_text())["energy_closed_form"] == energy
+    assert energy > 0
+
+
+def test_compare_ram_energies_match_ram_placements(tmp_path, path_graph):
+    common = ["--input", path_graph, "--goal", "variance", "--eta", "1.0",
+              "--x0", "random", "--t-star", "2.0", "--m", "1"]
+    compared = _run(tmp_path, "cmp", "compare", *common, "--seeds", "3",
+                    "--starts", "1", "--max-iters", "5")
+    ram = json.loads((compared / "compare.json").read_text())["ram_energies"]
+    for seed in range(3):
+        placed = _run(tmp_path, f"ram{seed}", "place", *common, "--method", "ram",
+                      "--seed", str(seed))
+        payload = json.loads((placed / "placement.json").read_text())
+        assert payload["energy"] == ram[seed]
+        assert payload["trace"] == [ram[seed]]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -205,6 +206,33 @@ class TestGramianEvaluator:
             v = rng.standard_normal(system.n)
             phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)
             assert np.linalg.norm(ev.flux(v) - phi) <= 1e-10 * np.linalg.norm(phi)
+
+    def test_long_horizon_on_laplacian_builds_without_overflow(self, karate):
+        # The zero eigenvalue takes the series limit; expm1 past t* ~ 709.8
+        # would overflow if evaluated there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ev = fc.GramianEvaluator(karate["system"], 800.0)
+        assert np.all(np.isfinite(ev.matrix(np.ones(34))))
+
+    def test_propagate_matches_expm(self, karate, rng):
+        system = karate["system"]
+        x0 = rng.standard_normal(34)
+        for t in (0.3, 3.0):
+            ref = expm(t * system.A) @ x0
+            got = fc.GramianEvaluator(system, t).propagate(x0)
+            assert np.linalg.norm(got - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    def test_propagate_nonsymmetric_is_the_transition_matrix(self, rng):
+        system = fc.LinearSystem(random_stable_system(rng, 5))
+        x0 = rng.standard_normal(5)
+        got = fc.GramianEvaluator(system, 1.7).propagate(x0)
+        npt.assert_array_equal(got, fc.transition_matrix(system, 1.7) @ x0)
+
+    def test_propagate_rejects_wrong_length(self):
+        ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
+        with pytest.raises(InvalidInputError):
+            ev.propagate(np.ones(4))
 
     def test_adjoint_matches_expm(self, karate, rng):
         for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):

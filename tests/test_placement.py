@@ -9,6 +9,14 @@ from fluxcontrol.placement import _tangent
 from _oracles import random_stable_system, schur_variance_energy_bound
 
 
+def _flux_closed_form(system, t_star, m, x0, goal):
+    """Flux-optimal schematic and the goal's selection energy on it."""
+    placed = fc.place_mean_optimal(system, np.ones(system.n), t_star, m=m)
+    evaluator = fc.GramianEvaluator(system, t_star)
+    z = evaluator.propagate(x0)
+    return placed.B_star, fc.select_state(evaluator.bundle(placed.B_star.B), z, goal).energy
+
+
 class TestSphereOps:
     def test_projection_hits_trace_target(self, rng):
         b = rng.standard_normal((5, 3))
@@ -82,11 +90,9 @@ class TestPlaceMeanOptimal:
 
     def test_energy_with_gap(self):
         system = fc.LinearSystem(np.zeros((3, 3)))
-        result = fc.place_mean_optimal(
-            system, np.ones(3), 1.0, m=1, x0=np.zeros(3), threshold=3.0
-        )
+        _, energy = _flux_closed_form(system, 1.0, 1, np.zeros(3), fc.LinearGoal(np.ones(3), 3.0))
         # alpha = -3, lam = 3: energy = 9 / 3.
-        assert result.energy == pytest.approx(3.0, rel=1e-12)
+        assert energy == pytest.approx(3.0, rel=1e-12)
 
 
 class TestGpgm:
@@ -96,27 +102,25 @@ class TestGpgm:
         x0 = rng.standard_normal(5)
         t_star = 1.0
         goal = fc.mean_goal(5, float(np.ones(5) @ x0) / 5 + 1.0)
-        closed = fc.place_mean_optimal(
-            system, np.ones(5), t_star, m=1, x0=x0, threshold=goal.c
-        )
+        _, closed_energy = _flux_closed_form(system, t_star, 1, x0, goal)
         cfg = fc.GpgmConfig(sigma=0.05, max_iters=400, seed=3)
         result = fc.gpgm_multistart(system, x0, t_star, goal, m=1, config=cfg, n_starts=3)
-        assert result.energy <= closed.energy * 1.01
+        assert result.energy <= closed_energy * 1.01
 
     def test_stationary_at_flux_optimum(self, rng):
         a = random_stable_system(rng, 4)
         system = fc.LinearSystem(a)
         x0 = rng.standard_normal(4)
         goal = fc.mean_goal(4, float(np.ones(4) @ x0) / 4 + 0.5)
-        closed = fc.place_mean_optimal(system, np.ones(4), 1.0, m=1, x0=x0, threshold=goal.c)
+        closed, closed_energy = _flux_closed_form(system, 1.0, 1, x0, goal)
         cfg = fc.GpgmConfig(max_iters=50)
-        result = fc.gpgm(system, x0, 1.0, goal, m=1, config=cfg, B_init=closed.B_star.B)
+        result = fc.gpgm(system, x0, 1.0, goal, m=1, config=cfg, B_init=closed.B)
         assert result.iterations <= 2
         assert result.converged
         # Unchanged across iterations; the epsilon-shrunk sphere shifts the
         # closed-form value by epsilon/m relative, no more.
         assert abs(result.energy - result.energy_trace[0]) <= 1e-8 * (1.0 + result.energy)
-        assert result.energy <= closed.energy * (1.0 + 2.0 * cfg.epsilon)
+        assert result.energy <= closed_energy * (1.0 + 2.0 * cfg.epsilon)
 
     def test_trace_non_increasing_and_iterates_on_sphere(self, rng):
         a = random_stable_system(rng, 4)

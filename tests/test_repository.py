@@ -22,6 +22,19 @@ def test_no_gramian_solves_in_src():
     assert hits == []
 
 
+def test_only_linsys_calls_transition_matrix():
+    # The Gramian evaluator propagates x0; linsys keeps the public expm wrapper
+    # that tests use as an independent reference.
+    hits = [
+        f"{path.name}:{k}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "linsys.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if "transition_matrix(" in line
+    ]
+    assert hits == []
+
+
 def test_readme_quick_start_reaches_selection():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
