@@ -253,7 +253,7 @@ class GramianEvaluator:
             s = self._eigvals[:, None] + self._eigvals[None, :]
             small = np.abs(s) < self._SERIES_TOL
             safe = np.where(small, 1.0, s)
-            # expm1 only off the series entries: expm1(t*) overflows past ~709.8.
+            # expm1 sees 0 on the series entries, so a large t* cannot overflow it there.
             growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
             series = self.t_star + 0.5 * self.t_star**2 * s
             self._weights = np.where(small, series, growth)
