@@ -13,7 +13,6 @@ from .gramian import (
     GramianBundle,
     GramianEvaluator,
     flux_matrix,
-    gramian_quadrature,
     kappa,
     reachability_gramian,
 )
@@ -27,7 +26,6 @@ from .linsys import (
     ControllabilityReport,
     InputSchematic,
     LinearSystem,
-    StateVector,
     controllability_matrix,
     controllability_report,
     laplacian_system,
@@ -67,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "LinearSystem",
-    "StateVector",
     "InputSchematic",
     "ControllabilityReport",
     "transition_matrix",
@@ -80,7 +77,6 @@ __all__ = [
     "GramianEvaluator",
     "reachability_gramian",
     "flux_matrix",
-    "gramian_quadrature",
     "kappa",
     "LinearGoal",
     "RepulsionGoal",

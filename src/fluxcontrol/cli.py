@@ -118,21 +118,41 @@ def _build_parser():
                        help="optimized placement against a random-allocation ensemble")
     p.add_argument("--seeds", type=int, default=20, help="random-allocation ensemble size")
     p.set_defaults(func=_cmd_compare)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(args):
+def _apply_config_file(args, command_parser):
+    """Override flags from the ``--config`` JSON object, each value checked
+    against its flag's type and choices."""
     if not getattr(args, "config", None):
         return args
     overrides = json.loads(Path(args.config).read_text())
+    if not isinstance(overrides, dict):
+        raise InvalidInputError("config file must hold a JSON object")
+    actions = {action.dest: action for action in command_parser._actions}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions or not hasattr(args, dest):
             raise InvalidInputError(f"unknown config key {key!r}")
-        if dest == "t_star" and not isinstance(value, list):
-            value = [float(value)]
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(key, value, actions[dest]))
     return args
+
+
+def _config_value(key, value, action):
+    """``value`` as its flag would parse it: a typed flag parses the value
+    (a list as comma-separated items) with the flag's type, so a JSON string
+    is no number; switches take a boolean; flags with choices one of them."""
+    if action.type is not None:
+        items = value if isinstance(value, list) else [value]
+        try:
+            value = action.type(",".join(repr(x) for x in items))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise InvalidInputError(f"config key {key!r}: {exc}") from exc
+    elif action.nargs == 0 and not isinstance(value, bool):
+        raise InvalidInputError(f"config key {key!r} needs true or false, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise InvalidInputError(f"config key {key!r} must be one of {list(action.choices)}")
+    return value
 
 
 def _config_dict(args):
@@ -164,6 +184,13 @@ def _build_schematic(args, system):
     if getattr(args, "b", None):
         return InputSchematic(load_dense_matrix(args.b))
     return InputSchematic.identity(system.n)
+
+
+def _horizon(args):
+    """The one horizon of a subcommand that takes a single ``--t-star``."""
+    if len(args.t_star) != 1:
+        raise InvalidInputError(f"--t-star needs exactly one horizon, got {len(args.t_star)}")
+    return args.t_star[0]
 
 
 def _build_goal(args, n):
@@ -241,25 +268,27 @@ def _selection_payload(selection):
 
 
 def _setup(args):
-    """System, goal, x0, ``z = exp(t* A) x0`` and the run's one Gramian evaluator."""
+    """Goal, x0, ``z = exp(t* A) x0`` and the run's one Gramian evaluator,
+    which carries the system."""
     system, _ = _build_system(args)
     goal = _build_goal(args, system.n)
     x0 = _build_x0(args, system.n)
-    evaluator = GramianEvaluator(system, args.t_star[0])
-    return system, goal, x0, evaluator.propagate(x0), evaluator
+    evaluator = GramianEvaluator(system, _horizon(args))
+    return goal, x0, evaluator.propagate(x0), evaluator
 
 
-def _place(args, system, goal, x0, z, evaluator):
+def _place(args, goal, z, evaluator):
     """The schematic for ``--method`` (``--b`` when none is given) and its
     placement payload. Flux and ram report the goal's selection energy on the
     schematic; with no goal, flux reports ``1/(m lambda)`` and ram none."""
+    system = evaluator.system
     method = getattr(args, "method", None)
     if method is None:
         return _build_schematic(args, system), None
     if method == "gpgm":
         if goal is None:
             raise InvalidInputError("gpgm placement needs --goal")
-        result = gpgm_multistart(system, x0, evaluator.t_star, goal, args.m,
+        result = gpgm_multistart(evaluator, z, goal, args.m,
                                  config=_gpgm_config(args), n_starts=args.starts)
     elif method == "flux":
         result = place_mean_optimal(system, np.ones(system.n), evaluator.t_star, args.m)
@@ -282,7 +311,7 @@ def _place(args, system, goal, x0, z, evaluator):
 def _cmd_gramian(args, outdir):
     system, _ = _build_system(args)
     schematic = _build_schematic(args, system)
-    bundle = reachability_gramian(system, schematic, args.t_star[0])
+    bundle = reachability_gramian(system, schematic, _horizon(args))
     write_matrix_csv(outdir / "W.csv", bundle.W)
     _write_json(outdir / "gramian.json", {
         "t_star": bundle.t_star,
@@ -308,23 +337,25 @@ def _cmd_flux(args, outdir):
 
 
 def _cmd_select_state(args, outdir):
-    system, goal, _, z, evaluator = _setup(args)
+    goal, _, z, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
-    selection = select_state(evaluator.bundle(_build_schematic(args, system).B), z, goal)
+    schematic = _build_schematic(args, evaluator.system)
+    selection = select_state(evaluator.bundle(schematic.B), z, goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
 def _cmd_place(args, outdir):
-    schematic, payload = _place(args, *_setup(args))
+    goal, _, z, evaluator = _setup(args)
+    schematic, payload = _place(args, goal, z, evaluator)
     write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
 
 
 def _cmd_simulate(args, outdir):
-    system, goal, x0, z, evaluator = _setup(args)
-    schematic, _ = _place(args, system, goal, x0, z, evaluator)
-    t_star = args.t_star[0]
+    goal, x0, z, evaluator = _setup(args)
+    schematic, _ = _place(args, goal, z, evaluator)
+    system, t_star = evaluator.system, evaluator.t_star
     summary = {"t_star": t_star, "steps": args.steps, "m": schematic.m}
     if goal is None:
         traj = simulate(system, schematic, lambda t: np.zeros(schematic.m),
@@ -347,15 +378,17 @@ def _cmd_simulate(args, outdir):
 
 
 def _cmd_compare(args, outdir):
-    system, goal, x0, z, evaluator = _setup(args)
+    goal, _, z, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("compare needs --goal")
+    if args.seeds < 1:
+        raise InvalidInputError("compare needs --seeds of at least 1")
 
-    gpgm_result = gpgm_multistart(system, x0, evaluator.t_star, goal, args.m,
+    gpgm_result = gpgm_multistart(evaluator, z, goal, args.m,
                                   config=_gpgm_config(args), n_starts=args.starts)
     ram_energies = []
     for seed in range(args.seed, args.seed + args.seeds):
-        schematic = ram_baseline(system.n, args.m, seed=seed, epsilon=args.epsilon)
+        schematic = ram_baseline(evaluator.system.n, args.m, seed=seed, epsilon=args.epsilon)
         ram_energies.append(select_state(evaluator.bundle(schematic.B), z, goal).energy)
     median_ram = float(np.median(ram_energies))
 
@@ -375,11 +408,11 @@ def _cmd_compare(args, outdir):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     outdir = None
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, commands[args.command])
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         args.func(args, outdir)

@@ -21,7 +21,6 @@ __all__ = [
     "GramianEvaluator",
     "reachability_gramian",
     "flux_matrix",
-    "gramian_quadrature",
     "kappa",
 ]
 
@@ -179,44 +178,6 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
     top = canonical_sign(vecs[:, -1])
     return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star), top_pair=(lam, top))
-
-
-def gramian_quadrature(
-    system: LinearSystem,
-    schematic: InputSchematic,
-    t_star: float,
-    steps: int,
-) -> np.ndarray:
-    """Composite Simpson approximation of the reachability Gramian.
-
-    Fourth-order oracle kept independent of the block-exponential path;
-    ``steps`` is the (even, >= 2) number of intervals.
-    """
-    if not np.isfinite(t_star) or t_star <= 0:
-        raise InvalidInputError("t_star must be a positive real")
-    if steps < 2 or steps % 2 != 0:
-        raise InvalidInputError("steps must be an even integer >= 2")
-    if schematic.n != system.n:
-        raise InvalidInputError("schematic row count must match system size")
-    h = float(t_star) / steps
-    e_h = expm(system.A * h)
-    q = schematic.B @ schematic.B.T
-
-    x = np.eye(system.n)
-    acc = np.zeros_like(q)
-    for k in range(steps + 1):
-        f = x @ q @ x.T
-        if k == 0 or k == steps:
-            wgt = 1.0
-        elif k % 2 == 1:
-            wgt = 4.0
-        else:
-            wgt = 2.0
-        acc += wgt * f
-        if k < steps:
-            x = x @ e_h
-    w = acc * (h / 3.0)
-    return 0.5 * (w + w.T)
 
 
 def kappa(bundle: GramianBundle, v) -> float:

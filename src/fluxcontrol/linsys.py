@@ -14,7 +14,6 @@ from .errors import InvalidInputError
 
 __all__ = [
     "LinearSystem",
-    "StateVector",
     "InputSchematic",
     "ControllabilityReport",
     "transition_matrix",
@@ -53,23 +52,6 @@ class LinearSystem:
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
         scale = np.linalg.norm(self.A)
         return bool(np.linalg.norm(self.A - self.A.T) <= rtol * max(scale, 1.0))
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Node states at a time stamp."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_vector(self.x, name="x"))
-        if not np.isfinite(self.t) or self.t < 0:
-            raise InvalidInputError("time stamp must be a nonnegative real")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._util import as_vector
 from .errors import (
     FluxControlError,
     InvalidInputError,
@@ -121,9 +122,8 @@ def place_mean_optimal(
 
 
 def gpgm(
-    system: LinearSystem,
-    x0,
-    t_star: float,
+    evaluator: GramianEvaluator,
+    z,
     goal,
     m: int,
     config: GpgmConfig | None = None,
@@ -131,26 +131,28 @@ def gpgm(
 ) -> PlacementResult:
     """Projected gradient descent over the schematic for a moment goal.
 
-    Per iteration: the energy gradient ``-2 Phi(p) B`` from the current
-    selection's adjoint, tangent projection, step, renormalization onto the
-    sphere, and backtracking halvings when the candidate raises the energy or
-    its state selection is infeasible. Stops when successive iterates align
-    within ``delta_star`` or no usable step remains; returns the best iterate.
+    ``evaluator`` fixes the system and horizon, and ``z`` is the run's
+    autonomous endpoint ``exp(t* A) x0``. Per iteration: the energy gradient
+    ``-2 Phi(p) B`` from the current selection's adjoint, tangent projection,
+    step, renormalization onto the sphere, and backtracking halvings when the
+    candidate raises the energy or its state selection is infeasible. Stops
+    when successive iterates align within ``delta_star`` or no usable step
+    remains; returns the best iterate.
     """
     if m < 1:
         raise InvalidInputError("m must be at least 1")
     cfg = config if config is not None else GpgmConfig()
-    evaluator = GramianEvaluator(system, t_star)
-    z = evaluator.propagate(x0)
+    n = evaluator.system.n
+    z = as_vector(z, n=n, name="z")
 
     if B_init is None:
-        b = np.random.default_rng(cfg.seed).random((system.n, m))
+        b = np.random.default_rng(cfg.seed).random((n, m))
     else:
         b = np.asarray(B_init, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
-        if b.shape != (system.n, m):
-            raise InvalidInputError(f"B_init must have shape {(system.n, m)}")
+        if b.shape != (n, m):
+            raise InvalidInputError(f"B_init must have shape {(n, m)}")
     b = project_sphere(b, epsilon=cfg.epsilon)
 
     def result(best_b, best_e, iters, converged, trace):
@@ -222,26 +224,24 @@ def gpgm(
 
 
 def gpgm_multistart(
-    system: LinearSystem,
-    x0,
-    t_star: float,
+    evaluator: GramianEvaluator,
+    z,
     goal,
     m: int,
     config: GpgmConfig | None = None,
     n_starts: int = 5,
-    B_init=None,
 ) -> PlacementResult:
-    """Best of several seeded descents; the energy landscape is non-convex."""
+    """Best of ``n_starts`` seeded ``gpgm`` descents on one evaluator and
+    endpoint ``z``; the energy landscape is non-convex. Start ``i`` uses seed
+    ``config.seed + i``."""
     if n_starts < 1:
         raise InvalidInputError("n_starts must be at least 1")
     cfg = config if config is not None else GpgmConfig()
     best = None
     first_error = None
     for i in range(n_starts):
-        start_cfg = replace(cfg, seed=cfg.seed + i)
-        init = B_init if i == 0 else None
         try:
-            res = gpgm(system, x0, t_star, goal, m, config=start_cfg, B_init=init)
+            res = gpgm(evaluator, z, goal, m, config=replace(cfg, seed=cfg.seed + i))
         except PlacementAbortError as exc:
             if first_error is None:
                 first_error = exc

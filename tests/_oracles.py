@@ -8,9 +8,9 @@ counting, so agreement is evidence rather than tautology.
 import csv
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 
-from fluxcontrol.errors import FluxControlError
+from fluxcontrol.errors import FluxControlError, InvalidInputError
 
 
 def random_stable_system(rng, n, max_real=-0.1, scale=1.0):
@@ -199,6 +199,40 @@ def simpson_scalar_gramian(a, t_star, steps):
     wgt[1:-1:2] = 4.0
     wgt[2:-1:2] = 2.0
     return float((t_star / steps) / 3.0 * (wgt @ f))
+
+
+def gramian_quadrature(system, schematic, t_star, steps):
+    """Composite Simpson approximation of the reachability Gramian of
+    ``(system.A, schematic.B)``.
+
+    Fourth-order oracle kept independent of the library's eigenbasis and
+    block-exponential paths; ``steps`` is the (even, >= 2) number of intervals.
+    """
+    if not np.isfinite(t_star) or t_star <= 0:
+        raise InvalidInputError("t_star must be a positive real")
+    if steps < 2 or steps % 2 != 0:
+        raise InvalidInputError("steps must be an even integer >= 2")
+    if schematic.n != system.n:
+        raise InvalidInputError("schematic row count must match system size")
+    h = float(t_star) / steps
+    e_h = expm(system.A * h)
+    q = schematic.B @ schematic.B.T
+
+    x = np.eye(system.n)
+    acc = np.zeros_like(q)
+    for k in range(steps + 1):
+        f = x @ q @ x.T
+        if k == 0 or k == steps:
+            wgt = 1.0
+        elif k % 2 == 1:
+            wgt = 4.0
+        else:
+            wgt = 2.0
+        acc += wgt * f
+        if k < steps:
+            x = x @ e_h
+    w = acc * (h / 3.0)
+    return 0.5 * (w + w.T)
 
 
 def write_trajectory_csv_reference(traj, path):

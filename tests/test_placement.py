@@ -104,7 +104,9 @@ class TestGpgm:
         goal = fc.mean_goal(5, float(np.ones(5) @ x0) / 5 + 1.0)
         _, closed_energy = _flux_closed_form(system, t_star, 1, x0, goal)
         cfg = fc.GpgmConfig(sigma=0.05, max_iters=400, seed=3)
-        result = fc.gpgm_multistart(system, x0, t_star, goal, m=1, config=cfg, n_starts=3)
+        evaluator = fc.GramianEvaluator(system, t_star)
+        result = fc.gpgm_multistart(evaluator, evaluator.propagate(x0), goal, m=1, config=cfg,
+                                    n_starts=3)
         assert result.energy <= closed_energy * 1.01
 
     def test_stationary_at_flux_optimum(self, rng):
@@ -114,7 +116,9 @@ class TestGpgm:
         goal = fc.mean_goal(4, float(np.ones(4) @ x0) / 4 + 0.5)
         closed, closed_energy = _flux_closed_form(system, 1.0, 1, x0, goal)
         cfg = fc.GpgmConfig(max_iters=50)
-        result = fc.gpgm(system, x0, 1.0, goal, m=1, config=cfg, B_init=closed.B)
+        evaluator = fc.GramianEvaluator(system, 1.0)
+        result = fc.gpgm(evaluator, evaluator.propagate(x0), goal, m=1, config=cfg,
+                         B_init=closed.B)
         assert result.iterations <= 2
         assert result.converged
         # Unchanged across iterations; the epsilon-shrunk sphere shifts the
@@ -127,7 +131,7 @@ class TestGpgm:
         system = fc.LinearSystem(a)
         goal = fc.VarianceGoal(0.5)
         cfg = fc.GpgmConfig(sigma=0.05, max_iters=40, seed=1)
-        result = fc.gpgm(system, np.zeros(4), 1.5, goal, m=2, config=cfg)
+        result = fc.gpgm(fc.GramianEvaluator(system, 1.5), np.zeros(4), goal, m=2, config=cfg)
         trace = result.energy_trace
         assert np.all(np.diff(trace) <= 1e-8 * (1.0 + np.abs(trace[:-1])))
         tr = float(np.sum(result.B_star.B ** 2))
@@ -136,7 +140,7 @@ class TestGpgm:
     def test_non_binding_goal_returns_zero_energy(self, rng):
         system = fc.LinearSystem(np.zeros((3, 3)))
         goal = fc.mean_goal(3, -5.0)
-        result = fc.gpgm(system, np.zeros(3), 1.0, goal, m=1)
+        result = fc.gpgm(fc.GramianEvaluator(system, 1.0), np.zeros(3), goal, m=1)
         assert result.energy == 0.0
         assert result.converged
         assert result.iterations == 0
@@ -152,11 +156,11 @@ class TestGpgm:
         x0 = np.zeros(34)
         t_star, m = 3.0, 2
         cfg = fc.GpgmConfig(sigma=0.1, max_iters=200, seed=0)
-        result = fc.gpgm(system, x0, t_star, goal, m, config=cfg)
+        evaluator = fc.GramianEvaluator(system, t_star)
+        result = fc.gpgm(evaluator, x0, goal, m, config=cfg)
         optimum = schur_variance_energy_bound(system.A, t_star, goal.eta, m + cfg.epsilon)
         assert result.energy >= optimum * (1.0 - 1e-9)
         assert result.energy <= optimum * 1.01
-        evaluator = fc.GramianEvaluator(system, t_star)
         ram = [
             fc.select_state(
                 evaluator.bundle(fc.ram_baseline(34, m, seed=s).B), x0, goal
@@ -165,6 +169,11 @@ class TestGpgm:
         ]
         assert result.energy <= np.median(ram) / 20.0
 
+    def test_wrong_length_endpoint_is_an_input_error(self):
+        evaluator = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
+        with pytest.raises(InvalidInputError):
+            fc.gpgm(evaluator, np.zeros(4), fc.mean_goal(3, 1.0), m=1)
+
     def test_variance_descends_on_laplacian_path(self, rng):
         adj = np.zeros((4, 4))
         for i in range(3):
@@ -172,7 +181,7 @@ class TestGpgm:
         system = fc.laplacian_system(adj)
         goal = fc.VarianceGoal(1.0)
         cfg = fc.GpgmConfig(sigma=0.05, max_iters=150, seed=0)
-        result = fc.gpgm(system, np.zeros(4), 2.0, goal, m=1, config=cfg)
+        result = fc.gpgm(fc.GramianEvaluator(system, 2.0), np.zeros(4), goal, m=1, config=cfg)
         assert result.energy <= result.energy_trace[0]
         assert result.energy_trace[-1] <= result.energy_trace[0]
 

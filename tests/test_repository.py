@@ -35,6 +35,17 @@ def test_only_linsys_calls_transition_matrix():
     assert hits == []
 
 
+def test_only_cli_builds_a_gramian_evaluator():
+    # One evaluator per run: the CLI builds it and hands it to placement and
+    # steering; gramian.py's own wrappers are the library's one-shot entries.
+    hits = sorted(
+        path.name
+        for path in SRC.rglob("*.py")
+        if path.name not in ("cli.py", "gramian.py") and "GramianEvaluator(" in path.read_text()
+    )
+    assert hits == []
+
+
 def test_readme_quick_start_reaches_selection():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library quick start", 1)[1]
