@@ -6,6 +6,7 @@ solver failures exit nonzero after writing a structured error.json.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -353,6 +354,8 @@ def _cmd_place(args, outdir):
 
 
 def _cmd_simulate(args, outdir):
+    if args.steps < 2:
+        raise InvalidInputError("steps must be at least 2")
     goal, x0, z, evaluator = _setup(args)
     schematic, _ = _place(args, goal, z, evaluator)
     system, t_star = evaluator.system, evaluator.t_star
@@ -410,7 +413,8 @@ def _cmd_compare(args, outdir):
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    outdir = None
+    # Config errors are reported in the command-line --out; a config may move it.
+    outdir = Path(args.out)
     try:
         args = _apply_config_file(args, commands[args.command])
         outdir = Path(args.out)
@@ -422,7 +426,8 @@ def main(argv=None) -> int:
         for extra in ("min_eta", "last_valid_time", "line_number"):
             if hasattr(exc, extra):
                 payload[extra] = getattr(exc, extra)
-        if outdir is not None and outdir.is_dir():
+        with contextlib.suppress(OSError):
+            outdir.mkdir(parents=True, exist_ok=True)
             _write_json(outdir / "error.json", payload)
         print(f"error: {exc}", file=sys.stderr)
         return 1

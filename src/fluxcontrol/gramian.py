@@ -6,7 +6,8 @@ transposed dynamics with a rank-one weighting ``v v^T`` and its top
 eigenvector is the optimal single-input placement for the observer ``v^T x``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,26 +28,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GramianBundle:
-    """A finite-horizon Gramian with cached spectral data.
+    """A finite-horizon Gramian whose derived data is computed on first read.
+
+    ``from_matrix`` validates a Gramian from outside (finite, symmetric, PSD)
+    and keeps the eigenvalues its check computed. ``GramianEvaluator.bundle``
+    builds the bundle directly on symmetric dynamics, where W is symmetric by
+    construction and PSD by the Schur product theorem.
 
     Attributes:
         W: symmetric positive semidefinite n x n matrix.
         t_star: horizon the integral was taken over.
-        kappa: quadratic form 1^T W 1 of the all-ones weighting; the
-            module function ``kappa`` serves any other weighting.
-        eigenvalues: eigenvalues of W sorted descending.
     """
 
     W: np.ndarray
     t_star: float
-    kappa: float
-    eigenvalues: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
         """Validate and symmetrize a computed Gramian and take its eigenvalues."""
         W = np.asarray(W, dtype=float)
-        n = W.shape[0]
+        if not np.all(np.isfinite(W)):
+            raise InvalidInputError("gramian has non-finite entries")
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
         if np.linalg.norm(W - W.T) > 1e-10 * np.linalg.norm(W) + 1e-300:
             raise InvalidInputError("gramian is not symmetric within tolerance")
@@ -54,14 +56,22 @@ class GramianBundle:
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
-        ones = np.ones(n)
-        kap = max(float(ones @ W @ ones), 0.0)
-        return cls(
-            W=W,
-            t_star=float(t_star),
-            kappa=kap,
-            eigenvalues=vals[::-1],
-        )
+        bundle = cls(W=W, t_star=float(t_star))
+        # Seed the cached property with the eigenvalues the check just took.
+        bundle.__dict__["eigenvalues"] = vals[::-1]
+        return bundle
+
+    @cached_property
+    def kappa(self) -> float:
+        """Quadratic form 1^T W 1 of the all-ones weighting; the module
+        function ``kappa`` serves any other weighting."""
+        ones = np.ones(self.n)
+        return max(float(ones @ self.W @ ones), 0.0)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of W sorted descending."""
+        return np.linalg.eigvalsh(self.W)[::-1]
 
     @property
     def n(self) -> int:
@@ -105,11 +115,18 @@ class FluxMatrix:
         return self.top_pair[1]
 
 
-def _van_loan_block(A: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError(f"{what} overflow: shorten t_star or rescale A")
+    return x
+
+
+def _van_loan_block(A: np.ndarray, Q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Single block-exponential evaluation of int_0^t exp(sA) Q exp(sA^T) ds.
 
-    Exponentiates [[-A, Q], [0, A^T]] * t; the integral is the transposed
-    lower-right block times the upper-right block.
+    Exponentiates [[-A, Q], [0, A^T]] * t (Van Loan 1978); the integral is the
+    transposed lower-right block, exp(tA), times the upper-right block.
+    Returns the integral and exp(tA).
     """
     n = A.shape[0]
     block = np.zeros((2 * n, 2 * n))
@@ -117,7 +134,8 @@ def _van_loan_block(A: np.ndarray, Q: np.ndarray, t: float) -> np.ndarray:
     block[:n, n:] = Q
     block[n:, n:] = A.T
     e = expm(block * t)
-    return e[n:, n:].T @ e[:n, n:]
+    prop = e[n:, n:].T
+    return prop @ e[:n, n:], prop
 
 
 def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float) -> np.ndarray:
@@ -126,20 +144,20 @@ def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float) -> np.ndarray
     The raw block form cancels catastrophically when ||A|| t is large (the
     upper-left block carries exp(+||A||t)), so the base step is shrunk until
     the block stays well scaled and the full horizon is rebuilt with the exact
-    identity W(2t) = W(t) + exp(tA) W(t) exp(tA^T).
+    identity W(2t) = W(t) + exp(tA) W(t) exp(tA^T). An integral too large for
+    floats comes back non-finite.
     """
     norm = float(np.linalg.norm(A, 1))
     doublings = 0
     if norm * t_star > 2.0:
         doublings = min(int(np.ceil(np.log2(norm * t_star / 2.0))), 60)
-    h = t_star / (2.0**doublings)
-    w = _van_loan_block(A, Q, h)
-    if doublings:
-        e = expm(A * h)
-        for _ in range(doublings):
+    w, e = _van_loan_block(A, Q, t_star / (2.0**doublings))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(doublings):
+            if k:
+                e = e @ e
             w = w + e @ w @ e.T
-            e = e @ e
-    return 0.5 * (w + w.T)
+        return 0.5 * (w + w.T)
 
 
 def reachability_gramian(
@@ -171,7 +189,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     vv = as_vector(v, n=system.n, name="v")
     if np.linalg.norm(vv) == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
-    phi = _van_loan_gramian(system.A.T, np.outer(vv, vv), float(t_star))
+    phi = _finite(_van_loan_gramian(system.A.T, np.outer(vv, vv), float(t_star)), "flux matrix")
     vals, vecs = np.linalg.eigh(phi)
     lam = float(vals[-1])
     if lam <= 0.0:
@@ -215,9 +233,10 @@ class GramianEvaluator:
             small = np.abs(s) < self._SERIES_TOL
             safe = np.where(small, 1.0, s)
             # expm1 sees 0 on the series entries, so a large t* cannot overflow it there.
-            growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
+            with np.errstate(over="ignore"):
+                growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
             series = self.t_star + 0.5 * self.t_star**2 * s
-            self._weights = np.where(small, series, growth)
+            self._weights = _finite(np.where(small, series, growth), "Gramian weights")
 
     def _integral(self, a: np.ndarray, B) -> np.ndarray:
         """int_0^T exp(ta) B B^T exp(ta^T) dt for a = A or A^T (equal when symmetric)."""
@@ -227,10 +246,11 @@ class GramianEvaluator:
         if b.shape[0] != self.system.n:
             raise InvalidInputError("schematic row count must match system size")
         if not self._symmetric:
-            return _van_loan_gramian(a, b @ b.T, self.t_star)
+            return _finite(_van_loan_gramian(a, b @ b.T, self.t_star), "Gramian")
         bt = self._eigvecs.T @ b
-        w = self._eigvecs @ (self._weights * (bt @ bt.T)) @ self._eigvecs.T
-        return 0.5 * (w + w.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self._eigvecs @ (self._weights * (bt @ bt.T)) @ self._eigvecs.T
+        return _finite(0.5 * (w + w.T), "Gramian")
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
@@ -241,6 +261,11 @@ class GramianEvaluator:
         return self._integral(self.system.A.T, v)
 
     def bundle(self, B) -> GramianBundle:
+        """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
+        construction, so only the block-exponential W, where cancellation can
+        break either, goes through ``GramianBundle.from_matrix``'s checks."""
+        if self._symmetric:
+            return GramianBundle(self.matrix(B), self.t_star)
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)
 
     def _propagator(self, a: np.ndarray, s: float) -> np.ndarray:

@@ -135,6 +135,21 @@ def binding_check(goal, z) -> bool:
     raise InvalidInputError(f"unknown goal type {type(goal).__name__}")
 
 
+def _require_movable(W: GramianBundle, stat: float, message: str, scale: float = 1.0) -> None:
+    """Raise ``GoalUncontrollableError`` when ``stat <= 1e-12 scale lam_max(W)``.
+
+    ``lam_max <= tr(W)`` for PSD ``W``, so a statistic above the bound with
+    ``2 tr(W)`` in its place (the 2 absorbs roundoff in both) passes without
+    computing W's eigenvalues.
+    """
+    floor = 1e-12 * scale
+    tiny = np.finfo(float).tiny
+    if stat > floor * max(2.0 * float(np.trace(W.W)), tiny):
+        return
+    if stat <= floor * max(W.lam_max, tiny):
+        raise GoalUncontrollableError(message)
+
+
 def _corner(z: np.ndarray) -> StateSelection:
     return StateSelection(
         x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
@@ -153,10 +168,10 @@ def select_mean_state(W: GramianBundle, z, goal: LinearGoal) -> StateSelection:
         return _corner(z)
     v = goal.v
     kap = float(v @ W.W @ v)
-    if kap <= 1e-12 * float(v @ v) * max(W.lam_max, np.finfo(float).tiny):
-        raise GoalUncontrollableError(
-            "observer v^T x cannot be moved by this schematic (v^T W v is zero)"
-        )
+    _require_movable(
+        W, kap, "observer v^T x cannot be moved by this schematic (v^T W v is zero)",
+        scale=float(v @ v),
+    )
     alpha = float(v @ z) - goal.c
     p = -(alpha / kap) * v
     return StateSelection(
@@ -237,8 +252,7 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
                 f"contract goal eta={eta} below the reachable minimum {eta_min}",
                 min_eta=eta_min,
             )
-    if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
-        raise GoalUncontrollableError("O W O^T is zero; the goal statistic cannot be moved")
+    _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
 
     # Work in mu = lam * theta_max, so the pole sits at mu = 1 whatever W's scale.
     th = theta / theta_max
@@ -356,10 +370,9 @@ def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
         raise InvalidInputError("eta must be nonnegative")
     d_mat = centering_matrix(n)
     theta_max = float(np.linalg.eigvalsh(d_mat @ W.W @ d_mat)[-1])
-    if theta_max <= 1e-12 * max(W.lam_max, np.finfo(float).tiny):
-        raise GoalUncontrollableError(
-            "no mean-zero direction is controllable; variance cannot be raised"
-        )
+    _require_movable(
+        W, theta_max, "no mean-zero direction is controllable; variance cannot be raised"
+    )
     dz = z - z.mean()
     return (np.linalg.norm(dz) + np.sqrt(eta)) ** 2 / theta_max
 

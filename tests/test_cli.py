@@ -348,13 +348,17 @@ def test_compare_rejects_empty_ensemble(tmp_path, path_graph):
 @pytest.mark.parametrize("overrides", [[1, 2], {"m": "2"}, {"undirected": "no"},
                                        {"goal": "median"}, {"func": 1}])
 def test_malformed_config_is_an_input_error(tmp_path, path_graph, capsys, overrides):
-    # The config may set --out, so its errors come before any output directory.
+    # The config may set --out, so its errors come before the output directory
+    # is made.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(overrides))
     code = main(["place", "--input", path_graph, "--method", "ram", "--goal", "variance",
                  "--config", str(cfg), "--out", str(tmp_path / "cfg")])
     assert code == 1
     assert "config" in capsys.readouterr().err
+    # The error lands in the command-line --out.
+    payload = json.loads((tmp_path / "cfg" / "error.json").read_text())
+    assert payload["error"] == "InvalidInputError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -372,3 +376,29 @@ def test_one_gramian_evaluator_per_run(tmp_path, karate_path, monkeypatch, argv)
     monkeypatch.setattr(fc.GramianEvaluator, "__init__", counting)
     _run(tmp_path, "run", *argv, "--input", karate_path, "--goal", "variance", "--t-star", "3")
     assert len(built) == 1
+
+
+def test_overflowing_gramian_writes_error_json(tmp_path):
+    # exp(2 * 400 * 3) overflows a float: a typed error, not NaN in W.csv.
+    a_path = tmp_path / "a.csv"
+    a_path.write_text("400,0\n0,400\n")
+    out = tmp_path / "g"
+    assert main(["gramian", "--input", str(a_path), "--mode", "raw-matrix",
+                 "--t-star", "3", "--out", str(out)]) == 1
+    assert json.loads((out / "error.json").read_text())["error"] == "InvalidInputError"
+    assert not (out / "W.csv").exists()
+
+
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_simulate_rejects_short_runs_before_any_work(tmp_path, path_graph, monkeypatch, steps):
+    import fluxcontrol.cli as cli
+
+    def unreachable(args):
+        raise AssertionError("set-up ran")
+
+    monkeypatch.setattr(cli, "_setup", unreachable)
+    out = tmp_path / "s"
+    assert main(["simulate", "--input", path_graph, "--goal", "variance",
+                 "--steps", steps, "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload == {"error": "InvalidInputError", "message": "steps must be at least 2"}

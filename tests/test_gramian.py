@@ -266,3 +266,68 @@ class TestGramianEvaluator:
         ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
         with pytest.raises(InvalidInputError):
             ev.matrix(np.ones((4, 1)))
+
+    def test_bundle_equals_the_validated_bundle(self, karate, rng):
+        # The eigenbasis bundle skips from_matrix's checks; it must carry the
+        # same W, kappa and, once read, eigenvalues.
+        systems = [karate["system"]]
+        for n in (2, 5, 9):
+            g = rng.standard_normal((n, n))
+            systems.append(fc.LinearSystem(-(g + g.T)))
+        for system in systems:
+            ev = fc.GramianEvaluator(system, 1.7)
+            for m in (1, 3):
+                b = rng.standard_normal((system.n, m))
+                got = ev.bundle(b)
+                ref = fc.GramianBundle.from_matrix(ev.matrix(b), 1.7)
+                assert got.W.tobytes() == ref.W.tobytes()
+                assert got.kappa == ref.kappa
+                assert got.t_star == ref.t_star
+                npt.assert_array_equal(got.eigenvalues, ref.eigenvalues)
+                assert (got.lam_max, got.lam_min) == (ref.lam_max, ref.lam_min)
+
+    @pytest.mark.parametrize("a", [400.0 * np.eye(3), 300.0 * np.eye(3) + np.eye(3, k=1)],
+                             ids=["symmetric", "nonsymmetric"])
+    def test_overflowing_gramian_is_an_input_error(self, a):
+        # exp(2 * 400 * 3) and exp(2 * 300 * 3) overflow a float; no
+        # RuntimeWarning may escape on the way to the typed error.
+        system = fc.LinearSystem(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                fc.GramianEvaluator(system, 3.0).bundle(np.eye(3))
+            if not system.is_symmetric():
+                ev = fc.GramianEvaluator(system, 3.0)
+                with pytest.raises(InvalidInputError):
+                    ev.flux(np.ones(3))
+                with pytest.raises(InvalidInputError):
+                    fc.flux_matrix(system, np.ones(3), 3.0)
+
+    def test_non_finite_matrix_is_an_input_error(self):
+        with pytest.raises(InvalidInputError):
+            fc.GramianBundle.from_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0)
+
+    def test_one_expm_per_block_exponential(self, rng, monkeypatch):
+        # exp(hA) for the horizon doublings is the block exponential's
+        # lower-right block, so each integral costs one expm.
+        import fluxcontrol.gramian as gramian
+
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return expm(x)
+
+        monkeypatch.setattr(gramian, "expm", counting)
+        a = random_stable_system(rng, 5) + 4.0 * np.eye(5, k=1)
+        system = fc.LinearSystem(a)
+        t = 3.0
+        assert np.linalg.norm(a, 1) * t > 8.0  # three or more doublings
+        ev = fc.GramianEvaluator(system, t)
+        b = rng.standard_normal((5, 2))
+        w = ev.matrix(b)
+        assert calls == [10]
+        fc.flux_matrix(system, np.ones(5), t)
+        assert calls == [10, 10]
+        w_ref = gramian_quadrature(system, fc.InputSchematic(b), t, 4000)
+        assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)

@@ -169,6 +169,29 @@ class TestGpgm:
         ]
         assert result.energy <= np.median(ram) / 20.0
 
+    def test_one_eigh_and_no_eigvalsh_per_candidate(self, karate, monkeypatch):
+        # The evaluator's eigenbasis bundles are not re-validated, and the
+        # selectors' uncontrollability test reads no eigenvalues of W, so a
+        # candidate's one spectral call is the selector's eigh(D W D).
+        evaluator = fc.GramianEvaluator(karate["system"], 3.0)
+        calls = {"bundle": 0, "eigh": 0, "eigvalsh": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluator, "bundle", counting("bundle", evaluator.bundle))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        cfg = fc.GpgmConfig(sigma=0.1, max_iters=20, seed=0)
+        result = fc.gpgm(evaluator, np.zeros(34), fc.VarianceGoal(1.0), 2, config=cfg)
+        assert result.iterations == 20
+        assert calls["bundle"] >= 21
+        assert calls["eigh"] == calls["bundle"]
+        assert calls["eigvalsh"] == 0
+
     def test_wrong_length_endpoint_is_an_input_error(self):
         evaluator = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxcontrol as fc
+from fluxcontrol.select import _require_movable
 
 KINDS = ["mean", "variance", "expand", "contract", "repulsion", "corner", "limit"]
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=70)
@@ -134,3 +135,33 @@ def test_variance_adjoint_on_singular_karate_gramian(karate_two_inputs, seed, sc
         w_mat, lambda b, eta: fc.select_variance_state(b, z, eta), etas, True, scale, z,
         lambda x: float(_centered(x) @ _centered(x)), "variance",
     )
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    rank=st.integers(0, 3),
+    magnitude=st.floats(-6.0, 6.0),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_uncontrollability_test_matches_the_eigenvalue_rule(seed, n, rank, magnitude, scale):
+    # The selectors' test compares against tr(W) first and reads lam_max only
+    # under that bound; it must decide exactly as stat <= 1e-12 scale lam_max,
+    # on full and low rank W, with stat near that threshold down to one ulp.
+    # For rank-one W the computed tr(W) often falls an ulp below lam_max.
+    rng = np.random.default_rng(seed)
+    g = 10.0**magnitude * rng.standard_normal((n, min(rank, n)))
+    bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
+    threshold = 1e-12 * scale * max(bundle.lam_max, np.finfo(float).tiny)
+    for offset in (-2.0, -1.0, -1e-3, -1e-9, 0.0, 1e-9, 1e-3, 1.0, 1e12):
+        for direction in (-np.inf, None, np.inf):
+            stat = threshold * (1.0 + offset)
+            if direction is not None:
+                stat = float(np.nextafter(stat, direction))
+            try:
+                _require_movable(bundle, stat, "stuck", scale=scale)
+                raised = False
+            except fc.errors.GoalUncontrollableError:
+                raised = True
+            assert raised == (stat <= threshold), (offset, direction)
