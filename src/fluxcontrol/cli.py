@@ -269,16 +269,16 @@ def _selection_payload(selection):
 
 
 def _setup(args):
-    """Goal, x0, ``z = exp(t* A) x0`` and the run's one Gramian evaluator,
-    which carries the system."""
+    """Goal, x0 and the run's one Gramian evaluator, which carries the system.
+    Callers take ``z = exp(t* A) x0`` from ``evaluator.propagate(x0)`` after
+    their first Gramian, whose doubling ladder already holds most of it."""
     system, _ = _build_system(args)
     goal = _build_goal(args, system.n)
     x0 = _build_x0(args, system.n)
-    evaluator = GramianEvaluator(system, _horizon(args))
-    return goal, x0, evaluator.propagate(x0), evaluator
+    return goal, x0, GramianEvaluator(system, _horizon(args))
 
 
-def _place(args, goal, z, evaluator):
+def _place(args, goal, x0, evaluator):
     """The schematic for ``--method`` (``--b`` when none is given) and its
     placement payload. Flux and ram report the goal's selection energy on the
     schematic; with no goal, flux reports ``1/(m lambda)`` and ram none."""
@@ -289,7 +289,7 @@ def _place(args, goal, z, evaluator):
     if method == "gpgm":
         if goal is None:
             raise InvalidInputError("gpgm placement needs --goal")
-        result = gpgm_multistart(evaluator, z, goal, args.m,
+        result = gpgm_multistart(evaluator, evaluator.propagate(x0), goal, args.m,
                                  config=_gpgm_config(args), n_starts=args.starts)
     elif method == "flux":
         result = place_mean_optimal(system, np.ones(system.n), evaluator.t_star, args.m)
@@ -298,7 +298,8 @@ def _place(args, goal, z, evaluator):
         result = PlacementResult(B_star=schematic, energy=None, iterations=0,
                                  converged=True, energy_trace=np.array([]))
     if method != "gpgm" and goal is not None:
-        energy = select_state(evaluator.bundle(result.B_star.B), z, goal).energy
+        energy = select_state(evaluator.bundle(result.B_star.B), evaluator.propagate(x0),
+                              goal).energy
         result = replace(result, energy=energy, energy_trace=np.array([energy]))
     return result.B_star, {
         "B": result.B_star.B,
@@ -338,17 +339,17 @@ def _cmd_flux(args, outdir):
 
 
 def _cmd_select_state(args, outdir):
-    goal, _, z, evaluator = _setup(args)
+    goal, x0, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
     schematic = _build_schematic(args, evaluator.system)
-    selection = select_state(evaluator.bundle(schematic.B), z, goal)
+    selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
 def _cmd_place(args, outdir):
-    goal, _, z, evaluator = _setup(args)
-    schematic, payload = _place(args, goal, z, evaluator)
+    goal, x0, evaluator = _setup(args)
+    schematic, payload = _place(args, goal, x0, evaluator)
     write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
 
@@ -356,8 +357,8 @@ def _cmd_place(args, outdir):
 def _cmd_simulate(args, outdir):
     if args.steps < 2:
         raise InvalidInputError("steps must be at least 2")
-    goal, x0, z, evaluator = _setup(args)
-    schematic, _ = _place(args, goal, z, evaluator)
+    goal, x0, evaluator = _setup(args)
+    schematic, _ = _place(args, goal, x0, evaluator)
     system, t_star = evaluator.system, evaluator.t_star
     summary = {"t_star": t_star, "steps": args.steps, "m": schematic.m}
     if goal is None:
@@ -365,7 +366,7 @@ def _cmd_simulate(args, outdir):
                         x0, t_star, args.steps)
         summary["autonomous"] = True
     else:
-        selection = select_state(evaluator.bundle(schematic.B), z, goal)
+        selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
         controller = min_energy_controller(evaluator, schematic, selection.p, args.steps)
         traj = simulate(system, schematic, controller, x0, t_star, args.steps)
         summary.update({
@@ -381,12 +382,13 @@ def _cmd_simulate(args, outdir):
 
 
 def _cmd_compare(args, outdir):
-    goal, _, z, evaluator = _setup(args)
+    goal, x0, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("compare needs --goal")
     if args.seeds < 1:
         raise InvalidInputError("compare needs --seeds of at least 1")
 
+    z = evaluator.propagate(x0)
     gpgm_result = gpgm_multistart(evaluator, z, goal, args.m,
                                   config=_gpgm_config(args), n_starts=args.starts)
     ram_energies = []

@@ -138,14 +138,16 @@ def _van_loan_block(A: np.ndarray, Q: np.ndarray, t: float) -> tuple[np.ndarray,
     return prop @ e[:n, n:], prop
 
 
-def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float) -> np.ndarray:
+def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float):
     """Block-exponential Gramian with horizon doubling.
 
     The raw block form cancels catastrophically when ||A|| t is large (the
     upper-left block carries exp(+||A||t)), so the base step is shrunk until
     the block stays well scaled and the full horizon is rebuilt with the exact
     identity W(2t) = W(t) + exp(tA) W(t) exp(tA^T). An integral too large for
-    floats comes back non-finite.
+    floats comes back non-finite. Returns the integral, the last rung of the
+    ladder and whether it was doubled: exp((t_star/2) A) after one or more
+    doublings, else exp(t_star A).
     """
     norm = float(np.linalg.norm(A, 1))
     doublings = 0
@@ -157,7 +159,7 @@ def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float) -> np.ndarray
             if k:
                 e = e @ e
             w = w + e @ w @ e.T
-        return 0.5 * (w + w.T)
+        return 0.5 * (w + w.T), e, doublings > 0
 
 
 def reachability_gramian(
@@ -189,7 +191,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     vv = as_vector(v, n=system.n, name="v")
     if np.linalg.norm(vv) == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
-    phi = _finite(_van_loan_gramian(system.A.T, np.outer(vv, vv), float(t_star)), "flux matrix")
+    phi = _finite(_van_loan_gramian(system.A.T, np.outer(vv, vv), float(t_star))[0], "flux matrix")
     vals, vecs = np.linalg.eigh(phi)
     lam = float(vals[-1])
     if lam <= 0.0:
@@ -213,9 +215,11 @@ class GramianEvaluator:
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
     product), orders of magnitude faster than the block exponential and equal
     to it to roundoff. Nonsymmetric dynamics take the block-exponential path
-    per call. One propagator (eigenpairs, else ``expm``) serves the endpoint
-    ``exp(t* A) x0`` of the autonomous run and the adjoint trajectory
-    ``exp(sA^T) p`` that steers it to a selected state on a uniform grid.
+    per call. The endpoint ``exp(t* A) x0`` of the autonomous run comes from
+    the eigenpairs, or from the first block exponential's doubling ladder (one
+    squaring of its last rung), else ``expm``. The adjoint trajectory
+    ``exp(sA^T) p`` that steers it to a selected state on a uniform grid takes
+    one propagator step, from the eigenpairs or ``expm``.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -227,6 +231,8 @@ class GramianEvaluator:
         self.system = system
         self.t_star = float(t_star)
         self._symmetric = system.is_symmetric()
+        # exp(t A) or exp((t/2) A) from the first block exponential; exp(t* A) once built.
+        self._rung = self._transition = None
         if self._symmetric:
             self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
             s = self._eigvals[:, None] + self._eigvals[None, :]
@@ -238,15 +244,20 @@ class GramianEvaluator:
             series = self.t_star + 0.5 * self.t_star**2 * s
             self._weights = _finite(np.where(small, series, growth), "Gramian weights")
 
-    def _integral(self, a: np.ndarray, B) -> np.ndarray:
-        """int_0^T exp(ta) B B^T exp(ta^T) dt for a = A or A^T (equal when symmetric)."""
+    def _integral(self, B, flux: bool) -> np.ndarray:
+        """int_0^T exp(ta) B B^T exp(ta^T) dt, a = A^T if ``flux`` else A (equal when symmetric)."""
         b = np.asarray(B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.shape[0] != self.system.n:
             raise InvalidInputError("schematic row count must match system size")
         if not self._symmetric:
-            return _finite(_van_loan_gramian(a, b @ b.T, self.t_star), "Gramian")
+            a = self.system.A.T if flux else self.system.A
+            w, rung, doubled = _van_loan_gramian(a, b @ b.T, self.t_star)
+            w = _finite(w, "Gramian")
+            if self._rung is None:
+                self._rung = (rung.T if flux else rung), doubled
+            return w
         bt = self._eigvecs.T @ b
         with np.errstate(over="ignore", invalid="ignore"):
             w = self._eigvecs @ (self._weights * (bt @ bt.T)) @ self._eigvecs.T
@@ -254,11 +265,11 @@ class GramianEvaluator:
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
-        return self._integral(self.system.A, B)
+        return self._integral(B, flux=False)
 
     def flux(self, v) -> np.ndarray:
         """Flux matrix of the weighting ``v``: the Gramian of (A^T, v)."""
-        return self._integral(self.system.A.T, v)
+        return self._integral(v, flux=True)
 
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
@@ -275,9 +286,17 @@ class GramianEvaluator:
         return expm(a * s)
 
     def propagate(self, x0) -> np.ndarray:
-        """Autonomous endpoint ``exp(t* A) x0``."""
+        """Autonomous endpoint ``exp(t* A) x0``; ``exp(t* A)`` is built once."""
         x0 = as_vector(x0, n=self.system.n, name="x0")
-        return self._propagator(self.system.A, self.t_star) @ x0
+        if self._transition is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self._rung is None:
+                    phi = self._propagator(self.system.A, self.t_star)
+                else:
+                    rung, doubled = self._rung
+                    phi = rung @ rung if doubled else rung
+            self._transition = _finite(phi, "propagator")
+        return self._transition @ x0
 
     def adjoint(self, p, samples: int) -> np.ndarray:
         """Rows ``exp(s_j A^T) p``, ``s_j = j t*/samples``, built upward from

@@ -79,6 +79,15 @@ def simulate(
 ) -> Trajectory:
     """Fixed-grid 4th-order Runge-Kutta run of xdot = A x + B u(t).
 
+    On linear dynamics an RK4 step is exactly ``x_{k+1} = R x_k + g_k``, with
+    ``H = hA`` and the method's transition polynomial (stability function)
+    ``R = I + H + H^2/2 + H^3/6 + H^4/24``. The stages' inputs enter as
+    ``g_k = h/6 [(I + H + H^2/2 + H^3/4) B u_k + (4I + 2H + H^2/2) B u_{k+1/2}
+    + B u_{k+1}]``, three GEMMs over the run. ``input_fn`` is sampled once, in
+    time order, at ``0`` and then ``t_k + h/2`` and ``t_k + h`` for each step.
+    Forming ``R`` costs about 3n^3 flops, which one matvec per step in place
+    of four stage products repays once ``steps`` exceeds about n/2.
+
     The running input energy integrates the squared input norm by Simpson's
     rule on each interval, reusing the midpoint the integrator already needs.
     Non-finite states abort with the last valid time.
@@ -91,8 +100,7 @@ def simulate(
         raise InvalidInputError("schematic row count must match system size")
     x0 = as_vector(x0, n=system.n, name="x0")
 
-    a, b = system.A, schematic.B
-    m = schematic.m
+    b, m = schematic.B, schematic.m
     h = float(t_star) / steps
     times = np.linspace(0.0, float(t_star), steps + 1)
 
@@ -102,37 +110,29 @@ def simulate(
             raise InvalidInputError(f"input_fn must return length-{m} vectors")
         return u
 
+    u = np.array([control(0.0)] + [control(t + d) for t in times[:-1] for d in (0.5 * h, h)])
     states = np.empty((steps + 1, system.n))
-    inputs = np.empty((steps + 1, m))
+    states[0] = x = x0
+    # Overflow surfaces as the divergence error below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eye, hh = np.eye(system.n), h * system.A
+        h2 = hh @ hh
+        h3 = h2 @ hh
+        r = eye + hh + h2 / 2.0 + h3 / 6.0 + (h2 @ h2) / 24.0
+        left = (eye + hh + h2 / 2.0 + h3 / 4.0) @ b
+        mid = (4.0 * eye + 2.0 * hh + h2 / 2.0) @ b
+        g = (h / 6.0) * (u[:-1:2] @ left.T + u[1::2] @ mid.T + u[2::2] @ b.T)
+        for k in range(steps):
+            x = r @ x + g[k]
+            if not np.all(np.isfinite(x)):
+                raise DivergenceError(
+                    f"state became non-finite after t={times[k]:.6g}",
+                    last_valid_time=float(times[k]),
+                )
+            states[k + 1] = x
+    sq = np.einsum("ij,ij->i", u, u)
     energy = np.zeros(steps + 1)
-    x = x0.copy()
-    states[0] = x
-    u_left = control(0.0)
-    inputs[0] = u_left
-    for k in range(steps):
-        t = times[k]
-        u_mid = control(t + 0.5 * h)
-        u_right = control(t + h)
-        # Overflow surfaces as the divergence error below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = a @ x + b @ u_left
-            k2 = a @ (x + 0.5 * h * k1) + b @ u_mid
-            k3 = a @ (x + 0.5 * h * k2) + b @ u_mid
-            k4 = a @ (x + h * k3) + b @ u_right
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"state became non-finite after t={times[k]:.6g}",
-                last_valid_time=float(times[k]),
-            )
-        states[k + 1] = x
-        inputs[k + 1] = u_right
-        energy[k + 1] = energy[k] + (h / 6.0) * (
-            float(u_left @ u_left)
-            + 4.0 * float(u_mid @ u_mid)
-            + float(u_right @ u_right)
-        )
-        u_left = u_right
+    np.cumsum((h / 6.0) * (sq[:-1:2] + 4.0 * sq[1::2] + sq[2::2]), out=energy[1:])
     return Trajectory(
-        times=times, states=states, inputs=inputs, cumulative_energy=energy
+        times=times, states=states, inputs=u[::2].copy(), cumulative_energy=energy
     )

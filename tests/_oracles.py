@@ -10,7 +10,7 @@ import csv
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from fluxcontrol.errors import FluxControlError, InvalidInputError
+from fluxcontrol.errors import DivergenceError, FluxControlError, InvalidInputError
 
 
 def random_stable_system(rng, n, max_real=-0.1, scale=1.0):
@@ -233,6 +233,43 @@ def gramian_quadrature(system, schematic, t_star, steps):
             x = x @ e_h
     w = acc * (h / 3.0)
     return 0.5 * (w + w.T)
+
+
+def rk4_stagewise_reference(a, b, input_fn, x0, t_star, steps):
+    """Classical four-stage RK4 of ``xdot = a x + b u(t)``, one step at a time.
+
+    Samples ``input_fn`` at each step's left end, midpoint and right end, adds
+    Simpson's rule for the squared input norm, and raises ``DivergenceError``
+    at the last finite state. Returns ``(times, states, inputs, energy)``.
+    """
+    h = float(t_star) / steps
+    times = np.linspace(0.0, float(t_star), steps + 1)
+    states = np.empty((steps + 1, a.shape[0]))
+    inputs = np.empty((steps + 1, b.shape[1]))
+    energy = np.zeros(steps + 1)
+    x = np.array(x0, dtype=float)
+    states[0] = x
+    u_left = np.asarray(input_fn(0.0), dtype=float).ravel()
+    inputs[0] = u_left
+    for k in range(steps):
+        t = times[k]
+        u_mid = np.asarray(input_fn(t + 0.5 * h), dtype=float).ravel()
+        u_right = np.asarray(input_fn(t + h), dtype=float).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = a @ x + b @ u_left
+            k2 = a @ (x + 0.5 * h * k1) + b @ u_mid
+            k3 = a @ (x + 0.5 * h * k2) + b @ u_mid
+            k4 = a @ (x + h * k3) + b @ u_right
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
+            raise DivergenceError("state became non-finite", last_valid_time=float(t))
+        states[k + 1] = x
+        inputs[k + 1] = u_right
+        energy[k + 1] = energy[k] + (h / 6.0) * (
+            float(u_left @ u_left) + 4.0 * float(u_mid @ u_mid) + float(u_right @ u_right)
+        )
+        u_left = u_right
+    return times, states, inputs, energy
 
 
 def write_trajectory_csv_reference(traj, path):

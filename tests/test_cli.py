@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -402,3 +403,49 @@ def test_simulate_rejects_short_runs_before_any_work(tmp_path, path_graph, monke
                  "--steps", steps, "--out", str(out)]) == 1
     payload = json.loads((out / "error.json").read_text())
     assert payload == {"error": "InvalidInputError", "message": "steps must be at least 2"}
+
+
+def test_overflowing_autonomous_endpoint_is_never_built(tmp_path):
+    # exp(300 * 3) overflows a float. A run without a goal never needs
+    # z = exp(t* A) x0, and select-state fails on its Gramian first; neither
+    # may print a RuntimeWarning on the way.
+    a_path = tmp_path / "a.csv"
+    a_path.write_text("300,1,0\n0,300,1\n0,0,300\n")
+    common = ["--input", str(a_path), "--mode", "raw-matrix", "--t-star", "3", "--x0", "1,1,1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", *common, "--steps", "10", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["select-state", *common, "--goal", "variance", "--eta", "1",
+                     "--out", str(tmp_path / "sel")]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert json.loads((tmp_path / "sim" / "simulate.json").read_text())["autonomous"] is True
+    assert json.loads((tmp_path / "sel" / "error.json").read_text())["error"] == "InvalidInputError"
+
+
+@pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 2)])
+def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkeypatch,
+                                                                command, expected):
+    # One block exponential for W, whose doubling ladder also gives z; the
+    # controller's adjoint step is simulate's second expm.
+    from scipy.linalg import expm
+
+    import fluxcontrol.gramian as gramian
+    import fluxcontrol.linsys as linsys
+
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return expm(x)
+
+    for module in (gramian, linsys):
+        monkeypatch.setattr(module, "expm", counting)
+    a_path = tmp_path / "a.csv"
+    a_path.write_text("-1,2,0\n0,-2,1.5\n0.5,0,-1\n")
+    out = _run(tmp_path, "run", command, "--input", str(a_path), "--mode", "raw-matrix",
+               "--t-star", "2", "--x0", "1,-1,2", "--goal", "variance", "--eta", "4")
+    assert len(calls) == expected
+    assert calls[0] == (6, 6)
+    if command == "simulate":
+        summary = json.loads((out / "simulate.json").read_text())
+        assert summary["endpoint_error"] <= 1e-8 * (1 + np.linalg.norm(summary["endpoint"]))

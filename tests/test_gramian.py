@@ -174,7 +174,7 @@ class TestGramianEvaluator:
         for _ in range(3):
             b = rng.random((34, 2))
             w_fast = ev.matrix(b)
-            w_block = _van_loan_gramian(system.A, b @ b.T, 3.0)
+            w_block = _van_loan_gramian(system.A, b @ b.T, 3.0)[0]
             assert np.linalg.norm(w_fast - w_block) <= 1e-10 * np.linalg.norm(w_block)
 
     def test_nonsymmetric_falls_back(self, rng):
@@ -190,7 +190,7 @@ class TestGramianEvaluator:
         a = np.diag([1e-9, -1e-9])
         ev = fc.GramianEvaluator(fc.LinearSystem(a), 2.0)
         b = np.ones((2, 1))
-        w_ref = _van_loan_gramian(a, b @ b.T, 2.0)
+        w_ref = _van_loan_gramian(a, b @ b.T, 2.0)[0]
         npt.assert_allclose(ev.matrix(b), w_ref, rtol=1e-10)
 
     def test_weights_just_above_series_cutoff(self):
@@ -204,7 +204,7 @@ class TestGramianEvaluator:
         for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
             ev = fc.GramianEvaluator(system, 1.3)
             v = rng.standard_normal(system.n)
-            phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)
+            phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)[0]
             assert np.linalg.norm(ev.flux(v) - phi) <= 1e-10 * np.linalg.norm(phi)
 
     def test_long_horizon_on_laplacian_builds_without_overflow(self, karate):
@@ -228,6 +228,52 @@ class TestGramianEvaluator:
         x0 = rng.standard_normal(5)
         got = fc.GramianEvaluator(system, 1.7).propagate(x0)
         npt.assert_array_equal(got, fc.transition_matrix(system, 1.7) @ x0)
+
+    @pytest.mark.parametrize("first", ["matrix", "flux"])
+    @pytest.mark.parametrize("t, doubled", [(0.1, False), (3.0, True)], ids=["rung", "squared"])
+    def test_propagate_from_the_doubling_ladder_matches_expm(self, rng, first, t, doubled):
+        # After a Gramian, exp(t* A) is the ladder's last rung (no doubling) or
+        # its square; a first flux call ran the ladder on A^T.
+        a = random_stable_system(rng, 5) + 4.0 * np.eye(5, k=1)
+        assert (np.linalg.norm(a, 1) * t > 2.0) == doubled
+        ev = fc.GramianEvaluator(fc.LinearSystem(a), t)
+        getattr(ev, first)(rng.standard_normal((5, 2)) if first == "matrix" else np.ones(5))
+        for _ in range(2):
+            x0 = rng.standard_normal(5)
+            ref = expm(t * a) @ x0
+            assert np.linalg.norm(ev.propagate(x0) - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_propagate_shares_the_gramians_exponential(self, rng, monkeypatch):
+        import fluxcontrol.gramian as gramian
+
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape[0])
+            return expm(x)
+
+        monkeypatch.setattr(gramian, "expm", counting)
+        system = fc.LinearSystem(random_stable_system(rng, 5) + 4.0 * np.eye(5, k=1))
+        b, x0 = rng.standard_normal((5, 2)), rng.standard_normal(5)
+        ev = fc.GramianEvaluator(system, 3.0)
+        ev.matrix(b)
+        ev.propagate(x0)
+        ev.propagate(x0)
+        assert calls == [10]
+        calls.clear()
+        ev = fc.GramianEvaluator(system, 3.0)
+        ev.propagate(x0)
+        ev.matrix(b)
+        ev.propagate(x0)
+        assert calls == [5, 10]
+
+    def test_overflowing_propagator_is_an_input_error(self):
+        # exp(300 * 3) overflows a float; scipy's expm may not warn on the way.
+        system = fc.LinearSystem(300.0 * np.eye(3) + np.eye(3, k=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                fc.GramianEvaluator(system, 3.0).propagate(np.ones(3))
 
     def test_propagate_rejects_wrong_length(self):
         ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)

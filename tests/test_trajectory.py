@@ -1,12 +1,19 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fluxcontrol as fc
 from fluxcontrol import gramian
 from fluxcontrol.errors import DivergenceError, InvalidInputError
 
-from _oracles import random_stable_system, scalar_min_energy, write_trajectory_csv_reference
+from _oracles import (
+    random_stable_system,
+    rk4_stagewise_reference,
+    scalar_min_energy,
+    write_trajectory_csv_reference,
+)
 
 
 def _zero_input(m):
@@ -185,12 +192,69 @@ class TestSimulate:
             err.append(np.linalg.norm(end - exact))
         assert err[0] / err[1] > 8.0
 
-    def test_divergence_reports_last_valid_time(self):
-        system = fc.LinearSystem([[200.0]])
-        schematic = fc.InputSchematic([[1.0]])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 60),
+           symmetric=st.booleans(), data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_recurrence_matches_stagewise_rk4(self, seed, n, steps, symmetric, data):
+        # One step x' = R(hA) x + g_k is the four RK4 stages folded together;
+        # only the order of the floating-point operations differs.
+        m = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, n)) * rng.uniform(0.1, 2.0)
+        a = g + g.T if symmetric else g
+        b = rng.standard_normal((n, m))
+        x0 = rng.standard_normal(n)
+        t_star = float(rng.uniform(0.1, 3.0))
+        amp, freq, phase = rng.standard_normal((3, m))
+        u = lambda t: amp * np.sin(freq * t + phase) + 0.3 * t
+        traj = fc.simulate(fc.LinearSystem(a), fc.InputSchematic(b), u, x0, t_star, steps)
+        times, states, inputs, energy = rk4_stagewise_reference(a, b, u, x0, t_star, steps)
+        npt.assert_array_equal(traj.times, times)
+        for got, ref in ((traj.states, states), (traj.inputs, inputs),
+                         (traj.cumulative_energy, energy)):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a, t_star", [([[200.0]], 10.0),
+                                           ([[2.0, 30.0], [-1.0, 3.0]], 300.0)],
+                             ids=["scalar", "nonsymmetric"])
+    def test_divergence_reports_last_valid_time(self, a, t_star):
+        system = fc.LinearSystem(a)
+        schematic = fc.InputSchematic(np.eye(system.n)[:, :1])
+        u = lambda t: np.array([np.sin(t)])
+        x0 = np.ones(system.n)
+        with pytest.raises(DivergenceError) as ref:
+            rk4_stagewise_reference(system.A, schematic.B, u, x0, t_star, 100)
         with pytest.raises(DivergenceError) as exc:
-            fc.simulate(system, schematic, _zero_input(1), [1.0], 10.0, 100)
-        assert 0.0 <= exc.value.last_valid_time < 10.0
+            fc.simulate(system, schematic, u, x0, t_star, 100)
+        assert 0.0 < exc.value.last_valid_time < t_star
+        assert exc.value.last_valid_time == ref.value.last_valid_time
+
+    def test_input_fn_sampled_once_on_the_half_step_grid(self):
+        # 2 steps + 1 calls in time order: 0, then t_k + h/2 and t_k + h.
+        system = fc.LinearSystem([[-1.0, 2.0], [0.0, -0.5]])
+        schematic = fc.InputSchematic([[1.0], [1.0]])
+        steps, t_star = 7, 1.3
+        seen = []
+
+        def u(t):
+            seen.append(t)
+            return np.array([np.cos(t)])
+
+        traj = fc.simulate(system, schematic, u, [1.0, 0.0], t_star, steps)
+        h = t_star / steps
+        expected = [0.0]
+        for t in np.linspace(0.0, t_star, steps + 1)[:-1]:
+            expected += [t + 0.5 * h, t + h]
+        assert seen == expected
+        assert len(seen) == 2 * steps + 1
+        assert np.all(np.diff(seen) > 0.0)
+        npt.assert_array_equal(traj.inputs[:, 0], np.cos(seen[::2]))
+
+    @pytest.mark.parametrize("width", [0, 2])
+    def test_wrong_input_length_rejected(self, width):
+        system, schematic = fc.LinearSystem([[-1.0]]), fc.InputSchematic([[1.0]])
+        with pytest.raises(InvalidInputError):
+            fc.simulate(system, schematic, lambda t: np.ones(width), [1.0], 1.0, 10)
 
     def test_bad_steps_rejected(self):
         system = fc.LinearSystem([[0.0]])
