@@ -64,7 +64,13 @@ def flux_sweep(system: LinearSystem, horizons) -> FluxProfile:
 
 
 def centrality_histogram(values):
-    """Histogram counts and bin edges with Freedman-Diaconis binning."""
+    """Histogram counts and bin edges with Freedman-Diaconis binning.
+
+    A row whose spread is at roundoff relative to its magnitude (the uniform
+    centrality of a vertex-transitive graph) is constant, and gets the one bin
+    numpy gives constant data; Freedman-Diaconis would ask for bins narrower
+    than the float spacing there.
+    """
     v = as_vector(values, name="values")
-    counts, edges = np.histogram(v, bins="fd")
-    return counts, edges
+    flat = np.ptp(v) <= 1e-12 * np.abs(v).max()
+    return np.histogram(v, bins=1 if flat else "fd")

@@ -4,13 +4,16 @@ The Gramian ``W = int_0^T exp(tA) B B^T exp(tA^T) dt`` weights the
 minimum-energy quadratic form; the flux matrix is the same integral for the
 transposed dynamics with a rank-one weighting ``v v^T`` and its top
 eigenvector is the optimal single-input placement for the observer ``v^T x``.
+Off the eigenbasis both come from one ``expm`` of a short base step, a
+truncated Taylor series of the integral over that step, and horizon doubling.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm, hilbert
 
 from ._util import as_vector, canonical_sign
 from .errors import InvalidInputError
@@ -121,40 +124,55 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
-def _van_loan_block(A: np.ndarray, Q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single block-exponential evaluation of int_0^t exp(sA) Q exp(sA^T) ds.
+# Base step h = t*/2^d of the Gramian series: ||A||_1 h <= _THETA.
+_THETA = 2.0
+# Series terms p, fixed a priori: the tail (2 theta)^(p+1) e^(2 theta)/(p+2)! of
+# the sum, relative to h ||B B^T||, is below the unit roundoff 2^-53.
+_TERMS = next(p for p in range(1, 200) if (2 * _THETA) ** (p + 1) * math.exp(2 * _THETA)
+              / math.factorial(p + 2) <= 2.0**-53)
 
-    Exponentiates [[-A, Q], [0, A^T]] * t (Van Loan 1978); the integral is the
-    transposed lower-right block, exp(tA), times the upper-right block.
-    Returns the integral and exp(tA).
+
+def _thin_series(ha: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The series over Krylov blocks y_j = (ha)^j b / j!: sum_jl y_j y_l^T / (j+l+1)."""
+    y = [b]
+    for j in range(1, _TERMS + 1):
+        y.append(ha @ y[-1] / j)
+    y = np.hstack(y)
+    return y @ np.kron(hilbert(_TERMS + 1), np.eye(b.shape[1])) @ y.T
+
+
+def _thick_series(ha: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The series by Horner on L(X) = haX + Xha^T: one n x n product per term."""
+    q = y = b @ b.T
+    for k in range(_TERMS, 0, -1):
+        ay = ha @ y
+        y = q + (ay + ay.T) / (k + 1)
+    return y
+
+
+def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
+    """int_0^t* exp(sa) b b^T exp(sa^T) ds from a base step and horizon doublings.
+
+    On the base step h = t*/2^d, ||a||_1 h <= _THETA, the integral is the
+    truncated Taylor series h sum_{k<=p} h^k/(k+1)! L^k(b b^T), with
+    L(X) = aX + Xa^T (Al-Mohy & Higham 2011 scale the same way). A thin
+    factor, m(p+1) < n, sums it over Krylov blocks, else Horner runs on L.
+    The full horizon is rebuilt with the exact identity
+    W(2t) = W(t) + exp(ta) W(t) exp(ta^T), from one ``expm(ha)``. An integral
+    too large for floats comes back non-finite. Returns the integral, the last
+    rung of the ladder and whether it was doubled: exp((t*/2) a) after one or
+    more doublings, else exp(t* a).
     """
-    n = A.shape[0]
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -A
-    block[:n, n:] = Q
-    block[n:, n:] = A.T
-    e = expm(block * t)
-    prop = e[n:, n:].T
-    return prop @ e[:n, n:], prop
-
-
-def _van_loan_gramian(A: np.ndarray, Q: np.ndarray, t_star: float):
-    """Block-exponential Gramian with horizon doubling.
-
-    The raw block form cancels catastrophically when ||A|| t is large (the
-    upper-left block carries exp(+||A||t)), so the base step is shrunk until
-    the block stays well scaled and the full horizon is rebuilt with the exact
-    identity W(2t) = W(t) + exp(tA) W(t) exp(tA^T). An integral too large for
-    floats comes back non-finite. Returns the integral, the last rung of the
-    ladder and whether it was doubled: exp((t_star/2) A) after one or more
-    doublings, else exp(t_star A).
-    """
-    norm = float(np.linalg.norm(A, 1))
-    doublings = 0
-    if norm * t_star > 2.0:
-        doublings = min(int(np.ceil(np.log2(norm * t_star / 2.0))), 60)
-    w, e = _van_loan_block(A, Q, t_star / (2.0**doublings))
+    scaled = float(np.linalg.norm(a, 1)) * t_star
+    if not np.isfinite(scaled):
+        raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
+    doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
+    h = math.ldexp(t_star, -doublings)
+    series = _thin_series if b.shape[1] * (_TERMS + 1) < b.shape[0] else _thick_series
+    ha = h * a
+    e = expm(ha)
     with np.errstate(over="ignore", invalid="ignore"):
+        w = h * series(ha, b)
         for k in range(doublings):
             if k:
                 e = e @ e
@@ -191,12 +209,12 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     vv = as_vector(v, n=system.n, name="v")
     if np.linalg.norm(vv) == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
-    phi = _finite(_van_loan_gramian(system.A.T, np.outer(vv, vv), float(t_star))[0], "flux matrix")
-    vals, vecs = np.linalg.eigh(phi)
-    lam = float(vals[-1])
+    phi = _finite(_doubling_gramian(system.A.T, vv[:, None], float(t_star))[0], "flux matrix")
+    vals, vecs = eigh(phi, subset_by_index=[system.n - 1, system.n - 1])
+    lam = float(vals[0])
     if lam <= 0.0:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
-    top = canonical_sign(vecs[:, -1])
+    top = canonical_sign(vecs[:, 0])
     return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star), top_pair=(lam, top))
 
 
@@ -213,10 +231,10 @@ class GramianEvaluator:
     and the flux matrix ``Phi(v) = int exp(tA^T) v v^T exp(tA) dt``. For
     symmetric dynamics both have a closed form in the eigenbasis (entrywise
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
-    product), orders of magnitude faster than the block exponential and equal
-    to it to roundoff. Nonsymmetric dynamics take the block-exponential path
-    per call. The endpoint ``exp(t* A) x0`` of the autonomous run comes from
-    the eigenpairs, or from the first block exponential's doubling ladder (one
+    product), orders of magnitude faster than the series and equal to it to
+    roundoff. Nonsymmetric dynamics take the series-and-doubling path per
+    call. The endpoint ``exp(t* A) x0`` of the autonomous run comes from the
+    eigenpairs, or from the first series Gramian's doubling ladder (one
     squaring of its last rung), else ``expm``. The adjoint trajectory
     ``exp(sA^T) p`` that steers it to a selected state on a uniform grid takes
     one propagator step, from the eigenpairs or ``expm``.
@@ -231,7 +249,7 @@ class GramianEvaluator:
         self.system = system
         self.t_star = float(t_star)
         self._symmetric = system.is_symmetric()
-        # exp(t A) or exp((t/2) A) from the first block exponential; exp(t* A) once built.
+        # exp(t A) or exp((t/2) A) from the first doubling ladder; exp(t* A) once built.
         self._rung = self._transition = None
         if self._symmetric:
             self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
@@ -253,7 +271,7 @@ class GramianEvaluator:
             raise InvalidInputError("schematic row count must match system size")
         if not self._symmetric:
             a = self.system.A.T if flux else self.system.A
-            w, rung, doubled = _van_loan_gramian(a, b @ b.T, self.t_star)
+            w, rung, doubled = _doubling_gramian(a, b, self.t_star)
             w = _finite(w, "Gramian")
             if self._rung is None:
                 self._rung = (rung.T if flux else rung), doubled
@@ -273,8 +291,8 @@ class GramianEvaluator:
 
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
-        construction, so only the block-exponential W, where cancellation can
-        break either, goes through ``GramianBundle.from_matrix``'s checks."""
+        construction, so only the series W, which roundoff in the doublings can
+        leave indefinite, goes through ``GramianBundle.from_matrix``'s checks."""
         if self._symmetric:
             return GramianBundle(self.matrix(B), self.t_star)
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)

@@ -206,7 +206,7 @@ def gramian_quadrature(system, schematic, t_star, steps):
     ``(system.A, schematic.B)``.
 
     Fourth-order oracle kept independent of the library's eigenbasis and
-    block-exponential paths; ``steps`` is the (even, >= 2) number of intervals.
+    series paths; ``steps`` is the (even, >= 2) number of intervals.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
@@ -232,6 +232,36 @@ def gramian_quadrature(system, schematic, t_star, steps):
         if k < steps:
             x = x @ e_h
     w = acc * (h / 3.0)
+    return 0.5 * (w + w.T)
+
+
+def van_loan_block_reference(a, q, t_star):
+    """int_0^t* exp(sa) q exp(sa^T) ds by the 2n x 2n block exponential.
+
+    Exponentiates [[-a, q], [0, a^T]] h (Van Loan 1978); the integral over h
+    is the transposed lower-right block times the upper-right block. The raw
+    block cancels when ||a|| h is large, so h = t*/2^d with ||a||_1 h <= 2
+    (at most 60 doublings) and W(2t) = W(t) + exp(ta) W(t) exp(ta^T) rebuilds
+    the horizon. This was the library's engine before the series kernel.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a, 1))
+    doublings = 0
+    if norm * t_star > 2.0:
+        doublings = min(int(np.ceil(np.log2(norm * t_star / 2.0))), 60)
+    h = t_star / 2.0**doublings
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n] = -a
+    block[:n, n:] = q
+    block[n:, n:] = a.T
+    e = expm(block * h)
+    prop = e[n:, n:].T
+    w = prop @ e[:n, n:]
+    for k in range(doublings):
+        if k:
+            prop = prop @ prop
+        w = w + prop @ w @ prop.T
     return 0.5 * (w + w.T)
 
 

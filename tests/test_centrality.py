@@ -117,3 +117,12 @@ class TestCentralityHistogram:
         npt.assert_allclose(edges, ref_edges)
         # Hub-dominated network: a few nodes carry far more flux than the bulk.
         assert phi.max() > 3.0 * np.median(phi)
+
+    def test_roundoff_spread_is_one_bin(self):
+        # A vertex-transitive graph's centrality is 1/sqrt(n) up to roundoff;
+        # Freedman-Diaconis would ask for bins narrower than the float spacing.
+        row = [0.50000000000000022, 0.49999999999999978, 0.5, 0.5]
+        counts, edges = fc.centrality_histogram(row)
+        npt.assert_array_equal(counts, [4])
+        assert edges[0] <= min(row) and edges[1] >= max(row)
+

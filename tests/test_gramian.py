@@ -4,13 +4,20 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import fluxcontrol as fc
+import fluxcontrol.gramian as gramian
 from fluxcontrol.errors import InvalidInputError
-from fluxcontrol.gramian import _van_loan_gramian
 
-from _oracles import gramian_quadrature, random_stable_system, simpson_scalar_gramian
+from _oracles import (
+    gramian_quadrature,
+    random_stable_system,
+    simpson_scalar_gramian,
+    van_loan_block_reference,
+)
 
 
 def _bundle(a, b, t_star):
@@ -174,7 +181,7 @@ class TestGramianEvaluator:
         for _ in range(3):
             b = rng.random((34, 2))
             w_fast = ev.matrix(b)
-            w_block = _van_loan_gramian(system.A, b @ b.T, 3.0)[0]
+            w_block = van_loan_block_reference(system.A, b @ b.T, 3.0)
             assert np.linalg.norm(w_fast - w_block) <= 1e-10 * np.linalg.norm(w_block)
 
     def test_nonsymmetric_falls_back(self, rng):
@@ -190,7 +197,7 @@ class TestGramianEvaluator:
         a = np.diag([1e-9, -1e-9])
         ev = fc.GramianEvaluator(fc.LinearSystem(a), 2.0)
         b = np.ones((2, 1))
-        w_ref = _van_loan_gramian(a, b @ b.T, 2.0)[0]
+        w_ref = van_loan_block_reference(a, b @ b.T, 2.0)
         npt.assert_allclose(ev.matrix(b), w_ref, rtol=1e-10)
 
     def test_weights_just_above_series_cutoff(self):
@@ -204,7 +211,7 @@ class TestGramianEvaluator:
         for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
             ev = fc.GramianEvaluator(system, 1.3)
             v = rng.standard_normal(system.n)
-            phi = _van_loan_gramian(system.A.T, np.outer(v, v), 1.3)[0]
+            phi = van_loan_block_reference(system.A.T, np.outer(v, v), 1.3)
             assert np.linalg.norm(ev.flux(v) - phi) <= 1e-10 * np.linalg.norm(phi)
 
     def test_long_horizon_on_laplacian_builds_without_overflow(self, karate):
@@ -259,13 +266,13 @@ class TestGramianEvaluator:
         ev.matrix(b)
         ev.propagate(x0)
         ev.propagate(x0)
-        assert calls == [10]
+        assert calls == [5]
         calls.clear()
         ev = fc.GramianEvaluator(system, 3.0)
         ev.propagate(x0)
         ev.matrix(b)
         ev.propagate(x0)
-        assert calls == [5, 10]
+        assert calls == [5, 5]
 
     def test_overflowing_propagator_is_an_input_error(self):
         # exp(300 * 3) overflows a float; scipy's expm may not warn on the way.
@@ -354,8 +361,8 @@ class TestGramianEvaluator:
             fc.GramianBundle.from_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0)
 
     def test_one_expm_per_block_exponential(self, rng, monkeypatch):
-        # exp(hA) for the horizon doublings is the block exponential's
-        # lower-right block, so each integral costs one expm.
+        # exp(hA) of the series' base step drives the horizon doublings, so
+        # each integral costs one n x n expm.
         import fluxcontrol.gramian as gramian
 
         calls = []
@@ -372,8 +379,132 @@ class TestGramianEvaluator:
         ev = fc.GramianEvaluator(system, t)
         b = rng.standard_normal((5, 2))
         w = ev.matrix(b)
-        assert calls == [10]
+        assert calls == [5]
         fc.flux_matrix(system, np.ones(5), t)
-        assert calls == [10, 10]
+        assert calls == [5, 5]
         w_ref = gramian_quadrature(system, fc.InputSchematic(b), t, 4000)
         assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
+
+
+def _draw_system(seed, n, m, scale, symmetric, abscissa=None):
+    """Random (A, B); A shifted to the given largest eigenvalue real part."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) / np.sqrt(n)
+    a = scale * (0.5 * (g + g.T) if symmetric else g)
+    if abscissa is not None:
+        a = a - (np.max(np.linalg.eigvals(a).real) - abscissa) * np.eye(n)
+    return a, rng.standard_normal((n, m))
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def _quadrature(a, b, t_star):
+    # Simpson with ||A||_1 h <= 1/80 stays within about 1e-9 of the integral.
+    steps = 2 * max(100, math.ceil(40 * np.linalg.norm(a, 1) * t_star))
+    return gramian_quadrature(fc.LinearSystem(a), fc.InputSchematic(b), t_star, steps)
+
+
+class TestSeriesKernel:
+    """The base-step series and its horizon doublings against the 2n x 2n
+    block exponential and Simpson quadrature.
+
+    Draws keep the largest eigenvalue real part at or below 1/t*: on strongly
+    unstable systems the doubling ladder, which both engines share, amplifies
+    roundoff with the growth of exp(tA): a symmetric draw with ||exp(t*A)|| =
+    e^9.4 put both 6e-13 to 2e-12 from the exact integral.
+    """
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), symmetric=st.booleans(),
+           scale=st.floats(0.05, 5.0), t_star=st.floats(0.01, 3.0),
+           growth=st.floats(-2.0, 1.0), data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_small_systems_match_block_and_quadrature(self, seed, n, symmetric, scale, t_star,
+                                                      growth, data):
+        m = data.draw(st.integers(1, n))
+        a, b = _draw_system(seed, n, m, scale, symmetric, growth / t_star)
+        assert fc.LinearSystem(a).is_symmetric() == symmetric
+        w = gramian._doubling_gramian(a, b, t_star)[0]
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
+        assert _rel(w, _quadrature(a, b, t_star)) <= 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 80), symmetric=st.booleans(),
+           scale=st.floats(0.1, 2.0), t_star=st.floats(0.05, 1.5),
+           growth=st.floats(-2.0, 1.0), data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    def test_thin_factors_match_block_and_quadrature(self, seed, n, symmetric, scale, t_star,
+                                                     growth, data):
+        m = data.draw(st.integers(1, 2 if n > 2 * (gramian._TERMS + 1) else 1))
+        assert m * (gramian._TERMS + 1) < n  # the Krylov form runs
+        a, b = _draw_system(seed, n, m, scale, symmetric, growth / t_star)
+        w = gramian._doubling_gramian(a, b, t_star)[0]
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
+        assert _rel(w, _quadrature(a, b, t_star)) <= 1e-8
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), m=st.integers(1, 3),
+           symmetric=st.booleans(), reach=st.floats(0.0, 1.0))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_thin_and_thick_forms_agree(self, seed, n, m, symmetric, reach):
+        # Both forms sum the same series; called directly, neither switch applies.
+        a, b = _draw_system(seed, n, m, 1.0, symmetric)
+        ha = reach * gramian._THETA * a / np.linalg.norm(a, 1)
+        thick = gramian._thick_series(ha, b)
+        assert _rel(gramian._thin_series(ha, b), thick) <= 1e-13
+
+    @pytest.mark.parametrize("side", [1.0 - 1e-12, 1.0 + 1e-12], ids=["below", "above"])
+    def test_base_step_at_the_series_range(self, rng, side):
+        a, b = _draw_system(3, 6, 2, 1.0, False)
+        t_star = side * gramian._THETA / np.linalg.norm(a, 1)
+        w, _, doubled = gramian._doubling_gramian(a, b, t_star)
+        assert doubled == (side > 1.0)
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-13
+
+    def test_tiny_horizon(self):
+        a, b = _draw_system(4, 5, 2, 3.0, False)
+        w = gramian._doubling_gramian(a, b, 1e-12)[0]
+        assert _rel(w, 1e-12 * (b @ b.T)) <= 1e-11
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, 1e-12)) <= 1e-13
+
+    def test_zero_columns_add_nothing(self):
+        a, b = _draw_system(5, 6, 2, 2.0, False)
+        padded = np.column_stack([b[:, :1], np.zeros(6), b[:, 1:], np.zeros(6)])
+        w = gramian._doubling_gramian(a, padded, 2.5)[0]
+        assert _rel(w, gramian._doubling_gramian(a, b, 2.5)[0]) <= 1e-14
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, 2.5)) <= 1e-12
+
+    def test_two_state_jordan_block_closed_form(self):
+        # exp(sA) e_2 = exp(lam s) (s, 1), so W holds int_0^T s^k exp(2 lam s) ds.
+        lam, t = -1.0, 2.0
+        c = 2.0 * lam
+        i0 = math.expm1(c * t) / c
+        i1 = (t * math.exp(c * t) - i0) / c
+        i2 = (t * t * math.exp(c * t) - 2.0 * i1) / c
+        a = np.array([[lam, 1.0], [0.0, lam]])
+        w = fc.GramianEvaluator(fc.LinearSystem(a), t).matrix(np.array([[0.0], [1.0]]))
+        npt.assert_allclose(w, [[i2, i1], [i1, i0]], rtol=1e-14)
+
+    def test_stiff_nonsymmetric_beyond_the_old_doubling_cap(self):
+        # ||A||_1 t* = 1.1e20 needs 66 doublings; capped at 60, the base step
+        # would leave the series range and the sum come back wrong.
+        big, c = 1e20, 1e19
+        a = np.array([[-big, c], [0.0, -big]])
+        assert not fc.LinearSystem(a).is_symmetric()
+        # exp(sA) = exp(-big s) [[1, c s], [0, 1]]; with B = I the entries of W
+        # are integrals of s^k exp(-2 big s), k <= 2.
+        s = 2.0 * big
+        expected = [[1.0 / s + 2.0 * c * c / s**3, c / s**2], [c / s**2, 1.0 / s]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = fc.GramianEvaluator(fc.LinearSystem(a), 1.0).matrix(np.eye(2))
+        npt.assert_allclose(w, expected, rtol=1e-12)
+
+    def test_overflowing_step_count_is_an_input_error(self):
+        # ||A||_1 t* overflows a float, so no number of doublings reaches the
+        # series range.
+        a = np.array([[-1e150, 1e149], [0.0, -1e150]])
+        assert not fc.LinearSystem(a).is_symmetric()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                fc.GramianEvaluator(fc.LinearSystem(a), 1e200).matrix(np.eye(2))
