@@ -242,7 +242,7 @@ def van_loan_block_reference(a, q, t_star):
     is the transposed lower-right block times the upper-right block. The raw
     block cancels when ||a|| h is large, so h = t*/2^d with ||a||_1 h <= 2
     (at most 60 doublings) and W(2t) = W(t) + exp(ta) W(t) exp(ta^T) rebuilds
-    the horizon. This was the library's engine before the series kernel.
+    the horizon. Reference for the library's series kernel.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]

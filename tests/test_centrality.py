@@ -125,4 +125,3 @@ class TestCentralityHistogram:
         counts, edges = fc.centrality_histogram(row)
         npt.assert_array_equal(counts, [4])
         assert edges[0] <= min(row) and edges[1] >= max(row)
-

@@ -453,7 +453,7 @@ class TestSeriesKernel:
         assert _rel(gramian._thin_series(ha, b), thick) <= 1e-13
 
     @pytest.mark.parametrize("side", [1.0 - 1e-12, 1.0 + 1e-12], ids=["below", "above"])
-    def test_base_step_at_the_series_range(self, rng, side):
+    def test_base_step_at_the_series_range(self, side):
         a, b = _draw_system(3, 6, 2, 1.0, False)
         t_star = side * gramian._THETA / np.linalg.norm(a, 1)
         w, _, doubled = gramian._doubling_gramian(a, b, t_star)
