@@ -83,7 +83,8 @@ def _build_parser():
     sched.add_argument("--m", type=int, default=1, help="controller count")
 
     gpgm_args = argparse.ArgumentParser(add_help=False)
-    gpgm_args.add_argument("--sigma", type=float, default=1e-2)
+    gpgm_args.add_argument("--sigma", type=float, default=1e-2,
+                           help="first step; later steps are Barzilai-Borwein")
     gpgm_args.add_argument("--delta-star", type=float, default=1e-6)
     gpgm_args.add_argument("--epsilon", type=float, default=1e-6)
     gpgm_args.add_argument("--max-iters", type=int, default=10_000)
@@ -307,6 +308,7 @@ def _place(args, goal, x0, evaluator):
         "iterations": result.iterations,
         "converged": result.converged,
         "trace": result.energy_trace,
+        "steps": result.steps,
     }
 
 
@@ -412,6 +414,16 @@ def _cmd_compare(args, outdir):
     })
 
 
+def _write_error(outdir, exc):
+    payload = {"error": type(exc).__name__, "message": str(exc)}
+    for extra in ("min_eta", "last_valid_time", "line_number"):
+        if hasattr(exc, extra):
+            payload[extra] = getattr(exc, extra)
+    with contextlib.suppress(OSError):
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write_json(outdir / "error.json", payload)
+
+
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
@@ -424,15 +436,14 @@ def main(argv=None) -> int:
         args.func(args, outdir)
         _write_manifest(outdir, _config_dict(args))
     except (FluxControlError, OSError, json.JSONDecodeError) as exc:
-        payload = {"error": type(exc).__name__, "message": str(exc)}
-        for extra in ("min_eta", "last_valid_time", "line_number"):
-            if hasattr(exc, extra):
-                payload[extra] = getattr(exc, extra)
-        with contextlib.suppress(OSError):
-            outdir.mkdir(parents=True, exist_ok=True)
-            _write_json(outdir / "error.json", payload)
+        _write_error(outdir, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # A bug, not a typed failure: mark the partial outputs, then re-raise
+        # so the traceback still surfaces.
+        _write_error(outdir, exc)
+        raise
     return 0
 
 

@@ -259,7 +259,8 @@ class GramianEvaluator:
             # expm1 sees 0 on the series entries, so a large t* cannot overflow it there.
             with np.errstate(over="ignore"):
                 growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
-            series = self.t_star + 0.5 * self.t_star**2 * s
+            # t* (1 + t* s / 2), never t*^2: that overflows a float past t* ~ 1e154.
+            series = self.t_star * (1.0 + 0.5 * self.t_star * np.where(small, s, 0.0))
             self._weights = _finite(np.where(small, series, growth), "Gramian weights")
 
     def _integral(self, B, flux: bool) -> np.ndarray:

@@ -50,8 +50,11 @@ class LinearSystem:
         return self.A.shape[0]
 
     def is_symmetric(self, rtol: float = 1e-12) -> bool:
-        scale = np.linalg.norm(self.A)
-        return bool(np.linalg.norm(self.A - self.A.T) <= rtol * max(scale, 1.0))
+        # Max-abs entries, not norms: a norm squares them and overflows past ~1e154.
+        scale = float(np.max(np.abs(self.A)))
+        with np.errstate(over="ignore"):
+            skew = float(np.max(np.abs(self.A - self.A.T)))
+        return skew <= rtol * max(scale, 1.0)
 
 
 @dataclass(frozen=True)

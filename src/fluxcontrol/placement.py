@@ -5,7 +5,8 @@ eigenvector of the flux matrix). Quadratic goals are optimized by projected
 gradient descent over the schematic: one state selection per candidate, whose
 adjoint ``p`` gives the energy gradient ``-2 Phi(p) B`` in closed form (the
 envelope theorem on ``E = p^T W(B) p``, with ``Phi`` the flux matrix),
-tangent-space projection, and renormalization onto the sphere.
+tangent-space projection, a Barzilai-Borwein step, and renormalization onto
+the sphere.
 """
 
 import warnings
@@ -43,7 +44,7 @@ class GpgmConfig:
     """Projected-gradient settings.
 
     Attributes:
-        sigma: initial step size.
+        sigma: first step; later steps are Barzilai-Borwein.
         delta_star: stop once successive iterates align within this tolerance.
         epsilon: sphere offset; iterates live on tr(B^T B) = m + epsilon.
         max_iters: iteration cap.
@@ -66,13 +67,18 @@ class GpgmConfig:
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """Optimized schematic with its energy and convergence record."""
+    """Optimized schematic with its energy and convergence record.
+
+    ``energy_trace`` holds the energy of the start and of each accepted
+    iterate; ``steps`` the step each accepted iterate took, after halvings.
+    """
 
     B_star: InputSchematic
     energy: float
     iterations: int
     converged: bool
     energy_trace: np.ndarray = field(repr=False, default=None)
+    steps: np.ndarray = field(repr=False, default_factory=lambda: np.zeros(0))
 
 
 def project_sphere(B, epsilon: float = 0.0) -> np.ndarray:
@@ -135,9 +141,13 @@ def gpgm(
     autonomous endpoint ``exp(t* A) x0``. Per iteration: the energy gradient
     ``-2 Phi(p) B`` from the current selection's adjoint, tangent projection,
     step, renormalization onto the sphere, and backtracking halvings when the
-    candidate raises the energy or its state selection is infeasible. Stops
-    when successive iterates align within ``delta_star`` or no usable step
-    remains; returns the best iterate.
+    candidate raises the energy or its state selection is infeasible. The
+    first step is ``config.sigma``; later ones are the Barzilai-Borwein step
+    ``<s, s> / |<s, y>|`` (Barzilai & Borwein 1988, in the Riemannian form of
+    Iannazzo & Porcelli 2018), with ``s`` the last accepted displacement and
+    ``y`` the change of the tangent gradient across it. Acceptance stays
+    monotone. Stops when successive iterates align within ``delta_star`` or
+    no usable step remains; returns the best iterate.
     """
     if m < 1:
         raise InvalidInputError("m must be at least 1")
@@ -155,7 +165,7 @@ def gpgm(
             raise InvalidInputError(f"B_init must have shape {(n, m)}")
     b = project_sphere(b, epsilon=cfg.epsilon)
 
-    def result(best_b, best_e, iters, converged, trace):
+    def result(best_b, best_e, iters, converged, trace, steps=()):
         schematic = InputSchematic(
             project_sphere(best_b, epsilon=cfg.epsilon),
             sphere_normalized=True,
@@ -167,6 +177,7 @@ def gpgm(
             iterations=iters,
             converged=converged,
             energy_trace=np.asarray(trace),
+            steps=np.asarray(steps, dtype=float),
         )
 
     if not binding_check(goal, z):
@@ -182,14 +193,20 @@ def gpgm(
             f"state selection infeasible at the initial schematic: {exc}"
         ) from exc
 
-    trace = [sel.energy]
+    trace, steps = [sel.energy], []
     best_e, best_b = sel.energy, b.copy()
     iters = 0
     converged = False
+    prev = None  # the last accepted iterate's (B, tangent gradient)
     for k in range(cfg.max_iters):
         iters = k + 1
         direction = _tangent(-2.0 * evaluator.flux(sel.p) @ b, b)
         sigma = cfg.sigma
+        if prev is not None:
+            s, y = b - prev[0], direction - prev[1]
+            sy = abs(float(np.sum(s * y)))
+            if sy > 0.0:
+                sigma = float(np.sum(s * s)) / sy
         accepted = False
         infeasible = 0
         for _ in range(_MAX_HALVINGS + 1):
@@ -208,19 +225,21 @@ def gpgm(
             if infeasible >= _MAX_HALVINGS + 1:
                 raise PlacementAbortError(
                     "every halved step produced an infeasible state selection",
-                    partial_result=result(best_b, best_e, iters, False, trace),
+                    partial_result=result(best_b, best_e, iters, False, trace, steps),
                 )
             converged = True
             break
         delta = float(np.sum(b * cand)) / (m + cfg.epsilon)
+        prev = (b, direction)
         b, sel = cand, cand_sel
         trace.append(sel.energy)
+        steps.append(sigma)
         if sel.energy < best_e:
             best_e, best_b = sel.energy, b.copy()
         if 1.0 - delta < cfg.delta_star:
             converged = True
             break
-    return result(best_b, best_e, iters, converged, trace)
+    return result(best_b, best_e, iters, converged, trace, steps)
 
 
 def gpgm_multistart(

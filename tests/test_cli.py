@@ -402,6 +402,32 @@ def test_overflowing_gramian_writes_error_json(tmp_path):
     assert not (out / "W.csv").exists()
 
 
+def test_unexpected_exception_writes_error_json_and_reraises(tmp_path, path_graph,
+                                                           monkeypatch):
+    import fluxcontrol.cli as cli
+
+    def broken(args, outdir):
+        (outdir / "flux.csv").write_text("partial\n")
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_flux", broken)
+    out = tmp_path / "f"
+    with pytest.raises(ValueError, match="a bug"):
+        main(["flux", "--input", path_graph, "--out", str(out)])
+    assert json.loads((out / "error.json").read_text()) == {"error": "ValueError",
+                                                            "message": "a bug"}
+    assert not (out / "manifest.json").exists()
+
+
+def test_gpgm_placement_records_each_accepted_step(tmp_path, karate_path):
+    out = _run(tmp_path, "pg", "place", "--input", karate_path, "--method", "gpgm",
+               "--goal", "variance", "--t-star", "3", "--m", "2", "--sigma", "0.1",
+               "--starts", "1", "--max-iters", "20")
+    payload = json.loads((out / "placement.json").read_text())
+    assert len(payload["steps"]) == len(payload["trace"]) - 1 >= 1
+    assert all(step > 0 for step in payload["steps"])
+
+
 @pytest.mark.parametrize("steps", ["0", "1"])
 def test_simulate_rejects_short_runs_before_any_work(tmp_path, path_graph, monkeypatch, steps):
     import fluxcontrol.cli as cli

@@ -339,6 +339,20 @@ class TestGramianEvaluator:
                 npt.assert_array_equal(got.eigenvalues, ref.eigenvalues)
                 assert (got.lam_max, got.lam_min) == (ref.lam_max, ref.lam_min)
 
+    def test_huge_entries_and_horizon_build_without_warnings(self):
+        # Entries near 1e300 and t* far past 1e154: no norm or t*^2 may
+        # overflow on the way. A stable system gives finite weights, an
+        # unstable one the typed error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stable = fc.LinearSystem([[-1e300, 1.0], [0.0, -1e300]])
+            assert np.all(np.isfinite(fc.GramianEvaluator(stable, 1e10).matrix(np.eye(2))))
+            with pytest.raises(InvalidInputError, match="Gramian weights overflow"):
+                fc.GramianEvaluator(fc.LinearSystem([[1e300, 1.0], [0.0, 1e300]]), 1e10)
+            path = fc.laplacian_system(np.array([[0.0, 1.0], [1.0, 0.0]]))
+            w = fc.GramianEvaluator(path, 1e200).matrix(np.eye(2))
+            npt.assert_allclose(w, np.full((2, 2), 5e199), rtol=1e-12)
+
     @pytest.mark.parametrize("a", [400.0 * np.eye(3), 300.0 * np.eye(3) + np.eye(3, k=1)],
                              ids=["symmetric", "nonsymmetric"])
     def test_overflowing_gramian_is_an_input_error(self, a):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -43,6 +45,15 @@ def test_nonfinite_dynamics_rejected():
         fc.LinearSystem([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidInputError):
         fc.transition_matrix(fc.LinearSystem(np.zeros((2, 2))), np.inf)
+
+
+def test_symmetry_test_on_huge_entries():
+    # A norm of these entries overflows; the max-abs test does not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fc.LinearSystem([[-1e300, 1.0], [0.0, -1e300]]).is_symmetric()
+        assert not fc.LinearSystem([[1e300, 1e300], [0.0, 1e300]]).is_symmetric()
+        assert not fc.LinearSystem([[0.0, 1e308], [-1e308, 0.0]]).is_symmetric()
 
 
 def test_nonsquare_dynamics_rejected():
