@@ -204,7 +204,7 @@ def _build_goal(args, n):
         return VarianceGoal(args.eta)
     if args.d is None:
         raise InvalidInputError("repulsion goal needs --d")
-    return RepulsionGoal(d=np.asarray(args.d, dtype=float), eta=args.eta, sense=args.sense)
+    return RepulsionGoal(d=as_vector(args.d, n=n, name="d"), eta=args.eta, sense=args.sense)
 
 
 def _build_x0(args, n):

@@ -13,10 +13,6 @@ class GoalUncontrollableError(FluxControlError):
     """The requested observer cannot be moved by the given input schematic."""
 
 
-class RequiresControllabilityError(FluxControlError):
-    """The solver needs a positive definite Gramian and got a singular one."""
-
-
 class InfeasibleGoalError(FluxControlError):
     """The goal cannot be met; carries the smallest achievable threshold."""
 

@@ -88,9 +88,6 @@ class GramianBundle:
     def lam_min(self) -> float:
         return float(self.eigenvalues[-1])
 
-    def is_positive_definite(self, rtol: float = 1e-12) -> bool:
-        return self.lam_min > rtol * max(self.lam_max, 0.0)
-
 
 @dataclass(frozen=True)
 class FluxMatrix:

@@ -10,7 +10,10 @@ equation in the Lagrange multiplier, solved by safeguarded Newton at O(n) per
 step. When no root exists below the pole (the hard case), the residual is
 completed along the pole eigenvector. Each selection carries the adjoint
 vector ``p`` with ``x* = z + W p`` and energy ``p^T W p``, so ``W`` is never
-inverted.
+inverted and every goal runs on singular Gramians (networks steered from a
+few inputs). A contract goal cannot move the residual along the eigenvalues
+of ``O W O^T`` at or below ``sqrt(eps)`` times the largest; below that
+reachable floor it raises ``InfeasibleGoalError`` with ``min_eta``.
 """
 
 from dataclasses import dataclass
@@ -18,12 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import as_matrix, as_vector, canonical_sign, centering_matrix
-from .errors import (
-    GoalUncontrollableError,
-    InfeasibleGoalError,
-    InvalidInputError,
-    RequiresControllabilityError,
-)
+from .errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
 from .gramian import GramianBundle
 
 __all__ = [
@@ -45,6 +43,11 @@ __all__ = [
 
 # Relative eigenvalue gap below which leading eigenvalues count as tied.
 _DEGENERACY_RTOL = 1e-10
+# Eigenvalues of O W O^T at or below this fraction of the largest form the
+# contract goal's theta = 0 block: roundoff of order eps theta_max in W is more
+# than sqrt(eps) of each of them, and the contract adjoint grows like
+# c_i / theta_i.
+_NULL_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def binding_check(goal, z) -> bool:
     if isinstance(goal, LinearGoal):
         return float(goal.v @ z) < goal.c
     if isinstance(goal, RepulsionGoal):
-        r = (goal.O @ z if goal.O is not None else z) - goal.d
+        r = (goal.O @ z if goal.O is not None else z) - as_vector(goal.d, n=z.size, name="d")
         val = float(r @ r)
         return val < goal.eta if goal.sense == "expand" else val > goal.eta
     if isinstance(goal, VarianceGoal):
@@ -232,7 +235,9 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
     the residual is completed along the pole eigenvector at
     ``lam = 1/theta_max``. Contract takes the root below zero, down to the
     ``lam -> -inf`` limit ``lam r_i -> -c_i / theta_i`` that attains the
-    reachable minimum ``sum_{theta_i = 0} c_i^2``. ``W`` is never inverted.
+    reachable minimum ``sum_{theta_i = 0} c_i^2``; every
+    ``theta_i <= _NULL_RTOL theta_max`` counts as zero there, and its residual
+    stays ``c_i``. ``W`` is never inverted, so it may be singular.
     """
     r0 = O @ z - d
     f0 = float(r0 @ r0)
@@ -244,15 +249,17 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
     theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
     c = u.T @ r0
     theta_max = float(theta[-1])
+    _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
     if sense == "contract":
-        null = theta <= theta.size * np.finfo(float).eps * max(theta_max, 0.0)
-        eta_min = float(c[null] @ c[null])
+        keep = theta > _NULL_RTOL * theta_max
+        eta_min = float(c[~keep] @ c[~keep])
         if eta < eta_min - 1e-12 * (1.0 + eta_min):
             raise InfeasibleGoalError(
                 f"contract goal eta={eta} below the reachable minimum {eta_min}",
                 min_eta=eta_min,
             )
-    _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
+        # The theta = 0 block keeps its residual; the rest must reach eta - eta_min.
+        u, theta, c, eta = u[:, keep], theta[keep], c[keep], max(eta - eta_min, 0.0)
 
     # Work in mu = lam * theta_max, so the pole sits at mu = 1 whatever W's scale.
     th = theta / theta_max
@@ -263,13 +270,12 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
         return float(g.sum()), 2.0 * float((g * th * s).sum())
 
     if sense == "contract":
-        if eta <= eta_min:
+        if eta == 0.0:
             # Exact attainment: the multiplier diverges, so take the limit.
-            lam_r = np.where(null, 0.0, -c / np.where(null, 1.0, theta))
-            return _adjoint_selection(W, z, O, u, theta, -np.inf, lam_r)
-        # f(mu) - eta_min <= sum (c_i / (mu th_i))^2 brackets the root from below.
-        spread = float(np.sum((c[~null] / th[~null]) ** 2))
-        mu = _solve_secular(secular, -np.sqrt(spread / (eta - eta_min)), 0.0, eta)
+            return _adjoint_selection(W, z, O, u, theta, -np.inf, -c / theta)
+        # f(mu) <= sum (c_i / (mu th_i))^2 brackets the root from below.
+        spread = float(np.sum((c / th) ** 2))
+        mu = _solve_secular(secular, -np.sqrt(spread / eta), 0.0, eta)
     else:
         hi = 1.0 - 1e-9
         if secular(hi)[0] >= eta:
@@ -303,18 +309,10 @@ def select_repulsion_state(W: GramianBundle, z, eta: float) -> StateSelection:
 
     The quadratic goal with ``O = I`` and ``d = z``: ``c = 0``, so the
     displacement is the leading eigenvector of the Gramian scaled to squared
-    length ``eta``, and the energy is ``eta`` over the top eigenvalue.
+    length ``eta``, and the energy is ``eta`` over the top eigenvalue. Only
+    that eigenvector must be reachable, so a singular Gramian is fine.
     """
-    z = as_vector(z, n=W.n, name="z")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
-    if eta == 0.0:
-        return _corner(z)
-    if not W.is_positive_definite():
-        raise RequiresControllabilityError(
-            "repulsion state selection requires a positive definite Gramian"
-        )
-    return _solve_quadratic(W, z, np.eye(W.n), z, eta, "expand")
+    return solve_qcls(W, z, np.eye(W.n), z, eta)
 
 
 def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> StateSelection:
@@ -332,10 +330,6 @@ def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> 
         raise InvalidInputError("eta must be nonnegative")
     if sense not in ("expand", "contract"):
         raise InvalidInputError("sense must be 'expand' or 'contract'")
-    if not W.is_positive_definite():
-        raise RequiresControllabilityError(
-            "quadratically constrained selection requires a positive definite Gramian"
-        )
     return _solve_quadratic(W, z, O, d, eta, sense)
 
 

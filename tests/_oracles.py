@@ -55,6 +55,37 @@ def sphere_grid_min_energy(w_mat, z, center, radius_sq, samples=10_000):
     return best
 
 
+def range_qcls_grid(g, z, o, d, eta, samples=20_000):
+    """Least-energy state on ``||O x - d||^2 = eta`` among ``x = z + G y``.
+
+    ``G`` has one or two linearly independent columns, and ``W = G G^T``, so
+    reaching ``z + G y`` costs ``||y||^2``. On each ray ``y = t w`` of a grid
+    of unit directions the constraint is a quadratic in ``t``, and its root of
+    least magnitude is the cheapest point on that ray. Returns
+    ``(energy, x)``, or ``(inf, None)`` when no ray meets the constraint.
+    """
+    if g.shape[1] == 1:
+        dirs = np.ones((1, 1))
+    elif g.shape[1] == 2:
+        angles = np.linspace(0.0, np.pi, samples, endpoint=False)
+        dirs = np.vstack([np.cos(angles), np.sin(angles)])
+    else:
+        raise ValueError("oracle supports one or two columns only")
+    a = o @ z - d
+    m = o @ g @ dirs
+    qa = np.einsum("ij,ij->j", m, m)
+    qb = 2.0 * (a @ m)
+    disc = qb * qb - 4.0 * qa * (float(a @ a) - eta)
+    hit = disc >= 0.0
+    if not np.any(hit):
+        return np.inf, None
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    lo, hi = (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)
+    t = np.where(np.abs(lo) < np.abs(hi), lo, hi)
+    k = int(np.argmin(np.where(hit, t * t, np.inf)))
+    return float(t[k] ** 2), z + g @ (t[k] * dirs[:, k])
+
+
 def variance_grid_min_energy(w_mat, z, eta, samples=4_000):
     """Dense search over states with fixed sample variance (n = 2 or 3).
 

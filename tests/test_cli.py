@@ -487,3 +487,29 @@ def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkey
     if command == "simulate":
         summary = json.loads((out / "simulate.json").read_text())
         assert summary["endpoint_error"] <= 1e-8 * (1 + np.linalg.norm(summary["endpoint"]))
+
+
+@pytest.mark.parametrize("d", ["1,2,3", "0"])
+@pytest.mark.parametrize("command", [
+    ["select-state"], ["place", "--method", "gpgm", "--starts", "1"],
+    ["simulate", "--method", "gpgm", "--starts", "1"], ["compare", "--starts", "1"],
+])
+def test_repulsion_target_of_the_wrong_length_is_an_input_error(tmp_path, karate_path,
+                                                                 command, d):
+    # A short d once broadcast against z: "1,2,3" crashed in the binding test
+    # and a one-entry d made every goal look met (energy 0, 0 iterations).
+    assert _error(tmp_path, "d", *command, "--input", karate_path, "--m", "2",
+                  "--goal", "repulsion", "--d", d, "--eta", "0.001", "--x0", "random",
+                  "--t-star", "3") == "InvalidInputError"
+
+
+def test_gpgm_repulsion_runs_on_few_input_gramians(tmp_path, karate_path):
+    # Two inputs on 34 nodes give a numerically singular W (lam_min ~ -4e-16
+    # against lam_max ~ 4.4); the repulsion goal must place on it all the same.
+    d = np.round(np.random.default_rng(0).standard_normal(34), 3)
+    out = _run(tmp_path, "rep", "place", "--input", karate_path, "--mode", "laplacian",
+               "--method", "gpgm", "--goal", "repulsion", "--d=" + ",".join(map(str, d)),
+               "--eta", "60", "--x0", "random", "--t-star", "3", "--m", "2")
+    payload = json.loads((out / "placement.json").read_text())
+    assert payload["converged"]
+    assert 0.0 < payload["energy"] == min(payload["trace"])

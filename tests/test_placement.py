@@ -169,12 +169,29 @@ class TestGpgm:
         ]
         assert result.energy <= np.median(ram) / 20.0
 
+    def test_karate_repulsion_from_the_endpoint_reaches_the_provable_optimum(self, karate):
+        # Repulsion from z = 0 costs eta / lam_max(W(B)). In the Laplacian
+        # eigenbasis Schur's inequality caps lam_max(W(B)) at
+        # (m + eps) max_i K_ii = (m + eps) t*, the zero mode's weight, and
+        # columns along 1 attain it. Every two-input W(B) here is singular.
+        t_star, m = 3.0, 2
+        evaluator = fc.GramianEvaluator(karate["system"], t_star)
+        goal = fc.RepulsionGoal(d=np.zeros(34), eta=2.0)
+        cfg = fc.GpgmConfig(sigma=0.1, max_iters=200, seed=0)
+        result = fc.gpgm(evaluator, np.zeros(34), goal, m, config=cfg)
+        optimum = goal.eta / ((m + cfg.epsilon) * t_star)
+        assert optimum * (1.0 - 1e-9) <= result.energy <= optimum * (1.0 + 1e-6)
+        along_ones = np.full((34, m), np.sqrt((m + cfg.epsilon) / (34 * m)))
+        attained = fc.select_state(evaluator.bundle(along_ones), np.zeros(34), goal).energy
+        assert attained == pytest.approx(optimum, rel=1e-9)
+
     def test_one_eigh_and_no_eigvalsh_per_candidate(self, karate, monkeypatch):
         # The evaluator's eigenbasis bundles are not re-validated, and the
         # selectors' uncontrollability test reads no eigenvalues of W, so a
-        # candidate's one spectral call is the selector's eigh(D W D).
+        # candidate's one spectral call is the selector's eigh(O W O^T). The
+        # repulsion goal runs on the same singular two-input Gramians.
         evaluator = fc.GramianEvaluator(karate["system"], 3.0)
-        calls = {"bundle": 0, "eigh": 0, "eigvalsh": 0}
+        calls = {}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -186,11 +203,13 @@ class TestGpgm:
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
         cfg = fc.GpgmConfig(sigma=0.1, max_iters=20, seed=0)
-        result = fc.gpgm(evaluator, np.zeros(34), fc.VarianceGoal(1.0), 2, config=cfg)
-        assert 1 <= result.iterations <= 20
-        assert calls["bundle"] >= result.iterations + 1
-        assert calls["eigh"] == calls["bundle"]
-        assert calls["eigvalsh"] == 0
+        for goal in (fc.VarianceGoal(1.0), fc.RepulsionGoal(d=np.zeros(34), eta=2.0)):
+            calls.update(bundle=0, eigh=0, eigvalsh=0)
+            result = fc.gpgm(evaluator, np.zeros(34), goal, 2, config=cfg)
+            assert 1 <= result.iterations <= 20
+            assert calls["bundle"] >= result.iterations + 1
+            assert calls["eigh"] == calls["bundle"]
+            assert calls["eigvalsh"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ring_chords_reaches_the_bound_in_few_iterations(self, seed):

@@ -1,9 +1,12 @@
 """Source invariants and the README's runnable examples."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from fluxcontrol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fluxcontrol"
@@ -55,3 +58,21 @@ def test_readme_quick_start_reaches_selection():
     traj, sel = scope["traj"], scope["sel"]
     assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-6 * (1 + np.linalg.norm(sel.x_star))
     assert abs(traj.total_energy - sel.energy) <= 1e-6 * sel.energy
+
+
+def test_readme_cli_commands_exit_zero(tmp_path):
+    # Each `fluxcontrol ...` line of the README's CLI block, run in process
+    # with $KARATE resolved and every --out under tmp_path.
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```bash\n(.*?)```", readme.split("## CLI", 1)[1], re.S).group(1)
+    karate = str(SRC / "data" / "karate_club.edges")
+    commands = [
+        shlex.split(cmd.replace("$KARATE", karate))
+        for cmd in block.replace("\\\n", " ").splitlines()
+        if cmd.startswith("fluxcontrol ")
+    ]
+    assert len(commands) == 5
+    for argv in commands:
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert main(argv[1:]) == 0, argv

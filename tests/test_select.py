@@ -3,17 +3,13 @@ import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
-from fluxcontrol.errors import (
-    GoalUncontrollableError,
-    InfeasibleGoalError,
-    InvalidInputError,
-    RequiresControllabilityError,
-)
+from fluxcontrol.errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
 
 from _oracles import (
     kkt_mean_oracle,
     mean_zero_basis,
     random_stable_system,
+    range_qcls_grid,
     scalar_min_energy,
     sphere_grid_min_energy,
     variance_grid_min_energy,
@@ -22,6 +18,19 @@ from _oracles import (
 
 def _bundle_from(w_mat, t_star=1.0):
     return fc.GramianBundle.from_matrix(np.asarray(w_mat, dtype=float), t_star)
+
+
+def _low_rank_factors(rng):
+    """``diag(1, 0)``'s factor, then random n x r factors, n = 2-4 and r < n."""
+    yield np.array([[1.0], [0.0]])
+    for n in (2, 3, 3, 4, 4):
+        yield rng.standard_normal((n, int(rng.integers(1, min(n, 3)))))
+
+
+def _assert_in_range(g, dx):
+    # x* - z must lie in range(W) = range(G).
+    q, _ = np.linalg.qr(g)
+    assert np.linalg.norm(dx - q @ (q.T @ dx)) <= 1e-9 * (1.0 + np.linalg.norm(dx))
 
 
 def _random_pd_bundle(rng, n, t_star=1.0):
@@ -170,10 +179,22 @@ class TestSelectRepulsionState:
                 energy = float((x - z) @ w_inv @ (x - z))
                 assert energy >= sel.energy - 1e-8
 
-    def test_singular_gramian_raises(self):
-        w = _bundle_from(np.diag([1.0, 0.0]))
-        with pytest.raises(RequiresControllabilityError):
-            fc.select_repulsion_state(w, np.zeros(2), 1.0)
+    def test_singular_gramian_matches_range_oracle(self, rng):
+        # A singular W = G G^T reaches only z + range(G): the selection is the
+        # cheapest point of the sphere there, energy eta / lam_max. diag(1, 0)
+        # moves only the first coordinate.
+        sel = fc.select_repulsion_state(_bundle_from(np.diag([1.0, 0.0])), np.zeros(2), 1.0)
+        npt.assert_allclose(np.abs(sel.x_star), [1.0, 0.0], atol=1e-12)
+        assert sel.energy == pytest.approx(1.0, rel=1e-12)
+        for g in _low_rank_factors(rng):
+            n = g.shape[0]
+            z = rng.standard_normal(n)
+            eta = float(rng.uniform(0.5, 3.0))
+            sel = fc.select_repulsion_state(_bundle_from(g @ g.T), z, eta)
+            energy, _ = range_qcls_grid(g, z, np.eye(n), z, eta)
+            assert sel.energy == pytest.approx(energy, rel=1e-6)
+            assert float((sel.x_star - z) @ (sel.x_star - z)) == pytest.approx(eta, rel=1e-10)
+            _assert_in_range(g, sel.x_star - z)
 
     def test_multiplier_is_inverse_top_eigenvalue(self, rng):
         bundle, _ = _random_pd_bundle(rng, 3)
@@ -268,6 +289,40 @@ class TestSolveQcls:
             fc.solve_qcls(bundle, z, o, d, 0.5, sense="contract")
         assert exc.value.min_eta == pytest.approx(1.0, rel=1e-10)
 
+    def test_contract_on_singular_karate_gramians_is_steerable_or_typed(self, karate):
+        # One to four random inputs leave W numerically singular. Eigenvalues
+        # below sqrt(eps) lam_max form the theta = 0 block; a cut at
+        # n eps lam_max let roundoff-sized ones count as reachable, and their
+        # selections (energies up to 1e13) were not reached by steering.
+        system = karate["system"]
+        evaluator = fc.GramianEvaluator(system, 3.0)
+        n = system.n
+        returned = old_cut_returned = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            schematic = fc.ram_baseline(n, int(rng.integers(1, 5)), seed=seed)
+            x0, d = rng.standard_normal(n), rng.standard_normal(n)
+            z = evaluator.propagate(x0)
+            eta = float(rng.uniform(0.2, 0.95)) * float((z - d) @ (z - d))
+            bundle = evaluator.bundle(schematic.B)
+            try:
+                sel = fc.solve_qcls(bundle, z, np.eye(n), d, eta, sense="contract")
+            except InfeasibleGoalError as exc:
+                assert exc.min_eta > eta
+                theta, u = np.linalg.eigh(0.5 * (bundle.W + bundle.W.T))
+                c = u.T @ (z - d)
+                old_null = theta <= n * np.finfo(float).eps * theta[-1]
+                old_cut_returned += float(c[old_null] @ c[old_null]) < eta
+                continue
+            returned += 1
+            u_fn = fc.min_energy_controller(evaluator, schematic, sel.p, 2000)
+            traj = fc.simulate(system, schematic, u_fn, x0, 3.0, 2000)
+            miss = np.linalg.norm(traj.endpoint - sel.x_star)
+            assert miss <= 1e-5 * (1.0 + np.linalg.norm(sel.x_star - z))
+            r = sel.x_star - d
+            assert float(r @ r) == pytest.approx(eta, rel=1e-9)
+        assert returned >= 3 and old_cut_returned >= 3
+
     def test_non_binding_returns_corner(self):
         bundle = _bundle_from(np.eye(2))
         z = np.array([2.0, 0.0])
@@ -275,10 +330,30 @@ class TestSolveQcls:
         npt.assert_array_equal(sel.x_star, z)
         assert not sel.binding
 
-    def test_singular_gramian_rejected(self):
-        bundle = _bundle_from(np.diag([1.0, 0.0]))
-        with pytest.raises(RequiresControllabilityError):
-            fc.solve_qcls(bundle, np.zeros(2), np.eye(2), np.ones(2), 1.0)
+    def test_singular_gramian_matches_range_oracle(self, rng):
+        # On W = G G^T both senses select over z + range(G); a contract target
+        # below min_y ||O (z + G y) - d||^2 is infeasible and reports that floor.
+        for g in _low_rank_factors(rng):
+            n = g.shape[0]
+            z = np.zeros(n)
+            o, d = (np.eye(2), np.ones(2)) if n == 2 else (
+                rng.standard_normal((n, n)), rng.standard_normal(n))
+            a = o @ z - d
+            og = o @ g
+            floor = float(np.sum((a - og @ np.linalg.lstsq(og, a, rcond=None)[0]) ** 2))
+            f0 = float(a @ a)
+            bundle = _bundle_from(g @ g.T)
+            for sense, eta in (("expand", f0 + 2.0), ("contract", 0.5 * (floor + f0))):
+                sel = fc.solve_qcls(bundle, z, o, d, eta, sense=sense)
+                energy, _ = range_qcls_grid(g, z, o, d, eta)
+                assert sel.energy == pytest.approx(energy, rel=1e-6)
+                r = o @ sel.x_star - d
+                assert float(r @ r) == pytest.approx(eta, rel=1e-9)
+                _assert_in_range(g, sel.x_star - z)
+            assert range_qcls_grid(g, z, o, d, 0.5 * floor)[0] == np.inf
+            with pytest.raises(InfeasibleGoalError) as exc:
+                fc.solve_qcls(bundle, z, o, d, 0.5 * floor, sense="contract")
+            assert exc.value.min_eta == pytest.approx(floor, rel=1e-9)
 
 
 class TestSelectVarianceState:

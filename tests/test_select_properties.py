@@ -21,10 +21,17 @@ def _centered(x):
     return x - x.mean()
 
 
-def _problem(kind, rng, n):
+def _reach_floor(og, a):
+    """``min_y ||a + O G y||^2``: the least QCLS statistic a Gramian ``G G^T`` reaches."""
+    return float(np.sum((a - og @ np.linalg.lstsq(og, a, rcond=None)[0]) ** 2))
+
+
+def _problem(kind, rng, n, g=None):
     """``(z, select(bundle, eta), statistic(x), (eta_lo, eta_hi), energy_rises)``.
 
-    ``statistic(x)`` equals ``eta`` when the goal holds with equality.
+    ``statistic(x)`` equals ``eta`` when the goal holds with equality. With
+    the factor ``g`` of a low-rank ``W = g g^T``, contract targets sit above
+    the least statistic that ``z + range(g)`` reaches.
     """
     z = rng.standard_normal(n)
     o = rng.standard_normal((n, n))
@@ -50,8 +57,9 @@ def _problem(kind, rng, n):
         return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "expand"),
                 qcls_stat, (f0 + 0.5, f0 + 2.0), True)
     if kind == "contract":
+        floor = 0.0 if g is None else _reach_floor(o @ g, o @ z - d)
         return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "contract"),
-                qcls_stat, (0.3 * f0, 0.6 * f0), False)
+                qcls_stat, (floor + 0.3 * (f0 - floor), floor + 0.6 * (f0 - floor)), False)
     if kind == "repulsion":
         return (z, lambda b, eta: fc.select_repulsion_state(b, z, eta),
                 lambda x: float((x - z) @ (x - z)), (0.5, 2.0), True)
@@ -106,6 +114,69 @@ def test_adjoint_properties_on_pd_gramians(kind, seed, n, scale):
     lo, _ = _check_monotone_and_scaling(w_mat, select, etas, rises, scale, z, statistic, kind)
     if kind == "limit":
         assert lo.multiplier == -np.inf
+
+
+LOW_RANK_KINDS = ["expand", "contract", "repulsion"]
+
+
+def _low_rank_factor(rng, n):
+    """An n x r factor with 1 <= r < n, so ``g g^T`` is singular."""
+    return rng.standard_normal((n, int(rng.integers(1, n))))
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(LOW_RANK_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    scale=st.floats(0.1, 10.0),
+)
+def test_adjoint_properties_on_low_rank_gramians(kind, seed, n, scale):
+    # W = G G^T with rank r < n: x* - z must come out as W p in range(G), and
+    # a contract goal reaches down to the floor of z + range(G).
+    rng = np.random.default_rng(seed)
+    g = _low_rank_factor(rng, n)
+    z, select, statistic, etas, rises = _problem(kind, rng, n, g=g)
+    _check_monotone_and_scaling(g @ g.T, select, etas, rises, scale, z, statistic, kind)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), frac=st.floats(0.0, 0.99))
+def test_infeasible_contract_on_low_rank_gramian_reports_floor(seed, n, frac):
+    # The theta = 0 block of O W O^T keeps its residual, so no contract goal
+    # gets below sum_{theta_i = 0} c_i^2, the least-squares floor over range(G).
+    rng = np.random.default_rng(seed)
+    g = _low_rank_factor(rng, n)
+    z, o, d = rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal(n)
+    floor = _reach_floor(o @ g, o @ z - d)
+    with pytest.raises(fc.errors.InfeasibleGoalError) as exc:
+        fc.solve_qcls(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z, o, d, frac * floor,
+                      "contract")
+    assert exc.value.min_eta == pytest.approx(floor, rel=1e-8)
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(LOW_RANK_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+)
+def test_goal_outside_range_is_uncontrollable(kind, seed, n):
+    # O G = 0 makes O W O^T = 0 (repulsion has O = I, so there W = 0): no
+    # input moves the statistic, whichever side of eta the endpoint starts.
+    rng = np.random.default_rng(seed)
+    g = _low_rank_factor(rng, n) if kind != "repulsion" else np.zeros((n, 1))
+    q, _ = np.linalg.qr(g)
+    o = rng.standard_normal((n, n)) @ (np.eye(n) - q @ q.T)
+    z, d = rng.standard_normal(n), rng.standard_normal(n)
+    f0 = float((o @ z - d) @ (o @ z - d))
+    bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
+    with pytest.raises(fc.errors.GoalUncontrollableError):
+        if kind == "repulsion":
+            fc.select_repulsion_state(bundle, z, 1.0)
+        else:
+            eta = f0 + 1.0 if kind == "expand" else 0.5 * f0
+            fc.solve_qcls(bundle, z, o, d, eta, kind)
 
 
 @pytest.fixture(scope="module")
