@@ -496,8 +496,8 @@ def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkey
 ])
 def test_repulsion_target_of_the_wrong_length_is_an_input_error(tmp_path, karate_path,
                                                                  command, d):
-    # A short d once broadcast against z: "1,2,3" crashed in the binding test
-    # and a one-entry d made every goal look met (energy 0, 0 iterations).
+    # d must not broadcast against z: "1,2,3" would crash the binding test
+    # untyped, and a one-entry d would make the goal look met (energy 0).
     assert _error(tmp_path, "d", *command, "--input", karate_path, "--m", "2",
                   "--goal", "repulsion", "--d", d, "--eta", "0.001", "--x0", "random",
                   "--t-star", "3") == "InvalidInputError"
