@@ -292,8 +292,8 @@ class TestSolveQcls:
     def test_contract_on_singular_karate_gramians_is_steerable_or_typed(self, karate):
         # One to four random inputs leave W numerically singular. Eigenvalues
         # below sqrt(eps) lam_max form the theta = 0 block; a cut at
-        # n eps lam_max let roundoff-sized ones count as reachable, and their
-        # selections (energies up to 1e13) were not reached by steering.
+        # n eps lam_max would count roundoff-sized ones as reachable and
+        # return selections (energies up to 1e12) that steering misses.
         system = karate["system"]
         evaluator = fc.GramianEvaluator(system, 3.0)
         n = system.n
