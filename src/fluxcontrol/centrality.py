@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_vector
+from ._util import as_vector, write_csv_rows
 from .errors import InvalidInputError
 from .gramian import flux_matrix
 from .linsys import LinearSystem
@@ -30,10 +30,9 @@ class FluxProfile:
         if len(labels) != self.n:
             raise InvalidInputError("label count must match node count")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_star", *labels])
-            for t, row in zip(self.horizons, self.phi):
-                writer.writerow([f"{t:.17g}", *(f"{x:.17g}" for x in row)])
+            # Labels may need quoting; the rows are plain numbers.
+            csv.writer(fh).writerow(["t_star", *labels])
+            write_csv_rows(fh, np.column_stack([self.horizons, self.phi]))
 
 
 def flux_centrality(system: LinearSystem, t_star: float) -> np.ndarray:

@@ -7,6 +7,7 @@ solver failures exit nonzero after writing a structured error.json.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -50,7 +51,10 @@ def _comma_floats(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its subcommand parsers, built once per process. Every
+    parse shares their defaults, so each default must be immutable."""
     parser = argparse.ArgumentParser(
         prog="fluxcontrol",
         description="Minimum-energy control of network state distributions",
@@ -64,7 +68,7 @@ def _build_parser():
                         help="how to turn the input file into a dynamics matrix")
     common.add_argument("--undirected", action=argparse.BooleanOptionalAction,
                         default=True, help="mirror edge-list entries")
-    common.add_argument("--t-star", type=_comma_floats, default=[1.0],
+    common.add_argument("--t-star", type=_comma_floats, default=(1.0,),
                         help="horizon(s), comma separated")
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--config", help="JSON file whose keys override flags")
@@ -91,35 +95,29 @@ def _build_parser():
     gpgm_args.add_argument("--seed", type=int, default=0, help="base RNG seed")
     gpgm_args.add_argument("--starts", type=int, default=5, help="multistart count")
 
-    p = sub.add_parser("gramian", parents=[common, sched],
-                       help="reachability Gramian of the system and schematic")
-    p.set_defaults(func=_cmd_gramian)
+    sub.add_parser("gramian", parents=[common, sched],
+                   help="reachability Gramian of the system and schematic")
 
     p = sub.add_parser("flux", parents=[common],
                        help="flux centrality sweep over horizons")
     p.add_argument("--hist", action="store_true",
                    help="also emit a Freedman-Diaconis histogram per horizon")
-    p.set_defaults(func=_cmd_flux)
 
-    p = sub.add_parser("select-state", parents=[common, sched, goal],
-                       help="minimum-energy terminal state for a goal")
-    p.set_defaults(func=_cmd_select_state)
+    sub.add_parser("select-state", parents=[common, sched, goal],
+                   help="minimum-energy terminal state for a goal")
 
     p = sub.add_parser("place", parents=[common, sched, goal, gpgm_args],
                        help="optimize the input schematic")
     p.add_argument("--method", choices=_METHODS, default="flux")
-    p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser("simulate", parents=[common, sched, goal, gpgm_args],
                        help="simulate the minimum-energy controlled trajectory")
     p.add_argument("--method", choices=_METHODS)
     p.add_argument("--steps", type=int, default=2000)
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", parents=[common, sched, goal, gpgm_args],
                        help="optimized placement against a random-allocation ensemble")
     p.add_argument("--seeds", type=int, default=20, help="random-allocation ensemble size")
-    p.set_defaults(func=_cmd_compare)
     return parser, sub.choices
 
 
@@ -155,17 +153,6 @@ def _config_value(key, value, action):
     if action.choices is not None and value not in action.choices:
         raise InvalidInputError(f"config key {key!r} must be one of {list(action.choices)}")
     return value
-
-
-def _config_dict(args):
-    skip = {"func", "command", "config"}
-    cfg = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        cfg[key] = value
-    cfg["command"] = args.command
-    return cfg
 
 
 def _build_system(args):
@@ -433,8 +420,9 @@ def main(argv=None) -> int:
         args = _apply_config_file(args, commands[args.command])
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        args.func(args, outdir)
-        _write_manifest(outdir, _config_dict(args))
+        # Looked up per call, so the handler is the one the module holds now.
+        globals()["_cmd_" + args.command.replace("-", "_")](args, outdir)
+        _write_manifest(outdir, {k: v for k, v in vars(args).items() if k != "config"})
     except (FluxControlError, OSError, json.JSONDecodeError) as exc:
         _write_error(outdir, exc)
         print(f"error: {exc}", file=sys.stderr)

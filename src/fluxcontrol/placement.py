@@ -59,8 +59,8 @@ class GpgmConfig:
 
     def __post_init__(self):
         for name in ("sigma", "delta_star", "epsilon"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise InvalidInputError("max_iters must be at least 1")
 

@@ -50,6 +50,14 @@ _DEGENERACY_RTOL = 1e-10
 _NULL_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
+def _threshold(eta) -> float:
+    """A quadratic goal's threshold ``eta`` as a float; it must be finite and nonnegative."""
+    eta = float(eta)
+    if not 0.0 <= eta < np.inf:
+        raise InvalidInputError("eta must be finite and nonnegative")
+    return eta
+
+
 @dataclass(frozen=True)
 class LinearGoal:
     """Require the observer value ``v^T x`` to reach at least ``c``."""
@@ -63,6 +71,8 @@ class LinearGoal:
             raise InvalidInputError("linear goal weighting must be nonzero")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", float(self.c))
+        if not np.isfinite(self.c):
+            raise InvalidInputError("linear goal threshold c must be finite")
 
 
 @dataclass(frozen=True)
@@ -82,9 +92,7 @@ class RepulsionGoal:
     def __post_init__(self):
         d = as_vector(self.d, name="d")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "eta", float(self.eta))
-        if self.eta < 0:
-            raise InvalidInputError("eta must be nonnegative")
+        object.__setattr__(self, "eta", _threshold(self.eta))
         if self.sense not in ("expand", "contract"):
             raise InvalidInputError("sense must be 'expand' or 'contract'")
         if self.O is not None:
@@ -99,9 +107,7 @@ class VarianceGoal:
     eta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", float(self.eta))
-        if self.eta < 0:
-            raise InvalidInputError("eta must be nonnegative")
+        object.__setattr__(self, "eta", _threshold(self.eta))
 
 
 def mean_goal(n: int, eta: float) -> LinearGoal:
@@ -326,8 +332,7 @@ def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> 
     n = W.n
     O = as_matrix(O, shape=(n, n), name="O")
     d = as_vector(d, n=n, name="d")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
+    eta = _threshold(eta)
     if sense not in ("expand", "contract"):
         raise InvalidInputError("sense must be 'expand' or 'contract'")
     return _solve_quadratic(W, z, O, d, eta, sense)
@@ -344,8 +349,7 @@ def select_variance_state(W: GramianBundle, z, eta: float) -> StateSelection:
     if n < 2:
         raise InvalidInputError("variance is undefined for a single node")
     z = as_vector(z, n=n, name="z")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
+    eta = _threshold(eta)
     return _solve_quadratic(W, z, centering_matrix(n), np.zeros(n), eta, "expand")
 
 
@@ -360,8 +364,7 @@ def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
     if n < 2:
         raise InvalidInputError("variance is undefined for a single node")
     z = as_vector(z, n=n, name="z")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
+    eta = _threshold(eta)
     d_mat = centering_matrix(n)
     theta_max = float(np.linalg.eigvalsh(d_mat @ W.W @ d_mat)[-1])
     _require_movable(
@@ -391,8 +394,7 @@ def single_input_scales(b, d, eta: float):
     """
     b = as_vector(b, name="b")
     d = as_vector(d, n=b.shape[0], name="d")
-    if eta < 0:
-        raise InvalidInputError("eta must be nonnegative")
+    eta = _threshold(eta)
     c = float(b @ b)
     if c <= 0.0:
         raise InvalidInputError("input column must be nonzero")

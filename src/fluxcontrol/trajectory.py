@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_vector
+from ._util import as_vector, write_csv_rows
 from .errors import DivergenceError, InvalidInputError
 from .gramian import GramianEvaluator
 from .linsys import InputSchematic, LinearSystem
@@ -35,12 +35,9 @@ class Trajectory:
         header = ["t", *(f"x_{i + 1}" for i in range(n)),
                   *(f"u_{j + 1}" for j in range(m)), "E_cum"]
         data = np.column_stack([self.times, self.states, self.inputs, self.cumulative_energy])
-        # Rows end in "\r\n" as csv.writer's do; one row at a time keeps memory flat.
-        row = ",".join(["%.17g"] * data.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            for r in data:
-                fh.write(row % tuple(r.tolist()))
+            write_csv_rows(fh, data)
 
 
 def min_energy_controller(evaluator: GramianEvaluator, schematic: InputSchematic, p, steps: int):

@@ -513,3 +513,82 @@ def test_gpgm_repulsion_runs_on_few_input_gramians(tmp_path, karate_path):
     payload = json.loads((out / "placement.json").read_text())
     assert payload["converged"]
     assert 0.0 < payload["energy"] == min(payload["trace"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["select-state", "--goal", "variance", "--eta", "nan"],
+    ["select-state", "--goal", "variance", "--eta", "inf"],
+    ["select-state", "--goal", "mean", "--eta", "inf"],
+    ["select-state", "--goal", "repulsion", "--d", ",".join(["0"] * 34), "--eta", "inf"],
+    ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--epsilon", "inf"],
+    ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--sigma", "inf"],
+    ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--delta-star", "nan"],
+], ids=["variance-nan", "variance-inf", "mean-inf", "repulsion-inf", "epsilon-inf",
+        "sigma-inf", "delta-star-nan"])
+def test_non_finite_thresholds_are_input_errors(tmp_path, karate_path, argv):
+    # NaN passed the sign checks (a non-binding corner, exit 0), and inf reached
+    # the solvers: NaN x_star, "energy": Infinity, or a Gramian overflow after
+    # a RuntimeWarning.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _error(tmp_path, "nf", *argv, "--input", karate_path,
+                      "--t-star", "3") == "InvalidInputError"
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "nf" / "manifest.json").exists()
+
+
+def test_repeated_calls_build_the_parser_once(tmp_path, path_graph):
+    import fluxcontrol.cli as cli
+
+    cli._build_parser.cache_clear()
+    _run(tmp_path, "a", "flux", "--input", path_graph)
+    _run(tmp_path, "b", "gramian", "--input", path_graph)
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_config_override_leaves_the_next_calls_default(tmp_path, path_graph):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"t-star": [2.5]}))
+    first = _run(tmp_path, "a", "gramian", "--input", path_graph, "--config", str(cfg))
+    second = _run(tmp_path, "b", "gramian", "--input", path_graph)
+    assert json.loads((first / "gramian.json").read_text())["t_star"] == 2.5
+    assert json.loads((second / "manifest.json").read_text())["config"]["t_star"] == [1.0]
+    assert json.loads((second / "gramian.json").read_text())["t_star"] == 1.0
+    import fluxcontrol.cli as cli
+
+    assert cli._build_parser()[1]["gramian"].get_default("t_star") == (1.0,)
+
+
+def test_handler_patched_after_a_call_is_the_one_that_runs(tmp_path, path_graph,
+                                                           monkeypatch):
+    import fluxcontrol.cli as cli
+
+    _run(tmp_path, "a", "flux", "--input", path_graph)
+    ran = []
+    monkeypatch.setattr(cli, "_cmd_flux", lambda args, outdir: ran.append(args.command))
+    _run(tmp_path, "b", "flux", "--input", path_graph)
+    assert ran == ["flux"]
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path, karate_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(fc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "fluxcontrol.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert run("--version").strip() == f"fluxcontrol {fc.__version__}"
+    listing = run("--help")
+    for command in ("gramian", "flux", "select-state", "place", "simulate", "compare"):
+        assert command in listing
+    run("gramian", "--input", karate_path, "--t-star", "3", "--out", str(tmp_path / "g"))
+    assert json.loads((tmp_path / "g" / "gramian.json").read_text())["n"] == 34

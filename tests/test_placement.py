@@ -258,6 +258,15 @@ class TestGpgm:
         assert result.energy_trace[-1] <= result.energy_trace[0]
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", ["sigma", "delta_star", "epsilon"])
+def test_gpgm_config_needs_positive_finite_settings(name, value):
+    # nan > 0 is False, so NaN always failed; inf used to pass and surface
+    # later as a Gramian overflow after a RuntimeWarning.
+    with pytest.raises(InvalidInputError, match=name):
+        fc.GpgmConfig(**{name: value})
+
+
 class TestRamBaseline:
     def test_trace_normalization(self):
         schematic = fc.ram_baseline(34, 2, seed=0)

@@ -565,3 +565,33 @@ class TestSelectStateDispatch:
         a = fc.select_state(bundle, np.zeros(3), goal)
         b = fc.select_variance_state(bundle, np.zeros(3), 1.0)
         npt.assert_array_equal(a.x_star, b.x_star)
+
+
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteThresholds:
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("make", [
+        lambda v: fc.VarianceGoal(v),
+        lambda v: fc.RepulsionGoal(d=np.zeros(3), eta=v),
+        lambda v: fc.LinearGoal(np.ones(3), v),
+        lambda v: fc.mean_goal(3, v),
+    ], ids=["variance", "repulsion", "linear", "mean"])
+    def test_goals_reject(self, make, value):
+        # nan < 0 is False, so a sign check alone would let NaN through.
+        with pytest.raises(InvalidInputError):
+            make(value)
+
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    @pytest.mark.parametrize("solve", [
+        lambda w, z, v: fc.solve_qcls(w, z, np.eye(3), z, v),
+        lambda w, z, v: fc.solve_qcls(w, z, np.eye(3), z + 1.0, v, sense="contract"),
+        fc.select_repulsion_state,
+        fc.select_variance_state,
+        fc.variance_energy_bound,
+    ], ids=["qcls-expand", "qcls-contract", "repulsion", "variance", "variance-bound"])
+    def test_solvers_reject(self, rng, solve, value):
+        bundle, _ = _random_pd_bundle(rng, 3)
+        with pytest.raises(InvalidInputError):
+            solve(bundle, rng.standard_normal(3), value)
