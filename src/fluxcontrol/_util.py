@@ -27,7 +27,7 @@ def as_matrix(x, shape=None, name="matrix"):
 
 def write_csv_rows(fh, rows) -> None:
     """Write each row of a 2-D float array as ``%.17g`` fields, each line ending
-    in "\\r\\n" as csv.writer's do; one row at a time keeps memory flat."""
+    in CRLF as csv.writer's do; one row at a time keeps memory flat."""
     template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
     for r in rows:
         fh.write(template % tuple(r.tolist()))

@@ -590,7 +590,9 @@ class TestNonFiniteThresholds:
         fc.select_repulsion_state,
         fc.select_variance_state,
         fc.variance_energy_bound,
-    ], ids=["qcls-expand", "qcls-contract", "repulsion", "variance", "variance-bound"])
+        lambda w, z, v: fc.single_input_scales(np.ones(3), z, v),
+    ], ids=["qcls-expand", "qcls-contract", "repulsion", "variance", "variance-bound",
+            "single-input"])
     def test_solvers_reject(self, rng, solve, value):
         bundle, _ = _random_pd_bundle(rng, 3)
         with pytest.raises(InvalidInputError):
