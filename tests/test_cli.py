@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -547,6 +551,8 @@ def test_repeated_calls_build_the_parser_once(tmp_path, path_graph):
 
 
 def test_config_override_leaves_the_next_calls_default(tmp_path, path_graph):
+    import fluxcontrol.cli as cli
+
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t-star": [2.5]}))
     first = _run(tmp_path, "a", "gramian", "--input", path_graph, "--config", str(cfg))
@@ -554,8 +560,6 @@ def test_config_override_leaves_the_next_calls_default(tmp_path, path_graph):
     assert json.loads((first / "gramian.json").read_text())["t_star"] == 2.5
     assert json.loads((second / "manifest.json").read_text())["config"]["t_star"] == [1.0]
     assert json.loads((second / "gramian.json").read_text())["t_star"] == 1.0
-    import fluxcontrol.cli as cli
-
     assert cli._build_parser()[1]["gramian"].get_default("t_star") == (1.0,)
 
 
@@ -571,11 +575,6 @@ def test_handler_patched_after_a_call_is_the_one_that_runs(tmp_path, path_graph,
 
 
 def test_module_entry_point_runs_in_a_fresh_interpreter(tmp_path, karate_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
     src = str(Path(fc.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
