@@ -68,8 +68,13 @@ def centrality_histogram(values):
     A row whose spread is at roundoff relative to its magnitude (the uniform
     centrality of a vertex-transitive graph) is constant, and gets the one bin
     numpy gives constant data; Freedman-Diaconis would ask for bins narrower
-    than the float spacing there.
+    than the float spacing there. A row whose interquartile range alone is at
+    roundoff (the alike leaves of a star) gets Sturges' bins, where
+    Freedman-Diaconis would ask for quadrillions.
     """
     v = as_vector(values, name="values")
-    flat = np.ptp(v) <= 1e-12 * np.abs(v).max()
-    return np.histogram(v, bins=1 if flat else "fd")
+    roundoff = 1e-12 * np.abs(v).max()
+    if np.ptp(v) <= roundoff:
+        return np.histogram(v, bins=1)
+    iqr = np.subtract(*np.percentile(v, [75, 25]))
+    return np.histogram(v, bins="sturges" if iqr <= roundoff else "fd")

@@ -5,7 +5,8 @@ minimum-energy quadratic form; the flux matrix is the same integral for the
 transposed dynamics with a rank-one weighting ``v v^T`` and its top
 eigenvector is the optimal single-input placement for the observer ``v^T x``.
 Off the eigenbasis both come from one ``expm`` of a short base step, a
-truncated Taylor series of the integral over that step, and horizon doubling.
+truncated Taylor series of the integral over that step, and horizon doubling;
+the flux matrix's top eigenpair then comes from Lanczos.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, expm, hilbert
+from scipy.linalg import eigh_tridiagonal, expm, hilbert
 
 from ._util import as_vector, canonical_sign
 from .errors import InvalidInputError
@@ -94,7 +95,8 @@ class FluxMatrix:
     """Integrated outer product of the propagated observer weighting.
 
     ``Phi = int_0^T exp(tA^T) v v^T exp(tA) dt``; symmetric PSD with a strictly
-    positive top eigenvalue whenever v is nonzero.
+    positive top eigenvalue whenever v is nonzero. ``top_pair`` holds it and its
+    unit eigenvector, from Lanczos, with ``canonical_sign``'s sign.
     """
 
     Phi: np.ndarray
@@ -207,12 +209,39 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     if np.linalg.norm(vv) == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
     phi = _finite(_doubling_gramian(system.A.T, vv[:, None], float(t_star))[0], "flux matrix")
-    vals, vecs = eigh(phi, subset_by_index=[system.n - 1, system.n - 1])
-    lam = float(vals[0])
+    lam, top = _top_eigenpair(phi)
     if lam <= 0.0:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
-    top = canonical_sign(vecs[:, 0])
-    return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star), top_pair=(lam, top))
+    return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star), top_pair=(lam, canonical_sign(top)))
+
+
+def _top_eigenpair(phi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of a symmetric PSD matrix and a unit eigenvector, by Lanczos
+    with full reorthogonalization (two Gram-Schmidt passes) from a fixed seeded start,
+    on phi over its largest entry magnitude so tiny or huge entries stay normal floats.
+    Every fourth step, and at a breakdown, the top Ritz pair (theta, s) of the
+    tridiagonal T_k comes from bisection and inverse iteration, O(k); it stops once
+    beta_k |s_k| <= 4 eps theta, or at k = n, where it is exact."""
+    n = phi.shape[0]
+    scale = float(np.abs(phi).max()) or 1.0
+    a = phi / scale
+    q = np.empty((n, n))
+    alpha, beta = np.empty(n), np.empty(n)
+    r = np.random.default_rng(0).standard_normal(n)
+    r /= np.linalg.norm(r)
+    for k in range(n):
+        q[k] = r
+        w = a @ r
+        alpha[k] = r @ w
+        for _ in range(2):
+            w -= (q[: k + 1] @ w) @ q[: k + 1]
+        beta[k] = np.linalg.norm(w)
+        if k % 4 == 3 or k == n - 1 or beta[k] == 0.0:
+            theta, s = eigh_tridiagonal(alpha[: k + 1], beta[:k], select="i", select_range=(k, k))
+            if beta[k] * abs(s[k, 0]) <= 4 * np.finfo(float).eps * abs(theta[0]) or k == n - 1:
+                u = s[:, 0] @ q[: k + 1]
+                return float(theta[0]) * scale, u / np.linalg.norm(u)
+        r = w / beta[k]
 
 
 def kappa(bundle: GramianBundle, v) -> float:

@@ -99,6 +99,20 @@ def test_flux_histogram_on_a_vertex_transitive_graph(tmp_path):
         assert rows[:, 2].tolist() == [4.0]
 
 
+def test_flux_histogram_on_a_star(tmp_path):
+    # The 30 leaves are alike up to roundoff, so the interquartile range is at
+    # roundoff while the hub stands apart; Freedman-Diaconis would ask for
+    # about 1e16 bins there.
+    star = tmp_path / "star.edges"
+    star.write_text("".join(f"1 {k}\n" for k in range(2, 32)))
+    out = tmp_path / "starh"
+    assert main(["flux", "--input", str(star), "--mode", "adjacency", "--t-star", "0.5,1.5,5",
+                 "--hist", "--out", str(out)]) == 0
+    for idx in range(3):
+        rows = np.loadtxt(out / f"flux_hist_{idx}.csv", delimiter=",", ndmin=2)
+        assert rows[:, 2].tolist() == [30.0, 0.0, 0.0, 0.0, 0.0, 1.0]  # Sturges: 6 bins
+
+
 def test_gramian_outputs(tmp_path, path_graph):
     out = tmp_path / "gram"
     code = main([

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 import fluxcontrol as fc
 import fluxcontrol.gramian as gramian
@@ -70,6 +70,10 @@ class TestFluxMatrix:
         npt.assert_allclose(fm.Phi, np.ones((3, 3)), atol=1e-13)
         assert fm.lam_max == pytest.approx(3.0, rel=1e-12)
         npt.assert_allclose(fm.top_vector, np.full(3, 1.0 / np.sqrt(3.0)), rtol=1e-12)
+        # At t* = 1e-320 every entry of Phi = t* 1 1^T is subnormal; Lanczos on
+        # the unscaled matrix returns (-0.689, 0.724).
+        fm = fc.flux_matrix(fc.LinearSystem([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 1e-320)
+        npt.assert_allclose(fm.top_vector, np.full(2, np.sqrt(0.5)), rtol=1e-15)
 
     def test_diagonal_entrywise_integrals(self):
         system = fc.LinearSystem(np.diag([1.0, -1.0]))
@@ -522,3 +526,99 @@ class TestSeriesKernel:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
                 fc.GramianEvaluator(fc.LinearSystem(a), 1e200).matrix(np.eye(2))
+
+
+def _spectral(seed, lam):
+    """Symmetric matrix with eigenvalues ``lam`` in a seeded orthonormal basis, and the basis."""
+    n = len(lam)
+    v = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
+    phi = (v * np.asarray(lam, dtype=float)) @ v.T
+    return 0.5 * (phi + phi.T), v
+
+
+def _check_top_pair(phi, lam, u, rel=1e-14):
+    """Value against LAPACK's, unit norm and an eigen-residual at roundoff."""
+    ref = eigh(phi, eigvals_only=True)[-1]
+    assert abs(lam - ref) <= rel * ref
+    assert abs(np.linalg.norm(u) - 1.0) <= 1e-14
+    # Divided first: at 1e300 the squares inside the norm would overflow.
+    assert np.linalg.norm((phi @ u) / lam - u) <= 16 * np.finfo(float).eps
+
+
+class TestTopEigenpair:
+    """Lanczos top pair of a PSD matrix against LAPACK ``eigh``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data(),
+           decay=st.floats(0.0, 8.0))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_psd_matrices_match_lapack(self, seed, n, data, decay):
+        rank = data.draw(st.integers(1, n))
+        lam = np.random.default_rng(seed).uniform(0.5, 1.0, n) * np.exp(-decay * np.arange(n))
+        phi, _ = _spectral(seed, np.where(np.arange(n) < rank, lam, 0.0))
+        top, u = gramian._top_eigenpair(phi)
+        _check_top_pair(phi, top, u)
+        vals, vecs = eigh(phi)
+        if n == 1 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
+            assert abs(u @ vecs[:, -1]) >= 1.0 - 1e-12
+
+    def test_one_and_two_nodes(self):
+        lam, u = gramian._top_eigenpair(np.array([[3.0]]))
+        assert lam == 3.0 and abs(u[0]) == 1.0
+        lam, u = gramian._top_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert lam == pytest.approx(3.0, rel=1e-15)
+        npt.assert_allclose(np.abs(u), np.full(2, np.sqrt(0.5)), rtol=1e-15)
+        for phi in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
+            lam, u = gramian._top_eigenpair(phi)
+            assert lam == pytest.approx(1.0, rel=1e-15)
+            npt.assert_allclose(np.abs(u), np.diag(phi), atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 34, 200])
+    def test_rank_one_all_ones(self, n):
+        # Laplacian dynamics conserve the all-ones weighting: Phi = t* 1 1^T.
+        lam, u = gramian._top_eigenpair(np.full((n, n), 0.7))
+        _check_top_pair(np.full((n, n), 0.7), lam, u)
+        npt.assert_allclose(np.abs(u), np.full(n, 1.0 / np.sqrt(n)), rtol=1e-14)
+
+    def test_laplacian_flux_matrix_is_rank_one(self, karate):
+        fm = fc.flux_matrix(karate["system"], np.ones(34), 0.7)
+        assert fm.lam_max == pytest.approx(34 * 0.7, rel=1e-13)
+        npt.assert_allclose(fm.top_vector, np.full(34, 1.0 / np.sqrt(34)), rtol=1e-13)
+
+    @pytest.mark.parametrize("lam", [[2.0, 2.0, 1.0, 0.5, 0.1, 0.0], [1.0] * 5, [1.0, 1.0, 0.0]])
+    def test_exact_top_tie_lies_in_the_top_eigenspace(self, lam):
+        phi, v = _spectral(3, lam)
+        top, u = gramian._top_eigenpair(phi)
+        _check_top_pair(phi, top, u)
+        tied = v[:, np.asarray(lam) == lam[0]]
+        assert np.linalg.norm(tied.T @ u) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-10, 1e-14])
+    def test_near_tie_lies_in_the_top_pair_of_eigenspaces(self, gap):
+        phi, v = _spectral(4, [1.0, 1.0 - gap, 0.5, 0.3, 0.2, 0.1, 1e-3, 0.0])
+        top, u = gramian._top_eigenpair(phi)
+        _check_top_pair(phi, top, u)
+        assert np.linalg.norm(v[:, :2].T @ u) >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_extreme_scales(self, scale):
+        phi, _ = _spectral(5, np.exp(-np.arange(12.0)))
+        lam, u = gramian._top_eigenpair(phi)
+        lam_s, u_s = gramian._top_eigenpair(scale * phi)
+        assert lam_s == pytest.approx(scale * lam, rel=1e-14)
+        assert abs(u_s @ u) >= 1.0 - 1e-12
+        _check_top_pair(scale * phi, lam_s, u_s)
+
+    def test_flat_spectrum(self):
+        phi, v = _spectral(6, np.linspace(2.0, 1.0, 200))
+        lam, u = gramian._top_eigenpair(phi)
+        _check_top_pair(phi, lam, u)
+        assert abs(u @ v[:, 0]) >= 1.0 - 1e-12
+
+    def test_fixed_start_reruns_identically_and_leaves_the_global_rng(self):
+        phi, _ = _spectral(7, np.exp(-np.arange(10.0)))
+        state = np.random.get_state()
+        first = gramian._top_eigenpair(phi)
+        after = np.random.get_state()
+        assert after[2] == state[2] and np.array_equal(after[1], state[1])
+        second = gramian._top_eigenpair(phi)
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])

@@ -1,7 +1,10 @@
 """Source invariants and the README's runnable examples."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,19 @@ def test_only_cli_builds_a_gramian_evaluator():
         if path.name not in ("cli.py", "gramian.py") and "GramianEvaluator(" in path.read_text()
     )
     assert hits == []
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # Importing scipy.sparse (as scipy.sparse.linalg.eigsh would) adds about
+    # 3 MB of resident memory to every process; the flux top pair is Lanczos.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, fluxcontrol.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_readme_quick_start_reaches_selection():
