@@ -26,7 +26,6 @@ from .linsys import (
     ControllabilityReport,
     InputSchematic,
     LinearSystem,
-    controllability_matrix,
     controllability_report,
     laplacian_system,
     output_controllable_sufficient,
@@ -69,7 +68,6 @@ __all__ = [
     "ControllabilityReport",
     "transition_matrix",
     "laplacian_system",
-    "controllability_matrix",
     "controllability_report",
     "output_controllable_sufficient",
     "GramianBundle",

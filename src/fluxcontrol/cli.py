@@ -159,14 +159,11 @@ def _build_system(args):
     if not args.input:
         raise InvalidInputError("--input is required for this command")
     if args.mode == "raw-matrix":
-        a = load_dense_matrix(args.input)
-        return LinearSystem(a, label=Path(args.input).stem), [
-            str(i + 1) for i in range(a.shape[0])
-        ]
-    adj, labels = parse_edge_list(args.input, undirected=args.undirected)
+        return LinearSystem(load_dense_matrix(args.input))
+    adj, _ = parse_edge_list(args.input, undirected=args.undirected)
     if args.mode == "adjacency":
-        return LinearSystem(adj, label=Path(args.input).stem), labels
-    return laplacian_system(adj, label=Path(args.input).stem), labels
+        return LinearSystem(adj)
+    return laplacian_system(adj)
 
 
 def _build_schematic(args, system):
@@ -201,6 +198,8 @@ def _build_x0(args, n):
     if raw == "zeros":
         return np.zeros(n)
     if raw == "random":
+        if args.x0_seed < 0:
+            raise InvalidInputError(f"--x0-seed must be nonnegative, got {args.x0_seed}")
         return np.random.default_rng(args.x0_seed).standard_normal(n)
     return as_vector(_comma_floats(raw), n=n, name="x0")
 
@@ -260,7 +259,7 @@ def _setup(args):
     """Goal, x0 and the run's one Gramian evaluator, which carries the system.
     Callers take ``z = exp(t* A) x0`` from ``evaluator.propagate(x0)`` after
     their first Gramian, whose doubling ladder already holds most of it."""
-    system, _ = _build_system(args)
+    system = _build_system(args)
     goal = _build_goal(args, system.n)
     x0 = _build_x0(args, system.n)
     return goal, x0, GramianEvaluator(system, _horizon(args))
@@ -300,7 +299,7 @@ def _place(args, goal, x0, evaluator):
 
 
 def _cmd_gramian(args, outdir):
-    system, _ = _build_system(args)
+    system = _build_system(args)
     schematic = _build_schematic(args, system)
     bundle = reachability_gramian(system, schematic, _horizon(args))
     write_matrix_csv(outdir / "W.csv", bundle.W)
@@ -315,9 +314,8 @@ def _cmd_gramian(args, outdir):
 
 
 def _cmd_flux(args, outdir):
-    system, labels = _build_system(args)
-    profile = flux_sweep(system, sorted(args.t_star))
-    profile.write_csv(outdir / "flux.csv", labels=labels)
+    profile = flux_sweep(_build_system(args), sorted(args.t_star))
+    profile.write_csv(outdir / "flux.csv")
     if args.hist:
         for idx, t in enumerate(profile.horizons):
             counts, edges = centrality_histogram(profile.phi[idx])

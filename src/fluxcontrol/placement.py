@@ -48,7 +48,7 @@ class GpgmConfig:
         delta_star: stop once successive iterates align within this tolerance.
         epsilon: sphere offset; iterates live on tr(B^T B) = m + epsilon.
         max_iters: iteration cap.
-        seed: initialization seed.
+        seed: seed of the random start ``ram_baseline(n, m, seed, epsilon)``.
     """
 
     sigma: float = 1e-2
@@ -156,14 +156,14 @@ def gpgm(
     z = as_vector(z, n=n, name="z")
 
     if B_init is None:
-        b = np.random.default_rng(cfg.seed).random((n, m))
+        b = ram_baseline(n, m, cfg.seed, cfg.epsilon).B
     else:
         b = np.asarray(B_init, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.shape != (n, m):
             raise InvalidInputError(f"B_init must have shape {(n, m)}")
-    b = project_sphere(b, epsilon=cfg.epsilon)
+        b = project_sphere(b, epsilon=cfg.epsilon)
 
     def result(best_b, best_e, iters, converged, trace, steps=()):
         schematic = InputSchematic(
@@ -278,6 +278,8 @@ def ram_baseline(n: int, m: int, seed: int, epsilon: float = 1e-6) -> InputSchem
     """Uniform random schematic renormalized onto the shrunken sphere."""
     if n < 1 or m < 1:
         raise InvalidInputError("n and m must be at least 1")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
     b = np.random.default_rng(seed).random((n, m))
     return InputSchematic(
         project_sphere(b, epsilon=epsilon), sphere_normalized=True, epsilon=epsilon

@@ -8,7 +8,7 @@ import fluxcontrol as fc
 def karate():
     """Bundled karate club adjacency and its diffusive system."""
     adj, labels = fc.karate_club_adjacency()
-    return {"adj": adj, "labels": labels, "system": fc.laplacian_system(adj, label="karate")}
+    return {"adj": adj, "labels": labels, "system": fc.laplacian_system(adj)}
 
 
 @pytest.fixture

@@ -275,7 +275,7 @@ def test_criterion_7_trajectory_consistency():
 def test_criterion_8_flux_rankings_change_with_horizon():
     start = time.perf_counter()
     adj, _ = fc.karate_club_adjacency()
-    system = fc.LinearSystem(adj, label="karate-adjacency")
+    system = fc.LinearSystem(adj)
     phi_short = fc.flux_centrality(system, 0.015)
     phi_long = fc.flux_centrality(system, 1.5)
     corr = float(spearmanr(phi_short, phi_long).statistic)

@@ -60,7 +60,7 @@ class TestFluxSweep:
 
     def test_karate_rankings_shift_with_horizon(self, karate):
         # Adjacency dynamics: edge weights are the dynamics entries.
-        system = fc.LinearSystem(karate["adj"], label="karate-adjacency")
+        system = fc.LinearSystem(karate["adj"])
         profile = fc.flux_sweep(system, [0.015, 0.15, 1.5])
         assert profile.phi.shape == (3, 34)
         corr = _rank_correlation(profile.phi[0], profile.phi[2])

@@ -376,6 +376,15 @@ def test_compare_rejects_empty_ensemble(tmp_path, path_graph):
                   "--seeds", "0") == "InvalidInputError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["place", "--method", "gpgm", "--goal", "variance", "--seed", "-1"],
+    ["compare", "--goal", "variance", "--seed", "-5"],
+    ["select-state", "--goal", "mean", "--x0", "random", "--x0-seed", "-1"],
+])
+def test_negative_seed_is_an_input_error(tmp_path, karate_path, argv):
+    assert _error(tmp_path, "neg", *argv, "--input", karate_path) == "InvalidInputError"
+
+
 @pytest.mark.parametrize("overrides", [[1, 2], {"m": "2"}, {"undirected": "no"},
                                        {"goal": "median"}, {"func": 1}])
 def test_malformed_config_is_an_input_error(tmp_path, path_graph, capsys, overrides):

@@ -137,6 +137,22 @@ class TestGpgm:
         tr = float(np.sum(result.B_star.B ** 2))
         assert abs(tr - (2.0 + cfg.epsilon)) <= 1e-10 * 2.0
 
+    def test_random_start_is_the_ram_baseline(self, karate):
+        evaluator = fc.GramianEvaluator(karate["system"], 1.0)
+        z = evaluator.propagate(np.arange(34.0))
+        goal = fc.VarianceGoal(1.0)
+        cfg = fc.GpgmConfig(max_iters=1, seed=3)
+        result = fc.gpgm(evaluator, z, goal, m=2, config=cfg)
+        start = fc.ram_baseline(34, 2, cfg.seed, cfg.epsilon)
+        assert result.energy_trace[0] == fc.select_state(
+            evaluator.bundle(start.B), z, goal).energy
+
+    def test_negative_seed_is_an_input_error(self):
+        evaluator = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
+        with pytest.raises(InvalidInputError, match="seed"):
+            fc.gpgm(evaluator, np.zeros(3), fc.VarianceGoal(1.0), m=1,
+                    config=fc.GpgmConfig(seed=-1))
+
     def test_non_binding_goal_returns_zero_energy(self, rng):
         system = fc.LinearSystem(np.zeros((3, 3)))
         goal = fc.mean_goal(3, -5.0)
@@ -268,6 +284,10 @@ def test_gpgm_config_needs_positive_finite_settings(name, value):
 
 
 class TestRamBaseline:
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            fc.ram_baseline(34, 2, seed=-1)
+
     def test_trace_normalization(self):
         schematic = fc.ram_baseline(34, 2, seed=0)
         tr = float(np.sum(schematic.B ** 2))

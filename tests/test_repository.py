@@ -1,5 +1,6 @@
 """Source invariants and the README's runnable examples."""
 
+import importlib
 import os
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fluxcontrol
 from fluxcontrol.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,6 +65,21 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_package_exports_are_the_modules_exports():
+    # The package re-exports each library module's __all__ and nothing else,
+    # so a name deleted from a module cannot linger in the package's list.
+    modules = ("centrality", "gramian", "graphio", "linsys", "placement", "select",
+               "trajectory")
+    exports = {name: importlib.import_module(f"fluxcontrol.{name}").__all__ for name in modules}
+    expected = {"errors"}.union(*exports.values())
+    assert sorted(fluxcontrol.__all__) == sorted(expected)
+    for module, names in exports.items():
+        for name in names:
+            assert getattr(fluxcontrol, name) is getattr(
+                importlib.import_module(f"fluxcontrol.{module}"), name), name
+    assert fluxcontrol.errors is importlib.import_module("fluxcontrol.errors")
 
 
 def test_readme_quick_start_reaches_selection():
