@@ -20,7 +20,7 @@ import scipy
 from . import __version__
 from ._util import as_vector
 from .centrality import centrality_histogram, flux_sweep
-from .errors import FluxControlError, InvalidInputError
+from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
 from .gramian import GramianEvaluator, reachability_gramian
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
 from .linsys import InputSchematic, LinearSystem, laplacian_system
@@ -42,6 +42,9 @@ from .trajectory import min_energy_controller, simulate
 _MODES = ("raw-matrix", "adjacency", "laplacian")
 _GOALS = ("mean", "repulsion", "variance")
 _METHODS = ("flux", "gpgm", "ram")
+# simulate fails when its endpoint misses the closed form by more than this,
+# relative to 1 + ||x* - z||.
+_ENDPOINT_RTOL = 1e-6
 
 
 def _comma_floats(text):
@@ -351,19 +354,29 @@ def _cmd_simulate(args, outdir):
     if goal is None:
         traj = simulate(system, schematic, lambda t: np.zeros(schematic.m),
                         x0, t_star, args.steps)
+        z = target = evaluator.propagate(x0)
         summary["autonomous"] = True
     else:
         selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
         controller = min_energy_controller(evaluator, schematic, selection.p, args.steps)
         traj = simulate(system, schematic, controller, x0, t_star, args.steps)
+        z, target = evaluator.propagate(x0), selection.x_star
         summary.update({
             "autonomous": False,
             "selection": _selection_payload(selection),
             "endpoint": traj.endpoint,
-            "endpoint_error": float(np.linalg.norm(traj.endpoint - selection.x_star)),
             "energy_simulated": traj.total_energy,
             "energy_closed_form": selection.energy,
         })
+    # The RK4 endpoint against the closed form: x* = z + W p, or z with no goal.
+    error = float(np.linalg.norm(traj.endpoint - target))
+    relative = error / (1.0 + float(np.linalg.norm(target - z)))
+    if not relative <= _ENDPOINT_RTOL:
+        raise SimulationAccuracyError(
+            f"RK4 endpoint misses the closed form by {relative:.3g} relative to "
+            f"1 + ||x* - z|| (tolerance {_ENDPOINT_RTOL:g}); raise --steps above {args.steps}"
+        )
+    summary.update({"endpoint_error": error, "endpoint_error_rel": relative})
     traj.write_csv(outdir / "trajectory.csv")
     _write_json(outdir / "simulate.json", summary)
 

@@ -29,6 +29,10 @@ class DivergenceError(FluxControlError):
         self.last_valid_time = float(last_valid_time)
 
 
+class SimulationAccuracyError(FluxControlError):
+    """A simulated endpoint misses its closed form by more than the tolerance."""
+
+
 class PlacementAbortError(FluxControlError):
     """Gradient placement aborted; carries the best iterate found so far."""
 

@@ -5,8 +5,10 @@ minimum-energy quadratic form; the flux matrix is the same integral for the
 transposed dynamics with a rank-one weighting ``v v^T`` and its top
 eigenvector is the optimal single-input placement for the observer ``v^T x``.
 Off the eigenbasis both come from one ``expm`` of a short base step, a
-truncated Taylor series of the integral over that step, and horizon doubling;
-the flux matrix's top eigenpair then comes from Lanczos.
+truncated Taylor series of the integral over that step, as short as its tail
+bound at that step allows, and horizon doubling; a thick input matrix takes
+the base step that needs the fewest n x n products. The flux matrix's top
+eigenpair then comes from Lanczos.
 """
 
 import math
@@ -125,27 +127,34 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
 
 # Base step h = t*/2^d of the Gramian series: ||A||_1 h <= _THETA.
 _THETA = 2.0
-# Series terms p, fixed a priori: the tail (2 theta)^(p+1) e^(2 theta)/(p+2)! of
-# the sum, relative to h ||B B^T||, is below the unit roundoff 2^-53.
-_TERMS = next(p for p in range(1, 200) if (2 * _THETA) ** (p + 1) * math.exp(2 * _THETA)
-              / math.factorial(p + 2) <= 2.0**-53)
 
 
-def _thin_series(ha: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _series_terms(x: float) -> int:
+    """Series terms p on a base step with ||ha||_1 = x: the tail
+    (2x)^(p+1) e^(2x)/(p+2)! of the sum, relative to h ||b b^T||, is below the
+    unit roundoff 2^-53. At x = _THETA that is 32 terms."""
+    return next(p for p in range(1, 200)
+                if (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2) <= 2.0**-53)
+
+
+def _thin_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
     """The series over Krylov blocks y_j = (ha)^j b / j!: sum_jl y_j y_l^T / (j+l+1)."""
     y = [b]
-    for j in range(1, _TERMS + 1):
+    for j in range(1, terms + 1):
         y.append(ha @ y[-1] / j)
     y = np.hstack(y)
-    return y @ np.kron(hilbert(_TERMS + 1), np.eye(b.shape[1])) @ y.T
+    return y @ np.kron(hilbert(terms + 1), np.eye(b.shape[1])) @ y.T
 
 
-def _thick_series(ha: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The series by Horner on L(X) = haX + Xha^T: one n x n product per term."""
+def _thick_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
+    """The series by Horner on L(X) = haX + Xha^T: one n x n product per term,
+    scaled in place and symmetrized into one new array."""
     q = y = b @ b.T
-    for k in range(_TERMS, 0, -1):
+    for k in range(terms, 0, -1):
         ay = ha @ y
-        y = q + (ay + ay.T) / (k + 1)
+        ay *= 1.0 / (k + 1)
+        y = ay + ay.T
+        y += q
     return y
 
 
@@ -154,9 +163,14 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
 
     On the base step h = t*/2^d, ||a||_1 h <= _THETA, the integral is the
     truncated Taylor series h sum_{k<=p} h^k/(k+1)! L^k(b b^T), with
-    L(X) = aX + Xa^T (Al-Mohy & Higham 2011 scale the same way). A thin
-    factor, m(p+1) < n, sums it over Krylov blocks, else Horner runs on L.
-    The full horizon is rebuilt with the exact identity
+    L(X) = aX + Xa^T, and p the fewest terms whose tail bound at the actual
+    ||ha||_1 is below roundoff (``_series_terms``). A thin factor,
+    m(p+1) < n, sums it over Krylov blocks of matvecs on the shortest base
+    step. Else Horner runs on L, and d is chosen with p, as Al-Mohy & Higham
+    (2011) choose the scaling and the degree together: each doubling past
+    the least halves the step and shortens the series, and d minimizes the
+    n x n products, p for Horner plus 3d - 1 for the doublings. The full
+    horizon is rebuilt with the exact identity
     W(2t) = W(t) + exp(ta) W(t) exp(ta^T), from one ``expm(ha)``. An integral
     too large for floats comes back non-finite. Returns the integral, the last
     rung of the ladder and whether it was doubled: exp((t*/2) a) after one or
@@ -166,16 +180,22 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     if not np.isfinite(scaled):
         raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
     doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
+    terms = _series_terms(math.ldexp(scaled, -doublings))
+    series = _thin_series if b.shape[1] * (terms + 1) < b.shape[0] else _thick_series
+    if series is _thick_series:
+        # The products stop falling within a few doublings; ties take the shorter series.
+        doublings = -min((_series_terms(math.ldexp(scaled, -d)) + max(3 * d - 1, 0), -d)
+                         for d in range(doublings, doublings + 8))[1]
+        terms = _series_terms(math.ldexp(scaled, -doublings))
     h = math.ldexp(t_star, -doublings)
-    series = _thin_series if b.shape[1] * (_TERMS + 1) < b.shape[0] else _thick_series
     ha = h * a
     e = expm(ha)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = h * series(ha, b)
+        w = h * series(ha, b, terms)
         for k in range(doublings):
             if k:
                 e = e @ e
-            w = w + e @ w @ e.T
+            w += e @ w @ e.T
         return 0.5 * (w + w.T), e, doublings > 0
 
 

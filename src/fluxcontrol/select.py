@@ -243,16 +243,20 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
     ``lam -> -inf`` limit ``lam r_i -> -c_i / theta_i`` that attains the
     reachable minimum ``sum_{theta_i = 0} c_i^2``; every
     ``theta_i <= _NULL_RTOL theta_max`` counts as zero there, and its residual
-    stays ``c_i``. ``W`` is never inverted, so it may be singular.
+    stays ``c_i``. ``W`` is never inverted, so it may be singular. ``O=None``
+    is the identity, and no product with it is formed.
     """
-    r0 = O @ z - d
+    r0 = (z if O is None else O @ z) - d
     f0 = float(r0 @ r0)
     binding = f0 < eta if sense == "expand" else f0 > eta
     if not binding:
         return _corner(z)
 
-    owo = O @ W.W @ O.T
-    theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
+    if O is None:
+        theta, u = np.linalg.eigh(W.W)
+    else:
+        owo = O @ W.W @ O.T
+        theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
     c = u.T @ r0
     theta_max = float(theta[-1])
     _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
@@ -293,7 +297,7 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
             r = np.where(pole, 0.0, c / np.where(pole, 1.0, 1.0 - th))
             k = _pick_leading_eigvec(u, np.flatnonzero(pole)[::-1], z)
             # Either sign costs the same; orient the pole displacement W O^T u_k.
-            w = W.W @ (O.T @ u[:, k])
+            w = W.W @ (u[:, k] if O is None else O.T @ u[:, k])
             sign = 1.0 if float(canonical_sign(w, ref=z) @ w) > 0.0 else -1.0
             r[k] = sign * np.sqrt(max(eta - float(r @ r), 0.0))
             return _adjoint_selection(W, z, O, u, theta, 1.0 / theta_max, r / theta_max)
@@ -303,7 +307,9 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
 
 def _adjoint_selection(W, z, O, u, theta, lam, lam_r) -> StateSelection:
     """Selection from the eigenbasis coordinates of ``lam r``: ``p = O^T U lam_r``."""
-    p = O.T @ (u @ lam_r)
+    p = u @ lam_r
+    if O is not None:
+        p = O.T @ p
     energy = float(theta @ (lam_r * lam_r))
     return StateSelection(
         x_star=z + W.W @ p, multiplier=lam, energy=max(energy, 0.0), binding=True, p=p
@@ -318,7 +324,7 @@ def select_repulsion_state(W: GramianBundle, z, eta: float) -> StateSelection:
     length ``eta``, and the energy is ``eta`` over the top eigenvalue. Only
     that eigenvector must be reachable, so a singular Gramian is fine.
     """
-    return solve_qcls(W, z, np.eye(W.n), z, eta)
+    return solve_qcls(W, z, None, z, eta)
 
 
 def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> StateSelection:
@@ -326,11 +332,12 @@ def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> 
 
     Finds the multiplier closest to zero that satisfies ``||O x - d||^2 = eta``
     (smallest nonnegative root for the expand sense, largest nonpositive for
-    contract); see ``_solve_quadratic``.
+    contract); see ``_solve_quadratic``. ``O=None`` means the identity.
     """
     z = as_vector(z, n=W.n, name="z")
     n = W.n
-    O = as_matrix(O, shape=(n, n), name="O")
+    if O is not None:
+        O = as_matrix(O, shape=(n, n), name="O")
     d = as_vector(d, n=n, name="d")
     eta = _threshold(eta)
     if sense not in ("expand", "contract"):
@@ -415,6 +422,5 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     if isinstance(goal, VarianceGoal):
         return select_variance_state(W, z, goal.eta)
     if isinstance(goal, RepulsionGoal):
-        o = goal.O if goal.O is not None else np.eye(W.n)
-        return solve_qcls(W, z, o, goal.d, goal.eta, sense=goal.sense)
+        return solve_qcls(W, z, goal.O, goal.d, goal.eta, sense=goal.sense)
     raise InvalidInputError(f"unknown goal type {type(goal).__name__}")

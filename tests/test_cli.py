@@ -191,6 +191,50 @@ def test_simulate_reaches_selection_on_singular_gramian(tmp_path, karate_path):
     assert summary["endpoint_error"] <= 1e-6 * (1 + np.linalg.norm(x_star))
 
 
+@pytest.mark.parametrize("edges", ["1 2\n1 3\n1 4\n1 5\n1 6\n1 7\n",
+                                   "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"], ids=["star", "k4"])
+def test_simulate_certifies_its_endpoint(tmp_path, edges):
+    # At 50 steps h = 0.8, and h lambda_max(L) is 5.6 on the 7-node star and
+    # 3.2 on K4, outside RK4's real stability interval [-2.785, 0]: the
+    # endpoint misses x* (by 8e49 and 1.6e-4 relative), and the run must fail
+    # typed instead of reporting success. At 2000 steps it is within 1e-12.
+    graph = tmp_path / "g.edges"
+    graph.write_text(edges)
+    argv = ["simulate", "--input", str(graph), "--mode", "laplacian", "--t-star", "40",
+            "--goal", "mean", "--eta", "0.5", "--m", "1", "--method", "flux"]
+    assert main([*argv, "--steps", "50", "--out", str(tmp_path / "coarse")]) == 1
+    error = json.loads((tmp_path / "coarse" / "error.json").read_text())
+    assert error["error"] == "SimulationAccuracyError" and "--steps" in error["message"]
+    assert issubclass(getattr(fc.errors, error["error"]), fc.errors.FluxControlError)
+    assert not (tmp_path / "coarse" / "simulate.json").exists()
+    summary = json.loads((_run(tmp_path, "fine", *argv, "--steps", "2000")
+                          / "simulate.json").read_text())
+    x_star = np.asarray(summary["selection"]["x_star"])
+    error = np.linalg.norm(np.asarray(summary["endpoint"]) - x_star)
+    assert summary["endpoint_error"] == error <= 1e-10
+    assert 0.0 < summary["endpoint_error_rel"] <= error
+
+
+def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_graph):
+    from scipy.linalg import expm
+
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    out = _run(tmp_path, "auto", "simulate", "--input", path_graph, "--t-star", "2",
+               "--x0", "1,-2,0.5,3", "--steps", "400")
+    summary = json.loads((out / "simulate.json").read_text())
+    adj = np.diag(np.ones(3), 1)
+    lap = np.diag((adj + adj.T).sum(1)) - adj - adj.T
+    endpoint = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[-1, 1:5]
+    error = np.linalg.norm(endpoint - expm(-2.0 * lap) @ x0)
+    assert summary["autonomous"] is True
+    assert summary["endpoint_error"] == pytest.approx(error, rel=1e-6, abs=1e-15)
+    assert summary["endpoint_error_rel"] == summary["endpoint_error"] <= 1e-9
+    assert main(["simulate", "--input", path_graph, "--t-star", "40", "--x0", "1,-2,0.5,3",
+                 "--steps", "20", "--out", str(tmp_path / "coarse")]) == 1
+    error = json.loads((tmp_path / "coarse" / "error.json").read_text())
+    assert error["error"] == "SimulationAccuracyError" and "--steps" in error["message"]
+
+
 def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph):
     b_path = tmp_path / "b.csv"
     b_path.write_text("1\n0\n0\n")
@@ -470,21 +514,21 @@ def test_simulate_rejects_short_runs_before_any_work(tmp_path, path_graph, monke
     assert payload == {"error": "InvalidInputError", "message": "steps must be at least 2"}
 
 
-def test_overflowing_autonomous_endpoint_is_never_built(tmp_path):
-    # exp(300 * 3) overflows a float. A run without a goal never needs
-    # z = exp(t* A) x0, and select-state fails on its Gramian first; neither
-    # may print a RuntimeWarning on the way.
+def test_overflowing_autonomous_endpoint_fails_typed(tmp_path):
+    # exp(300 * 3) overflows a float. A run without a goal certifies its
+    # endpoint against z = exp(t* A) x0, and select-state fails on its Gramian
+    # first; both fail typed, and neither may print a RuntimeWarning on the way.
     a_path = tmp_path / "a.csv"
     a_path.write_text("300,1,0\n0,300,1\n0,0,300\n")
     common = ["--input", str(a_path), "--mode", "raw-matrix", "--t-star", "3", "--x0", "1,1,1"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["simulate", *common, "--steps", "10", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["simulate", *common, "--steps", "10", "--out", str(tmp_path / "sim")]) == 1
         assert main(["select-state", *common, "--goal", "variance", "--eta", "1",
                      "--out", str(tmp_path / "sel")]) == 1
     assert [str(w.message) for w in caught] == []
-    assert json.loads((tmp_path / "sim" / "simulate.json").read_text())["autonomous"] is True
-    assert json.loads((tmp_path / "sel" / "error.json").read_text())["error"] == "InvalidInputError"
+    for run in ("sim", "sel"):
+        assert json.loads((tmp_path / run / "error.json").read_text())["error"] == "InvalidInputError"
 
 
 @pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 2)])

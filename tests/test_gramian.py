@@ -456,8 +456,9 @@ class TestSeriesKernel:
     @settings(derandomize=True, deadline=None, max_examples=25)
     def test_thin_factors_match_block_and_quadrature(self, seed, n, symmetric, scale, t_star,
                                                      growth, data):
-        m = data.draw(st.integers(1, 2 if n > 2 * (gramian._TERMS + 1) else 1))
-        assert m * (gramian._TERMS + 1) < n  # the Krylov form runs
+        longest = gramian._series_terms(gramian._THETA)
+        m = data.draw(st.integers(1, 2 if n > 2 * (longest + 1) else 1))
+        assert m * (longest + 1) < n  # the Krylov form runs
         a, b = _draw_system(seed, n, m, scale, symmetric, growth / t_star)
         w = gramian._doubling_gramian(a, b, t_star)[0]
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
@@ -470,15 +471,36 @@ class TestSeriesKernel:
         # Both forms sum the same series; called directly, neither switch applies.
         a, b = _draw_system(seed, n, m, 1.0, symmetric)
         ha = reach * gramian._THETA * a / np.linalg.norm(a, 1)
-        thick = gramian._thick_series(ha, b)
-        assert _rel(gramian._thin_series(ha, b), thick) <= 1e-13
+        terms = gramian._series_terms(reach * gramian._THETA)
+        thick = gramian._thick_series(ha, b, terms)
+        assert _rel(gramian._thin_series(ha, b, terms), thick) <= 1e-13
 
     @pytest.mark.parametrize("side", [1.0 - 1e-12, 1.0 + 1e-12], ids=["below", "above"])
-    def test_base_step_at_the_series_range(self, side):
+    def test_base_step_at_the_series_range(self, side, monkeypatch):
+        # Just above _THETA / ||A||_1 the horizon must be doubled; on either
+        # side the thick form may double further where that saves products.
+        # Whatever it picks, the base step stays in the series range and the
+        # series is the shortest whose tail bound at the actual ||hA||_1 is
+        # below roundoff.
         a, b = _draw_system(3, 6, 2, 1.0, False)
         t_star = side * gramian._THETA / np.linalg.norm(a, 1)
+        calls = []
+        thick = gramian._thick_series
+
+        def recording(ha, b, terms):
+            calls.append((np.linalg.norm(ha, 1), terms))
+            return thick(ha, b, terms)
+
+        monkeypatch.setattr(gramian, "_thick_series", recording)
         w, _, doubled = gramian._doubling_gramian(a, b, t_star)
-        assert doubled == (side > 1.0)
+        [(x, terms)] = calls
+        assert x <= gramian._THETA
+        assert doubled == (x < np.linalg.norm(a, 1) * t_star) and (doubled or side < 1.0)
+
+        def tail(p):
+            return (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2)
+
+        assert tail(terms) <= 2.0**-53 < tail(terms - 1)
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-13
 
     def test_tiny_horizon(self):
@@ -529,6 +551,76 @@ class TestSeriesKernel:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
                 fc.GramianEvaluator(fc.LinearSystem(a), 1e200).matrix(np.eye(2))
+
+
+def _relation_case(seed, kind, t_star, growth, symmetric=False):
+    """(A, B) for a metamorphic check: ``small`` has n = 2-7 and any m;
+    ``thin`` has n = 40-80 and the m <= 2 columns the Krylov form serves;
+    ``identity`` has n = 40-80 and B = I, which Horner serves."""
+    rng = np.random.default_rng(seed)
+    if kind == "small":
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, n + 1))
+    else:
+        n = int(rng.integers(40, 81))
+        longest = gramian._series_terms(gramian._THETA)
+        m = n if kind == "identity" else (2 if n > 2 * (longest + 1) else 1)
+    a, b = _draw_system(seed, n, m, float(rng.uniform(0.1, 2.0)), symmetric, growth / t_star)
+    return a, (np.eye(n) if kind == "identity" else b)
+
+
+def _series_w(a, b, t_star):
+    return fc.GramianEvaluator(fc.LinearSystem(a), t_star).matrix(b)
+
+
+RELATION_KINDS = st.sampled_from(["small", "thin", "identity"])
+RELATION_SETTINGS = settings(derandomize=True, deadline=None, max_examples=30)
+
+
+class TestMetamorphicRelations:
+    """Relations the Gramian integral keeps (Chen, Cheung & Yiu 1998), checked
+    on the series kernel with nonsymmetric draws, and the eigenbasis form
+    against the series on symmetric draws. The growth of exp(tA) stays at or
+    below e, as in ``TestSeriesKernel``."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=RELATION_KINDS, t_star=st.floats(0.05, 3.0),
+           growth=st.floats(-2.0, 1.0), c=st.floats(0.1, 10.0))
+    @RELATION_SETTINGS
+    def test_time_rescaling(self, seed, kind, t_star, growth, c):
+        # int_0^{t/c} exp(s cA) B B^T exp(s cA^T) ds = W_A(t) / c.
+        a, b = _relation_case(seed, kind, t_star, growth)
+        assert not fc.LinearSystem(a).is_symmetric()
+        w = _series_w(a, b, t_star)
+        assert _rel(c * _series_w(c * a, b, t_star / c), w) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=RELATION_KINDS, t_star=st.floats(0.05, 3.0),
+           growth=st.floats(-2.0, 1.0))
+    @RELATION_SETTINGS
+    def test_column_rotation(self, seed, kind, t_star, growth):
+        # (BQ)(BQ)^T = B B^T for orthogonal Q.
+        a, b = _relation_case(seed, kind, t_star, growth)
+        q = np.linalg.qr(np.random.default_rng(seed).standard_normal((b.shape[1],) * 2))[0]
+        assert _rel(_series_w(a, b @ q, t_star), _series_w(a, b, t_star)) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=RELATION_KINDS, t_star=st.floats(0.05, 3.0),
+           growth=st.floats(-2.0, 1.0))
+    @RELATION_SETTINGS
+    def test_relabelling(self, seed, kind, t_star, growth):
+        # W(P A P^T, P B) = P W(A, B) P^T for a permutation P.
+        a, b = _relation_case(seed, kind, t_star, growth)
+        perm = np.random.default_rng(seed).permutation(a.shape[0])
+        w = _series_w(a, b, t_star)
+        relabelled = _series_w(a[perm][:, perm], b[perm], t_star)
+        assert _rel(relabelled, w[perm][:, perm]) <= 1e-12
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=RELATION_KINDS, t_star=st.floats(0.05, 3.0),
+           growth=st.floats(-2.0, 1.0))
+    @RELATION_SETTINGS
+    def test_eigenbasis_form_matches_the_series(self, seed, kind, t_star, growth):
+        a, b = _relation_case(seed, kind, t_star, growth, symmetric=True)
+        assert fc.LinearSystem(a).is_symmetric()
+        series = gramian._doubling_gramian(a, b, t_star)[0]
+        assert _rel(_series_w(a, b, t_star), series) <= 1e-12
 
 
 def _spectral(seed, lam):

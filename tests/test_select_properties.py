@@ -236,3 +236,36 @@ def test_uncontrollability_test_matches_the_eigenvalue_rule(seed, n, rank, magni
             except fc.errors.GoalUncontrollableError:
                 raised = True
             assert raised == (stat <= threshold), (offset, direction)
+
+
+@PROPERTY_SETTINGS
+@given(
+    case=st.sampled_from(["expand", "contract", "hard"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    data=st.data(),
+)
+def test_identity_observer_as_none_equals_the_dense_identity(case, seed, n, data):
+    # O=None skips every product with the identity; the selection must be the
+    # one the dense identity gives, on full and low rank W. With d = z the
+    # residual misses the pole eigenspace, so expand takes the hard case.
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, data.draw(st.integers(1, n))))
+    bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
+    z = rng.standard_normal(n)
+    d = z.copy() if case == "hard" else rng.standard_normal(n)
+    f0 = float((z - d) @ (z - d))
+    if case == "contract":
+        floor = _reach_floor(g, z - d)
+        eta, sense = floor + data.draw(st.floats(0.3, 0.7)) * (f0 - floor), "contract"
+    else:
+        eta, sense = f0 + data.draw(st.floats(0.5, 2.0)), "expand"
+    dense = fc.solve_qcls(bundle, z, np.eye(n), d, eta, sense)
+    sel = fc.solve_qcls(bundle, z, None, d, eta, sense)
+    assert sel.binding and sel.multiplier == pytest.approx(dense.multiplier, rel=1e-13)
+    for got, ref in ((sel.x_star, dense.x_star), (sel.p, dense.p)):
+        assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)
+    assert sel.energy == pytest.approx(dense.energy, rel=1e-13, abs=1e-13)
+    if case == "hard":
+        rep = fc.select_state(bundle, z, fc.RepulsionGoal(d=z, eta=eta))
+        assert np.array_equal(rep.x_star, sel.x_star) and rep.energy == sel.energy
