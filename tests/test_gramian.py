@@ -503,6 +503,28 @@ class TestSeriesKernel:
         assert tail(terms) <= 2.0**-53 < tail(terms - 1)
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-13
 
+    @pytest.mark.parametrize("reach, expected", [(0.01, (0, 6)), (1.9, (3, 13)),
+                                                 (7.0, (5, 13)), (100.0, (9, 12))])
+    def test_thick_form_takes_the_fewest_products(self, reach, expected, monkeypatch):
+        # n x n products: p Horner terms plus 3d - 1 for d >= 1 doublings.
+        # At ||A||_1 t* = 7, as on the steer-directed benchmark matrix,
+        # d = 4 (p = 16) and d = 5 (p = 13) both cost 27; ties take the
+        # shorter series.
+        a, b = _draw_system(3, 6, 6, 1.0, False, abscissa=-0.1)
+        t_star = reach / np.linalg.norm(a, 1)
+        calls = []
+        thick = gramian._thick_series
+
+        def recording(ha, b, terms):
+            calls.append((np.linalg.norm(ha, 1), terms))
+            return thick(ha, b, terms)
+
+        monkeypatch.setattr(gramian, "_thick_series", recording)
+        w = gramian._doubling_gramian(a, b, t_star)[0]
+        [(x, terms)] = calls
+        assert (round(math.log2(reach / x)), terms) == expected
+        assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
+
     def test_tiny_horizon(self):
         a, b = _draw_system(4, 5, 2, 3.0, False)
         w = gramian._doubling_gramian(a, b, 1e-12)[0]
