@@ -427,6 +427,18 @@ def _quadrature(a, b, t_star):
     return gramian_quadrature(fc.LinearSystem(a), fc.InputSchematic(b), t_star, steps)
 
 
+def _record_thick_series(monkeypatch):
+    """Make ``_thick_series`` record the (||ha||_1, terms) of each call."""
+    calls, thick = [], gramian._thick_series
+
+    def recording(ha, b, terms):
+        calls.append((np.linalg.norm(ha, 1), terms))
+        return thick(ha, b, terms)
+
+    monkeypatch.setattr(gramian, "_thick_series", recording)
+    return calls
+
+
 class TestSeriesKernel:
     """The base-step series and its horizon doublings against the 2n x 2n
     block exponential and Simpson quadrature.
@@ -484,14 +496,7 @@ class TestSeriesKernel:
         # below roundoff.
         a, b = _draw_system(3, 6, 2, 1.0, False)
         t_star = side * gramian._THETA / np.linalg.norm(a, 1)
-        calls = []
-        thick = gramian._thick_series
-
-        def recording(ha, b, terms):
-            calls.append((np.linalg.norm(ha, 1), terms))
-            return thick(ha, b, terms)
-
-        monkeypatch.setattr(gramian, "_thick_series", recording)
+        calls = _record_thick_series(monkeypatch)
         w, _, doubled = gramian._doubling_gramian(a, b, t_star)
         [(x, terms)] = calls
         assert x <= gramian._THETA
@@ -512,14 +517,7 @@ class TestSeriesKernel:
         # shorter series.
         a, b = _draw_system(3, 6, 6, 1.0, False, abscissa=-0.1)
         t_star = reach / np.linalg.norm(a, 1)
-        calls = []
-        thick = gramian._thick_series
-
-        def recording(ha, b, terms):
-            calls.append((np.linalg.norm(ha, 1), terms))
-            return thick(ha, b, terms)
-
-        monkeypatch.setattr(gramian, "_thick_series", recording)
+        calls = _record_thick_series(monkeypatch)
         w = gramian._doubling_gramian(a, b, t_star)[0]
         [(x, terms)] = calls
         assert (round(math.log2(reach / x)), terms) == expected
