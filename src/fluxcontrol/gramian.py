@@ -4,11 +4,13 @@ The Gramian ``W = int_0^T exp(tA) B B^T exp(tA^T) dt`` weights the
 minimum-energy quadratic form; the flux matrix is the same integral for the
 transposed dynamics with a rank-one weighting ``v v^T`` and its top
 eigenvector is the optimal single-input placement for the observer ``v^T x``.
-Off the eigenbasis both come from one ``expm`` of a short base step, a
-truncated Taylor series of the integral over that step, as short as its tail
-bound at that step allows, and horizon doubling; a thick input matrix takes
-the base step that needs the fewest n x n products. The flux matrix's top
-eigenpair then comes from Lanczos.
+Off the eigenbasis the Gramian comes from one ``expm`` of a short base step,
+a truncated Taylor series of the integral over that step, as short as its
+tail bound at that step allows, and horizon doubling; a thick input matrix
+takes the base step that needs the fewest n x n products. The flux matrix
+runs that same engine on a k x k Arnoldi projection of its one trajectory
+exp(tA^T) v, with k fixed by an a-priori error bound, and takes its top
+eigenpair from the k x k Gramian.
 """
 
 import math
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm, hilbert
+from scipy.linalg import expm, hilbert
+from scipy.linalg.blas import dnrm2
 
 from ._util import as_vector, canonical_sign
 from .errors import InvalidInputError
@@ -98,7 +101,8 @@ class FluxMatrix:
 
     ``Phi = int_0^T exp(tA^T) v v^T exp(tA) dt``; symmetric PSD with a strictly
     positive top eigenvalue whenever v is nonzero. ``top_pair`` holds it and its
-    unit eigenvector, from Lanczos, with ``canonical_sign``'s sign.
+    unit eigenvector, from ``eigh`` of the Krylov Gramian that ``flux_matrix``
+    builds Phi from, with ``canonical_sign``'s sign.
     """
 
     Phi: np.ndarray
@@ -133,8 +137,10 @@ def _series_terms(x: float) -> int:
     """Series terms p on a base step with ||ha||_1 = x: the tail
     (2x)^(p+1) e^(2x)/(p+2)! of the sum, relative to h ||b b^T||, is below the
     unit roundoff 2^-53. At x = _THETA that is 32 terms."""
-    return next(p for p in range(1, 200)
-                if (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2) <= 2.0**-53)
+    p, tail = 1, (2 * x) ** 2 * math.exp(2 * x) / 6
+    while tail > 2.0**-53:
+        p, tail = p + 1, tail * 2 * x / (p + 3)
+    return p
 
 
 def _thin_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
@@ -218,50 +224,63 @@ def reachability_gramian(
 
 
 def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
-    """Flux matrix of the observer ``v^T x`` over the horizon.
+    """Flux matrix of the observer ``v^T x`` over the horizon, on the Krylov
+    space of (A^T, v).
 
-    Computed as the reachability Gramian of the pair (A^T, v), which is the
-    same integral with the roles of propagation and weighting swapped.
+    Arnoldi on A^T from v / ||v|| (two Gram-Schmidt passes) gives orthonormal
+    rows Q_k and the Hessenberg H_k; the Gramian G of (H_k, e_1) from
+    ``_doubling_gramian`` gives Phi = ||v||^2 Q_k^T G Q_k and the top pair from
+    ``eigh(G)``. The residual of y_k(s) = ||v|| Q_k^T exp(sH_k) e_1 is
+    ||v|| h_{k+1,k} (e_k^T exp(sH_k) e_1) q_{k+1} (Saad 1992), and its middle factor
+    is at most P s^(k-1) exp(mu s)/(k-1)!, P the product of H_k's subdiagonal and
+    mu, nu Gershgorin bounds on the extreme eigenvalues of (A + A^T)/2. So with
+    c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 mu t*)
+    (P h_{k+1,k})^2 t*^(2k-1) / ((2k-1) (k-1)!^2). Arnoldi stops once that is at most
+    eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at a breakdown,
+    h_{k+1,k} <= 4 eps ||A||_F, or at k = n. The bound reads no entry of G: its
+    small entries are accurate only to roundoff in its largest.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
     vv = as_vector(v, n=system.n, name="v")
-    if np.linalg.norm(vv) == 0.0:
+    beta = np.float64(dnrm2(vv))
+    if beta == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
-    phi = _finite(_doubling_gramian(system.A.T, vv[:, None], float(t_star))[0], "flux matrix")
-    lam, top = _top_eigenpair(phi)
+    a, n, eps = system.A.T, system.n, np.finfo(float).eps
+    q, h = np.empty((n, n)), np.zeros((n + 1, n))
+    q[0], log_p = vv / beta, 0.0
+    with np.errstate(all="ignore"):
+        s = 0.5 * (a + system.A)
+        d, r = np.diag(s), np.abs(s).sum(axis=1) - np.abs(np.diag(s))
+        mu, nu = float(np.max(d + r)), float(np.min(d - r))
+        c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, nu))
+        # The stopping bound in logs, with its factors that do not change with k on this side.
+        target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + mu * t_star)
+        breakdown = 4 * eps * dnrm2(system.A.ravel())
+        for k in range(1, n + 1):
+            w = a @ q[k - 1]
+            for _ in range(2):
+                proj = q[:k] @ w
+                w -= proj @ q[:k]
+                h[:k, k - 1] += proj
+            h[k, k - 1] = dnrm2(w)
+            if h[k, k - 1] <= breakdown or k == n:
+                break
+            log_p += math.log(h[k, k - 1])
+            if (2 * log_p + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
+                    - 2 * math.lgamma(k) <= target):
+                break
+            q[k] = w / h[k, k - 1]
+        g = _finite(_doubling_gramian(h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
+        theta, vecs = np.linalg.eigh(g)
+        lam, basis = float(_finite(beta**2 * theta[-1], "flux matrix")), q[:k]
+        phi = basis.T @ (beta**2 * g) @ basis
+        phi = _finite(0.5 * (phi + phi.T), "flux matrix")
     if lam <= 0.0:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
-    return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star), top_pair=(lam, canonical_sign(top)))
-
-
-def _top_eigenpair(phi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a symmetric PSD matrix and a unit eigenvector, by Lanczos
-    with full reorthogonalization (two Gram-Schmidt passes) from a fixed seeded start,
-    on phi over its largest entry magnitude so tiny or huge entries stay normal floats.
-    Every fourth step, and at a breakdown, the top Ritz pair (theta, s) of the
-    tridiagonal T_k comes from bisection and inverse iteration, O(k); it stops once
-    beta_k |s_k| <= 4 eps theta, or at k = n, where it is exact."""
-    n = phi.shape[0]
-    scale = float(np.abs(phi).max()) or 1.0
-    a = phi / scale
-    q = np.empty((n, n))
-    alpha, beta = np.empty(n), np.empty(n)
-    r = np.random.default_rng(0).standard_normal(n)
-    r /= np.linalg.norm(r)
-    for k in range(n):
-        q[k] = r
-        w = a @ r
-        alpha[k] = r @ w
-        for _ in range(2):
-            w -= (q[: k + 1] @ w) @ q[: k + 1]
-        beta[k] = np.linalg.norm(w)
-        if k % 4 == 3 or k == n - 1 or beta[k] == 0.0:
-            theta, s = eigh_tridiagonal(alpha[: k + 1], beta[:k], select="i", select_range=(k, k))
-            if beta[k] * abs(s[k, 0]) <= 4 * np.finfo(float).eps * abs(theta[0]) or k == n - 1:
-                u = s[:, 0] @ q[: k + 1]
-                return float(theta[0]) * scale, u / np.linalg.norm(u)
-        r = w / beta[k]
+    top = vecs[:, -1] @ basis
+    return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star),
+                      top_pair=(lam, canonical_sign(top / np.linalg.norm(top))))
 
 
 def kappa(bundle: GramianBundle, v) -> float:

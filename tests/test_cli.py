@@ -215,6 +215,22 @@ def test_simulate_certifies_its_endpoint(tmp_path, edges):
     assert 0.0 < summary["endpoint_error_rel"] <= error
 
 
+def test_endpoint_scale_holds_the_largest_state(tmp_path, path_graph):
+    # From x0 of size 4e9 the endpoint misses exp(t* A) x0 by about 1e-4, which
+    # is 3e-14 of the state: roundoff that no --steps value removes, so the
+    # run passes on the scale 1 + ||x* - z|| + max ||x(t)||.
+    out = _run(tmp_path, "big", "simulate", "--input", path_graph, "--t-star", "2",
+               "--x0", "1e9,-2e9,0.5e9,3e9")
+    summary = json.loads((out / "simulate.json").read_text())
+    states = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:5]
+    peak = np.linalg.norm(states, axis=1).max()
+    assert peak >= np.linalg.norm([1e9, -2e9, 0.5e9, 3e9])
+    assert summary["endpoint_error"] > 1e-6
+    assert summary["endpoint_error_rel"] == pytest.approx(summary["endpoint_error"] / (1 + peak),
+                                                          rel=1e-12)
+    assert summary["endpoint_error_rel"] <= 1e-12
+
+
 def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_graph):
     from scipy.linalg import expm
 
@@ -226,9 +242,13 @@ def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_gra
     lap = np.diag((adj + adj.T).sum(1)) - adj - adj.T
     endpoint = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[-1, 1:5]
     error = np.linalg.norm(endpoint - expm(-2.0 * lap) @ x0)
+    peak = np.linalg.norm(np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[:, 1:5],
+                          axis=1).max()
     assert summary["autonomous"] is True
     assert summary["endpoint_error"] == pytest.approx(error, rel=1e-6, abs=1e-15)
-    assert summary["endpoint_error_rel"] == summary["endpoint_error"] <= 1e-9
+    assert summary["endpoint_error_rel"] == pytest.approx(summary["endpoint_error"] / (1 + peak),
+                                                          rel=1e-12)
+    assert summary["endpoint_error"] <= 1e-9
     assert main(["simulate", "--input", path_graph, "--t-star", "40", "--x0", "1,-2,0.5,3",
                  "--steps", "20", "--out", str(tmp_path / "coarse")]) == 1
     error = json.loads((tmp_path / "coarse" / "error.json").read_text())

@@ -70,8 +70,8 @@ class TestFluxMatrix:
         npt.assert_allclose(fm.Phi, np.ones((3, 3)), atol=1e-13)
         assert fm.lam_max == pytest.approx(3.0, rel=1e-12)
         npt.assert_allclose(fm.top_vector, np.full(3, 1.0 / np.sqrt(3.0)), rtol=1e-12)
-        # At t* = 1e-320 every entry of Phi = t* 1 1^T is subnormal; Lanczos on
-        # the unscaled matrix returns (-0.689, 0.724).
+        # At t* = 1e-320 every entry of Phi = t* 1 1^T is subnormal; the top
+        # vector comes from the unit start v / ||v||, not from Phi's entries.
         fm = fc.flux_matrix(fc.LinearSystem([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 1e-320)
         npt.assert_allclose(fm.top_vector, np.full(2, np.sqrt(0.5)), rtol=1e-15)
 
@@ -107,6 +107,91 @@ class TestFluxMatrix:
         # A nonzero weighting whose flux matrix underflows to zero has no top pair.
         with pytest.raises(InvalidInputError, match="no positive eigenvalue"):
             fc.flux_matrix(fc.LinearSystem(np.zeros((2, 2))), np.full(2, 1e-160), 1e-10)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), symmetric=st.booleans(),
+           scale=st.floats(0.05, 5.0), t_star=st.floats(0.01, 3.0), growth=st.floats(-2.0, 1.0))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_matches_the_van_loan_reference(self, seed, n, symmetric, scale, t_star, growth):
+        # Growth of exp(tA) at most e, as in TestSeriesKernel.
+        a, b = _draw_system(seed, n, 1, scale, symmetric, growth / t_star)
+        _check_flux_against_van_loan(a, b[:, 0], t_star)
+
+    @pytest.mark.parametrize("t_star", [1e-3, 0.05, 0.25])
+    @pytest.mark.parametrize("v", [[1.0, 1.0, 1.0], [1.0, -2.0, 0.5], [0.0, 0.0, 1.0]])
+    def test_jordan_block_matches_the_van_loan_reference(self, t_star, v):
+        # ||exp(t* A)|| reaches e^75 at t* = 0.25.
+        _check_flux_against_van_loan(300.0 * np.eye(3) + np.eye(3, k=1), np.array(v), t_star)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_eigenvector_weighting_breaks_down_after_one_step(self, symmetric, monkeypatch):
+        # v an eigenvector of A^T: the Krylov space is span(v), and its Gramian is 1 x 1.
+        a, _ = _draw_system(8, 12, 1, 1.0, symmetric)
+        if not symmetric:
+            a = np.triu(a) + np.diag(np.arange(12.0)) / 6  # real, distinct eigenvalues
+        vals, vecs = np.linalg.eig(a.T)
+        v = np.real(vecs[:, np.argmax(vals.real)])
+        sizes = _record_expm(monkeypatch)
+        _check_flux_against_van_loan(a, v, 1.5)
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("t_star", [0.015, 1.5, 5.0])
+    def test_star_matches_the_van_loan_reference(self, t_star, monkeypatch):
+        # The 31-node star's Laplacian has three distinct eigenvalues: the
+        # Krylov space of any v has at most three dimensions, and of the
+        # all-ones v, one. Arnoldi must stop there, not normalize roundoff.
+        adj = np.zeros((31, 31))
+        adj[0, 1:] = adj[1:, 0] = 1.0
+        a = fc.laplacian_system(adj).A
+        sizes = _record_expm(monkeypatch)
+        _check_flux_against_van_loan(a, np.ones(31), t_star)
+        _check_flux_against_van_loan(a, np.arange(31.0), t_star)
+        assert sizes == [1, 3]
+
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_long_horizon_fills_the_krylov_space(self, n, monkeypatch):
+        # ||A||_1 t* in the hundreds: the stopping bound never passes before
+        # k = n, where the result is exact.
+        g = np.random.default_rng(n).standard_normal((n, n))
+        a = g - g.T - 0.1 * np.eye(n)
+        sizes = _record_expm(monkeypatch)
+        _check_flux_against_van_loan(a, np.random.default_rng(n + 1).standard_normal(n), 20.0)
+        assert sizes[-1] == n
+
+    def test_stopping_bound_counts_the_growth_it_feeds(self, monkeypatch):
+        # exp(sA^T) e_1 runs down a chain with weak links 0.1, and after eight
+        # steps leaks 1e-5 into a mode growing as e^(40 s). Phi_99 is 1.6e-17
+        # against Phi_11 = 1, but the leak's part of Phi is 1e-9 of the whole:
+        # the bound at k = 8 must see the growth and go on to k = n = 9. The
+        # small Gramian reads G_88 as 0, below its roundoff, so a bound that
+        # read it would stop at 8.
+        at = np.diag(np.full(8, 0.1), -1)
+        at[8, 7], at[8, 8] = 1e-5, 40.0
+        sizes = _record_expm(monkeypatch)
+        _check_flux_against_van_loan(at.T, np.eye(9)[0], 1.0)
+        assert sizes == [9]
+
+    def test_one_small_gramian_on_a_200_node_graph(self, monkeypatch):
+        # The flux sweep's workload: the adjacency of a 200-node ring with 100
+        # chords, from all ones, at horizons 0.015 to 1.5. The stopping bound
+        # needs no Gramian, so each horizon takes one, and it is not n x n.
+        n = 200
+        rng = np.random.default_rng(13)
+        adj = np.roll(np.eye(n), 1, axis=1)
+        chords = 0
+        while chords < n // 2:
+            i, j = rng.integers(n, size=2)
+            if i != j and adj[i, j] == adj[j, i] == 0.0:
+                adj[i, j], chords = 1.0, chords + 1
+        adj = adj + adj.T
+        system = fc.LinearSystem(adj)
+        for t_star in np.geomspace(0.015, 1.5, 8):
+            with pytest.MonkeyPatch.context() as mp:
+                sizes = _record_expm(mp)
+                fm = fc.flux_matrix(system, np.ones(n), t_star)
+            assert len(sizes) == 1 and sizes[0] < n
+            exact = fc.GramianEvaluator(system, t_star).flux(np.ones(n))
+            assert _rel(fm.Phi, exact) <= 1e-12
+            assert abs(fm.top_vector @ eigh(exact)[1][:, -1]) >= 1.0 - 1e-12
 
     def test_kappa_equals_trace_form(self, rng):
         # v^T W(B) v == tr(B^T Phi_v B) for any schematic.
@@ -401,6 +486,8 @@ class TestGramianEvaluator:
         b = rng.standard_normal((5, 2))
         w = ev.matrix(b)
         assert calls == [5]
+        # The Krylov space of (A^T, 1) fills all five dimensions, so
+        # flux_matrix's one small Gramian is 5 x 5.
         fc.flux_matrix(system, np.ones(5), t)
         assert calls == [5, 5]
         w_ref = gramian_quadrature(system, fc.InputSchematic(b), t, 4000)
@@ -523,6 +610,17 @@ class TestSeriesKernel:
         assert (round(math.log2(reach / x)), terms) == expected
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
 
+    def test_series_terms_keep_the_direct_tail_bound(self):
+        # The running tail term gives the p of the closed form
+        # (2x)^(p+1) e^(2x) / (p+2)! on every base step the cost rule can take,
+        # from _THETA down through eight halvings.
+        def direct(x):
+            return next(p for p in range(1, 200) if (2 * x) ** (p + 1) * math.exp(2 * x)
+                        / math.factorial(p + 2) <= 2.0**-53)
+
+        grid = np.geomspace(gramian._THETA / 2**8, gramian._THETA, 10001)
+        assert [gramian._series_terms(x) for x in grid] == [direct(x) for x in grid]
+
     def test_tiny_horizon(self):
         a, b = _draw_system(4, 5, 2, 3.0, False)
         w = gramian._doubling_gramian(a, b, 1e-12)[0]
@@ -643,12 +741,52 @@ class TestMetamorphicRelations:
         assert _rel(_series_w(a, b, t_star), series) <= 1e-12
 
 
-def _spectral(seed, lam):
-    """Symmetric matrix with eigenvalues ``lam`` in a seeded orthonormal basis, and the basis."""
-    n = len(lam)
-    v = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))[0]
-    phi = (v * np.asarray(lam, dtype=float)) @ v.T
-    return 0.5 * (phi + phi.T), v
+def _rotations(weights):
+    """(A, v) whose flux matrix over t* = 2 pi is pi diag(w_1, w_1, w_2, w_2, ...).
+
+    A holds the rotation blocks [[0, j], [-j, 0]], j = 1, 2, ..., and v holds
+    sqrt(w_j) in block j's first entry: exp(sA^T) v turns each block's part at
+    its own whole frequency, so over one period every cross term integrates
+    to zero and each block adds pi w_j I_2."""
+    a, v = np.zeros((2 * len(weights),) * 2), np.zeros(2 * len(weights))
+    for j, w in enumerate(weights):
+        a[2 * j, 2 * j + 1], a[2 * j + 1, 2 * j] = j + 1, -(j + 1)
+        v[2 * j] = math.sqrt(w)
+    return a, v
+
+
+def _rotation_flux(weights):
+    """The flux matrix of ``_rotations(weights)`` over 2 pi, checked against pi diag(w)."""
+    a, v = _rotations(weights)
+    fm = fc.flux_matrix(fc.LinearSystem(a), v, 2 * math.pi)
+    exact = math.pi * np.repeat(weights, 2)
+    assert np.abs(fm.Phi - np.diag(exact)).max() <= 1e-13 * exact.max()
+    return fm
+
+
+def _record_expm(mp):
+    """Make ``gramian.expm`` record the size of each matrix it exponentiates."""
+    sizes, inner = [], gramian.expm
+
+    def recording(x):
+        sizes.append(x.shape[0])
+        return inner(x)
+
+    mp.setattr(gramian, "expm", recording)
+    return sizes
+
+
+def _check_flux_against_van_loan(a, v, t_star):
+    """Phi and the top vector of ``flux_matrix`` against the 2n x 2n block
+    exponential, to 1e-12; both are scaled to unit largest entry first, since
+    the norms would square entries past 1e154."""
+    fm = fc.flux_matrix(fc.LinearSystem(a), v, t_star)
+    ref = van_loan_block_reference(a.T, np.outer(v, v), t_star)
+    scale = np.abs(ref).max()
+    assert _rel(fm.Phi / scale, ref / scale) <= 1e-12
+    vals, vecs = eigh(ref / scale)
+    if len(v) == 1 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
+        assert abs(fm.top_vector @ vecs[:, -1]) >= 1.0 - 1e-12
 
 
 def _check_top_pair(phi, lam, u):
@@ -661,74 +799,88 @@ def _check_top_pair(phi, lam, u):
 
 
 class TestTopEigenpair:
-    """Lanczos top pair of a PSD matrix against LAPACK ``eigh``."""
+    """``flux_matrix``'s top pair, from ``eigh`` of the Krylov Gramian, against
+    LAPACK ``eigh`` of the flux matrix it returns and against closed forms."""
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data(),
-           decay=st.floats(0.0, 8.0))
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    def test_psd_matrices_match_lapack(self, seed, n, data, decay):
-        rank = data.draw(st.integers(1, n))
-        lam = np.random.default_rng(seed).uniform(0.5, 1.0, n) * np.exp(-decay * np.arange(n))
-        phi, _ = _spectral(seed, np.where(np.arange(n) < rank, lam, 0.0))
-        top, u = gramian._top_eigenpair(phi)
-        _check_top_pair(phi, top, u)
-        vals, vecs = eigh(phi)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), symmetric=st.booleans(),
+           decay=st.floats(0.0, 8.0), t_star=st.floats(0.05, 3.0))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_psd_matrices_match_lapack(self, seed, n, symmetric, decay, t_star):
+        # A shifted by -decay / t*: the larger the decay, the faster Phi's spectrum falls off.
+        a, b = _draw_system(seed, n, 1, 1.0, symmetric, -decay / t_star)
+        fm = fc.flux_matrix(fc.LinearSystem(a), b[:, 0], t_star)
+        _check_top_pair(fm.Phi, fm.lam_max, fm.top_vector)
+        vals, vecs = eigh(fm.Phi)
         if n == 1 or vals[-1] - vals[-2] > 1e-6 * vals[-1]:
-            assert abs(u @ vecs[:, -1]) >= 1.0 - 1e-12
+            assert abs(fm.top_vector @ vecs[:, -1]) >= 1.0 - 1e-12
 
     def test_one_and_two_nodes(self):
-        lam, u = gramian._top_eigenpair(np.array([[3.0]]))
-        assert lam == 3.0 and abs(u[0]) == 1.0
-        lam, u = gramian._top_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert lam == pytest.approx(3.0, rel=1e-15)
-        npt.assert_allclose(np.abs(u), np.full(2, np.sqrt(0.5)), rtol=1e-15)
-        for phi in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-            lam, u = gramian._top_eigenpair(phi)
-            assert lam == pytest.approx(1.0, rel=1e-15)
-            npt.assert_allclose(np.abs(u), np.diag(phi), atol=1e-15)
+        fm = fc.flux_matrix(fc.LinearSystem([[-0.5]]), [2.0], 1.0)
+        assert fm.lam_max == pytest.approx(4.0 * -math.expm1(-1.0), rel=1e-15)
+        assert fm.top_vector.tolist() == [1.0]
+        # Phi of diag(1, -1) from (1, 1), as in TestFluxMatrix, against its closed form.
+        fm = fc.flux_matrix(fc.LinearSystem(np.diag([1.0, -1.0])), np.ones(2), 1.0)
+        vals, vecs = eigh([[(np.e**2 - 1.0) / 2.0, 1.0], [1.0, (1.0 - np.exp(-2.0)) / 2.0]])
+        assert fm.lam_max == pytest.approx(vals[-1], rel=1e-14)
+        assert abs(fm.top_vector @ vecs[:, -1]) >= 1.0 - 1e-15
+        # A weighting on one axis of diagonal dynamics stays on it: Phi = diag(phi, 0).
+        for v in ([1.0, 0.0], [0.0, 1.0]):
+            fm = fc.flux_matrix(fc.LinearSystem(np.diag([1.0, -1.0])), v, 1.0)
+            npt.assert_array_equal(fm.top_vector, v)
 
     @pytest.mark.parametrize("n", [2, 3, 34, 200])
-    def test_rank_one_all_ones(self, n):
-        # Laplacian dynamics conserve the all-ones weighting: Phi = t* 1 1^T.
-        lam, u = gramian._top_eigenpair(np.full((n, n), 0.7))
-        _check_top_pair(np.full((n, n), 0.7), lam, u)
-        npt.assert_allclose(np.abs(u), np.full(n, 1.0 / np.sqrt(n)), rtol=1e-14)
+    def test_rank_one_all_ones(self, n, monkeypatch):
+        # Laplacian dynamics conserve the all-ones weighting: Phi = t* 1 1^T,
+        # and Arnoldi breaks down after one step, so the one small Gramian is 1 x 1.
+        adj = np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 2), 2)
+        sizes = _record_expm(monkeypatch)
+        fm = fc.flux_matrix(fc.laplacian_system(adj + adj.T), np.ones(n), 0.7)
+        assert sizes == [1]
+        _check_top_pair(fm.Phi, fm.lam_max, fm.top_vector)
+        npt.assert_allclose(fm.Phi, np.full((n, n), 0.7), rtol=1e-14)
+        npt.assert_allclose(fm.top_vector, np.full(n, 1.0 / np.sqrt(n)), rtol=1e-14)
 
     @pytest.mark.parametrize("lam", [[2.0, 2.0, 1.0, 0.5, 0.1, 0.0], [1.0] * 5, [1.0, 1.0, 0.0]])
     def test_exact_top_tie_lies_in_the_top_eigenspace(self, lam):
-        phi, v = _spectral(3, lam)
-        top, u = gramian._top_eigenpair(phi)
-        _check_top_pair(phi, top, u)
-        tied = v[:, np.asarray(lam) == lam[0]]
-        assert np.linalg.norm(tied.T @ u) >= 1.0 - 1e-12
+        fm = _rotation_flux(lam)
+        _check_top_pair(fm.Phi, fm.lam_max, fm.top_vector)
+        tied = np.repeat(np.asarray(lam) == lam[0], 2)
+        assert np.linalg.norm(fm.top_vector[tied]) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("gap", [1e-10, 1e-14])
     def test_near_tie_lies_in_the_top_pair_of_eigenspaces(self, gap):
-        phi, v = _spectral(4, [1.0, 1.0 - gap, 0.5, 0.3, 0.2, 0.1, 1e-3, 0.0])
-        top, u = gramian._top_eigenpair(phi)
-        _check_top_pair(phi, top, u)
-        assert np.linalg.norm(v[:, :2].T @ u) >= 1.0 - 1e-12
+        fm = _rotation_flux([1.0, 1.0 - gap, 0.5, 0.3, 0.2, 0.1, 1e-3, 0.0])
+        _check_top_pair(fm.Phi, fm.lam_max, fm.top_vector)
+        assert np.linalg.norm(fm.top_vector[:4]) >= 1.0 - 1e-12
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_extreme_scales(self, scale):
-        phi, _ = _spectral(5, np.exp(-np.arange(12.0)))
-        lam, u = gramian._top_eigenpair(phi)
-        lam_s, u_s = gramian._top_eigenpair(scale * phi)
-        assert lam_s == pytest.approx(scale * lam, rel=1e-14)
-        assert abs(u_s @ u) >= 1.0 - 1e-12
-        _check_top_pair(scale * phi, lam_s, u_s)
+        # v scaled by sqrt(scale) scales Phi by scale.
+        a, b = _draw_system(5, 12, 1, 1.0, False, -0.5)
+        fm = fc.flux_matrix(fc.LinearSystem(a), b[:, 0], 1.0)
+        fm_s = fc.flux_matrix(fc.LinearSystem(a), math.sqrt(scale) * b[:, 0], 1.0)
+        assert fm_s.lam_max == pytest.approx(scale * fm.lam_max, rel=1e-14)
+        assert abs(fm_s.top_vector @ fm.top_vector) >= 1.0 - 1e-12
+        _check_top_pair(fm_s.Phi, fm_s.lam_max, fm_s.top_vector)
 
-    def test_flat_spectrum(self):
-        phi, v = _spectral(6, np.linspace(2.0, 1.0, 200))
-        lam, u = gramian._top_eigenpair(phi)
-        _check_top_pair(phi, lam, u)
-        assert abs(u @ v[:, 0]) >= 1.0 - 1e-12
+    def test_flat_spectrum(self, monkeypatch):
+        # 100 rotation blocks at frequencies up to 100 over 2 pi: ||A|| t* = 628
+        # takes the Krylov space to all n = 200 dimensions, and the one small
+        # Gramian is the full one.
+        sizes = _record_expm(monkeypatch)
+        fm = _rotation_flux(np.linspace(2.0, 1.0, 100))
+        assert sizes == [200]
+        _check_top_pair(fm.Phi, fm.lam_max, fm.top_vector)
+        assert np.linalg.norm(fm.top_vector[:2]) >= 1.0 - 1e-12
 
     def test_fixed_start_reruns_identically_and_leaves_the_global_rng(self):
-        phi, _ = _spectral(7, np.exp(-np.arange(10.0)))
+        # Arnoldi starts from v itself and draws nothing.
+        a, b = _draw_system(7, 10, 1, 1.0, False)
         state = np.random.get_state()
-        first = gramian._top_eigenpair(phi)
+        first = fc.flux_matrix(fc.LinearSystem(a), b[:, 0], 1.3)
         after = np.random.get_state()
         assert after[2] == state[2] and np.array_equal(after[1], state[1])
-        second = gramian._top_eigenpair(phi)
-        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+        second = fc.flux_matrix(fc.LinearSystem(a), b[:, 0], 1.3)
+        assert first.Phi.tobytes() == second.Phi.tobytes()
+        assert first.lam_max == second.lam_max
+        assert first.top_vector.tobytes() == second.top_vector.tobytes()
