@@ -234,11 +234,13 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     ||v|| h_{k+1,k} (e_k^T exp(sH_k) e_1) q_{k+1} (Saad 1992), and its middle factor
     is at most P s^(k-1) exp(mu s)/(k-1)!, P the product of H_k's subdiagonal and
     mu, nu Gershgorin bounds on the extreme eigenvalues of (A + A^T)/2. So with
-    c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 mu t*)
+    c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 max(mu, 0) t*)
     (P h_{k+1,k})^2 t*^(2k-1) / ((2k-1) (k-1)!^2). Arnoldi stops once that is at most
-    eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at a breakdown,
-    h_{k+1,k} <= 4 eps ||A||_F, or at k = n. The bound reads no entry of G: its
-    small entries are accurate only to roundoff in its largest.
+    eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at k = n, or at a
+    breakdown: h_{k+1,k} <= 4 eps sqrt(n) || |A^T| |q_k| ||, the roundoff of the
+    products that formed it, so an exact small coupling is followed. The bound
+    reads no entry of G: its small entries are accurate only to roundoff in its
+    largest.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
@@ -255,8 +257,9 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
         mu, nu = float(np.max(d + r)), float(np.min(d - r))
         c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, nu))
         # The stopping bound in logs, with its factors that do not change with k on this side.
-        target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + mu * t_star)
-        breakdown = 4 * eps * dnrm2(system.A.ravel())
+        target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
+        tol = 4 * eps * math.sqrt(n)
+        screen = tol * dnrm2(system.A.ravel())
         for k in range(1, n + 1):
             w = a @ q[k - 1]
             for _ in range(2):
@@ -264,7 +267,10 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
                 w -= proj @ q[:k]
                 h[:k, k - 1] += proj
             h[k, k - 1] = dnrm2(w)
-            if h[k, k - 1] <= breakdown or k == n:
+            # A breakdown: the remainder lies within the roundoff of the products
+            # that formed it; ||A||_F >= || |A^T| |q_k| || screens that test.
+            if k == n or h[k, k - 1] <= screen and (
+                    h[k, k - 1] <= tol * dnrm2(np.abs(a) @ np.abs(q[k - 1]))):
                 break
             log_p += math.log(h[k, k - 1])
             if (2 * log_p + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
