@@ -237,10 +237,9 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 max(mu, 0) t*)
     (P h_{k+1,k})^2 t*^(2k-1) / ((2k-1) (k-1)!^2). Arnoldi stops once that is at most
     eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at k = n, or at a
-    breakdown: h_{k+1,k} <= 4 eps sqrt(n) || |A^T| |q_k| ||, the roundoff of the
-    products that formed it, so an exact small coupling is followed. The bound
-    reads no entry of G: its small entries are accurate only to roundoff in its
-    largest.
+    breakdown, h_{k+1,k} <= 4 eps sqrt(n) || |A^T| |q_k| ||: within the roundoff of
+    the products that formed it, so an exact small coupling is followed. The bound
+    reads no entry of G: its small entries are only accurate to roundoff in G's largest.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
@@ -258,8 +257,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
         c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, nu))
         # The stopping bound in logs, with its factors that do not change with k on this side.
         target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
-        tol = 4 * eps * math.sqrt(n)
-        screen = tol * dnrm2(system.A.ravel())
+        fro, tol = dnrm2(system.A.ravel()), 4 * eps * math.sqrt(n)
         for k in range(1, n + 1):
             w = a @ q[k - 1]
             for _ in range(2):
@@ -267,9 +265,8 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
                 w -= proj @ q[:k]
                 h[:k, k - 1] += proj
             h[k, k - 1] = dnrm2(w)
-            # A breakdown: the remainder lies within the roundoff of the products
-            # that formed it; ||A||_F >= || |A^T| |q_k| || screens that test.
-            if k == n or h[k, k - 1] <= screen and (
+            # A breakdown; ||A||_F >= || |A^T| |q_k| || screens the test.
+            if k == n or h[k, k - 1] <= tol * fro and (
                     h[k, k - 1] <= tol * dnrm2(np.abs(a) @ np.abs(q[k - 1]))):
                 break
             log_p += math.log(h[k, k - 1])
