@@ -137,10 +137,8 @@ def _series_terms(x: float) -> int:
     """Series terms p on a base step with ||ha||_1 = x: the tail
     (2x)^(p+1) e^(2x)/(p+2)! of the sum, relative to h ||b b^T||, is below the
     unit roundoff 2^-53. At x = _THETA that is 32 terms."""
-    p, tail = 1, (2 * x) ** 2 * math.exp(2 * x) / 6
-    while tail > 2.0**-53:
-        p, tail = p + 1, tail * 2 * x / (p + 3)
-    return p
+    return next(p for p in range(1, 200)
+                if (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2) <= 2.0**-53)
 
 
 def _thin_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:

@@ -633,17 +633,6 @@ class TestSeriesKernel:
         assert (round(math.log2(reach / x)), terms) == expected
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
 
-    def test_series_terms_keep_the_direct_tail_bound(self):
-        # The running tail term gives the p of the closed form
-        # (2x)^(p+1) e^(2x) / (p+2)! on every base step the cost rule can take,
-        # from _THETA down through eight halvings.
-        def direct(x):
-            return next(p for p in range(1, 200) if (2 * x) ** (p + 1) * math.exp(2 * x)
-                        / math.factorial(p + 2) <= 2.0**-53)
-
-        grid = np.geomspace(gramian._THETA / 2**8, gramian._THETA, 10001)
-        assert [gramian._series_terms(x) for x in grid] == [direct(x) for x in grid]
-
     def test_tiny_horizon(self):
         a, b = _draw_system(4, 5, 2, 3.0, False)
         w = gramian._doubling_gramian(a, b, 1e-12)[0]
