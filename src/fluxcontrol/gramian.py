@@ -10,7 +10,9 @@ tail bound at that step allows, and horizon doubling; a thick input matrix
 takes the base step that needs the fewest n x n products. The flux matrix
 runs that same engine on a k x k Arnoldi projection of its one trajectory
 exp(tA^T) v, with k fixed by an a-priori error bound, and takes its top
-eigenpair from the k x k Gramian.
+eigenpair from the k x k Gramian. The Krylov space does not depend on the
+horizon, so a system keeps one per weighting and every horizon reads as many
+of its steps as its own bound asks; the n x n flux matrix is formed when read.
 """
 
 import math
@@ -40,7 +42,7 @@ class GramianBundle:
     """A finite-horizon Gramian whose derived data is computed on first read.
 
     ``from_matrix`` validates a Gramian from outside (finite, symmetric, PSD)
-    and keeps the eigenvalues its check computed. ``GramianEvaluator.bundle``
+    and keeps the eigenpairs its check computed. ``GramianEvaluator.bundle``
     builds the bundle directly on symmetric dynamics, where W is symmetric by
     construction and PSD by the Schur product theorem.
 
@@ -54,7 +56,7 @@ class GramianBundle:
 
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
-        """Validate and symmetrize a computed Gramian and take its eigenvalues."""
+        """Validate and symmetrize a computed Gramian and take its eigenpairs."""
         W = np.asarray(W, dtype=float)
         if not np.all(np.isfinite(W)):
             raise InvalidInputError("gramian has non-finite entries")
@@ -62,12 +64,12 @@ class GramianBundle:
         if np.linalg.norm(W - W.T) > 1e-10 * np.linalg.norm(W) + 1e-300:
             raise InvalidInputError("gramian is not symmetric within tolerance")
         W = 0.5 * (W + W.T)
-        vals = np.linalg.eigvalsh(W)
+        vals, vecs = np.linalg.eigh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
         bundle = cls(W=W, t_star=float(t_star))
-        # Seed the cached property with the eigenvalues the check just took.
-        bundle.__dict__["eigenvalues"] = vals[::-1]
+        # Seed the cached property with the eigenpairs the check just took.
+        bundle.__dict__["eigenpairs"] = vals, vecs
         return bundle
 
     @cached_property
@@ -78,9 +80,14 @@ class GramianBundle:
         return max(float(ones @ self.W @ ones), 0.0)
 
     @cached_property
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors."""
+        return np.linalg.eigh(self.W)
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of W sorted descending."""
-        return np.linalg.eigvalsh(self.W)[::-1]
+        return self.eigenpairs[0][::-1]
 
     @property
     def n(self) -> int:
@@ -101,18 +108,27 @@ class FluxMatrix:
 
     ``Phi = int_0^T exp(tA^T) v v^T exp(tA) dt``; symmetric PSD with a strictly
     positive top eigenvalue whenever v is nonzero. ``top_pair`` holds it and its
-    unit eigenvector, from ``eigh`` of the Krylov Gramian that ``flux_matrix``
-    builds Phi from, with ``canonical_sign``'s sign.
+    unit eigenvector, from ``eigh`` of the Krylov Gramian, with
+    ``canonical_sign``'s sign. The n x n ``Phi = basis^T core basis`` is formed
+    on first read from the k orthonormal rows ``basis`` of the Krylov space
+    and the k x k ``core = ||v||^2 G``.
     """
 
-    Phi: np.ndarray
     v: np.ndarray
     t_star: float
     top_pair: tuple[float, np.ndarray]
+    basis: np.ndarray
+    core: np.ndarray
+
+    @cached_property
+    def Phi(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            phi = self.basis.T @ self.core @ self.basis
+            return _finite(0.5 * (phi + phi.T), "flux matrix")
 
     @property
     def n(self) -> int:
-        return self.Phi.shape[0]
+        return self.v.shape[0]
 
     @property
     def lam_max(self) -> float:
@@ -227,17 +243,21 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
 
     Arnoldi on A^T from v / ||v|| (two Gram-Schmidt passes) gives orthonormal
     rows Q_k and the Hessenberg H_k; the Gramian G of (H_k, e_1) from
-    ``_doubling_gramian`` gives Phi = ||v||^2 Q_k^T G Q_k and the top pair from
-    ``eigh(G)``. The residual of y_k(s) = ||v|| Q_k^T exp(sH_k) e_1 is
-    ||v|| h_{k+1,k} (e_k^T exp(sH_k) e_1) q_{k+1} (Saad 1992), and its middle factor
-    is at most P s^(k-1) exp(mu s)/(k-1)!, P the product of H_k's subdiagonal and
-    mu, nu Gershgorin bounds on the extreme eigenvalues of (A + A^T)/2. So with
+    ``_doubling_gramian`` gives the top pair from ``eigh(G)``, and
+    Phi = ||v||^2 Q_k^T G Q_k on first read of ``FluxMatrix.Phi``. The residual
+    of y_k(s) = ||v|| Q_k^T exp(sH_k) e_1 is ||v|| h_{k+1,k} (e_k^T exp(sH_k) e_1)
+    q_{k+1} (Saad 1992), and its middle factor is at most P s^(k-1) exp(mu s)/(k-1)!,
+    P the product of H_k's subdiagonal and mu, nu Gershgorin bounds on the extreme eigenvalues of (A + A^T)/2. So with
     c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 max(mu, 0) t*)
     (P h_{k+1,k})^2 t*^(2k-1) / ((2k-1) (k-1)!^2). Arnoldi stops once that is at most
     eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at k = n, or at a
     breakdown, h_{k+1,k} <= 4 eps sqrt(n) || |A^T| |q_k| ||: within the roundoff of
     the products that formed it, so an exact small coupling is followed. The bound
     reads no entry of G: its small entries are only accurate to roundoff in G's largest.
+
+    The Arnoldi steps do not depend on t*: ``system`` keeps them per v (a
+    ``_KrylovSpace``) and takes more only when a horizon's bound asks for them,
+    so each horizon gets the k, Q_k and H_k that a fresh run would give.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
@@ -245,43 +265,76 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     beta = np.float64(dnrm2(vv))
     if beta == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
-    a, n, eps = system.A.T, system.n, np.finfo(float).eps
-    q, h = np.empty((n, n)), np.zeros((n + 1, n))
-    q[0], log_p = vv / beta, 0.0
     with np.errstate(all="ignore"):
-        s = 0.5 * (a + system.A)
-        d, r = np.diag(s), np.abs(s).sum(axis=1) - np.abs(np.diag(s))
-        mu, nu = float(np.max(d + r)), float(np.min(d - r))
-        c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, nu))
-        # The stopping bound in logs, with its factors that do not change with k on this side.
-        target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
-        fro, tol = dnrm2(system.A.ravel()), 4 * eps * math.sqrt(n)
-        for k in range(1, n + 1):
-            w = a @ q[k - 1]
-            for _ in range(2):
-                proj = q[:k] @ w
-                w -= proj @ q[:k]
-                h[:k, k - 1] += proj
-            h[k, k - 1] = dnrm2(w)
-            # A breakdown; ||A||_F >= || |A^T| |q_k| || screens the test.
-            if k == n or h[k, k - 1] <= tol * fro and (
-                    h[k, k - 1] <= tol * dnrm2(np.abs(a) @ np.abs(q[k - 1]))):
-                break
-            log_p += math.log(h[k, k - 1])
-            if (2 * log_p + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
-                    - 2 * math.lgamma(k) <= target):
-                break
-            q[k] = w / h[k, k - 1]
-        g = _finite(_doubling_gramian(h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
+        key = vv.tobytes()
+        space = system._krylov.get(key)
+        if space is None:
+            space = system._krylov[key] = _KrylovSpace(system.A.T, vv / beta)
+        k = space.order(t_star)
+        g = _finite(_doubling_gramian(space.h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
         theta, vecs = np.linalg.eigh(g)
-        lam, basis = float(_finite(beta**2 * theta[-1], "flux matrix")), q[:k]
-        phi = basis.T @ (beta**2 * g) @ basis
-        phi = _finite(0.5 * (phi + phi.T), "flux matrix")
+        lam, basis = float(_finite(beta**2 * theta[-1], "flux matrix")), space.q[:k]
+    # A view of the shared space, which later horizons read.
+    basis.flags.writeable = False
     if lam <= 0.0:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
     top = vecs[:, -1] @ basis
-    return FluxMatrix(Phi=phi, v=vv, t_star=float(t_star),
-                      top_pair=(lam, canonical_sign(top / np.linalg.norm(top))))
+    return FluxMatrix(v=vv, t_star=float(t_star),
+                      top_pair=(lam, canonical_sign(top / np.linalg.norm(top))),
+                      basis=basis, core=beta**2 * g)
+
+
+class _KrylovSpace:
+    """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask.
+
+    Holds what no horizon changes: mu and nu, Gershgorin bounds on the
+    extreme eigenvalues of (A + A^T)/2, and ||A||_F. Step k fills the k-th
+    column of H and keeps its residual w and log P_k, the log of the product
+    of H's subdiagonal through h_{k+1,k}; q_{k+1} = w / h_{k+1,k} is formed
+    only when a horizon takes step k + 1. ``closed`` marks a breakdown or k = n.
+    """
+
+    def __init__(self, a: np.ndarray, q1: np.ndarray):
+        n, eps = a.shape[0], np.finfo(float).eps
+        self.a, self.steps, self.closed = a, 0, False
+        self.q, self.h = np.empty((n, n)), np.zeros((n + 1, n))
+        self.q[0], self.log_p, self.w = q1, [0.0], None
+        s = 0.5 * (a + a.T)
+        d, r = np.diag(s), np.abs(s).sum(axis=1) - np.abs(np.diag(s))
+        self.mu, self.nu = float(np.max(d + r)), float(np.min(d - r))
+        self.fro, self.tol = dnrm2(a.T.ravel()), 4 * eps * math.sqrt(n)
+
+    def _step(self) -> None:
+        k, q, h = self.steps + 1, self.q, self.h
+        if k > 1:
+            q[k - 1] = self.w / h[k - 1, k - 2]
+        w = self.a @ q[k - 1]
+        for _ in range(2):
+            proj = q[:k] @ w
+            w -= proj @ q[:k]
+            h[:k, k - 1] += proj
+        h[k, k - 1] = dnrm2(w)
+        self.steps, self.w = k, w
+        # A breakdown; ||A||_F >= || |A^T| |q_k| || screens the test.
+        if k == len(q) or h[k, k - 1] <= self.tol * self.fro and (
+                h[k, k - 1] <= self.tol * dnrm2(np.abs(self.a) @ np.abs(q[k - 1]))):
+            self.closed = True
+        else:
+            self.log_p.append(self.log_p[-1] + math.log(h[k, k - 1]))
+
+    def order(self, t_star: float) -> int:
+        """The fewest steps whose error bound at ``t_star`` is met, or the last step."""
+        mu, eps = self.mu, np.finfo(float).eps
+        c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, self.nu))
+        # The stopping bound in logs, with its factors that do not change with k on this side.
+        target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
+        for k in range(1, len(self.q) + 1):
+            if k > self.steps:
+                self._step()
+            if self.closed and k == self.steps or (
+                    2 * self.log_p[k] + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
+                    - 2 * math.lgamma(k) <= target):
+                return k
 
 
 def kappa(bundle: GramianBundle, v) -> float:

@@ -31,15 +31,20 @@ class LinearSystem:
     """Dense LTI dynamics matrix.
 
     Attributes:
-        A: n x n real dynamics matrix, all entries finite.
+        A: n x n real dynamics matrix, all entries finite; a read-only copy
+            of the argument, so what is derived from it cannot go stale.
     """
 
     A: np.ndarray
+    # flux_matrix's Krylov spaces of (A^T, v), keyed by the bytes of v.
+    _krylov: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.A, name="A")
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"A must be square, got shape {a.shape}")
+        a = a.copy()
+        a.flags.writeable = False
         object.__setattr__(self, "A", a)
 
     @property

@@ -905,3 +905,108 @@ class TestTopEigenpair:
         assert first.Phi.tobytes() == second.Phi.tobytes()
         assert first.lam_max == second.lam_max
         assert first.top_vector.tobytes() == second.top_vector.tobytes()
+
+
+def _krylov_case(seed, kind, n):
+    """(A, v, w) for two weightings. "zero" and "blocks" break Arnoldi down
+    early: A = 0 after one step, and a block-diagonal A with v in its first
+    block of s rows after at most s steps."""
+    rng = np.random.default_rng(seed)
+    if kind in ("symmetric", "nonsymmetric"):
+        a = _draw_system(seed, n, 1, 2.0, kind == "symmetric")[0]
+    else:
+        a = np.zeros((n, n))
+    v, w = rng.standard_normal((2, n))
+    if kind == "blocks":
+        s = max(1, n // 3)
+        a[:s, :s] = rng.standard_normal((s, s))
+        a[s:, s:] = rng.standard_normal((n - s, n - s)) / math.sqrt(n)
+        v[s:] = 0.0
+    return a, v, w
+
+
+KRYLOV_KINDS = st.sampled_from(["symmetric", "nonsymmetric", "zero", "blocks"])
+
+
+class TestSharedKrylovSpace:
+    """One system keeps one Krylov space per weighting and grows it as the
+    horizons ask; every result equals that of a fresh system, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=KRYLOV_KINDS, n=st.integers(2, 30),
+           horizons=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=5))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_shuffled_horizons_and_interleaved_weightings_match_a_fresh_system(
+            self, seed, kind, n, horizons):
+        a, v, w = _krylov_case(seed, kind, n)
+        rng = np.random.default_rng(seed)
+        # Every horizon twice, in a random order, each time for both weightings.
+        order = rng.permutation(horizons + horizons)
+        system = fc.LinearSystem(a)
+        for t_star in order:
+            for weighting in (v, w):
+                got = fc.flux_matrix(system, weighting, t_star)
+                ref = fc.flux_matrix(fc.LinearSystem(a), weighting, t_star)
+                assert got.lam_max == ref.lam_max
+                npt.assert_array_equal(got.top_vector, ref.top_vector)
+                npt.assert_array_equal(got.Phi, ref.Phi)
+        assert len(system._krylov) == 2
+        if kind != "symmetric" and kind != "nonsymmetric":
+            assert system._krylov[v.tobytes()].closed
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=KRYLOV_KINDS, n=st.integers(2, 30),
+           horizons=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=6))
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    def test_sweep_rows_match_fresh_centralities(self, seed, kind, n, horizons):
+        a = _krylov_case(seed, kind, n)[0]
+        hs = np.sort(horizons)
+        rows = fc.flux_sweep(fc.LinearSystem(a), hs).phi
+        for t_star, row in zip(hs, rows):
+            npt.assert_array_equal(row, fc.flux_centrality(fc.LinearSystem(a), t_star))
+
+    def test_dynamics_are_a_read_only_copy(self):
+        a, v, _ = _krylov_case(3, "nonsymmetric", 6)
+        system = fc.LinearSystem(a)
+        first = fc.flux_matrix(system, v, 1.0)
+        with pytest.raises(ValueError):
+            system.A[0, 0] = 1.0
+        assert a.flags.writeable
+        before = a.copy()
+        a[0, 0] += 1.0
+        # The caller's write reaches neither the system nor its cached space.
+        npt.assert_array_equal(system.A, before)
+        again = fc.flux_matrix(system, v, 1.0)
+        npt.assert_array_equal(again.Phi, first.Phi)
+        npt.assert_array_equal(again.top_vector, first.top_vector)
+
+    def test_phi_is_formed_on_first_read(self):
+        a, v, _ = _krylov_case(5, "symmetric", 8)
+        fm = fc.flux_matrix(fc.LinearSystem(a), v, 0.9)
+        assert "Phi" not in fm.__dict__
+        assert fm.Phi is fm.Phi
+        assert fm.Phi.shape == (8, 8) and fm.n == 8
+        # The basis is a view of the space the system keeps for later horizons.
+        with pytest.raises(ValueError):
+            fm.basis[0, 0] = 1.0
+
+
+def test_identity_quadratic_goal_reads_the_validated_eigenpairs(monkeypatch):
+    # from_matrix keeps the eigh its PSD check took; _solve_quadratic with
+    # O=None reads those eigenpairs and takes no eigendecomposition of its own.
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((6, 4))
+    z = rng.standard_normal(6)
+    expected = fc.select_repulsion_state(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z, 2.0)
+    bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
+    vals, vecs = np.linalg.eigh(bundle.W)
+    npt.assert_array_equal(bundle.eigenpairs[0], vals)
+    npt.assert_array_equal(bundle.eigenpairs[1], vecs)
+
+    def no_eigh(_):
+        raise AssertionError("a second eigendecomposition of W")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    got = fc.select_repulsion_state(bundle, z, 2.0)
+    npt.assert_array_equal(got.x_star, expected.x_star)
+    assert got.energy == expected.energy
+    assert (bundle.lam_max, bundle.lam_min) == (vals[-1], vals[0])
