@@ -16,6 +16,7 @@ of its steps as its own bound asks; the n x n flux matrix is formed when read.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -292,13 +293,14 @@ class _KrylovSpace:
     column of H and keeps its residual w and log P_k, the log of the product
     of H's subdiagonal through h_{k+1,k}; q_{k+1} = w / h_{k+1,k} is formed
     only when a horizon takes step k + 1. ``closed`` marks a breakdown or k = n.
+    A lock keeps threads that share the system from taking a step twice.
     """
 
     def __init__(self, a: np.ndarray, q1: np.ndarray):
         n, eps = a.shape[0], np.finfo(float).eps
         self.a, self.steps, self.closed = a, 0, False
         self.q, self.h = np.empty((n, n)), np.zeros((n + 1, n))
-        self.q[0], self.log_p, self.w = q1, [0.0], None
+        self.q[0], self.log_p, self.w, self.lock = q1, [0.0], None, threading.Lock()
         s = 0.5 * (a + a.T)
         d, r = np.diag(s), np.abs(s).sum(axis=1) - np.abs(np.diag(s))
         self.mu, self.nu = float(np.max(d + r)), float(np.min(d - r))
@@ -328,13 +330,14 @@ class _KrylovSpace:
         c, lower = (np.expm1(2 * x * t_star) / (2 * x) if x else t_star for x in (mu, self.nu))
         # The stopping bound in logs, with its factors that do not change with k on this side.
         target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
-        for k in range(1, len(self.q) + 1):
-            if k > self.steps:
-                self._step()
-            if self.closed and k == self.steps or (
-                    2 * self.log_p[k] + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
-                    - 2 * math.lgamma(k) <= target):
-                return k
+        with self.lock:
+            for k in range(1, len(self.q) + 1):
+                if k > self.steps:
+                    self._step()
+                if self.closed and k == self.steps or (
+                        2 * self.log_p[k] + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
+                        - 2 * math.lgamma(k) <= target):
+                    return k
 
 
 def kappa(bundle: GramianBundle, v) -> float:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -977,6 +979,38 @@ class TestSharedKrylovSpace:
         again = fc.flux_matrix(system, v, 1.0)
         npt.assert_array_equal(again.Phi, first.Phi)
         npt.assert_array_equal(again.top_vector, first.top_vector)
+
+    def test_threads_sharing_a_system_match_a_fresh_system(self):
+        a, v, w = _krylov_case(9, "nonsymmetric", 40)
+        horizons = [0.05, 3.0, 0.4, 1.5, 0.1, 2.5]
+        ref = {(i, t): fc.flux_matrix(fc.LinearSystem(a), (v, w)[i], t)
+               for i in (0, 1) for t in horizons}
+        systems, results, errors = [fc.LinearSystem(a) for _ in range(5)], [], []
+
+        def work(i):
+            try:
+                for system in systems:
+                    for t in horizons[i:] + horizons[:i]:
+                        results.append(((i % 2, t), fc.flux_matrix(system, (v, w)[i % 2], t)))
+            except Exception as exc:
+                errors.append(exc)
+
+        # Six threads on two cores, each sweeping the shared systems in its own order.
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(th.is_alive() for th in threads)
+        assert len(results) == 6 * len(systems) * len(horizons)
+        for key, fm in results:
+            assert fm.lam_max == ref[key].lam_max
+            npt.assert_array_equal(fm.top_vector, ref[key].top_vector)
 
     def test_phi_is_formed_on_first_read(self):
         a, v, _ = _krylov_case(5, "symmetric", 8)
