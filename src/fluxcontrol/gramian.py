@@ -11,8 +11,9 @@ takes the base step that needs the fewest n x n products. The flux matrix
 runs that same engine on a k x k Arnoldi projection of its one trajectory
 exp(tA^T) v, with k fixed by an a-priori error bound, and takes its top
 eigenpair from the k x k Gramian. The Krylov space does not depend on the
-horizon, so a system keeps one per weighting and every horizon reads as many
-of its steps as its own bound asks; the n x n flux matrix is formed when read.
+horizon, so a system keeps the last weighting's space and every horizon reads
+as many of its steps as its own bound asks; the n x n flux matrix is formed
+when read.
 """
 
 import math
@@ -43,7 +44,7 @@ class GramianBundle:
     """A finite-horizon Gramian whose derived data is computed on first read.
 
     ``from_matrix`` validates a Gramian from outside (finite, symmetric, PSD)
-    and keeps the eigenpairs its check computed. ``GramianEvaluator.bundle``
+    and keeps the eigenvalues its check computed. ``GramianEvaluator.bundle``
     builds the bundle directly on symmetric dynamics, where W is symmetric by
     construction and PSD by the Schur product theorem.
 
@@ -57,7 +58,7 @@ class GramianBundle:
 
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
-        """Validate and symmetrize a computed Gramian and take its eigenpairs."""
+        """Validate and symmetrize a computed Gramian and take its eigenvalues."""
         W = np.asarray(W, dtype=float)
         if not np.all(np.isfinite(W)):
             raise InvalidInputError("gramian has non-finite entries")
@@ -65,12 +66,12 @@ class GramianBundle:
         if np.linalg.norm(W - W.T) > 1e-10 * np.linalg.norm(W) + 1e-300:
             raise InvalidInputError("gramian is not symmetric within tolerance")
         W = 0.5 * (W + W.T)
-        vals, vecs = np.linalg.eigh(W)
+        vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
         bundle = cls(W=W, t_star=float(t_star))
-        # Seed the cached property with the eigenpairs the check just took.
-        bundle.__dict__["eigenpairs"] = vals, vecs
+        # Seed the cached property with the eigenvalues the check just took.
+        bundle.__dict__["eigenvalues"] = vals[::-1]
         return bundle
 
     @cached_property
@@ -81,14 +82,9 @@ class GramianBundle:
         return max(float(ones @ self.W @ ones), 0.0)
 
     @cached_property
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors."""
-        return np.linalg.eigh(self.W)
-
-    @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of W sorted descending."""
-        return self.eigenpairs[0][::-1]
+        return np.linalg.eigvalsh(self.W)[::-1]
 
     @property
     def n(self) -> int:
@@ -256,9 +252,10 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     the products that formed it, so an exact small coupling is followed. The bound
     reads no entry of G: its small entries are only accurate to roundoff in G's largest.
 
-    The Arnoldi steps do not depend on t*: ``system`` keeps them per v (a
-    ``_KrylovSpace``) and takes more only when a horizon's bound asks for them,
-    so each horizon gets the k, Q_k and H_k that a fresh run would give.
+    The Arnoldi steps do not depend on t*: ``system`` keeps them (a
+    ``_KrylovSpace``) for the last v it was given and takes more only when a
+    horizon's bound asks for them, so each horizon gets the k, Q_k and H_k that
+    a fresh run would give. A call with another v replaces the kept space.
     """
     if not np.isfinite(t_star) or t_star <= 0:
         raise InvalidInputError("t_star must be a positive real")
@@ -267,10 +264,11 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     if beta == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
     with np.errstate(all="ignore"):
-        key = vv.tobytes()
-        space = system._krylov.get(key)
-        if space is None:
-            space = system._krylov[key] = _KrylovSpace(system.A.T, vv / beta)
+        key, slot = vv.tobytes(), system._krylov
+        space = slot[0]
+        if space is None or space.key != key:
+            # A new weighting's space takes the slot of the last one.
+            space = slot[0] = _KrylovSpace(system.A.T, vv / beta, key)
         k = space.order(t_star)
         g = _finite(_doubling_gramian(space.h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
         theta, vecs = np.linalg.eigh(g)
@@ -286,7 +284,8 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
 
 
 class _KrylovSpace:
-    """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask.
+    """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask;
+    ``key`` is the bytes of the weighting v that q_1 normalizes.
 
     Holds what no horizon changes: mu and nu, Gershgorin bounds on the
     extreme eigenvalues of (A + A^T)/2, and ||A||_F. Step k fills the k-th
@@ -296,9 +295,9 @@ class _KrylovSpace:
     A lock keeps threads that share the system from taking a step twice.
     """
 
-    def __init__(self, a: np.ndarray, q1: np.ndarray):
+    def __init__(self, a: np.ndarray, q1: np.ndarray, key: bytes):
         n, eps = a.shape[0], np.finfo(float).eps
-        self.a, self.steps, self.closed = a, 0, False
+        self.a, self.key, self.steps, self.closed = a, key, 0, False
         self.q, self.h = np.empty((n, n)), np.zeros((n + 1, n))
         self.q[0], self.log_p, self.w, self.lock = q1, [0.0], None, threading.Lock()
         s = 0.5 * (a + a.T)

@@ -36,8 +36,9 @@ class LinearSystem:
     """
 
     A: np.ndarray
-    # flux_matrix's Krylov spaces of (A^T, v), keyed by the bytes of v.
-    _krylov: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # One slot for flux_matrix's Krylov space of (A^T, v), for the last v it took.
+    _krylov: list = field(default_factory=lambda: [None], init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         a = as_matrix(self.A, name="A")
@@ -46,6 +47,10 @@ class LinearSystem:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "A", a)
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild from A: the cached space holds a lock.
+        return type(self), (self.A,)
 
     @property
     def n(self) -> int:

@@ -253,7 +253,7 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
         return _corner(z)
 
     if O is None:
-        theta, u = W.eigenpairs
+        theta, u = np.linalg.eigh(W.W)
     else:
         owo = O @ W.W @ O.T
         theta, u = np.linalg.eigh(0.5 * (owo + owo.T))

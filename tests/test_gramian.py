@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -931,8 +933,8 @@ KRYLOV_KINDS = st.sampled_from(["symmetric", "nonsymmetric", "zero", "blocks"])
 
 
 class TestSharedKrylovSpace:
-    """One system keeps one Krylov space per weighting and grows it as the
-    horizons ask; every result equals that of a fresh system, bit for bit."""
+    """One system keeps the Krylov space of its last weighting and grows it as
+    the horizons ask; every result equals that of a fresh system, bit for bit."""
 
     @given(seed=st.integers(0, 2**32 - 1), kind=KRYLOV_KINDS, n=st.integers(2, 30),
            horizons=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=5))
@@ -941,19 +943,43 @@ class TestSharedKrylovSpace:
             self, seed, kind, n, horizons):
         a, v, w = _krylov_case(seed, kind, n)
         rng = np.random.default_rng(seed)
-        # Every horizon twice, in a random order, each time for both weightings.
-        order = rng.permutation(horizons + horizons)
         system = fc.LinearSystem(a)
-        for t_star in order:
-            for weighting in (v, w):
+        # Runs of v, w, then v again (its space rebuilt), each over every
+        # horizon twice in a random order.
+        for weighting in (v, w, v):
+            for t_star in rng.permutation(horizons + horizons):
                 got = fc.flux_matrix(system, weighting, t_star)
                 ref = fc.flux_matrix(fc.LinearSystem(a), weighting, t_star)
                 assert got.lam_max == ref.lam_max
                 npt.assert_array_equal(got.top_vector, ref.top_vector)
                 npt.assert_array_equal(got.Phi, ref.Phi)
-        assert len(system._krylov) == 2
+        assert len(system._krylov) == 1 and system._krylov[0].key == v.tobytes()
         if kind in ("zero", "blocks"):
-            assert system._krylov[v.tobytes()].closed
+            assert system._krylov[0].closed
+
+    def test_a_new_weighting_replaces_the_kept_space(self):
+        a, v, w = _krylov_case(7, "nonsymmetric", 12)
+        u = np.ones(12)
+        system = fc.LinearSystem(a)
+        for weighting in (v, w, u):
+            fc.flux_matrix(system, weighting, 0.5)
+            assert len(system._krylov) == 1
+            assert system._krylov[0].key == weighting.tobytes()
+        got = fc.flux_matrix(system, v, 0.5)
+        npt.assert_array_equal(got.Phi, fc.flux_matrix(fc.LinearSystem(a), v, 0.5).Phi)
+        assert len(system._krylov) == 1 and system._krylov[0].key == v.tobytes()
+
+    @pytest.mark.parametrize("clone_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    def test_a_system_with_a_kept_space_survives_pickle_and_deepcopy(self, clone_of):
+        a, v, _ = _krylov_case(2, "symmetric", 10)
+        system = fc.LinearSystem(a)
+        first = fc.flux_matrix(system, v, 1.2)
+        clone = clone_of(system)
+        npt.assert_array_equal(clone.A, system.A)
+        assert clone._krylov == [None] and not clone.A.flags.writeable
+        again = fc.flux_matrix(clone, v, 1.2)
+        assert again.lam_max == first.lam_max
+        npt.assert_array_equal(again.Phi, first.Phi)
 
     @given(seed=st.integers(0, 2**32 - 1), kind=KRYLOV_KINDS, n=st.integers(2, 30),
            horizons=st.lists(st.floats(0.01, 4.0), min_size=1, max_size=6))
@@ -1022,25 +1048,3 @@ class TestSharedKrylovSpace:
         with pytest.raises(ValueError):
             fm.basis[0, 0] = 1.0
 
-
-def test_identity_quadratic_goal_reads_the_validated_eigenpairs(monkeypatch):
-    # from_matrix keeps the eigh its PSD check took; _solve_quadratic with
-    # O=None reads those eigenpairs and takes no eigendecomposition of its own.
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal((6, 4))
-    z = rng.standard_normal(6)
-    expected = fc.select_repulsion_state(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z, 2.0)
-    bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
-    vals, vecs = np.linalg.eigh(bundle.W)
-    npt.assert_array_equal(bundle.eigenpairs[0], vals)
-    npt.assert_array_equal(bundle.eigenpairs[1], vecs)
-
-    def no_eigh(_):
-        raise AssertionError("a second eigendecomposition of W")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
-    got = fc.select_repulsion_state(bundle, z, 2.0)
-    npt.assert_array_equal(got.x_star, expected.x_star)
-    assert got.energy == expected.energy
-    assert (bundle.lam_max, bundle.lam_min) == (vals[-1], vals[0])
