@@ -49,12 +49,8 @@ from .select import (
     binding_check,
     mean_goal,
     repulsion_min_threshold,
-    select_mean_state,
-    select_repulsion_state,
     select_state,
-    select_variance_state,
     single_input_scales,
-    solve_qcls,
     variance_energy_bound,
 )
 from .trajectory import Trajectory, min_energy_controller, simulate
@@ -83,10 +79,6 @@ __all__ = [
     "StateSelection",
     "binding_check",
     "select_state",
-    "select_mean_state",
-    "select_repulsion_state",
-    "solve_qcls",
-    "select_variance_state",
     "variance_energy_bound",
     "repulsion_min_threshold",
     "single_input_scales",

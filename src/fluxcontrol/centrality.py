@@ -1,6 +1,5 @@
 """Flux centrality: per-node importance for steering the average state."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +23,10 @@ class FluxProfile:
     def n(self) -> int:
         return self.phi.shape[1]
 
-    def write_csv(self, path, labels=None) -> None:
-        """Rows are horizons, columns node scores; header carries node labels."""
-        labels = labels if labels is not None else [str(i + 1) for i in range(self.n)]
-        if len(labels) != self.n:
-            raise InvalidInputError("label count must match node count")
+    def write_csv(self, path) -> None:
+        """Rows are horizons, columns node scores; the header names nodes 1..n."""
         with open(path, "w", newline="") as fh:
-            # Labels may need quoting; the rows are plain numbers.
-            csv.writer(fh).writerow(["t_star", *labels])
+            fh.write(",".join(["t_star", *map(str, range(1, self.n + 1))]) + "\r\n")
             write_csv_rows(fh, np.column_stack([self.horizons, self.phi]))
 
 

@@ -163,7 +163,7 @@ def _build_system(args):
         raise InvalidInputError("--input is required for this command")
     if args.mode == "raw-matrix":
         return LinearSystem(load_dense_matrix(args.input))
-    adj, _ = parse_edge_list(args.input, undirected=args.undirected)
+    adj = parse_edge_list(args.input, undirected=args.undirected)
     if args.mode == "adjacency":
         return LinearSystem(adj)
     return laplacian_system(adj)

@@ -60,7 +60,7 @@ def parse_edge_list(path, undirected: bool = True):
 
     Node ids are 1-based; `#` starts a comment; weights default to 1; repeated
     edges sum with a warning. The undirected flag mirrors each entry. Returns
-    the dense adjacency and the node labels ("1".."n", n = highest id seen).
+    the dense n x n adjacency, n being the highest id seen.
     """
     with open(path) as fh:
         edges, n = _parse_lines(fh, undirected)
@@ -69,8 +69,7 @@ def parse_edge_list(path, undirected: bool = True):
         adj[i, j] += w
         if undirected and i != j:
             adj[j, i] += w
-    labels = [str(k + 1) for k in range(n)]
-    return adj, labels
+    return adj
 
 
 def load_dense_matrix(path):

@@ -1,7 +1,7 @@
 """Minimum-energy terminal-state selection under moment goals.
 
-Given the autonomous endpoint ``z`` and a Gramian ``W``, each solver picks the
-state satisfying its goal at the least value of the energy quadratic form
+Given the autonomous endpoint ``z`` and a Gramian ``W``, ``select_state`` picks
+the state satisfying a goal at the least value of the energy quadratic form
 ``(z - x)^T W^{-1} (z - x)``. Linear goals have a closed form. Every quadratic
 goal ``||O x - d||^2 = eta`` (variance: ``O = D``, ``d = 0``; repulsion:
 ``O = I``, ``d = z``; general QCLS) goes through one solver: a single
@@ -32,10 +32,6 @@ __all__ = [
     "StateSelection",
     "binding_check",
     "select_state",
-    "select_mean_state",
-    "select_repulsion_state",
-    "solve_qcls",
-    "select_variance_state",
     "variance_energy_bound",
     "repulsion_min_threshold",
     "single_input_scales",
@@ -133,9 +129,10 @@ def binding_check(goal, z) -> bool:
     """True iff the autonomous endpoint violates the goal, so control is needed."""
     z = as_vector(z, name="z")
     if isinstance(goal, LinearGoal):
-        return float(goal.v @ z) < goal.c
+        return float(as_vector(goal.v, n=z.size, name="v") @ z) < goal.c
     if isinstance(goal, RepulsionGoal):
-        r = (goal.O @ z if goal.O is not None else z) - as_vector(goal.d, n=z.size, name="d")
+        d = as_vector(goal.d, n=z.size, name="d")
+        r = (goal.O @ z if goal.O is not None else z) - d
         val = float(r @ r)
         return val < goal.eta if goal.sense == "expand" else val > goal.eta
     if isinstance(goal, VarianceGoal):
@@ -159,22 +156,9 @@ def _require_movable(W: GramianBundle, stat: float, message: str, scale: float =
         raise GoalUncontrollableError(message)
 
 
-def _corner(z: np.ndarray) -> StateSelection:
-    return StateSelection(
-        x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
-    )
-
-
-def select_mean_state(W: GramianBundle, z, goal: LinearGoal) -> StateSelection:
-    """Closed-form optimal state for a linear observer goal.
-
-    The optimum displaces the autonomous endpoint along ``W v`` by the
-    constraint gap over ``v^T W v``; valid whenever that scalar is positive,
-    even for singular Gramians.
-    """
-    z = as_vector(z, n=W.n, name="z")
-    if not binding_check(goal, z):
-        return _corner(z)
+def _select_mean(W: GramianBundle, z: np.ndarray, goal: LinearGoal) -> StateSelection:
+    """Closed-form optimum for a binding linear goal: ``z`` moves along ``W v``
+    by the constraint gap over ``v^T W v``, valid whenever that is positive."""
     v = goal.v
     kap = float(v @ W.W @ v)
     _require_movable(
@@ -229,7 +213,8 @@ def _solve_secular(eval_fn, lo, hi, target, lam_tol=1e-10, max_iter=200):
 
 
 def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> StateSelection:
-    """Minimize ``(x - z)^T W^{-1} (x - z)`` subject to ``||O x - d||^2 = eta``.
+    """Minimize ``(x - z)^T W^{-1} (x - z)`` subject to ``||O x - d||^2 = eta``,
+    for a goal that ``binding_check`` found binding.
 
     Stationarity gives ``x = z + W p`` with the adjoint ``p = lam O^T r`` and
     residual ``r = O x - d``. In the eigenbasis ``O W O^T = U diag(theta) U^T``
@@ -246,18 +231,12 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
     stays ``c_i``. ``W`` is never inverted, so it may be singular. ``O=None``
     is the identity, and no product with it is formed.
     """
-    r0 = (z if O is None else O @ z) - d
-    f0 = float(r0 @ r0)
-    binding = f0 < eta if sense == "expand" else f0 > eta
-    if not binding:
-        return _corner(z)
-
     if O is None:
         theta, u = np.linalg.eigh(W.W)
     else:
         owo = O @ W.W @ O.T
         theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
-    c = u.T @ r0
+    c = u.T @ ((z if O is None else O @ z) - d)
     theta_max = float(theta[-1])
     _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
     if sense == "contract":
@@ -316,50 +295,6 @@ def _adjoint_selection(W, z, O, u, theta, lam, lam_r) -> StateSelection:
     )
 
 
-def select_repulsion_state(W: GramianBundle, z, eta: float) -> StateSelection:
-    """Push the endpoint a squared distance ``eta`` away from its autonomous value.
-
-    The quadratic goal with ``O = I`` and ``d = z``: ``c = 0``, so the
-    displacement is the leading eigenvector of the Gramian scaled to squared
-    length ``eta``, and the energy is ``eta`` over the top eigenvalue. Only
-    that eigenvector must be reachable, so a singular Gramian is fine.
-    """
-    return solve_qcls(W, z, None, z, eta)
-
-
-def solve_qcls(W: GramianBundle, z, O, d, eta: float, sense: str = "expand") -> StateSelection:
-    """Least squares in the energy metric with a quadratic equality constraint.
-
-    Finds the multiplier closest to zero that satisfies ``||O x - d||^2 = eta``
-    (smallest nonnegative root for the expand sense, largest nonpositive for
-    contract); see ``_solve_quadratic``. ``O=None`` means the identity.
-    """
-    z = as_vector(z, n=W.n, name="z")
-    n = W.n
-    if O is not None:
-        O = as_matrix(O, shape=(n, n), name="O")
-    d = as_vector(d, n=n, name="d")
-    eta = _threshold(eta)
-    if sense not in ("expand", "contract"):
-        raise InvalidInputError("sense must be 'expand' or 'contract'")
-    return _solve_quadratic(W, z, O, d, eta, sense)
-
-
-def select_variance_state(W: GramianBundle, z, eta: float) -> StateSelection:
-    """Drive the sample variance of the state up to ``eta`` at minimum energy.
-
-    The quadratic goal with the centering projector ``O = D`` and ``d = 0``.
-    It needs no inverse of ``W``, so singular Gramians are fine as long as
-    some mean-zero direction is controllable.
-    """
-    n = W.n
-    if n < 2:
-        raise InvalidInputError("variance is undefined for a single node")
-    z = as_vector(z, n=n, name="z")
-    eta = _threshold(eta)
-    return _solve_quadratic(W, z, centering_matrix(n), np.zeros(n), eta, "expand")
-
-
 def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
     """Closed-form cap on the variance-goal energy.
 
@@ -416,11 +351,27 @@ def single_input_scales(b, d, eta: float):
 
 
 def select_state(W: GramianBundle, z, goal) -> StateSelection:
-    """Dispatch a moment goal to its solver."""
+    """Minimum-energy terminal state for a moment goal.
+
+    A goal that the autonomous endpoint ``z`` already meets (``binding_check``)
+    costs nothing: the selection is ``z`` with ``p = 0``. Otherwise a
+    ``LinearGoal`` has a closed form, and every quadratic goal goes through one
+    solver (``_solve_quadratic``) that finds the multiplier closest to zero:
+    ``VarianceGoal`` is ``||D x||^2 = eta`` with the centering projector
+    ``O = D`` and ``d = 0``, so it needs some controllable mean-zero direction;
+    ``RepulsionGoal`` is ``||O x - d||^2 = eta`` in its own sense. With
+    ``O = I`` and ``d = z`` the displacement is the leading eigenvector of
+    ``W`` scaled to squared length ``eta``, at energy ``eta / lam_max``.
+    """
+    z = as_vector(z, n=W.n, name="z")
+    if isinstance(goal, VarianceGoal) and W.n < 2:
+        raise InvalidInputError("variance is undefined for a single node")
+    if not binding_check(goal, z):
+        return StateSelection(
+            x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
+        )
     if isinstance(goal, LinearGoal):
-        return select_mean_state(W, z, goal)
+        return _select_mean(W, z, goal)
     if isinstance(goal, VarianceGoal):
-        return select_variance_state(W, z, goal.eta)
-    if isinstance(goal, RepulsionGoal):
-        return solve_qcls(W, z, goal.O, goal.d, goal.eta, sense=goal.sense)
-    raise InvalidInputError(f"unknown goal type {type(goal).__name__}")
+        return _solve_quadratic(W, z, centering_matrix(W.n), np.zeros(W.n), goal.eta, "expand")
+    return _solve_quadratic(W, z, goal.O, goal.d, goal.eta, goal.sense)

@@ -7,8 +7,8 @@ import fluxcontrol as fc
 @pytest.fixture(scope="session")
 def karate():
     """Bundled karate club adjacency and its diffusive system."""
-    adj, labels = fc.karate_club_adjacency()
-    return {"adj": adj, "labels": labels, "system": fc.laplacian_system(adj)}
+    adj = fc.karate_club_adjacency()
+    return {"adj": adj, "system": fc.laplacian_system(adj)}
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ def test_criterion_1_mean_closed_form_vs_kkt_oracle():
         v = rng.standard_normal(n)
         z = rng.standard_normal(n)
         c = float(v @ z) + float(rng.uniform(0.1, 2.0))
-        sel = fc.select_mean_state(bundle, z, fc.LinearGoal(v, c))
+        sel = fc.select_state(bundle, z, fc.LinearGoal(v, c))
         x_ref, _, e_ref = kkt_mean_oracle(bundle.W, z, v, c)
         x_err = np.linalg.norm(sel.x_star - x_ref) / (1.0 + np.linalg.norm(x_ref))
         e_err = abs(sel.energy - e_ref) / (1.0 + abs(e_ref))
@@ -102,7 +102,7 @@ def test_criterion_3_repulsion_energy_formula():
     start = time.perf_counter()
     system = fc.LinearSystem([[0.0]])
     w = fc.reachability_gramian(system, fc.InputSchematic([[1.0]]), 1.0)
-    sel = fc.select_repulsion_state(w, np.zeros(1), 4.0)
+    sel = fc.select_state(w, np.zeros(1), fc.RepulsionGoal(np.zeros(1), 4.0))
     # eta * lam_min(W^{-1}) = 4 * 1, not sqrt(eta) * lam_min = 2.
     assert sel.energy == pytest.approx(4.0, rel=1e-12), sel.energy
     rng = np.random.default_rng(303)
@@ -111,7 +111,7 @@ def test_criterion_3_repulsion_energy_formula():
         _, _, bundle = _random_controllable(rng, n, 1.0)
         z = rng.standard_normal(n)
         eta = float(rng.uniform(0.5, 4.0))
-        sel = fc.select_repulsion_state(bundle, z, eta)
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(z, eta))
         assert sel.energy == pytest.approx(eta / bundle.lam_max, rel=1e-10)
         w_inv = np.linalg.inv(bundle.W)
         for _ in range(1000):
@@ -137,7 +137,7 @@ def test_criterion_4_variance_bound_never_violated():
         eta = float(rng.uniform(0.2, 3.0))
         if not fc.binding_check(fc.VarianceGoal(eta), z):
             continue
-        sel = fc.select_variance_state(bundle, z, eta)
+        sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
         bound = fc.variance_energy_bound(bundle, z, eta)
         margin = (sel.energy - bound) / (1.0 + bound)
         worst_margin = max(worst_margin, margin)
@@ -187,7 +187,7 @@ def test_criterion_5_single_input_threshold_feasibility():
 
 def test_criterion_6_gpgm_vs_ram_on_karate_club():
     start = time.perf_counter()
-    adj, _ = fc.karate_club_adjacency()
+    adj = fc.karate_club_adjacency()
     system = fc.laplacian_system(adj)
     goal = fc.VarianceGoal(1.0)
     x0 = np.zeros(34)
@@ -246,7 +246,7 @@ def test_criterion_7_trajectory_consistency():
         x0 = rng.standard_normal(n)
         z = fc.transition_matrix(system, t_star) @ x0
         goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
-        sel = fc.select_mean_state(bundle, z, goal)
+        sel = fc.select_state(bundle, z, goal)
         controller = fc.min_energy_controller(
             fc.GramianEvaluator(system, t_star), schematic, sel.p, 2000
         )
@@ -274,7 +274,7 @@ def test_criterion_7_trajectory_consistency():
 
 def test_criterion_8_flux_rankings_change_with_horizon():
     start = time.perf_counter()
-    adj, _ = fc.karate_club_adjacency()
+    adj = fc.karate_club_adjacency()
     system = fc.LinearSystem(adj)
     phi_short = fc.flux_centrality(system, 0.015)
     phi_long = fc.flux_centrality(system, 1.5)

@@ -96,13 +96,12 @@ class TestFluxSweep:
     def test_csv_roundtrip(self, tmp_path, karate):
         profile = fc.flux_sweep(karate["system"], [0.5, 1.0])
         path = tmp_path / "flux.csv"
-        profile.write_csv(path, labels=karate["labels"])
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        header = lines[0].split(",")
-        assert header[0] == "t_star"
-        assert header[1:] == karate["labels"]
-        row = np.array([float(x) for x in lines[1].split(",")])
+        profile.write_csv(path)
+        lines = path.read_bytes().split(b"\r\n")
+        assert len(lines) == 4 and lines[-1] == b""
+        # The header names the nodes 1..n, as the edge list numbers them.
+        assert lines[0] == b"t_star," + ",".join(str(i) for i in range(1, 35)).encode()
+        row = np.array([float(x) for x in lines[1].split(b",")])
         assert row[0] == 0.5
         npt.assert_allclose(row[1:], profile.phi[0], rtol=1e-15)
 

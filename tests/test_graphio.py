@@ -14,31 +14,30 @@ def _write(tmp_path, text, name="g.edges"):
 
 class TestParseEdgeList:
     def test_small_undirected(self, tmp_path):
-        adj, labels = fc.parse_edge_list(_write(tmp_path, "1 2\n2 3\n"))
+        adj = fc.parse_edge_list(_write(tmp_path, "1 2\n2 3\n"))
         assert adj.shape == (3, 3)
         npt.assert_array_equal(adj, adj.T)
         assert adj.sum() == 4.0  # two edges mirrored
-        assert labels == ["1", "2", "3"]
 
     def test_directed_mode(self, tmp_path):
-        adj, _ = fc.parse_edge_list(_write(tmp_path, "1 2 3.5\n"), undirected=False)
+        adj = fc.parse_edge_list(_write(tmp_path, "1 2 3.5\n"), undirected=False)
         assert adj[0, 1] == 3.5
         assert adj[1, 0] == 0.0
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# header\n\n1 2 2.0  # inline comment\n# trailing\n"
-        adj, _ = fc.parse_edge_list(_write(tmp_path, text))
+        adj = fc.parse_edge_list(_write(tmp_path, text))
         assert adj[0, 1] == 2.0
 
     def test_default_weight_is_one(self, tmp_path):
-        adj, _ = fc.parse_edge_list(_write(tmp_path, "1 3\n"))
+        adj = fc.parse_edge_list(_write(tmp_path, "1 3\n"))
         assert adj[0, 2] == 1.0
         assert adj.shape == (3, 3)
 
     def test_duplicate_edges_sum_with_warning(self, tmp_path):
         path = _write(tmp_path, "1 2 1.0\n2 1 0.5\n")
         with pytest.warns(UserWarning, match="duplicate edge"):
-            adj, _ = fc.parse_edge_list(path)
+            adj = fc.parse_edge_list(path)
         assert adj[0, 1] == 1.5
         assert adj[1, 0] == 1.5
 
@@ -63,9 +62,8 @@ class TestParseEdgeList:
             fc.parse_edge_list(_write(tmp_path, "# only comments\n"))
 
     def test_node_count_is_max_id(self, tmp_path):
-        adj, labels = fc.parse_edge_list(_write(tmp_path, "1 5\n"))
+        adj = fc.parse_edge_list(_write(tmp_path, "1 5\n"))
         assert adj.shape == (5, 5)
-        assert labels[-1] == "5"
 
 
 class TestKarateClubFixture:

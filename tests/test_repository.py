@@ -1,6 +1,7 @@
 """Source invariants and the README's runnable examples."""
 
 import importlib
+import inspect
 import os
 import re
 import shlex
@@ -54,9 +55,24 @@ def test_only_cli_builds_a_gramian_evaluator():
     assert hits == []
 
 
+def test_select_state_is_the_one_way_into_state_selection():
+    # Every goal type reaches its solver through select_state, so a per-goal
+    # front door that returns a selection cannot come back unnoticed.
+    select = importlib.import_module("fluxcontrol.select")
+    entries = sorted(
+        name
+        for name, fn in vars(select).items()
+        if not name.startswith("_") and inspect.isfunction(fn)
+        and fn.__module__ == select.__name__
+        and inspect.signature(fn).return_annotation is select.StateSelection
+    )
+    assert entries == ["select_state"]
+
+
 def test_cli_import_leaves_scipy_sparse_unloaded():
     # Importing scipy.sparse (as scipy.sparse.linalg.eigsh would) adds about
-    # 3 MB of resident memory to every process; the flux top pair is Lanczos.
+    # 3 MB of resident memory to every process; the flux top pair comes from
+    # eigh of the k x k Krylov Gramian.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, fluxcontrol.cli; "

@@ -58,12 +58,31 @@ class TestBindingCheck:
         goal = fc.RepulsionGoal(d=np.zeros(2), eta=1.0, sense="contract")
         assert not fc.binding_check(goal, z)
 
+    @pytest.mark.parametrize("goal, name", [
+        (fc.LinearGoal(np.ones(3), 1.0), "v"),
+        (fc.RepulsionGoal(np.ones(3), 1.0), "d"),
+        (fc.RepulsionGoal(np.ones(3), 1.0, np.eye(3)), "d"),
+    ], ids=["linear", "repulsion", "qcls"])
+    @pytest.mark.parametrize("entry", ["binding_check", "select_state", "gpgm"])
+    def test_goal_vector_of_wrong_length_is_typed(self, goal, name, entry):
+        # A 3-vector goal on a 4-node system: the length check comes before
+        # any product with z, so the error is typed and names the vector.
+        z = np.zeros(4)
+        evaluator = fc.GramianEvaluator(fc.LinearSystem(-np.eye(4)), 1.0)
+        call = {
+            "binding_check": lambda: fc.binding_check(goal, z),
+            "select_state": lambda: fc.select_state(evaluator.bundle(np.eye(4)), z, goal),
+            "gpgm": lambda: fc.gpgm(evaluator, z, goal, 1),
+        }[entry]
+        with pytest.raises(InvalidInputError, match=f"{name} has length 3, expected 4"):
+            call()
+
 
 class TestSelectMeanState:
     def test_scalar_matches_minimum_energy_oracle(self):
         system = fc.LinearSystem([[0.0]])
         w = fc.reachability_gramian(system, fc.InputSchematic([[1.0]]), 1.0)
-        sel = fc.select_mean_state(w, np.zeros(1), fc.LinearGoal(np.ones(1), 1.0))
+        sel = fc.select_state(w, np.zeros(1), fc.LinearGoal(np.ones(1), 1.0))
         npt.assert_allclose(sel.x_star, [1.0], rtol=1e-12)
         assert sel.energy == pytest.approx(scalar_min_energy(1.0, 1.0), rel=1e-12)
         assert sel.binding
@@ -71,14 +90,14 @@ class TestSelectMeanState:
     def test_single_driver_compensates_uncontrolled_node(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
         w = fc.reachability_gramian(system, fc.InputSchematic.single_node(2, 0), 1.0)
-        sel = fc.select_mean_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
+        sel = fc.select_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
         npt.assert_allclose(sel.x_star, [2.0, 0.0], atol=1e-12)
         assert sel.energy == pytest.approx(scalar_min_energy(2.0, 1.0), rel=1e-12)
 
     def test_constraint_already_met_is_free(self):
         w = _bundle_from(np.eye(2))
         z = np.array([1.0, 1.0])
-        sel = fc.select_mean_state(w, z, fc.LinearGoal(np.ones(2), 2.0))
+        sel = fc.select_state(w, z, fc.LinearGoal(np.ones(2), 2.0))
         npt.assert_array_equal(sel.x_star, z)
         assert sel.energy == 0.0
         assert not sel.binding
@@ -91,7 +110,7 @@ class TestSelectMeanState:
             z = rng.standard_normal(n)
             c = float(v @ z) + float(rng.uniform(0.1, 2.0))
             goal = fc.LinearGoal(v, c)
-            sel = fc.select_mean_state(bundle, z, goal)
+            sel = fc.select_state(bundle, z, goal)
             x_ref, psi_ref, e_ref = kkt_mean_oracle(bundle.W, z, v, c)
             npt.assert_allclose(sel.x_star, x_ref, rtol=1e-6, atol=1e-9)
             assert sel.energy == pytest.approx(e_ref, rel=1e-6)
@@ -104,7 +123,7 @@ class TestSelectMeanState:
             v = rng.standard_normal(n)
             z = rng.standard_normal(n)
             c = float(v @ z) + 1.0
-            sel = fc.select_mean_state(bundle, z, fc.LinearGoal(v, c))
+            sel = fc.select_state(bundle, z, fc.LinearGoal(v, c))
             kap = float(v @ bundle.W @ v)
             alpha = float(v @ z) - c
             assert sel.energy * kap == pytest.approx(alpha**2, rel=1e-10)
@@ -114,7 +133,7 @@ class TestSelectMeanState:
         v = rng.standard_normal(4)
         z = rng.standard_normal(4)
         c = float(v @ z) + 0.7
-        sel = fc.select_mean_state(bundle, z, fc.LinearGoal(v, c))
+        sel = fc.select_state(bundle, z, fc.LinearGoal(v, c))
         assert abs(float(v @ sel.x_star) - c) <= 1e-8 * (1.0 + abs(c))
 
     def test_unmovable_observer_raises(self):
@@ -123,11 +142,11 @@ class TestSelectMeanState:
         schematic = fc.InputSchematic(np.array([[1.0], [-1.0]]))
         w = fc.reachability_gramian(system, schematic, 1.0)
         with pytest.raises(GoalUncontrollableError):
-            fc.select_mean_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
+            fc.select_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
 
     def test_valid_with_singular_gramian_when_kappa_positive(self):
         w = _bundle_from(np.diag([1.0, 0.0]))
-        sel = fc.select_mean_state(w, np.zeros(2), fc.mean_goal(2, 0.5))
+        sel = fc.select_state(w, np.zeros(2), fc.mean_goal(2, 0.5))
         npt.assert_allclose(sel.x_star, [1.0, 0.0], atol=1e-12)
         assert sel.energy == pytest.approx(1.0, rel=1e-12)
 
@@ -136,7 +155,7 @@ class TestSelectRepulsionState:
     def test_scalar_oracle(self):
         system = fc.LinearSystem([[0.0]])
         w = fc.reachability_gramian(system, fc.InputSchematic([[1.0]]), 1.0)
-        sel = fc.select_repulsion_state(w, np.zeros(1), 4.0)
+        sel = fc.select_state(w, np.zeros(1), fc.RepulsionGoal(np.zeros(1), 4.0))
         assert abs(sel.x_star[0]) == pytest.approx(2.0, rel=1e-12)
         assert sel.energy == pytest.approx(4.0, rel=1e-12)
         assert sel.energy == pytest.approx(scalar_min_energy(2.0, 1.0), rel=1e-12)
@@ -144,7 +163,7 @@ class TestSelectRepulsionState:
     def test_diagonal_against_grid_search(self):
         w_mat = np.diag([4.0, 1.0])
         w = _bundle_from(w_mat)
-        sel = fc.select_repulsion_state(w, np.zeros(2), 9.0)
+        sel = fc.select_state(w, np.zeros(2), fc.RepulsionGoal(np.zeros(2), 9.0))
         npt.assert_allclose(np.abs(sel.x_star), [3.0, 0.0], atol=1e-10)
         assert sel.energy == pytest.approx(9.0 / 4.0, rel=1e-12)
         grid = sphere_grid_min_energy(w_mat, np.zeros(2), np.zeros(2), 9.0)
@@ -153,7 +172,7 @@ class TestSelectRepulsionState:
     def test_degenerate_threshold(self):
         w = _bundle_from(np.eye(2))
         z = np.array([0.3, -0.2])
-        sel = fc.select_repulsion_state(w, z, 0.0)
+        sel = fc.select_state(w, z, fc.RepulsionGoal(z, 0.0))
         npt.assert_array_equal(sel.x_star, z)
         assert sel.energy == 0.0
         assert not sel.binding
@@ -161,7 +180,7 @@ class TestSelectRepulsionState:
     def test_sign_points_along_endpoint(self, rng):
         w = _bundle_from(np.diag([4.0, 1.0]))
         z = np.array([1.0, 1.0])
-        sel = fc.select_repulsion_state(w, z, 9.0)
+        sel = fc.select_state(w, z, fc.RepulsionGoal(z, 9.0))
         npt.assert_allclose(sel.x_star, [4.0, 1.0], atol=1e-10)
 
     def test_beats_random_directions(self, rng):
@@ -170,7 +189,7 @@ class TestSelectRepulsionState:
             bundle, _ = _random_pd_bundle(rng, n)
             z = rng.standard_normal(n)
             eta = float(rng.uniform(0.5, 4.0))
-            sel = fc.select_repulsion_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.RepulsionGoal(z, eta))
             w_inv = np.linalg.inv(bundle.W)
             for _ in range(1000):
                 u = rng.standard_normal(n)
@@ -183,14 +202,16 @@ class TestSelectRepulsionState:
         # A singular W = G G^T reaches only z + range(G): the selection is the
         # cheapest point of the sphere there, energy eta / lam_max. diag(1, 0)
         # moves only the first coordinate.
-        sel = fc.select_repulsion_state(_bundle_from(np.diag([1.0, 0.0])), np.zeros(2), 1.0)
+        sel = fc.select_state(
+            _bundle_from(np.diag([1.0, 0.0])), np.zeros(2), fc.RepulsionGoal(np.zeros(2), 1.0)
+        )
         npt.assert_allclose(np.abs(sel.x_star), [1.0, 0.0], atol=1e-12)
         assert sel.energy == pytest.approx(1.0, rel=1e-12)
         for g in _low_rank_factors(rng):
             n = g.shape[0]
             z = rng.standard_normal(n)
             eta = float(rng.uniform(0.5, 3.0))
-            sel = fc.select_repulsion_state(_bundle_from(g @ g.T), z, eta)
+            sel = fc.select_state(_bundle_from(g @ g.T), z, fc.RepulsionGoal(z, eta))
             energy, _ = range_qcls_grid(g, z, np.eye(n), z, eta)
             assert sel.energy == pytest.approx(energy, rel=1e-6)
             assert float((sel.x_star - z) @ (sel.x_star - z)) == pytest.approx(eta, rel=1e-10)
@@ -198,7 +219,7 @@ class TestSelectRepulsionState:
 
     def test_multiplier_is_inverse_top_eigenvalue(self, rng):
         bundle, _ = _random_pd_bundle(rng, 3)
-        sel = fc.select_repulsion_state(bundle, np.zeros(3), 2.0)
+        sel = fc.select_state(bundle, np.zeros(3), fc.RepulsionGoal(np.zeros(3), 2.0))
         assert sel.multiplier == pytest.approx(1.0 / bundle.lam_max, rel=1e-12)
 
 
@@ -209,8 +230,8 @@ class TestSolveQcls:
             bundle, _ = _random_pd_bundle(rng, n)
             z = rng.standard_normal(n)
             eta = float(rng.uniform(0.5, 3.0))
-            rep = fc.select_repulsion_state(bundle, z, eta)
-            qcls = fc.solve_qcls(bundle, z, np.eye(n), z, eta, sense="expand")
+            rep = fc.select_state(bundle, z, fc.RepulsionGoal(z, eta))
+            qcls = fc.select_state(bundle, z, fc.RepulsionGoal(z, eta, np.eye(n), "expand"))
             assert qcls.energy == pytest.approx(rep.energy, rel=1e-8, abs=1e-10)
             npt.assert_allclose(qcls.x_star, rep.x_star, rtol=1e-6, atol=1e-8)
 
@@ -221,14 +242,14 @@ class TestSolveQcls:
         z = rng.standard_normal(3)
         d = rng.standard_normal(3)
         eta = float(np.linalg.norm(z - d) ** 2)
-        sel = fc.solve_qcls(bundle, z, np.eye(3), d, eta * 1.0000001, sense="expand")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta * 1.0000001, np.eye(3), "expand"))
         assert sel.multiplier >= 0.0
         assert sel.multiplier < 1e-4
 
     def test_contract_to_exact_point(self):
         bundle = _bundle_from(np.eye(2))
         z = np.array([2.0, 0.0])
-        sel = fc.solve_qcls(bundle, z, np.eye(2), np.zeros(2), 0.0, sense="contract")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(np.zeros(2), 0.0, np.eye(2), "contract"))
         npt.assert_allclose(sel.x_star, np.zeros(2), atol=1e-10)
         assert sel.energy == pytest.approx(4.0, rel=1e-10)
         assert sel.multiplier == -np.inf
@@ -237,7 +258,7 @@ class TestSolveQcls:
         w_mat = np.diag([1.0, 4.0])
         bundle = _bundle_from(w_mat)
         d = np.array([1.0, 0.0])
-        sel = fc.solve_qcls(bundle, np.zeros(2), np.eye(2), d, 4.0, sense="expand")
+        sel = fc.select_state(bundle, np.zeros(2), fc.RepulsionGoal(d, 4.0, np.eye(2), "expand"))
         grid = sphere_grid_min_energy(w_mat, np.zeros(2), d, 4.0)
         assert sel.energy == pytest.approx(grid, rel=1e-3)
         r = sel.x_star - d
@@ -246,7 +267,7 @@ class TestSolveQcls:
     def test_contract_projects_onto_ellipsoid(self):
         bundle = _bundle_from(np.eye(2))
         z = np.array([2.0, 0.0])
-        sel = fc.solve_qcls(bundle, z, np.eye(2), np.zeros(2), 1.0, sense="contract")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(np.zeros(2), 1.0, np.eye(2), "contract"))
         npt.assert_allclose(sel.x_star, [1.0, 0.0], atol=1e-8)
         assert sel.energy == pytest.approx(1.0, rel=1e-8)
         assert sel.multiplier == pytest.approx(-1.0, rel=1e-6)
@@ -256,7 +277,7 @@ class TestSolveQcls:
         bundle = _bundle_from(w_mat)
         z = np.array([3.0, -2.0])
         d = np.array([0.5, 0.5])
-        sel = fc.solve_qcls(bundle, z, np.eye(2), d, 1.5, sense="contract")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, 1.5, np.eye(2), "contract"))
         grid = sphere_grid_min_energy(w_mat, z, d, 1.5)
         assert sel.energy == pytest.approx(grid, rel=1e-3)
 
@@ -266,7 +287,7 @@ class TestSolveQcls:
         d = z + 0.1 * rng.standard_normal(4)
         o = np.eye(4)
         eta = float(np.linalg.norm(z - d) ** 2) + 1.5
-        sel = fc.solve_qcls(bundle, z, o, d, eta, sense="expand")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, o, "expand"))
         r = sel.x_star - d
         assert abs(float(r @ r) - eta) <= 1e-8 * (1.0 + eta)
         # Monotone on (0, pole): probe the multiplier-parameterized residual.
@@ -286,7 +307,7 @@ class TestSolveQcls:
         z = np.array([3.0, 0.0])
         # ||O x - d||^2 = x1^2 + 1 >= 1, so eta = 0.5 is unreachable.
         with pytest.raises(InfeasibleGoalError) as exc:
-            fc.solve_qcls(bundle, z, o, d, 0.5, sense="contract")
+            fc.select_state(bundle, z, fc.RepulsionGoal(d, 0.5, o, "contract"))
         assert exc.value.min_eta == pytest.approx(1.0, rel=1e-10)
 
     def test_contract_on_singular_karate_gramians_is_steerable_or_typed(self, karate):
@@ -306,7 +327,7 @@ class TestSolveQcls:
             eta = float(rng.uniform(0.2, 0.95)) * float((z - d) @ (z - d))
             bundle = evaluator.bundle(schematic.B)
             try:
-                sel = fc.solve_qcls(bundle, z, np.eye(n), d, eta, sense="contract")
+                sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, np.eye(n), "contract"))
             except InfeasibleGoalError as exc:
                 assert exc.min_eta > eta
                 theta, u = np.linalg.eigh(0.5 * (bundle.W + bundle.W.T))
@@ -326,7 +347,7 @@ class TestSolveQcls:
     def test_non_binding_returns_corner(self):
         bundle = _bundle_from(np.eye(2))
         z = np.array([2.0, 0.0])
-        sel = fc.solve_qcls(bundle, z, np.eye(2), np.zeros(2), 1.0, sense="expand")
+        sel = fc.select_state(bundle, z, fc.RepulsionGoal(np.zeros(2), 1.0, np.eye(2), "expand"))
         npt.assert_array_equal(sel.x_star, z)
         assert not sel.binding
 
@@ -344,7 +365,7 @@ class TestSolveQcls:
             f0 = float(a @ a)
             bundle = _bundle_from(g @ g.T)
             for sense, eta in (("expand", f0 + 2.0), ("contract", 0.5 * (floor + f0))):
-                sel = fc.solve_qcls(bundle, z, o, d, eta, sense=sense)
+                sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, o, sense))
                 energy, _ = range_qcls_grid(g, z, o, d, eta)
                 assert sel.energy == pytest.approx(energy, rel=1e-6)
                 r = o @ sel.x_star - d
@@ -352,14 +373,14 @@ class TestSolveQcls:
                 _assert_in_range(g, sel.x_star - z)
             assert range_qcls_grid(g, z, o, d, 0.5 * floor)[0] == np.inf
             with pytest.raises(InfeasibleGoalError) as exc:
-                fc.solve_qcls(bundle, z, o, d, 0.5 * floor, sense="contract")
+                fc.select_state(bundle, z, fc.RepulsionGoal(d, 0.5 * floor, o, "contract"))
             assert exc.value.min_eta == pytest.approx(floor, rel=1e-9)
 
 
 class TestSelectVarianceState:
     def test_identity_gramian_mean_zero_solution(self):
         bundle = _bundle_from(np.eye(2))
-        sel = fc.select_variance_state(bundle, np.zeros(2), 2.0)
+        sel = fc.select_state(bundle, np.zeros(2), fc.VarianceGoal(2.0))
         assert sel.energy == pytest.approx(2.0, rel=1e-10)
         npt.assert_allclose(np.abs(sel.x_star), [1.0, 1.0], atol=1e-10)
         assert sel.x_star[0] * sel.x_star[1] < 0  # mean-zero, opposite signs
@@ -369,7 +390,7 @@ class TestSelectVarianceState:
     def test_non_binding_returns_corner(self):
         bundle = _bundle_from(np.eye(2))
         z = np.array([1.0, -1.0])  # ||Dz||^2 = 2 >= eta
-        sel = fc.select_variance_state(bundle, z, 2.0)
+        sel = fc.select_state(bundle, z, fc.VarianceGoal(2.0))
         npt.assert_array_equal(sel.x_star, z)
         assert sel.energy == 0.0
         assert not sel.binding
@@ -377,7 +398,7 @@ class TestSelectVarianceState:
     def test_single_node_rejected(self):
         bundle = _bundle_from(np.eye(1))
         with pytest.raises(InvalidInputError):
-            fc.select_variance_state(bundle, np.zeros(1), 1.0)
+            fc.select_state(bundle, np.zeros(1), fc.VarianceGoal(1.0))
 
     def test_against_grid_oracle_n2(self, rng):
         for _ in range(5):
@@ -386,7 +407,7 @@ class TestSelectVarianceState:
             eta = float(rng.uniform(0.5, 3.0))
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             grid = variance_grid_min_energy(bundle.W, z, eta)
             assert sel.energy == pytest.approx(grid, rel=1e-6)
 
@@ -397,7 +418,7 @@ class TestSelectVarianceState:
             eta = float(rng.uniform(0.5, 3.0))
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             grid = variance_grid_min_energy(bundle.W, z, eta, samples=6000)
             assert sel.energy <= grid + 1e-8
             assert sel.energy == pytest.approx(grid, rel=2e-3)
@@ -410,7 +431,7 @@ class TestSelectVarianceState:
             eta = float(rng.uniform(0.5, 2.0))
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             dx = sel.x_star - sel.x_star.mean()
             assert abs(float(dx @ dx) - eta) <= 1e-8 * (1.0 + eta)
 
@@ -422,7 +443,7 @@ class TestSelectVarianceState:
             eta = float(rng.uniform(0.5, 2.0))
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             q = mean_zero_basis(n)
             lam_cap = 1.0 / np.linalg.eigvalsh(q.T @ bundle.W @ q)[-1]
             assert 0.0 < sel.multiplier <= lam_cap * (1.0 + 1e-10)
@@ -439,10 +460,10 @@ class TestSelectVarianceState:
         assert abs(float(dz @ u[:, 2])) < 1e-12 and float(dz @ dz) > 0.01
         eta = ratio * float(dz @ dz)
         bundle = _bundle_from(w_mat)
-        sel = fc.select_variance_state(bundle, z, eta)
+        sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
         assert sel.multiplier == pytest.approx(1.0 / theta[-1], rel=1e-12)
         assert sel.energy <= variance_grid_min_energy(w_mat, z, eta, samples=6000) + 1e-8
-        qcls = fc.solve_qcls(bundle, z, d_mat, np.zeros(3), eta)
+        qcls = fc.select_state(bundle, z, fc.RepulsionGoal(np.zeros(3), eta, d_mat))
         assert sel.energy == pytest.approx(qcls.energy, rel=1e-10)
         npt.assert_allclose(sel.x_star, qcls.x_star, rtol=1e-10, atol=1e-12)
         dx = d_mat @ sel.x_star
@@ -457,7 +478,7 @@ class TestSelectVarianceState:
             eta = 1.0
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             dx = sel.x_star - z
             direct = float(dx @ np.linalg.solve(bundle.W, dx))
             assert sel.energy == pytest.approx(direct, rel=1e-8)
@@ -484,7 +505,7 @@ class TestVarianceEnergyBound:
             eta = float(rng.uniform(0.2, 3.0))
             if not fc.binding_check(fc.VarianceGoal(eta), z):
                 continue
-            sel = fc.select_variance_state(bundle, z, eta)
+            sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
             bound = fc.variance_energy_bound(bundle, z, eta)
             assert sel.energy <= bound * (1.0 + 1e-8)
             checked += 1
@@ -535,35 +556,41 @@ class TestSingleInputScales:
 
 class TestSelectStateDispatch:
     def test_linear_dispatch(self, rng):
+        # The closed form: x* = z + W v (c - v^T z) / (v^T W v).
         bundle, _ = _random_pd_bundle(rng, 3)
         z = np.zeros(3)
         goal = fc.mean_goal(3, 1.0)
         a = fc.select_state(bundle, z, goal)
-        b = fc.select_mean_state(bundle, z, goal)
-        npt.assert_array_equal(a.x_star, b.x_star)
+        wv = bundle.W @ goal.v
+        gap = goal.c - float(goal.v @ z)
+        npt.assert_allclose(a.x_star, z + wv * gap / float(goal.v @ wv), rtol=1e-12)
+        npt.assert_allclose(a.p, goal.v * gap / float(goal.v @ wv), rtol=1e-12)
 
     def test_repulsion_dispatch_to_eigen_solver(self, rng):
+        # d = z: the displacement is the top eigenvector of W scaled to sqrt(eta).
         bundle, _ = _random_pd_bundle(rng, 3)
         z = rng.standard_normal(3)
-        goal = fc.RepulsionGoal(d=z, eta=1.0)
-        a = fc.select_state(bundle, z, goal)
-        b = fc.select_repulsion_state(bundle, z, 1.0)
-        npt.assert_array_equal(a.x_star, b.x_star)
+        a = fc.select_state(bundle, z, fc.RepulsionGoal(d=z, eta=1.0))
+        theta, u = np.linalg.eigh(bundle.W)
+        dx = a.x_star - z
+        npt.assert_allclose(abs(float(u[:, -1] @ dx)), 1.0, rtol=1e-10)
+        assert a.energy == pytest.approx(1.0 / theta[-1], rel=1e-10)
 
     def test_repulsion_dispatch_general(self, rng):
+        # O=None is the identity observer.
         bundle, _ = _random_pd_bundle(rng, 3)
         z = rng.standard_normal(3)
         d = z + np.array([0.5, 0.0, 0.0])
-        goal = fc.RepulsionGoal(d=d, eta=2.0)
-        a = fc.select_state(bundle, z, goal)
-        b = fc.solve_qcls(bundle, z, np.eye(3), d, 2.0)
-        npt.assert_array_equal(a.x_star, b.x_star)
+        a = fc.select_state(bundle, z, fc.RepulsionGoal(d=d, eta=2.0))
+        b = fc.select_state(bundle, z, fc.RepulsionGoal(d, 2.0, np.eye(3)))
+        npt.assert_allclose(a.x_star, b.x_star, rtol=1e-13, atol=1e-13)
 
     def test_variance_dispatch(self, rng):
+        # A variance goal is the quadratic goal O = D, d = 0, expand.
         bundle, _ = _random_pd_bundle(rng, 3)
-        goal = fc.VarianceGoal(1.0)
-        a = fc.select_state(bundle, np.zeros(3), goal)
-        b = fc.select_variance_state(bundle, np.zeros(3), 1.0)
+        a = fc.select_state(bundle, np.zeros(3), fc.VarianceGoal(1.0))
+        centering = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
+        b = fc.select_state(bundle, np.zeros(3), fc.RepulsionGoal(np.zeros(3), 1.0, centering))
         npt.assert_array_equal(a.x_star, b.x_star)
 
 
@@ -585,10 +612,10 @@ class TestNonFiniteThresholds:
 
     @pytest.mark.parametrize("value", _NON_FINITE)
     @pytest.mark.parametrize("solve", [
-        lambda w, z, v: fc.solve_qcls(w, z, np.eye(3), z, v),
-        lambda w, z, v: fc.solve_qcls(w, z, np.eye(3), z + 1.0, v, sense="contract"),
-        fc.select_repulsion_state,
-        fc.select_variance_state,
+        lambda w, z, v: fc.select_state(w, z, fc.RepulsionGoal(z, v, np.eye(3))),
+        lambda w, z, v: fc.select_state(w, z, fc.RepulsionGoal(z + 1.0, v, np.eye(3), "contract")),
+        lambda w, z, v: fc.select_state(w, z, fc.RepulsionGoal(z, v)),
+        lambda w, z, v: fc.select_state(w, z, fc.VarianceGoal(v)),
         fc.variance_energy_bound,
         lambda w, z, v: fc.single_input_scales(np.ones(3), z, v),
     ], ids=["qcls-expand", "qcls-contract", "repulsion", "variance", "variance-bound",

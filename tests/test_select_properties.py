@@ -45,30 +45,30 @@ def _problem(kind, rng, n, g=None):
     if kind == "mean":
         v = rng.standard_normal(n)
         base = float(v @ z)
-        return (z, lambda b, eta: fc.select_mean_state(b, z, fc.LinearGoal(v, base + eta)),
+        return (z, lambda b, eta: fc.select_state(b, z, fc.LinearGoal(v, base + eta)),
                 lambda x: float(v @ x) - base, (0.5, 2.0), True)
     if kind in ("variance", "corner"):
         z = 0.1 * z if kind == "variance" else 3.0 * z
         spread = float(_centered(z) @ _centered(z))
         etas = (spread + 0.5, spread + 2.0) if kind == "variance" else (0.3 * spread, 0.6 * spread)
-        return (z, lambda b, eta: fc.select_variance_state(b, z, eta),
+        return (z, lambda b, eta: fc.select_state(b, z, fc.VarianceGoal(eta)),
                 lambda x: float(_centered(x) @ _centered(x)), etas, True)
     if kind == "expand":
-        return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "expand"),
+        return (z, lambda b, eta: fc.select_state(b, z, fc.RepulsionGoal(d, eta, o, "expand")),
                 qcls_stat, (f0 + 0.5, f0 + 2.0), True)
     if kind == "contract":
         floor = 0.0 if g is None else _reach_floor(o @ g, o @ z - d)
-        return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "contract"),
+        return (z, lambda b, eta: fc.select_state(b, z, fc.RepulsionGoal(d, eta, o, "contract")),
                 qcls_stat, (floor + 0.3 * (f0 - floor), floor + 0.6 * (f0 - floor)), False)
     if kind == "repulsion":
-        return (z, lambda b, eta: fc.select_repulsion_state(b, z, eta),
+        return (z, lambda b, eta: fc.select_state(b, z, fc.RepulsionGoal(z, eta)),
                 lambda x: float((x - z) @ (x - z)), (0.5, 2.0), True)
     # Rank-deficient O with d in its range: eta = 0 is reached only in the
     # lam -> -inf limit.
     o[:, -1] = o[:, :-1] @ rng.standard_normal(n - 1)
     d = o @ rng.standard_normal(n)
     f0 = qcls_stat(z)
-    return (z, lambda b, eta: fc.solve_qcls(b, z, o, d, eta, "contract"),
+    return (z, lambda b, eta: fc.select_state(b, z, fc.RepulsionGoal(d, eta, o, "contract")),
             qcls_stat, (0.0, 0.5 * f0), False)
 
 
@@ -150,8 +150,8 @@ def test_infeasible_contract_on_low_rank_gramian_reports_floor(seed, n, frac):
     z, o, d = rng.standard_normal(n), rng.standard_normal((n, n)), rng.standard_normal(n)
     floor = _reach_floor(o @ g, o @ z - d)
     with pytest.raises(fc.errors.InfeasibleGoalError) as exc:
-        fc.solve_qcls(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z, o, d, frac * floor,
-                      "contract")
+        fc.select_state(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z,
+                        fc.RepulsionGoal(d, frac * floor, o, "contract"))
     assert exc.value.min_eta == pytest.approx(floor, rel=1e-8)
 
 
@@ -173,10 +173,41 @@ def test_goal_outside_range_is_uncontrollable(kind, seed, n):
     bundle = fc.GramianBundle.from_matrix(g @ g.T, 1.0)
     with pytest.raises(fc.errors.GoalUncontrollableError):
         if kind == "repulsion":
-            fc.select_repulsion_state(bundle, z, 1.0)
+            fc.select_state(bundle, z, fc.RepulsionGoal(z, 1.0))
         else:
             eta = f0 + 1.0 if kind == "expand" else 0.5 * f0
-            fc.solve_qcls(bundle, z, o, d, eta, kind)
+            fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, o, kind))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    kind=st.sampled_from(["linear", "variance", "repulsion", "expand", "contract"]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    side=st.sampled_from([-0.5, 0.0, 0.0, 0.5]),
+)
+def test_select_state_binds_exactly_when_binding_check_does(kind, seed, n, side):
+    # binding_check is the one binding test. side = 0 puts z exactly on the
+    # constraint surface: the threshold is the statistic computed as
+    # binding_check computes it, so the goal already holds there.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    bundle = fc.GramianBundle.from_matrix(a @ a.T + 0.1 * np.eye(n), 1.0)
+    z, v, d = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n)
+    o = rng.standard_normal((n, n)) if kind in ("expand", "contract") else None
+    if kind == "linear":
+        base = float(v @ z)
+        goal = fc.LinearGoal(v, base + side * (1.0 + abs(base)))
+    else:
+        r = _centered(z) if kind == "variance" else (z if o is None else o @ z) - d
+        level = float(r @ r) * (1.0 + side)
+        goal = fc.VarianceGoal(level) if kind == "variance" else fc.RepulsionGoal(
+            d, level, o, "expand" if kind != "contract" else "contract")
+    sel = fc.select_state(bundle, z, goal)
+    assert sel.binding == fc.binding_check(goal, z)
+    if not sel.binding:
+        assert np.array_equal(sel.x_star, z) and sel.x_star is not z
+        assert not np.any(sel.p) and sel.energy == 0.0 and sel.multiplier == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +234,7 @@ def test_variance_adjoint_on_singular_karate_gramian(karate_two_inputs, seed, sc
     spread = float(_centered(z) @ _centered(z))
     etas = (spread + float(rng.uniform(0.1, 1.0)), spread + float(rng.uniform(1.0, 2.0)))
     _check_monotone_and_scaling(
-        w_mat, lambda b, eta: fc.select_variance_state(b, z, eta), etas, True, scale, z,
+        w_mat, lambda b, eta: fc.select_state(b, z, fc.VarianceGoal(eta)), etas, True, scale, z,
         lambda x: float(_centered(x) @ _centered(x)), "variance",
     )
 
@@ -260,8 +291,8 @@ def test_identity_observer_as_none_equals_the_dense_identity(case, seed, n, data
         eta, sense = floor + data.draw(st.floats(0.3, 0.7)) * (f0 - floor), "contract"
     else:
         eta, sense = f0 + data.draw(st.floats(0.5, 2.0)), "expand"
-    dense = fc.solve_qcls(bundle, z, np.eye(n), d, eta, sense)
-    sel = fc.solve_qcls(bundle, z, None, d, eta, sense)
+    dense = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, np.eye(n), sense))
+    sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, None, sense))
     assert sel.binding and sel.multiplier == pytest.approx(dense.multiplier, rel=1e-13)
     for got, ref in ((sel.x_star, dense.x_star), (sel.p, dense.p)):
         assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1.0)

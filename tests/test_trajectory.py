@@ -30,7 +30,7 @@ class TestMinEnergyInput:
         z = fc.transition_matrix(system, 1.0) @ x0
         # Already met at z: the selection is the corner x* = z with p = 0.
         goal = fc.LinearGoal(np.ones(3), float(np.ones(3) @ z) - 1.0)
-        sel = fc.select_mean_state(evaluator.bundle(schematic.B), z, goal)
+        sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
         assert not sel.binding
         u = fc.min_energy_controller(evaluator, schematic, sel.p, 10)
         for t in (0.0, 0.4, 1.0):
@@ -169,7 +169,7 @@ class TestSimulate:
             x0 = rng.standard_normal(n)
             z = fc.transition_matrix(system, t_star) @ x0
             goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
-            sel = fc.select_mean_state(w, z, goal)
+            sel = fc.select_state(w, z, goal)
             controller = fc.min_energy_controller(
                 fc.GramianEvaluator(system, t_star), schematic, sel.p, 2000
             )
