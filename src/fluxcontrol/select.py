@@ -136,6 +136,8 @@ def binding_check(goal, z) -> bool:
         val = float(r @ r)
         return val < goal.eta if goal.sense == "expand" else val > goal.eta
     if isinstance(goal, VarianceGoal):
+        if z.size < 2:
+            raise InvalidInputError("variance is undefined for a single node")
         dz = z - z.mean()
         return float(dz @ dz) < goal.eta
     raise InvalidInputError(f"unknown goal type {type(goal).__name__}")
@@ -364,8 +366,6 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     ``W`` scaled to squared length ``eta``, at energy ``eta / lam_max``.
     """
     z = as_vector(z, n=W.n, name="z")
-    if isinstance(goal, VarianceGoal) and W.n < 2:
-        raise InvalidInputError("variance is undefined for a single node")
     if not binding_check(goal, z):
         return StateSelection(
             x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)

@@ -396,9 +396,16 @@ class TestSelectVarianceState:
         assert not sel.binding
 
     def test_single_node_rejected(self):
+        # Rejected by binding_check, so every entry that tests the goal first
+        # reports invalid input rather than an infeasible selection.
         bundle = _bundle_from(np.eye(1))
-        with pytest.raises(InvalidInputError):
-            fc.select_state(bundle, np.zeros(1), fc.VarianceGoal(1.0))
+        goal = fc.VarianceGoal(1.0)
+        evaluator = fc.GramianEvaluator(fc.LinearSystem([[-1.0]]), 1.0)
+        for call in (lambda: fc.select_state(bundle, np.zeros(1), goal),
+                     lambda: fc.binding_check(goal, np.zeros(1)),
+                     lambda: fc.gpgm(evaluator, np.zeros(1), goal, 1)):
+            with pytest.raises(InvalidInputError, match="single node"):
+                call()
 
     def test_against_grid_oracle_n2(self, rng):
         for _ in range(5):
