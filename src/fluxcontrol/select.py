@@ -127,7 +127,11 @@ class StateSelection:
 
 def binding_check(goal, z) -> bool:
     """True iff the autonomous endpoint violates the goal, so control is needed."""
-    z = as_vector(z, name="z")
+    return _violates(goal, as_vector(z, name="z"))
+
+
+def _violates(goal, z: np.ndarray) -> bool:
+    """``binding_check`` on a checked endpoint; also checks the goal against its length."""
     if isinstance(goal, LinearGoal):
         return float(as_vector(goal.v, n=z.size, name="v") @ z) < goal.c
     if isinstance(goal, RepulsionGoal):
@@ -366,7 +370,7 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     ``W`` scaled to squared length ``eta``, at energy ``eta / lam_max``.
     """
     z = as_vector(z, n=W.n, name="z")
-    if not binding_check(goal, z):
+    if not _violates(goal, z):
         return StateSelection(
             x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
         )
