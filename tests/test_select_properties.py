@@ -201,8 +201,9 @@ def test_select_state_binds_exactly_when_binding_check_does(kind, seed, n, side)
     else:
         r = _centered(z) if kind == "variance" else (z if o is None else o @ z) - d
         level = float(r @ r) * (1.0 + side)
+        sense = "contract" if kind == "contract" else "expand"
         goal = fc.VarianceGoal(level) if kind == "variance" else fc.RepulsionGoal(
-            d, level, o, "expand" if kind != "contract" else "contract")
+            d, level, o, sense)
     sel = fc.select_state(bundle, z, goal)
     assert sel.binding == fc.binding_check(goal, z)
     if not sel.binding:
