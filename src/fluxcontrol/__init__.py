@@ -13,8 +13,6 @@ from .gramian import (
     GramianBundle,
     GramianEvaluator,
     flux_matrix,
-    kappa,
-    reachability_gramian,
 )
 from .graphio import (
     karate_club_adjacency,
@@ -29,7 +27,6 @@ from .linsys import (
     controllability_report,
     laplacian_system,
     output_controllable_sufficient,
-    transition_matrix,
 )
 from .placement import (
     GpgmConfig,
@@ -62,16 +59,13 @@ __all__ = [
     "LinearSystem",
     "InputSchematic",
     "ControllabilityReport",
-    "transition_matrix",
     "laplacian_system",
     "controllability_report",
     "output_controllable_sufficient",
     "GramianBundle",
     "FluxMatrix",
     "GramianEvaluator",
-    "reachability_gramian",
     "flux_matrix",
-    "kappa",
     "LinearGoal",
     "RepulsionGoal",
     "VarianceGoal",

@@ -31,17 +31,13 @@ class FluxProfile:
 
 
 def flux_centrality(system: LinearSystem, t_star: float) -> np.ndarray:
-    """Top unit eigenvector of the all-ones flux matrix, sign-fixed to a
-    nonnegative entry sum.
+    """Top unit eigenvector of the all-ones flux matrix, which ``flux_matrix``
+    signs to a nonnegative entry sum.
 
     Depends only on the dynamics and the horizon, not on any goal threshold or
     initial state.
     """
-    fm = flux_matrix(system, np.ones(system.n), t_star)
-    vec = fm.top_vector
-    if float(vec.sum()) < -1e-12 * np.sqrt(system.n):
-        vec = -vec
-    return vec
+    return flux_matrix(system, np.ones(system.n), t_star).top_vector
 
 
 def flux_sweep(system: LinearSystem, horizons) -> FluxProfile:

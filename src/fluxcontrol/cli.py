@@ -21,7 +21,7 @@ from . import __version__
 from ._util import as_vector
 from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
-from .gramian import GramianEvaluator, reachability_gramian
+from .gramian import GramianEvaluator
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
 from .linsys import InputSchematic, LinearSystem, laplacian_system
 from .placement import (
@@ -183,6 +183,8 @@ def _horizon(args):
 
 
 def _build_goal(args, n):
+    if args.goal != "repulsion" and (args.d is not None or args.sense == "contract"):
+        raise InvalidInputError("--d and --sense contract apply only to --goal repulsion")
     if not args.goal:
         return None
     if args.goal == "mean":
@@ -304,7 +306,7 @@ def _place(args, goal, x0, evaluator):
 def _cmd_gramian(args, outdir):
     system = _build_system(args)
     schematic = _build_schematic(args, system)
-    bundle = reachability_gramian(system, schematic, _horizon(args))
+    bundle = GramianEvaluator(system, _horizon(args)).bundle(schematic.B)
     write_matrix_csv(outdir / "W.csv", bundle.W)
     _write_json(outdir / "gramian.json", {
         "t_star": bundle.t_star,

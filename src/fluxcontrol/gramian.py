@@ -27,15 +27,13 @@ from scipy.linalg.blas import dnrm2
 
 from ._util import as_vector, canonical_sign
 from .errors import InvalidInputError
-from .linsys import InputSchematic, LinearSystem
+from .linsys import LinearSystem
 
 __all__ = [
     "GramianBundle",
     "FluxMatrix",
     "GramianEvaluator",
-    "reachability_gramian",
     "flux_matrix",
-    "kappa",
 ]
 
 
@@ -76,8 +74,7 @@ class GramianBundle:
 
     @cached_property
     def kappa(self) -> float:
-        """Quadratic form 1^T W 1 of the all-ones weighting; the module
-        function ``kappa`` serves any other weighting."""
+        """Quadratic form 1^T W 1 of the all-ones weighting."""
         ones = np.ones(self.n)
         return max(float(ones @ self.W @ ones), 0.0)
 
@@ -105,8 +102,9 @@ class FluxMatrix:
 
     ``Phi = int_0^T exp(tA^T) v v^T exp(tA) dt``; symmetric PSD with a strictly
     positive top eigenvalue whenever v is nonzero. ``top_pair`` holds it and its
-    unit eigenvector, from ``eigh`` of the Krylov Gramian, with
-    ``canonical_sign``'s sign. The n x n ``Phi = basis^T core basis`` is formed
+    unit eigenvector, from ``eigh`` of the Krylov Gramian, signed by
+    ``canonical_sign`` against v: a nonnegative inner product with v, or where
+    that is at roundoff, a positive largest entry. The n x n ``Phi = basis^T core basis`` is formed
     on first read from the k orthonormal rows ``basis`` of the Krylov space
     and the k x k ``core = ||v||^2 G``.
     """
@@ -216,24 +214,6 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
         return 0.5 * (w + w.T), e, doublings > 0
 
 
-def reachability_gramian(
-    system: LinearSystem,
-    schematic: InputSchematic,
-    t_star: float,
-) -> GramianBundle:
-    """Finite-horizon reachability Gramian of (A, B).
-
-    Args:
-        system: dynamics.
-        schematic: input matrix B, with one row per state.
-        t_star: horizon, must be positive.
-
-    Returns:
-        GramianBundle with the symmetrized Gramian and its eigenvalues.
-    """
-    return GramianEvaluator(system, t_star).bundle(schematic.B)
-
-
 def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     """Flux matrix of the observer ``v^T x`` over the horizon, on the Krylov
     space of (A^T, v).
@@ -279,7 +259,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
     top = vecs[:, -1] @ basis
     return FluxMatrix(v=vv, t_star=float(t_star),
-                      top_pair=(lam, canonical_sign(top / np.linalg.norm(top))),
+                      top_pair=(lam, canonical_sign(top / np.linalg.norm(top), ref=vv)),
                       basis=basis, core=beta**2 * g)
 
 
@@ -337,12 +317,6 @@ class _KrylovSpace:
                         2 * self.log_p[k] + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
                         - 2 * math.lgamma(k) <= target):
                     return k
-
-
-def kappa(bundle: GramianBundle, v) -> float:
-    """Quadratic form v^T W v of a Gramian bundle."""
-    vv = as_vector(v, n=bundle.n, name="v")
-    return float(vv @ bundle.W @ vv)
 
 
 class GramianEvaluator:

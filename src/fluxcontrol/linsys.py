@@ -7,7 +7,6 @@ with the weighted digraph it encodes (edge (i, j) present iff ``A[i, j] != 0``).
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._util import as_matrix, as_vector
 from .errors import InvalidInputError
@@ -16,7 +15,6 @@ __all__ = [
     "LinearSystem",
     "InputSchematic",
     "ControllabilityReport",
-    "transition_matrix",
     "laplacian_system",
     "controllability_report",
     "output_controllable_sufficient",
@@ -24,6 +22,8 @@ __all__ = [
 
 # Relative tolerance for clustering eigenvalues when counting multiplicities.
 _EIG_CLUSTER_TOL = 1e-8
+# Largest |A - A^T| entry, relative to the largest |A| entry, of a symmetric A.
+_SYMMETRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,12 @@ class LinearSystem:
     def n(self) -> int:
         return self.A.shape[0]
 
-    def is_symmetric(self, rtol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         # Max-abs entries, not norms: a norm squares them and overflows past ~1e154.
         scale = float(np.max(np.abs(self.A)))
         with np.errstate(over="ignore"):
             skew = float(np.max(np.abs(self.A - self.A.T)))
-        return skew <= rtol * max(scale, 1.0)
+        return skew <= _SYMMETRY_RTOL * max(scale, 1.0)
 
 
 @dataclass(frozen=True)
@@ -105,15 +105,6 @@ class InputSchematic:
         """Full actuation: one controller per node."""
         return cls(np.eye(n))
 
-    @classmethod
-    def single_node(cls, n: int, node: int) -> "InputSchematic":
-        """Driver-node form: one controller attached to one node."""
-        if not 0 <= node < n:
-            raise InvalidInputError(f"node index {node} out of range for n={n}")
-        b = np.zeros((n, 1))
-        b[node, 0] = 1.0
-        return cls(b)
-
 
 @dataclass(frozen=True)
 class ControllabilityReport:
@@ -129,17 +120,6 @@ class ControllabilityReport:
     controllable: bool
     min_drivers: int
     eigenvalues: np.ndarray = field(repr=False, default=None)
-
-
-def transition_matrix(system: LinearSystem, t: float) -> np.ndarray:
-    """State-transition matrix of the autonomous dynamics over a horizon ``t``.
-
-    Scaling-and-squaring Pade evaluation; accurate to machine-level relative
-    error for well-conditioned dynamics.
-    """
-    if not np.isfinite(t):
-        raise InvalidInputError("horizon t must be finite")
-    return expm(float(t) * system.A)
 
 
 def laplacian_system(adjacency) -> LinearSystem:

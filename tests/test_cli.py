@@ -559,7 +559,6 @@ def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkey
     from scipy.linalg import expm
 
     import fluxcontrol.gramian as gramian
-    import fluxcontrol.linsys as linsys
 
     calls = []
 
@@ -567,8 +566,7 @@ def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkey
         calls.append(x.shape)
         return expm(x)
 
-    for module in (gramian, linsys):
-        monkeypatch.setattr(module, "expm", counting)
+    monkeypatch.setattr(gramian, "expm", counting)
     a_path = tmp_path / "a.csv"
     a_path.write_text("-1,2,0\n0,-2,1.5\n0.5,0,-1\n")
     out = _run(tmp_path, "run", command, "--input", str(a_path), "--mode", "raw-matrix",
@@ -592,6 +590,25 @@ def test_repulsion_target_of_the_wrong_length_is_an_input_error(tmp_path, karate
     assert _error(tmp_path, "d", *command, "--input", karate_path, "--m", "2",
                   "--goal", "repulsion", "--d", d, "--eta", "0.001", "--x0", "random",
                   "--t-star", "3") == "InvalidInputError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["select-state", "--goal", "variance", "--sense", "contract"],
+    ["select-state", "--goal", "mean", "--sense", "contract", "--d", "1"],
+    ["select-state", "--goal", "mean", "--d", ",".join(["0"] * 34)],
+    ["place", "--method", "flux", "--sense", "contract"],
+    ["place", "--method", "flux", "--d", ",".join(["0"] * 34)],
+], ids=["variance-contract", "mean-contract-d", "mean-d", "no-goal-contract", "no-goal-d"])
+def test_repulsion_options_need_the_repulsion_goal(tmp_path, karate_path, argv):
+    # --d and --sense shape only a repulsion goal. Elsewhere they were dropped
+    # while manifest.json recorded them: a "contract" variance run gave the
+    # expand run's energy.
+    assert _error(tmp_path, "opt", *argv, "--input", karate_path, "--x0", "random",
+                  "--t-star", "1") == "InvalidInputError"
+    assert not (tmp_path / "opt" / "manifest.json").exists()
+    out = _run(tmp_path, "rep", "select-state", "--input", karate_path, "--goal", "repulsion",
+               "--sense", "contract", "--d", ",".join(["0"] * 34), "--eta", "1")
+    assert json.loads((out / "manifest.json").read_text())["config"]["sense"] == "contract"
 
 
 def test_gpgm_repulsion_runs_on_few_input_gramians(tmp_path, karate_path):

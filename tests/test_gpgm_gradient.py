@@ -7,6 +7,7 @@ differentiates the nested selection energy entrywise.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import fluxcontrol as fc
 import fluxcontrol.placement as placement
@@ -23,7 +24,7 @@ def _nonsymmetric_case(make_goal):
     system = fc.LinearSystem(random_stable_system(rng, 4))
     b = fc.project_sphere(rng.standard_normal((4, 2)))
     x0 = rng.standard_normal(4)
-    z = fc.transition_matrix(system, 1.0) @ x0
+    z = expm(system.A) @ x0
     return system, b, x0, 1.0, make_goal(z, rng)
 
 
@@ -50,7 +51,7 @@ CASES = {
 def test_adjoint_gradient_matches_finite_differences(karate, case):
     system, b, x0, t_star, goal = CASES[case](karate)
     ev = fc.GramianEvaluator(system, t_star)
-    z = fc.transition_matrix(system, t_star) @ x0
+    z = expm(t_star * system.A) @ x0
     sel = fc.select_state(ev.bundle(b), z, goal)
     assert sel.binding
     fd = fd_gradient(lambda B: fc.select_state(ev.bundle(B), z, goal).energy, b, sel.energy)

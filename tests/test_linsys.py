@@ -11,22 +11,26 @@ from fluxcontrol.errors import InvalidInputError
 from _oracles import brute_force_min_drivers, random_stable_system
 
 
+def _transition(a, t):
+    """exp(t A), one column at a time from the evaluator's autonomous endpoint."""
+    ev = fc.GramianEvaluator(fc.LinearSystem(a), t)
+    return np.column_stack([ev.propagate(e) for e in np.eye(ev.system.n)])
+
+
 def test_transition_zero_dynamics_is_identity():
-    system = fc.LinearSystem(np.zeros((4, 4)))
-    npt.assert_array_equal(fc.transition_matrix(system, 7.0), np.eye(4))
+    npt.assert_array_equal(_transition(np.zeros((4, 4)), 7.0), np.eye(4))
 
 
 def test_transition_nilpotent_truncates():
-    system = fc.LinearSystem([[0.0, 1.0], [0.0, 0.0]])
+    # Nonsymmetric: the endpoint takes expm, with no Gramian built before it.
     npt.assert_allclose(
-        fc.transition_matrix(system, 1.0), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15
+        _transition([[0.0, 1.0], [0.0, 0.0]], 1.0), [[1.0, 1.0], [0.0, 1.0]], atol=1e-15
     )
 
 
 def test_transition_diagonal():
-    system = fc.LinearSystem(np.diag([0.5, -1.0]))
     npt.assert_allclose(
-        fc.transition_matrix(system, 2.0),
+        _transition(np.diag([0.5, -1.0]), 2.0),
         np.diag([np.e, np.exp(-2.0)]),
         rtol=1e-14,
     )
@@ -37,7 +41,7 @@ def test_transition_matches_symmetric_eigendecomposition(rng):
     a = 0.5 * (a + a.T)
     vals, vecs = np.linalg.eigh(a)
     oracle = vecs @ np.diag(np.exp(1.3 * vals)) @ vecs.T
-    got = fc.transition_matrix(fc.LinearSystem(a), 1.3)
+    got = _transition(a, 1.3)
     assert np.linalg.norm(got - oracle, 2) <= 1e-12 * np.linalg.norm(oracle, 2)
 
 
@@ -45,7 +49,7 @@ def test_nonfinite_dynamics_rejected():
     with pytest.raises(InvalidInputError):
         fc.LinearSystem([[np.nan, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidInputError):
-        fc.transition_matrix(fc.LinearSystem(np.zeros((2, 2))), np.inf)
+        fc.GramianEvaluator(fc.LinearSystem(np.zeros((2, 2))), np.inf)
 
 
 def test_symmetry_test_on_huge_entries():
@@ -102,13 +106,13 @@ class TestLaplacianSystem:
 class TestControllabilityReport:
     def test_zero_dynamics_single_input(self):
         system = fc.LinearSystem(np.zeros((3, 3)))
-        report = fc.controllability_report(system, fc.InputSchematic.single_node(3, 0))
+        report = fc.controllability_report(system, fc.InputSchematic(np.eye(3)[:, [0]]))
         assert not report.controllable
         assert report.min_drivers == 3
 
     def test_identity_needs_all_drivers(self):
         system = fc.LinearSystem(np.eye(3))
-        report = fc.controllability_report(system, fc.InputSchematic.single_node(3, 0))
+        report = fc.controllability_report(system, fc.InputSchematic(np.eye(3)[:, [0]]))
         assert report.min_drivers == 3
 
     def test_directed_chain_single_driver(self):
@@ -116,7 +120,7 @@ class TestControllabilityReport:
         for i in range(3):
             a[i + 1, i] = 1.0
         system = fc.LinearSystem(a)
-        report = fc.controllability_report(system, fc.InputSchematic.single_node(4, 0))
+        report = fc.controllability_report(system, fc.InputSchematic(np.eye(4)[:, [0]]))
         assert report.controllable
         assert report.min_drivers == 1
 
@@ -194,7 +198,7 @@ class TestControllabilityReport:
         idx = np.arange(n - 1)
         adj[idx, idx + 1] = adj[idx + 1, idx] = 1.0
         report = fc.controllability_report(
-            fc.laplacian_system(adj), fc.InputSchematic.single_node(n, node)
+            fc.laplacian_system(adj), fc.InputSchematic(np.eye(n)[:, [node]])
         )
         assert report.controllable is controllable
         assert report.min_drivers == 1
@@ -217,10 +221,6 @@ class TestDomainTypes:
         with pytest.raises(InvalidInputError):
             fc.InputSchematic(np.ones((3, 2)), sphere_normalized=True, epsilon=1e-6)
 
-    def test_single_node_bounds(self):
-        with pytest.raises(InvalidInputError):
-            fc.InputSchematic.single_node(3, 3)
-
     def test_column_vector_promotion(self):
         schematic = fc.InputSchematic(np.array([1.0, 2.0]))
         assert schematic.B.shape == (2, 1)
@@ -229,7 +229,7 @@ class TestDomainTypes:
 
 class TestOutputControllableSufficient:
     def test_single_node_moves_the_average(self):
-        schematic = fc.InputSchematic.single_node(2, 0)
+        schematic = fc.InputSchematic(np.eye(2)[:, [0]])
         assert fc.output_controllable_sufficient(np.full(2, 0.5), schematic)
 
     def test_equal_and_opposite_column_fails(self):
@@ -237,5 +237,5 @@ class TestOutputControllableSufficient:
         assert not fc.output_controllable_sufficient(np.full(2, 0.5), schematic)
 
     def test_zero_functional(self):
-        schematic = fc.InputSchematic.single_node(2, 0)
+        schematic = fc.InputSchematic(np.eye(2)[:, [0]])
         assert not fc.output_controllable_sufficient(np.zeros(2), schematic)

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
-from fluxcontrol.errors import InvalidInputError
+import fluxcontrol.placement as placement
+from fluxcontrol.errors import InfeasibleGoalError, InvalidInputError, PlacementAbortError
 from fluxcontrol.placement import _MAX_HALVINGS, _tangent
 
 from _oracles import random_stable_system, schur_variance_energy_bound
@@ -45,14 +48,14 @@ class TestPlaceMeanOptimal:
         lam = fc.flux_matrix(system, np.ones(3), 1.0).lam_max
         assert lam == pytest.approx(3.0, rel=1e-12)
         assert result.energy == pytest.approx(1.0 / 3.0, rel=1e-12)
-        w = fc.reachability_gramian(system, result.B_star, 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star.B)
         assert w.kappa == pytest.approx(3.0, rel=1e-10)
 
     def test_one_dimensional(self):
         system = fc.LinearSystem([[0.5]])
         result = fc.place_mean_optimal(system, np.ones(1), 1.0, m=1)
         assert abs(result.B_star.B[0, 0]) == pytest.approx(1.0, rel=1e-12)
-        w = fc.reachability_gramian(system, result.B_star, 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star.B)
         lam = fc.flux_matrix(system, np.ones(1), 1.0).lam_max
         assert w.kappa == pytest.approx(lam, rel=1e-10)
 
@@ -64,7 +67,7 @@ class TestPlaceMeanOptimal:
         cap = m * fm.lam_max
         for _ in range(1000):
             b = fc.project_sphere(rng.standard_normal((4, m)))
-            w = fc.reachability_gramian(system, fc.InputSchematic(b), t_star)
+            w = fc.GramianEvaluator(system, t_star).bundle(b)
             assert w.kappa <= cap + 1e-8
 
     def test_stationarity_residual(self, rng):
@@ -272,6 +275,99 @@ class TestGpgm:
         result = fc.gpgm(fc.GramianEvaluator(system, 2.0), np.zeros(4), goal, m=1, config=cfg)
         assert result.energy <= result.energy_trace[0]
         assert result.energy_trace[-1] <= result.energy_trace[0]
+
+
+def _inject_infeasible(monkeypatch, fails):
+    """Make gpgm's selections raise InfeasibleGoalError on the calls k (from 0)
+    where ``fails(k)`` holds; returns the list of calls made."""
+    calls, real = [], placement.select_state
+
+    def select(W, z, goal):
+        k = len(calls)
+        calls.append(k)
+        if fails(k):
+            raise InfeasibleGoalError(f"injected at call {k}", min_eta=0.0)
+        return real(W, z, goal)
+
+    monkeypatch.setattr(placement, "select_state", select)
+    return calls
+
+
+class TestGpgmFailurePaths:
+    @pytest.fixture
+    def case(self, karate):
+        evaluator = fc.GramianEvaluator(karate["system"], 1.0)
+        # ||z - mean(z)||^2 is 484 here, so the goal binds.
+        return evaluator, evaluator.propagate(np.arange(34.0)), fc.VarianceGoal(2000.0)
+
+    def test_infeasible_start_aborts(self, case, monkeypatch):
+        _inject_infeasible(monkeypatch, lambda k: k == 0)
+        with pytest.raises(PlacementAbortError, match="initial schematic") as info:
+            fc.gpgm(*case, m=2, config=fc.GpgmConfig(seed=3))
+        assert info.value.partial_result is None
+
+    def test_infeasible_candidates_halve_the_step(self, case, monkeypatch):
+        cfg = fc.GpgmConfig(max_iters=5, seed=3)
+        clean = fc.gpgm(*case, m=2, config=cfg)
+        assert clean.steps[0] == cfg.sigma
+        _inject_infeasible(monkeypatch, lambda k: k in (1, 2))
+        result = fc.gpgm(*case, m=2, config=cfg)
+        assert result.steps[0] == cfg.sigma / 4
+        assert result.iterations > 1
+        assert result.energy < result.energy_trace[0]
+
+    def test_every_halving_infeasible_aborts_with_the_best_iterate(self, case, monkeypatch):
+        limit = [np.inf]
+        calls = _inject_infeasible(monkeypatch, lambda k: k >= limit[0])
+        first = fc.gpgm(*case, m=2, config=fc.GpgmConfig(max_iters=1, seed=3))
+        assert first.energy < first.energy_trace[0]
+        # The same descent again, with every selection after its first iteration infeasible.
+        limit[0] = len(calls)
+        calls.clear()
+        with pytest.raises(PlacementAbortError, match="every halved step") as info:
+            fc.gpgm(*case, m=2, config=fc.GpgmConfig(max_iters=5, seed=3))
+        assert len(calls) == limit[0] + _MAX_HALVINGS + 1
+        partial = info.value.partial_result
+        assert (partial.iterations, partial.converged) == (2, False)
+        assert partial.energy == first.energy
+        npt.assert_array_equal(partial.B_star.B, first.B_star.B)
+        npt.assert_array_equal(partial.energy_trace, first.energy_trace)
+        npt.assert_array_equal(partial.steps, first.steps)
+
+    def test_no_lower_energy_converges_at_the_start(self, case, monkeypatch):
+        sels, real = [], placement.select_state
+
+        def worse(W, z, goal):
+            # Every candidate costs more than the start.
+            sels.append(real(W, z, goal))
+            return sels[-1] if len(sels) == 1 else replace(sels[-1], energy=2 * sels[0].energy)
+
+        monkeypatch.setattr(placement, "select_state", worse)
+        cfg = fc.GpgmConfig(max_iters=5, seed=3)
+        result = fc.gpgm(*case, m=2, config=cfg)
+        assert len(sels) == _MAX_HALVINGS + 2
+        assert (result.iterations, result.converged) == (1, True)
+        assert result.energy == sels[0].energy
+        npt.assert_array_equal(result.energy_trace, [sels[0].energy])
+        assert result.steps.size == 0
+        start = fc.ram_baseline(34, 2, cfg.seed, cfg.epsilon).B
+        npt.assert_array_equal(result.B_star.B, fc.project_sphere(start, epsilon=cfg.epsilon))
+
+    def test_multistart_skips_an_aborted_start(self, case, monkeypatch):
+        cfg = fc.GpgmConfig(max_iters=5, seed=3)
+        expected = min((fc.gpgm(*case, m=2, config=replace(cfg, seed=cfg.seed + i))
+                        for i in (1, 2)), key=lambda r: r.energy)
+        _inject_infeasible(monkeypatch, lambda k: k == 0)
+        with pytest.warns(UserWarning, match="some starts aborted: .*call 0"):
+            result = fc.gpgm_multistart(*case, m=2, config=cfg, n_starts=3)
+        assert result.energy == expected.energy
+        npt.assert_array_equal(result.B_star.B, expected.B_star.B)
+
+    def test_multistart_raises_the_first_error_when_every_start_aborts(self, case, monkeypatch):
+        calls = _inject_infeasible(monkeypatch, lambda k: True)
+        with pytest.raises(PlacementAbortError, match="call 0"):
+            fc.gpgm_multistart(*case, m=2, config=fc.GpgmConfig(seed=3), n_starts=3)
+        assert calls == [0, 1, 2]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])

@@ -31,26 +31,27 @@ def test_no_gramian_solves_in_src():
     assert hits == []
 
 
-def test_only_linsys_calls_transition_matrix():
-    # The Gramian evaluator propagates x0; linsys keeps the public expm wrapper
-    # that tests use as an independent reference.
+def test_only_gramian_imports_expm():
+    # GramianEvaluator is the one way to exp(tA): the doubling ladder, the
+    # autonomous endpoint and the adjoint step all take it there.
+    pattern = re.compile(r"import.*\bexpm\b|\bexpm\(")
     hits = [
         f"{path.name}:{k}"
         for path in sorted(SRC.rglob("*.py"))
-        if path.name != "linsys.py"
+        if path.name != "gramian.py"
         for k, line in enumerate(path.read_text().splitlines(), 1)
-        if "transition_matrix(" in line
+        if pattern.search(line)
     ]
     assert hits == []
 
 
 def test_only_cli_builds_a_gramian_evaluator():
     # One evaluator per run: the CLI builds it and hands it to placement and
-    # steering; gramian.py's own wrappers are the library's one-shot entries.
+    # steering. No library module builds one of its own.
     hits = sorted(
         path.name
         for path in SRC.rglob("*.py")
-        if path.name not in ("cli.py", "gramian.py") and "GramianEvaluator(" in path.read_text()
+        if path.name != "cli.py" and "GramianEvaluator(" in path.read_text()
     )
     assert hits == []
 

@@ -36,9 +36,7 @@ def _assert_in_range(g, dx):
 def _random_pd_bundle(rng, n, t_star=1.0):
     a = random_stable_system(rng, n)
     b = rng.standard_normal((n, n))
-    return fc.reachability_gramian(
-        fc.LinearSystem(a), fc.InputSchematic(b), t_star
-    ), fc.LinearSystem(a)
+    return fc.GramianEvaluator(fc.LinearSystem(a), t_star).bundle(b), fc.LinearSystem(a)
 
 
 class TestBindingCheck:
@@ -81,7 +79,7 @@ class TestBindingCheck:
 class TestSelectMeanState:
     def test_scalar_matches_minimum_energy_oracle(self):
         system = fc.LinearSystem([[0.0]])
-        w = fc.reachability_gramian(system, fc.InputSchematic([[1.0]]), 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle([[1.0]])
         sel = fc.select_state(w, np.zeros(1), fc.LinearGoal(np.ones(1), 1.0))
         npt.assert_allclose(sel.x_star, [1.0], rtol=1e-12)
         assert sel.energy == pytest.approx(scalar_min_energy(1.0, 1.0), rel=1e-12)
@@ -89,7 +87,7 @@ class TestSelectMeanState:
 
     def test_single_driver_compensates_uncontrolled_node(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
-        w = fc.reachability_gramian(system, fc.InputSchematic.single_node(2, 0), 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle(np.eye(2)[:, [0]])
         sel = fc.select_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
         npt.assert_allclose(sel.x_star, [2.0, 0.0], atol=1e-12)
         assert sel.energy == pytest.approx(scalar_min_energy(2.0, 1.0), rel=1e-12)
@@ -140,7 +138,7 @@ class TestSelectMeanState:
         # Equal-and-opposite column: the average is genuinely uncontrollable.
         system = fc.LinearSystem(np.zeros((2, 2)))
         schematic = fc.InputSchematic(np.array([[1.0], [-1.0]]))
-        w = fc.reachability_gramian(system, schematic, 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle(schematic.B)
         with pytest.raises(GoalUncontrollableError):
             fc.select_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
 
@@ -154,7 +152,7 @@ class TestSelectMeanState:
 class TestSelectRepulsionState:
     def test_scalar_oracle(self):
         system = fc.LinearSystem([[0.0]])
-        w = fc.reachability_gramian(system, fc.InputSchematic([[1.0]]), 1.0)
+        w = fc.GramianEvaluator(system, 1.0).bundle([[1.0]])
         sel = fc.select_state(w, np.zeros(1), fc.RepulsionGoal(np.zeros(1), 4.0))
         assert abs(sel.x_star[0]) == pytest.approx(2.0, rel=1e-12)
         assert sel.energy == pytest.approx(4.0, rel=1e-12)

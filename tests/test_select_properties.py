@@ -216,7 +216,7 @@ def karate_two_inputs(karate):
     system = karate["system"]
     rng = np.random.default_rng(3)
     b = rng.standard_normal((system.n, 2))
-    return fc.reachability_gramian(system, fc.InputSchematic(b), 3.0).W
+    return fc.GramianEvaluator(system, 3.0).bundle(b).W
 
 
 @PROPERTY_SETTINGS
