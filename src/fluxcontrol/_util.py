@@ -33,7 +33,7 @@ def write_csv_rows(fh, rows) -> None:
         fh.write(template % tuple(r.tolist()))
 
 
-def canonical_sign(vec, ref=None):
+def canonical_sign(vec, ref):
     """Fix the sign of an eigenvector-like direction deterministically.
 
     Prefers a nonnegative inner product with ``ref``; when that product is
@@ -41,15 +41,11 @@ def canonical_sign(vec, ref=None):
     magnitude ties at the lowest index.
     """
     vec = np.asarray(vec, dtype=float)
-    if ref is not None:
-        p = float(np.dot(ref, vec))
-        scale = np.linalg.norm(ref) * np.linalg.norm(vec)
-        if abs(p) > 1e-12 * scale:
-            return vec if p > 0 else -vec
+    p = float(np.dot(ref, vec))
+    if abs(p) > 1e-12 * (np.linalg.norm(ref) * np.linalg.norm(vec)):
+        return vec if p > 0 else -vec
     i = int(np.argmax(np.abs(vec)))
-    if vec[i] < 0:
-        return -vec
-    return vec
+    return -vec if vec[i] < 0 else vec
 
 
 def centering_matrix(n):

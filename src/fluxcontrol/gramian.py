@@ -145,11 +145,15 @@ _THETA = 2.0
 
 
 def _series_terms(x: float) -> int:
-    """Series terms p on a base step with ||ha||_1 = x: the tail
-    (2x)^(p+1) e^(2x)/(p+2)! of the sum, relative to h ||b b^T||, is below the
-    unit roundoff 2^-53. At x = _THETA that is 32 terms."""
-    return next(p for p in range(1, 200)
-                if (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2) <= 2.0**-53)
+    """Series terms p on a base step with ||ha||_1 = x: the fewest whose tail
+    t_p = (2x)^(p+1) e^(2x)/(p+2)! of the sum, relative to h ||b b^T||, is below
+    the unit roundoff 2^-53. The tail is walked as a running product,
+    t_1 = (2x)^2 e^(2x)/6 and t_p = t_(p-1) 2x/(p+2). At x = _THETA that is 32 terms."""
+    p, tail = 1, (2 * x) ** 2 * math.exp(2 * x) / 6
+    while tail > 2.0**-53:
+        p += 1
+        tail *= 2 * x / (p + 2)
+    return p
 
 
 def _thin_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
@@ -199,9 +203,9 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     series = _thin_series if b.shape[1] * (terms + 1) < b.shape[0] else _thick_series
     if series is _thick_series:
         # The products stop falling within a few doublings; ties take the shorter series.
-        doublings = -min((_series_terms(math.ldexp(scaled, -d)) + max(3 * d - 1, 0), -d)
-                         for d in range(doublings, doublings + 8))[1]
-        terms = _series_terms(math.ldexp(scaled, -doublings))
+        terms, doublings = min(((_series_terms(math.ldexp(scaled, -d)), d)
+                                for d in range(doublings, doublings + 8)),
+                               key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
     h = math.ldexp(t_star, -doublings)
     ha = h * a
     e = expm(ha)

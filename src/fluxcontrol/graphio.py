@@ -1,13 +1,14 @@
 """Edge-list and matrix file ingestion, plus the bundled sample network."""
 
 import io
+import math
 import warnings
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EdgeListParseError
+from .errors import EdgeListParseError, InvalidInputError
 
 __all__ = [
     "parse_edge_list",
@@ -19,12 +20,10 @@ __all__ = [
 
 def _parse_lines(lines, undirected: bool):
     edges: dict[tuple[int, int], float] = {}
-    max_node = 0
     for ln, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) not in (2, 3):
             raise EdgeListParseError(
                 f"line {ln}: expected 'i j [w]', got {raw.strip()!r}", line_number=ln
@@ -39,7 +38,7 @@ def _parse_lines(lines, undirected: bool):
             raise EdgeListParseError(
                 f"line {ln}: node ids are 1-based positive integers", line_number=ln
             )
-        if not np.isfinite(w):
+        if not math.isfinite(w):
             raise EdgeListParseError(f"line {ln}: non-finite weight", line_number=ln)
         key = (min(i, j) - 1, max(i, j) - 1) if undirected else (i - 1, j - 1)
         if key in edges:
@@ -49,10 +48,9 @@ def _parse_lines(lines, undirected: bool):
             edges[key] += w
         else:
             edges[key] = w
-        max_node = max(max_node, i, j)
     if not edges:
         raise EdgeListParseError("no edges")
-    return edges, max_node
+    return edges
 
 
 def parse_edge_list(path, undirected: bool = True):
@@ -63,21 +61,28 @@ def parse_edge_list(path, undirected: bool = True):
     the dense n x n adjacency, n being the highest id seen.
     """
     with open(path) as fh:
-        edges, n = _parse_lines(fh, undirected)
+        edges = _parse_lines(fh, undirected)
+    keys = np.array(list(edges), dtype=np.intp)
+    n, (rows, cols) = int(keys.max()) + 1, keys.T
     adj = np.zeros((n, n))
-    for (i, j), w in edges.items():
-        adj[i, j] += w
-        if undirected and i != j:
-            adj[j, i] += w
+    # Each key occurs once, so every entry takes one sum onto zero (a -0 weight
+    # reads 0); undirected keys hold i <= j, and the mirror copies them below
+    # the diagonal.
+    adj[rows, cols] += np.fromiter(edges.values(), dtype=float, count=len(edges))
+    if undirected:
+        adj[cols, rows] = adj[rows, cols]
     return adj
 
 
 def load_dense_matrix(path):
-    """Dense real matrix from a CSV or whitespace-separated text file."""
-    text = Path(path).read_text()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    delim = "," if "," in first else None
-    return np.loadtxt(io.StringIO(text), delimiter=delim, ndmin=2)
+    """Dense real matrix from a CSV or whitespace-separated text file; `#`
+    starts a comment, and the first line with data picks the delimiter."""
+    try:
+        text = Path(path).read_text()
+        first = next((s for ln in text.splitlines() if (s := ln.split("#", 1)[0].strip())), "")
+        return np.loadtxt(io.StringIO(text), delimiter="," if "," in first else None, ndmin=2)
+    except ValueError as exc:
+        raise InvalidInputError(f"{path}: not a dense numeric matrix: {exc}") from exc
 
 
 def write_matrix_csv(path, matrix) -> None:

@@ -6,11 +6,18 @@ counting, so agreement is evidence rather than tautology.
 """
 
 import csv
+import math
+import warnings
 
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from fluxcontrol.errors import DivergenceError, FluxControlError, InvalidInputError
+from fluxcontrol.errors import (
+    DivergenceError,
+    EdgeListParseError,
+    FluxControlError,
+    InvalidInputError,
+)
 
 
 def random_stable_system(rng, n, max_real=-0.1, scale=1.0):
@@ -343,3 +350,66 @@ def write_trajectory_csv_reference(traj, path):
         for k in range(traj.times.shape[0]):
             row = [traj.times[k], *traj.states[k], *traj.inputs[k], traj.cumulative_energy[k]]
             writer.writerow(f"{x:.17g}" for x in row)
+
+
+def series_tail(x, p):
+    """Tail bound (2x)^(p+1) e^(2x)/(p+2)! of the Gramian series after p terms
+    on a base step with ||ha||_1 = x, by the factorial."""
+    return (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2)
+
+
+def series_terms_reference(x):
+    """The fewest series terms whose factorial-form tail is below 2^-53."""
+    return next(p for p in range(1, 200) if series_tail(x, p) <= 2.0**-53)
+
+
+def _edge_list_lines(lines, undirected):
+    edges: dict[tuple[int, int], float] = {}
+    max_node = 0
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise EdgeListParseError(
+                f"line {ln}: expected 'i j [w]', got {raw.strip()!r}", line_number=ln
+            )
+        try:
+            i = int(parts[0])
+            j = int(parts[1])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise EdgeListParseError(f"line {ln}: {exc}", line_number=ln) from exc
+        if i < 1 or j < 1:
+            raise EdgeListParseError(
+                f"line {ln}: node ids are 1-based positive integers", line_number=ln
+            )
+        if not np.isfinite(w):
+            raise EdgeListParseError(f"line {ln}: non-finite weight", line_number=ln)
+        key = (min(i, j) - 1, max(i, j) - 1) if undirected else (i - 1, j - 1)
+        if key in edges:
+            warnings.warn(
+                f"duplicate edge {i} {j} on line {ln}; weights summed", stacklevel=3
+            )
+            edges[key] += w
+        else:
+            edges[key] = w
+        max_node = max(max_node, i, j)
+    if not edges:
+        raise EdgeListParseError("no edges")
+    return edges, max_node
+
+
+def parse_edge_list_reference(path, undirected=True):
+    """Edge list to adjacency one line and one entry at a time: the dict loop
+    and the ``adj[i, j] += w`` fill of the reader as it was before its fill
+    became one indexed assignment."""
+    with open(path) as fh:
+        edges, n = _edge_list_lines(fh, undirected)
+    adj = np.zeros((n, n))
+    for (i, j), w in edges.items():
+        adj[i, j] += w
+        if undirected and i != j:
+            adj[j, i] += w
+    return adj

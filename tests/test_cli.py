@@ -493,6 +493,30 @@ def test_overflowing_gramian_writes_error_json(tmp_path):
     assert not (out / "W.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--input", "--b"])
+def test_malformed_dense_matrix_is_an_input_error(tmp_path, path_graph, flag):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\n3,x\n")
+    if flag == "--input":
+        argv = ["gramian", "--input", str(bad), "--mode", "raw-matrix"]
+    else:
+        argv = ["select-state", "--input", path_graph, "--goal", "mean", "--b", str(bad)]
+    out = tmp_path / "m"
+    assert main([*argv, "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "InvalidInputError"
+    assert "bad.csv" in payload["message"]
+
+
+def test_commented_whitespace_matrix_runs(tmp_path):
+    # A '#' header with a comma must not make the reader split on commas.
+    a_path = tmp_path / "a.txt"
+    a_path.write_text("# weights, row-major\n-1 0.5\n0.5 -2\n")
+    out = _run(tmp_path, "g", "gramian", "--input", str(a_path), "--mode", "raw-matrix",
+               "--t-star", "1")
+    assert np.loadtxt(out / "W.csv", delimiter=",").shape == (2, 2)
+
+
 def test_unexpected_exception_writes_error_json_and_reraises(tmp_path, path_graph,
                                                            monkeypatch):
     import fluxcontrol.cli as cli

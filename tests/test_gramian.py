@@ -19,6 +19,8 @@ from fluxcontrol.errors import InvalidInputError
 from _oracles import (
     gramian_quadrature,
     random_stable_system,
+    series_tail,
+    series_terms_reference,
     simpson_scalar_gramian,
     van_loan_block_reference,
 )
@@ -614,12 +616,37 @@ class TestSeriesKernel:
         [(x, terms)] = calls
         assert x <= gramian._THETA
         assert doubled == (x < np.linalg.norm(a, 1) * t_star) and (doubled or side < 1.0)
-
-        def tail(p):
-            return (2 * x) ** (p + 1) * math.exp(2 * x) / math.factorial(p + 2)
-
-        assert tail(terms) <= 2.0**-53 < tail(terms - 1)
+        assert series_tail(x, terms) <= 2.0**-53 < series_tail(x, terms - 1)
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-13
+
+    @pytest.mark.parametrize("grid", [np.geomspace(1e-12, gramian._THETA, 4001),
+                                      np.linspace(0.0, gramian._THETA, 2001)[1:]],
+                             ids=["geometric", "even"])
+    def test_series_length_is_the_least_below_roundoff(self, grid):
+        for x in grid:
+            terms = gramian._series_terms(float(x))
+            assert terms == series_terms_reference(x)
+            assert series_tail(x, terms) <= 2.0**-53
+            assert terms == 1 or series_tail(x, terms - 1) > 2.0**-53
+
+    def test_series_length_switches_where_the_factorial_form_does(self):
+        longest = gramian._series_terms(gramian._THETA)
+        assert longest == series_terms_reference(gramian._THETA) == 32
+        assert gramian._series_terms(0.0) == 1
+        for p in range(1, longest):
+            # Bisect for the least x whose factorial-form length exceeds p.
+            lo, hi = 0.0, gramian._THETA
+            while np.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if series_terms_reference(mid) <= p else (lo, mid)
+            below = np.nextafter(hi, 0.0)
+            assert (series_terms_reference(below), series_terms_reference(hi)) == (p, p + 1)
+            # The running product rounds once per term and the factorial form a
+            # fixed few times, so their switch points may be one float apart;
+            # one float further out they agree.
+            assert [gramian._series_terms(float(x)) for x in
+                    (np.nextafter(below, 0.0), below, hi, np.nextafter(hi, 3.0))] in (
+                [p, p, p + 1, p + 1], [p, p + 1, p + 1, p + 1], [p, p, p, p + 1])
 
     @pytest.mark.parametrize("reach, expected", [(0.01, (0, 6)), (1.9, (3, 13)),
                                                  (7.0, (5, 13)), (100.0, (9, 12))])

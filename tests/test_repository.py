@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import json
 import os
 import re
 import shlex
@@ -126,3 +127,20 @@ def test_readme_cli_commands_exit_zero(tmp_path):
         out = argv.index("--out") + 1
         argv[out] = str(tmp_path / argv[out])
         assert main(argv[1:]) == 0, argv
+
+
+def test_bench_records_are_well_formed():
+    # Each PR that touches src/ records its parent/change runs as BENCH_<pr>.json,
+    # with a summary row per benchmark workload holding every end-to-end metric.
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in benchmark["workloads"]}
+    metrics = {m["name"] for m in benchmark["end_to_end"]}
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert record["pr"] == int(path.stem.removeprefix("BENCH_")), path.name
+        assert record["src_lines"] and record["machine"]["blas_threads"] >= 1, path.name
+        assert set(record["summary"]) >= workloads, path.name
+        for workload in workloads:
+            assert set(record["summary"][workload]) >= metrics, (path.name, workload)
