@@ -159,14 +159,12 @@ class TestDenseMatrixIO:
         path.write_text("0.0\n")
         assert fc.load_dense_matrix(path).shape == (1, 1)
 
-    def test_comment_header_does_not_pick_the_delimiter(self, tmp_path):
+    @pytest.mark.parametrize("text", ["# weights, row-major\n\n1 2  # first row\n3 4\n",
+                                      "# weights row major\n1,2\n3,4\n"],
+                             ids=["whitespace", "csv"])
+    def test_comment_lines_do_not_pick_the_delimiter(self, tmp_path, text):
         path = tmp_path / "m.txt"
-        path.write_text("# weights, row-major\n\n1 2  # first row\n3 4\n")
-        npt.assert_array_equal(fc.load_dense_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_csv_under_a_comment_header(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("# weights row major\n1,2\n3,4\n")
+        path.write_text(text)
         npt.assert_array_equal(fc.load_dense_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize("text", ["1,2\n3,x\n", "1 2\n3\n", "1,2\n3 4\n"])
