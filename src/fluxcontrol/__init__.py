@@ -50,7 +50,7 @@ from .select import (
     single_input_scales,
     variance_energy_bound,
 )
-from .trajectory import Trajectory, min_energy_controller, simulate
+from .trajectory import Trajectory, simulate
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "flux_sweep",
     "centrality_histogram",
     "Trajectory",
-    "min_energy_controller",
     "simulate",
     "parse_edge_list",
     "load_dense_matrix",

@@ -334,9 +334,9 @@ class GramianEvaluator:
     roundoff. Nonsymmetric dynamics take the series-and-doubling path per
     call. The endpoint ``exp(t* A) x0`` of the autonomous run comes from the
     eigenpairs, or from the first series Gramian's doubling ladder (one
-    squaring of its last rung), else ``expm``. The adjoint trajectory
-    ``exp(sA^T) p`` that steers it to a selected state on a uniform grid takes
-    one propagator step, from the eigenpairs or ``expm``.
+    squaring of its last rung), else ``expm``. ``step`` gives the exact
+    one-step map of a run sampled on ``steps`` equal steps: ``exp(hA)`` and
+    the Gramian over one step, by the same two paths at ``h = t*/steps``.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -352,34 +352,46 @@ class GramianEvaluator:
         self._rung = self._transition = None
         if self._symmetric:
             self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
-            s = self._eigvals[:, None] + self._eigvals[None, :]
-            small = np.abs(s) < self._SERIES_TOL
-            safe = np.where(small, 1.0, s)
-            # expm1 sees 0 on the series entries, so a large t* cannot overflow it there.
-            with np.errstate(over="ignore"):
-                growth = np.expm1(np.where(small, 0.0, s) * self.t_star) / safe
-            # t* (1 + t* s / 2), never t*^2: that overflows a float past t* ~ 1e154.
-            series = self.t_star * (1.0 + 0.5 * self.t_star * np.where(small, s, 0.0))
-            self._weights = _finite(np.where(small, series, growth), "Gramian weights")
+            self._weights = self._eigen_weights(self.t_star)
 
-    def _integral(self, B, flux: bool) -> np.ndarray:
-        """int_0^T exp(ta) B B^T exp(ta^T) dt, a = A^T if ``flux`` else A (equal when symmetric)."""
+    def _eigen_weights(self, t: float) -> np.ndarray:
+        """Entrywise ``expm1((a_i + a_j) t) / (a_i + a_j)`` over the eigenvalues,
+        the series limit where the sum is small: the eigenbasis Gramian over [0, t]."""
+        s = self._eigvals[:, None] + self._eigvals[None, :]
+        small = np.abs(s) < self._SERIES_TOL
+        safe = np.where(small, 1.0, s)
+        # expm1 sees 0 on the series entries, so a large t cannot overflow it there.
+        with np.errstate(over="ignore"):
+            growth = np.expm1(np.where(small, 0.0, s) * t) / safe
+        # t (1 + t s / 2), never t^2: that overflows a float past t ~ 1e154.
+        series = t * (1.0 + 0.5 * t * np.where(small, s, 0.0))
+        return _finite(np.where(small, series, growth), "Gramian weights")
+
+    def _columns(self, B) -> np.ndarray:
         b = np.asarray(B, dtype=float)
         if b.ndim == 1:
             b = b[:, None]
         if b.shape[0] != self.system.n:
             raise InvalidInputError("schematic row count must match system size")
-        if not self._symmetric:
-            a = self.system.A.T if flux else self.system.A
-            w, rung, doubled = _doubling_gramian(a, b, self.t_star)
-            w = _finite(w, "Gramian")
-            if self._rung is None:
-                self._rung = (rung.T if flux else rung), doubled
-            return w
+        return b
+
+    def _eigen_gramian(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
         bt = self._eigvecs.T @ b
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._eigvecs @ (self._weights * (bt @ bt.T)) @ self._eigvecs.T
+            w = self._eigvecs @ (weights * (bt @ bt.T)) @ self._eigvecs.T
         return _finite(0.5 * (w + w.T), "Gramian")
+
+    def _integral(self, B, flux: bool) -> np.ndarray:
+        """int_0^T exp(ta) B B^T exp(ta^T) dt, a = A^T if ``flux`` else A (equal when symmetric)."""
+        b = self._columns(B)
+        if self._symmetric:
+            return self._eigen_gramian(b, self._weights)
+        a = self.system.A.T if flux else self.system.A
+        w, rung, doubled = _doubling_gramian(a, b, self.t_star)
+        w = _finite(w, "Gramian")
+        if self._rung is None:
+            self._rung = (rung.T if flux else rung), doubled
+        return w
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
@@ -397,34 +409,35 @@ class GramianEvaluator:
             return GramianBundle(self.matrix(B), self.t_star)
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)
 
-    def _propagator(self, a: np.ndarray, s: float) -> np.ndarray:
-        """exp(s a) for a = A or A^T: eigenpairs if A is symmetric, else ``expm``."""
+    def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``: the eigenpairs
+        and weights at ``h``, or one series Gramian at ``h``, whose last rung
+        is ``exp(hA)``, squared once if the step was doubled."""
+        if steps < 1:
+            raise InvalidInputError("steps must be at least 1")
+        b, h = self._columns(B), self.t_star / steps
         if self._symmetric:
-            return (self._eigvecs * np.exp(self._eigvals * s)) @ self._eigvecs.T
-        return expm(a * s)
+            w = self._eigen_gramian(b, self._eigen_weights(h))
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = (self._eigvecs * np.exp(self._eigvals * h)) @ self._eigvecs.T
+        else:
+            w, e, doubled = _doubling_gramian(self.system.A, b, h)
+            w = _finite(w, "Gramian")
+            with np.errstate(over="ignore", invalid="ignore"):
+                e = e @ e if doubled else e
+        return _finite(e, "propagator"), w
 
     def propagate(self, x0) -> np.ndarray:
         """Autonomous endpoint ``exp(t* A) x0``; ``exp(t* A)`` is built once."""
         x0 = as_vector(x0, n=self.system.n, name="x0")
         if self._transition is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                if self._rung is None:
-                    phi = self._propagator(self.system.A, self.t_star)
+                if self._symmetric:
+                    phi = (self._eigvecs * np.exp(self._eigvals * self.t_star)) @ self._eigvecs.T
+                elif self._rung is None:
+                    phi = expm(self.system.A * self.t_star)
                 else:
                     rung, doubled = self._rung
                     phi = rung @ rung if doubled else rung
             self._transition = _finite(phi, "propagator")
         return self._transition @ x0
-
-    def adjoint(self, p, samples: int) -> np.ndarray:
-        """Rows ``exp(s_j A^T) p``, ``s_j = j t*/samples``, built upward from
-        ``s = 0`` by one propagator."""
-        p = as_vector(p, n=self.system.n, name="p")
-        if samples < 1:
-            raise InvalidInputError("samples must be at least 1")
-        step = self._propagator(self.system.A.T, self.t_star / samples)
-        out = np.empty((samples + 1, self.system.n))
-        out[0] = p
-        for j in range(samples):
-            out[j + 1] = step @ out[j]
-        return out

@@ -60,8 +60,11 @@ def parse_edge_list(path, undirected: bool = True):
     edges sum with a warning. The undirected flag mirrors each entry. Returns
     the dense n x n adjacency, n being the highest id seen.
     """
-    with open(path) as fh:
-        edges = _parse_lines(fh, undirected)
+    try:
+        with open(path) as fh:
+            edges = _parse_lines(fh, undirected)
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"{path}: cannot be decoded as text: {exc}") from exc
     keys = np.array(list(edges), dtype=np.intp)
     n, (rows, cols) = int(keys.max()) + 1, keys.T
     adj = np.zeros((n, n))
@@ -80,9 +83,11 @@ def load_dense_matrix(path):
     try:
         text = Path(path).read_text()
         first = next((s for ln in text.splitlines() if (s := ln.split("#", 1)[0].strip())), "")
-        return np.loadtxt(io.StringIO(text), delimiter="," if "," in first else None, ndmin=2)
+        if first:
+            return np.loadtxt(io.StringIO(text), delimiter="," if "," in first else None, ndmin=2)
     except ValueError as exc:
         raise InvalidInputError(f"{path}: not a dense numeric matrix: {exc}") from exc
+    raise InvalidInputError(f"{path}: no data rows")
 
 
 def write_matrix_csv(path, matrix) -> None:

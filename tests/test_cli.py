@@ -195,24 +195,42 @@ def test_simulate_reaches_selection_on_singular_gramian(tmp_path, karate_path):
                                    "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"], ids=["star", "k4"])
 def test_simulate_certifies_its_endpoint(tmp_path, edges):
     # At 50 steps h = 0.8, and h lambda_max(L) is 5.6 on the 7-node star and
-    # 3.2 on K4, outside RK4's real stability interval [-2.785, 0]: the
-    # endpoint misses x* (by 8e49 and 1.6e-4 relative), and the run must fail
-    # typed instead of reporting success. At 2000 steps it is within 1e-12.
+    # 3.2 on K4. Each step is exact, so the endpoint is within roundoff of x*
+    # at any step count; a fixed-grid integrator with a bounded stability
+    # interval (RK4's real one is [-2.785, 0]) misses it there.
     graph = tmp_path / "g.edges"
     graph.write_text(edges)
     argv = ["simulate", "--input", str(graph), "--mode", "laplacian", "--t-star", "40",
             "--goal", "mean", "--eta", "0.5", "--m", "1", "--method", "flux"]
-    assert main([*argv, "--steps", "50", "--out", str(tmp_path / "coarse")]) == 1
-    error = json.loads((tmp_path / "coarse" / "error.json").read_text())
-    assert error["error"] == "SimulationAccuracyError" and "--steps" in error["message"]
+    for steps in ("50", "2000"):
+        summary = json.loads((_run(tmp_path, steps, *argv, "--steps", steps)
+                              / "simulate.json").read_text())
+        x_star = np.asarray(summary["selection"]["x_star"])
+        error = np.linalg.norm(np.asarray(summary["endpoint"]) - x_star)
+        assert summary["endpoint_error"] == error <= 1e-10
+        assert summary["endpoint_error_rel"] <= min(error, 1e-12)
+        assert summary["energy_simulated"] == pytest.approx(summary["energy_closed_form"],
+                                                            rel=1e-12)
+
+
+def test_simulate_accuracy_check_fails_typed(tmp_path, path_graph, monkeypatch):
+    # The check is the last guard against a run that misses the closed form:
+    # a trajectory moved off x* by 1e-5 must exit 1 typed, with no results.
+    import fluxcontrol.cli as cli
+
+    def perturbed(*args):
+        traj = fc.simulate(*args)
+        traj.states[-1] += 1e-5
+        return traj
+
+    monkeypatch.setattr(cli, "simulate", perturbed)
+    out = tmp_path / "off"
+    assert main(["simulate", "--input", path_graph, "--t-star", "2", "--goal", "mean",
+                 "--x0", "1,-2,0.5,3", "--steps", "50", "--out", str(out)]) == 1
+    error = json.loads((out / "error.json").read_text())
+    assert error["error"] == "SimulationAccuracyError" and "--steps" not in error["message"]
     assert issubclass(getattr(fc.errors, error["error"]), fc.errors.FluxControlError)
-    assert not (tmp_path / "coarse" / "simulate.json").exists()
-    summary = json.loads((_run(tmp_path, "fine", *argv, "--steps", "2000")
-                          / "simulate.json").read_text())
-    x_star = np.asarray(summary["selection"]["x_star"])
-    error = np.linalg.norm(np.asarray(summary["endpoint"]) - x_star)
-    assert summary["endpoint_error"] == error <= 1e-10
-    assert 0.0 < summary["endpoint_error_rel"] <= error
+    assert not (out / "simulate.json").exists() and not (out / "trajectory.csv").exists()
 
 
 def test_endpoint_scale_holds_the_largest_state(tmp_path, path_graph):
@@ -249,10 +267,10 @@ def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_gra
     assert summary["endpoint_error_rel"] == pytest.approx(summary["endpoint_error"] / (1 + peak),
                                                           rel=1e-12)
     assert summary["endpoint_error"] <= 1e-9
-    assert main(["simulate", "--input", path_graph, "--t-star", "40", "--x0", "1,-2,0.5,3",
-                 "--steps", "20", "--out", str(tmp_path / "coarse")]) == 1
-    error = json.loads((tmp_path / "coarse" / "error.json").read_text())
-    assert error["error"] == "SimulationAccuracyError" and "--steps" in error["message"]
+    # 20 steps of h = 2 over t* = 40: every step is exact, so the run passes.
+    coarse = _run(tmp_path, "coarse", "simulate", "--input", path_graph, "--t-star", "40",
+                  "--x0", "1,-2,0.5,3", "--steps", "20")
+    assert json.loads((coarse / "simulate.json").read_text())["endpoint_error_rel"] <= 1e-12
 
 
 def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph):
@@ -508,6 +526,34 @@ def test_malformed_dense_matrix_is_an_input_error(tmp_path, path_graph, flag):
     assert "bad.csv" in payload["message"]
 
 
+@pytest.mark.parametrize("flag", ["--input", "--b"])
+def test_dense_matrix_without_data_rows_is_an_input_error(tmp_path, path_graph, flag):
+    # numpy reads such a file as a (0, 1) array with a UserWarning; the run
+    # must say the file is empty, not that A is not square or B has too few rows.
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# no rows yet\n")
+    if flag == "--input":
+        argv = ["gramian", "--input", str(empty), "--mode", "raw-matrix"]
+    else:
+        argv = ["select-state", "--input", path_graph, "--goal", "mean", "--b", str(empty)]
+    out = tmp_path / "m"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "InvalidInputError"
+    assert payload["message"] == f"{empty}: no data rows"
+
+
+def test_undecodable_edge_list_is_a_parse_error(tmp_path):
+    graph = tmp_path / "g.edges"
+    graph.write_bytes(b"\xff\xfe1\x00 \x002\x00\n\x00")
+    out = tmp_path / "f"
+    assert main(["flux", "--input", str(graph), "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "EdgeListParseError" and "g.edges" in payload["message"]
+
+
 def test_commented_whitespace_matrix_runs(tmp_path):
     # A '#' header with a comma must not make the reader split on commas.
     a_path = tmp_path / "a.txt"
@@ -578,8 +624,8 @@ def test_overflowing_autonomous_endpoint_fails_typed(tmp_path):
 @pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 2)])
 def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkeypatch,
                                                                 command, expected):
-    # One n x n expm for W, whose doubling ladder also gives z; the
-    # controller's adjoint step is simulate's second expm.
+    # One n x n expm for W, whose doubling ladder also gives z; the series
+    # Gramian over one step, whose last rung is exp(hA), is simulate's second.
     from scipy.linalg import expm
 
     import fluxcontrol.gramian as gramian

@@ -408,32 +408,51 @@ class TestGramianEvaluator:
             ev.propagate(np.ones(4))
 
     def test_adjoint_matches_expm(self, karate, rng):
+        # simulate runs the adjoint exp((t* - t) A^T) p down the grid by the
+        # transpose of the step's exp(hA); with B = I the inputs are its rows.
         for system in (karate["system"], fc.LinearSystem(random_stable_system(rng, 5))):
             ev = fc.GramianEvaluator(system, 2.0)
+            b = rng.standard_normal((system.n, 2))
+            e, w = ev.step(b, 20)
+            assert _rel(e, expm(system.A * 0.1)) <= 1e-13
+            assert _rel(w, van_loan_block_reference(system.A, b @ b.T, 0.1)) <= 1e-13
             p = rng.standard_normal(system.n)
-            adjoint = ev.adjoint(p, 20)
+            inputs = fc.simulate(ev, fc.InputSchematic.identity(system.n),
+                                 np.zeros(system.n), 20, p).inputs
             for s in (0.0, 0.7, 2.0):
-                ref = expm(system.A.T * s) @ p
-                lam = adjoint[round(s / 0.1)]
+                ref = expm(system.A.T * (2.0 - s)) @ p
+                lam = inputs[round(s / 0.1)]
                 assert np.linalg.norm(lam - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
 
     def test_adjoint_accumulation_over_many_samples(self, karate, rng):
-        # Each sample is one more product with the propagator, so roundoff
-        # grows with the sample index; the last rows carry the most.
+        # Each sample is one more product with the step's exponential, so
+        # roundoff grows down the grid; the first rows carry the most.
         non_normal = -np.eye(6) + 5.0 * np.eye(6, k=1)
         for system in (karate["system"], fc.LinearSystem(non_normal)):
             ev = fc.GramianEvaluator(system, 2.0)
             p = rng.standard_normal(system.n)
-            adjoint = ev.adjoint(p, 4000)
-            assert adjoint.shape == (4001, system.n)
+            inputs = fc.simulate(ev, fc.InputSchematic.identity(system.n),
+                                 np.zeros(system.n), 4000, p).inputs
+            assert inputs.shape == (4001, system.n)
             for j in range(0, 4001, 400):
-                ref = expm(system.A.T * (j * 2.0 / 4000)) @ p
-                assert np.linalg.norm(adjoint[j] - ref) <= 1e-11 * (1.0 + np.linalg.norm(ref))
+                ref = expm(system.A.T * ((4000 - j) * 2.0 / 4000)) @ p
+                assert np.linalg.norm(inputs[j] - ref) <= 1e-11 * (1.0 + np.linalg.norm(ref))
 
     def test_adjoint_needs_a_sample(self):
         ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((2, 2))), 1.0)
         with pytest.raises(InvalidInputError):
-            ev.adjoint(np.ones(2), 0)
+            ev.step(np.eye(2), 0)
+
+    @pytest.mark.parametrize("kind", ["symmetric", "nonsymmetric"])
+    def test_one_step_is_the_horizon(self, karate, rng, kind):
+        # step(B, 1) takes the same path as matrix(B) and propagate at t*.
+        system = karate["system"] if kind == "symmetric" else fc.LinearSystem(
+            random_stable_system(rng, 6, scale=4.0))
+        b = rng.standard_normal((system.n, 2))
+        ev = fc.GramianEvaluator(system, 3.0)
+        e, w = fc.GramianEvaluator(system, 3.0).step(b, 1)
+        npt.assert_array_equal(w, ev.matrix(b))
+        npt.assert_array_equal(e, np.column_stack([ev.propagate(c) for c in np.eye(system.n)]))
 
     def test_row_count_mismatch_rejected(self):
         ev = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)

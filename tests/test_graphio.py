@@ -68,6 +68,13 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListParseError, match="no edges"):
             fc.parse_edge_list(_write(tmp_path, "# only comments\n"))
 
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        # 0xff 0xfe opens a UTF-16 file; it is no UTF-8 edge list.
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"\xff\xfe1\x00 \x002\x00\n\x00")
+        with pytest.raises(EdgeListParseError, match="g.edges"):
+            fc.parse_edge_list(path)
+
     def test_node_count_is_max_id(self, tmp_path):
         adj = fc.parse_edge_list(_write(tmp_path, "1 5\n"))
         assert adj.shape == (5, 5)
@@ -166,6 +173,16 @@ class TestDenseMatrixIO:
         path = tmp_path / "m.txt"
         path.write_text(text)
         npt.assert_array_equal(fc.load_dense_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# weights\n# none yet\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_matrix_without_data_rows_is_typed_and_warns_nothing(self, tmp_path, text):
+        path = tmp_path / "none.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="none.csv: no data rows"):
+                fc.load_dense_matrix(path)
 
     @pytest.mark.parametrize("text", ["1,2\n3,x\n", "1 2\n3\n", "1,2\n3 4\n"])
     def test_malformed_matrix_is_typed_and_names_the_file(self, tmp_path, text):

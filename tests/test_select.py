@@ -334,8 +334,7 @@ class TestSolveQcls:
                 old_cut_returned += float(c[old_null] @ c[old_null]) < eta
                 continue
             returned += 1
-            u_fn = fc.min_energy_controller(evaluator, schematic, sel.p, 2000)
-            traj = fc.simulate(system, schematic, u_fn, x0, 3.0, 2000)
+            traj = fc.simulate(evaluator, schematic, x0, 2000, sel.p)
             miss = np.linalg.norm(traj.endpoint - sel.x_star)
             assert miss <= 1e-5 * (1.0 + np.linalg.norm(sel.x_star - z))
             r = sel.x_star - d

@@ -10,15 +10,15 @@ from fluxcontrol import gramian
 from fluxcontrol.errors import DivergenceError, InvalidInputError
 
 from _oracles import (
+    exact_grid_reference,
     random_stable_system,
-    rk4_stagewise_reference,
     scalar_min_energy,
     write_trajectory_csv_reference,
 )
 
 
-def _zero_input(m):
-    return lambda t: np.zeros(m)
+def _evaluator(a, t_star):
+    return fc.GramianEvaluator(fc.LinearSystem(a), t_star)
 
 
 class TestMinEnergyInput:
@@ -33,28 +33,37 @@ class TestMinEnergyInput:
         goal = fc.LinearGoal(np.ones(3), float(np.ones(3) @ z) - 1.0)
         sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
         assert not sel.binding
-        u = fc.min_energy_controller(evaluator, schematic, sel.p, 10)
-        for t in (0.0, 0.4, 1.0):
-            npt.assert_allclose(u(t), np.zeros(3), atol=1e-10)
+        traj = fc.simulate(evaluator, schematic, x0, 10, sel.p)
+        npt.assert_allclose(traj.inputs, np.zeros((11, 3)), atol=1e-10)
+        npt.assert_allclose(traj.endpoint, z, rtol=1e-12, atol=1e-14)
 
     def test_scalar_constant_input(self):
-        system = fc.LinearSystem([[0.0]])
         schematic = fc.InputSchematic([[1.0]])
-        evaluator = fc.GramianEvaluator(system, 1.0)
+        evaluator = _evaluator([[0.0]], 1.0)
         w = evaluator.matrix(schematic.B)
-        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]], 10)
-        for t in (0.0, 0.5, 1.0):
-            assert u(t)[0] == pytest.approx(1.0, rel=1e-12)
+        traj = fc.simulate(evaluator, schematic, [0.0], 10, [1.0 / w[0, 0]])
+        npt.assert_allclose(traj.inputs[:, 0], np.ones(11), rtol=1e-12)
 
     def test_scalar_longer_horizon_halves_input(self):
-        system = fc.LinearSystem([[0.0]])
         schematic = fc.InputSchematic([[1.0]])
-        evaluator = fc.GramianEvaluator(system, 2.0)
+        evaluator = _evaluator([[0.0]], 2.0)
         w = evaluator.matrix(schematic.B)
-        u = fc.min_energy_controller(evaluator, schematic, [1.0 / w[0, 0]], 400)
-        assert u(1.3)[0] == pytest.approx(0.5, rel=1e-12)
-        traj = fc.simulate(system, schematic, u, [0.0], 2.0, 400)
-        assert traj.total_energy == pytest.approx(scalar_min_energy(1.0, 2.0), rel=1e-8)
+        traj = fc.simulate(evaluator, schematic, [0.0], 400, [1.0 / w[0, 0]])
+        npt.assert_allclose(traj.inputs[:, 0], np.full(401, 0.5), rtol=1e-12)
+        npt.assert_allclose(traj.states[:, 0], 0.5 * traj.times, rtol=1e-12, atol=1e-15)
+        assert traj.total_energy == pytest.approx(scalar_min_energy(1.0, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("t_star", [1e-9, 1e5 / 3])
+    def test_extreme_horizons_reach_the_target(self, t_star):
+        # The single integrator from 0 to 1: u = 1/t* throughout, energy 1/t*.
+        schematic = fc.InputSchematic([[1.0]])
+        evaluator = _evaluator([[0.0]], t_star)
+        w = evaluator.matrix(schematic.B)
+        traj = fc.simulate(evaluator, schematic, [0.0], 1000, [1.0 / w[0, 0]])
+        assert traj.times[-1] == t_star
+        npt.assert_allclose(traj.inputs[:, 0], np.full(1001, 1.0 / t_star), rtol=1e-12)
+        assert traj.endpoint[0] == pytest.approx(1.0, rel=1e-12)
+        assert traj.total_energy == pytest.approx(scalar_min_energy(1.0, t_star), rel=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("goal", [fc.VarianceGoal(4.0), fc.mean_goal(34, 1.0)],
@@ -69,45 +78,21 @@ class TestMinEnergyInput:
         z = expm(t_star * system.A) @ x0
         sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
         assert sel.binding
-        u = fc.min_energy_controller(evaluator, schematic, sel.p, 400)
-        traj = fc.simulate(system, schematic, u, x0, t_star, 400)
-        assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-6 * (1.0 + np.linalg.norm(sel.x_star))
-        assert abs(traj.total_energy - sel.energy) <= 1e-6 * sel.energy
-
-    def _scalar_controller(self, steps):
-        evaluator = fc.GramianEvaluator(fc.LinearSystem([[0.0]]), 1.0)
-        return fc.min_energy_controller(evaluator, fc.InputSchematic([[1.0]]), [1.0], steps)
+        traj = fc.simulate(evaluator, schematic, x0, 400, sel.p)
+        assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-12 * (1.0 + np.linalg.norm(sel.x_star))
+        assert abs(traj.total_energy - sel.energy) <= 1e-12 * sel.energy
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, steps):
+        evaluator, schematic = _evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]])
         with pytest.raises(InvalidInputError):
-            self._scalar_controller(steps)
-
-    @pytest.mark.parametrize("t", [-0.05, 1.05, float("nan"), float("inf")])
-    def test_time_outside_horizon_rejected(self, t):
-        u = self._scalar_controller(10)
+            fc.simulate(evaluator, schematic, [0.0], steps, [1.0])
         with pytest.raises(InvalidInputError):
-            u(t)
-
-    def test_time_off_grid_rejected(self):
-        u = self._scalar_controller(10)
-        assert u(0.35)[0] == pytest.approx(1.0)
-        with pytest.raises(InvalidInputError):
-            u(0.36)
-
-    @pytest.mark.parametrize("t_star", [1e-9, 1e5 / 3])
-    def test_grid_tolerance_scales_with_the_half_step(self, t_star):
-        # The tolerance is a fraction of the half step: simulate's own times
-        # pass at any horizon, a tenth of a half step off the grid does not.
-        system, schematic = fc.LinearSystem([[0.0]]), fc.InputSchematic([[1.0]])
-        evaluator = fc.GramianEvaluator(system, t_star)
-        u = fc.min_energy_controller(evaluator, schematic, [1.0], 1000)
-        fc.simulate(system, schematic, u, [0.0], t_star, 1000)
-        with pytest.raises(InvalidInputError):
-            u(0.3 * t_star + 0.05 * t_star / 1000)
+            evaluator.step(schematic.B, steps)
 
     @pytest.mark.parametrize("steps", [50, 500])
     def test_adjoint_takes_one_expm_whatever_the_steps(self, karate, rng, monkeypatch, steps):
+        # The one expm is the last rung of the series Gramian over one step.
         calls = []
         expm = gramian.expm
 
@@ -121,25 +106,25 @@ class TestMinEnergyInput:
             calls.clear()
             schematic = fc.InputSchematic(rng.standard_normal((system.n, 2)))
             evaluator = fc.GramianEvaluator(system, 1.5)
-            u = fc.min_energy_controller(evaluator, schematic, rng.standard_normal(system.n), steps)
-            fc.simulate(system, schematic, u, np.zeros(system.n), 1.5, steps)
+            fc.simulate(evaluator, schematic, np.zeros(system.n), steps,
+                        rng.standard_normal(system.n))
             assert len(calls) == expected
 
 
 class TestSimulate:
     def test_zero_input_zero_dynamics_constant(self):
-        system = fc.LinearSystem(np.zeros((3, 3)))
         schematic = fc.InputSchematic.identity(3)
         x0 = np.array([1.0, -2.0, 0.5])
-        traj = fc.simulate(system, schematic, _zero_input(3), x0, 1.0, 10)
+        traj = fc.simulate(_evaluator(np.zeros((3, 3)), 1.0), schematic, x0, 10)
         npt.assert_allclose(traj.states, np.tile(x0, (11, 1)), atol=1e-15)
+        npt.assert_array_equal(traj.inputs, np.zeros((11, 3)))
         npt.assert_array_equal(traj.cumulative_energy, np.zeros(11))
 
     def test_consensus_contracts_toward_average(self, karate, rng):
         system = karate["system"]
         x0 = rng.standard_normal(34)
         schematic = fc.InputSchematic(np.eye(34)[:, [0]])
-        traj = fc.simulate(system, schematic, _zero_input(1), x0, 3.0, 300)
+        traj = fc.simulate(fc.GramianEvaluator(system, 3.0), schematic, x0, 300)
         deviations = np.abs(traj.states - traj.states.mean(axis=1, keepdims=True)).max(axis=1)
         sampled = deviations[::30]
         assert np.all(np.diff(sampled) <= 1e-12)
@@ -150,12 +135,8 @@ class TestSimulate:
 
     def test_cumulative_energy_monotone_and_zero_start(self, rng):
         a = random_stable_system(rng, 3)
-        system = fc.LinearSystem(a)
-        schematic = fc.InputSchematic.identity(3)
-        traj = fc.simulate(
-            system, schematic, lambda t: np.array([np.sin(t), np.cos(t), 0.1]),
-            np.zeros(3), 2.0, 100,
-        )
+        traj = fc.simulate(_evaluator(a, 2.0), fc.InputSchematic.identity(3), np.zeros(3), 100,
+                           rng.standard_normal(3))
         assert traj.cumulative_energy[0] == 0.0
         assert np.all(np.diff(traj.cumulative_energy) >= 0.0)
 
@@ -166,105 +147,67 @@ class TestSimulate:
             system = fc.LinearSystem(a)
             schematic = fc.InputSchematic(rng.standard_normal((n, n)))
             t_star = float(rng.uniform(0.6, 1.5))
-            w = fc.GramianEvaluator(system, t_star).bundle(schematic.B)
+            evaluator = fc.GramianEvaluator(system, t_star)
             x0 = rng.standard_normal(n)
             z = expm(t_star * system.A) @ x0
             goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
-            sel = fc.select_state(w, z, goal)
-            controller = fc.min_energy_controller(
-                fc.GramianEvaluator(system, t_star), schematic, sel.p, 2000
-            )
-            traj = fc.simulate(system, schematic, controller, x0, t_star, 2000)
+            sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
+            traj = fc.simulate(evaluator, schematic, x0, 2000, sel.p)
             err = np.linalg.norm(traj.endpoint - sel.x_star)
-            assert err <= 1e-6 * (1.0 + np.linalg.norm(sel.x_star))
-            assert traj.total_energy == pytest.approx(sel.energy, rel=1e-4)
-            assert float(np.ones(n) @ traj.endpoint) == pytest.approx(goal.c, abs=1e-4 * (1 + abs(goal.c)))
-
-    def test_rk4_order_on_endpoint(self, rng):
-        a = random_stable_system(rng, 3, scale=2.0)
-        system = fc.LinearSystem(a)
-        schematic = fc.InputSchematic.identity(3)
-        x0 = rng.standard_normal(3)
-        u = lambda t: np.array([np.sin(3 * t), np.cos(2 * t), t])
-        exact = fc.simulate(system, schematic, u, x0, 1.0, 4096).endpoint
-        err = []
-        for steps in (32, 64):
-            end = fc.simulate(system, schematic, u, x0, 1.0, steps).endpoint
-            err.append(np.linalg.norm(end - exact))
-        assert err[0] / err[1] > 8.0
+            assert err <= 1e-12 * (1.0 + np.linalg.norm(sel.x_star))
+            assert traj.total_energy == pytest.approx(sel.energy, rel=1e-12)
+            assert float(np.ones(n) @ traj.endpoint) == pytest.approx(goal.c, abs=1e-12 * (1 + abs(goal.c)))
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), steps=st.integers(2, 60),
            symmetric=st.booleans(), data=st.data())
     @settings(derandomize=True, deadline=None, max_examples=150)
-    def test_recurrence_matches_stagewise_rk4(self, seed, n, steps, symmetric, data):
-        # One step x' = R(hA) x + g_k is the four RK4 stages folded together;
-        # only the order of the floating-point operations differs.
+    def test_recurrence_matches_exact_grid_oracle(self, seed, n, steps, symmetric, data):
+        # The recurrence sums its steps; the oracle takes every grid point in
+        # closed form from the block exponential, on its own.
         m = data.draw(st.integers(1, n))
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, n)) * rng.uniform(0.1, 2.0)
         a = g + g.T if symmetric else g
         b = rng.standard_normal((n, m))
-        x0 = rng.standard_normal(n)
+        x0, p = rng.standard_normal((2, n))
         t_star = float(rng.uniform(0.1, 3.0))
-        amp, freq, phase = rng.standard_normal((3, m))
-        u = lambda t: amp * np.sin(freq * t + phase) + 0.3 * t
-        traj = fc.simulate(fc.LinearSystem(a), fc.InputSchematic(b), u, x0, t_star, steps)
-        times, states, inputs, energy = rk4_stagewise_reference(a, b, u, x0, t_star, steps)
+        traj = fc.simulate(_evaluator(a, t_star), fc.InputSchematic(b), x0, steps, p)
+        times, states, inputs, energy = exact_grid_reference(a, b, p, x0, t_star, steps)
         npt.assert_array_equal(traj.times, times)
         for got, ref in ((traj.states, states), (traj.inputs, inputs),
                          (traj.cumulative_energy, energy)):
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(got - ref) <= 1e-11 * np.linalg.norm(ref)
 
     def test_divergence_reports_last_valid_time(self):
-        # A growing scalar and a growing 2x2 nonsymmetric system.
-        for a, t_star in (([[200.0]], 10.0), ([[2.0, 30.0], [-1.0, 3.0]], 300.0)):
-            system = fc.LinearSystem(a)
-            schematic = fc.InputSchematic(np.eye(system.n)[:, :1])
-            u = lambda t: np.array([np.sin(t)])
-            x0 = np.ones(system.n)
-            with pytest.raises(DivergenceError) as ref:
-                rk4_stagewise_reference(system.A, schematic.B, u, x0, t_star, 100)
+        # Autonomous runs of two growing nonsymmetric systems. The reference
+        # time is the last grid point where exp(tA) x0 fits a float, from
+        # log ||exp(tA) x0|| = c t + log ||exp(t(A - cI)) x0||; the nearest
+        # grid points lie 3 or more away from the overflow threshold in logs.
+        big = np.log(np.finfo(float).max)
+        for a, t_star in (([[200.0, 1.0], [0.0, -1.0]], 10.0), ([[2.0, 30.0], [-1.0, 3.0]], 300.0)):
+            a, x0 = np.array(a), np.ones(2)
+            c = float(np.max(np.linalg.eigvals(a).real))
+            times = np.linspace(0.0, t_star, 101)
+            logs = [c * t + np.log(np.abs(expm(t * (a - c * np.eye(2))) @ x0).max()) for t in times]
+            reference = times[np.argmax(np.array(logs) >= big) - 1]
             with pytest.raises(DivergenceError) as exc:
-                fc.simulate(system, schematic, u, x0, t_star, 100)
-            assert 0.0 < exc.value.last_valid_time < t_star
-            assert exc.value.last_valid_time == ref.value.last_valid_time
-
-    def test_input_fn_sampled_once_on_the_half_step_grid(self):
-        # 2 steps + 1 calls in time order: 0, then t_k + h/2 and t_k + h.
-        system = fc.LinearSystem([[-1.0, 2.0], [0.0, -0.5]])
-        schematic = fc.InputSchematic([[1.0], [1.0]])
-        steps, t_star = 7, 1.3
-        seen = []
-
-        def u(t):
-            seen.append(t)
-            return np.array([np.cos(t)])
-
-        traj = fc.simulate(system, schematic, u, [1.0, 0.0], t_star, steps)
-        h = t_star / steps
-        expected = [0.0]
-        for t in np.linspace(0.0, t_star, steps + 1)[:-1]:
-            expected += [t + 0.5 * h, t + h]
-        assert seen == expected
-        assert len(seen) == 2 * steps + 1
-        assert np.all(np.diff(seen) > 0.0)
-        npt.assert_array_equal(traj.inputs[:, 0], np.cos(seen[::2]))
+                fc.simulate(_evaluator(a, t_star), fc.InputSchematic([[1.0], [0.0]]), x0, 100)
+            assert 0.0 < exc.value.last_valid_time == reference < t_star
 
     @pytest.mark.parametrize("width", [0, 2])
     def test_wrong_input_length_rejected(self, width):
-        system, schematic = fc.LinearSystem([[-1.0]]), fc.InputSchematic([[1.0]])
+        # The adjoint p sets the input, so it must match the state dimension.
         with pytest.raises(InvalidInputError):
-            fc.simulate(system, schematic, lambda t: np.ones(width), [1.0], 1.0, 10)
+            fc.simulate(_evaluator([[-1.0]], 1.0), fc.InputSchematic([[1.0]]), [1.0], 10,
+                        np.ones(width))
 
     def test_bad_steps_rejected(self):
-        system = fc.LinearSystem([[0.0]])
         with pytest.raises(InvalidInputError):
-            fc.simulate(system, fc.InputSchematic([[1.0]]), _zero_input(1), [0.0], 1.0, 1)
+            fc.simulate(_evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]]), [0.0], 1)
 
     def test_csv_roundtrip(self, tmp_path):
-        system = fc.LinearSystem(np.zeros((2, 2)))
         schematic = fc.InputSchematic.identity(2)
-        traj = fc.simulate(system, schematic, _zero_input(2), [1.0, 2.0], 1.0, 4)
+        traj = fc.simulate(_evaluator(np.zeros((2, 2)), 1.0), schematic, [1.0, 2.0], 4)
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
         lines = path.read_text().strip().splitlines()
