@@ -84,11 +84,8 @@ class TestMinEnergyInput:
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, steps):
-        evaluator, schematic = _evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]])
         with pytest.raises(InvalidInputError):
-            fc.simulate(evaluator, schematic, [0.0], steps, [1.0])
-        with pytest.raises(InvalidInputError):
-            evaluator.step(schematic.B, steps)
+            fc.simulate(_evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]]), [0.0], steps, [1.0])
 
     @pytest.mark.parametrize("steps", [50, 500])
     def test_adjoint_takes_one_expm_whatever_the_steps(self, karate, rng, monkeypatch, steps):
