@@ -346,6 +346,18 @@ def _cmd_place(args, outdir):
     _write_json(outdir / "placement.json", payload)
 
 
+def _norm(x, axis=None):
+    """``np.linalg.norm(x, axis=axis)``, finite on finite ``x``: where the sum
+    of squares overflows (entries past about 1e154) it is taken over ``x``
+    divided by its largest magnitude, and scaled back."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x, axis=axis)
+    if np.all(np.isfinite(norm)):
+        return norm
+    scale = float(np.max(np.abs(x)))
+    return scale * np.linalg.norm(x / scale, axis=axis)
+
+
 def _cmd_simulate(args, outdir):
     if args.steps < 2:
         raise InvalidInputError("steps must be at least 2")
@@ -370,9 +382,9 @@ def _cmd_simulate(args, outdir):
     # The recurrence sums its steps, while x* = z + W p comes from the
     # full-horizon Gramian; the largest state norm puts the roundoff of large
     # states in the scale.
-    error = float(np.linalg.norm(traj.endpoint - target))
-    peak = float(np.linalg.norm(traj.states, axis=1).max())
-    relative = error / (1.0 + float(np.linalg.norm(target - z)) + peak)
+    error = float(_norm(traj.endpoint - target))
+    peak = float(_norm(traj.states, axis=1).max())
+    relative = error / (1.0 + float(_norm(target - z)) + peak)
     if not relative <= _ENDPOINT_RTOL:
         raise SimulationAccuracyError(
             f"simulated endpoint misses the closed form by {relative:.3g} relative to "

@@ -177,6 +177,24 @@ def _thick_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
     return y
 
 
+def _doubling_plan(a: np.ndarray, m: int, t_star: float):
+    """``(doublings, terms, series)`` of ``_doubling_gramian`` for an input of
+    ``m`` columns: the thin series when ``m(p+1) < n``, else Horner with the
+    doublings chosen together with its length."""
+    scaled = float(np.linalg.norm(a, 1)) * t_star
+    if not np.isfinite(scaled):
+        raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
+    doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
+    terms = _series_terms(math.ldexp(scaled, -doublings))
+    series = _thin_series if m * (terms + 1) < a.shape[0] else _thick_series
+    if series is _thick_series:
+        # The products stop falling within a few doublings; ties take the shorter series.
+        terms, doublings = min(((_series_terms(math.ldexp(scaled, -d)), d)
+                                for d in range(doublings, doublings + 8)),
+                               key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
+    return doublings, terms, series
+
+
 def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     """int_0^t* exp(sa) b b^T exp(sa^T) ds from a base step and horizon doublings.
 
@@ -195,17 +213,7 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     rung of the ladder and whether it was doubled: exp((t*/2) a) after one or
     more doublings, else exp(t* a).
     """
-    scaled = float(np.linalg.norm(a, 1)) * t_star
-    if not np.isfinite(scaled):
-        raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
-    doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
-    terms = _series_terms(math.ldexp(scaled, -doublings))
-    series = _thin_series if b.shape[1] * (terms + 1) < b.shape[0] else _thick_series
-    if series is _thick_series:
-        # The products stop falling within a few doublings; ties take the shorter series.
-        terms, doublings = min(((_series_terms(math.ldexp(scaled, -d)), d)
-                                for d in range(doublings, doublings + 8)),
-                               key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
+    doublings, terms, series = _doubling_plan(a, b.shape[1], t_star)
     h = math.ldexp(t_star, -doublings)
     ha = h * a
     e = expm(ha)
@@ -413,18 +421,32 @@ class GramianEvaluator:
         """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``: the eigenpairs
         and weights at ``h``, or one series Gramian at ``h``, whose last rung
         is ``exp(hA)``, squared once if the step was doubled."""
+        return self._step(B, steps, gramian=True)
+
+    def _step(self, B, steps: int, gramian: bool):
+        """``step``; without ``gramian`` only ``exp(hA)`` is formed, the same
+        bits as ``step``'s (the ladder ``B``'s Gramian would take: ``expm`` on
+        its base step, squared once per doubling), and the Gramian is None."""
         if steps < 1:
             raise InvalidInputError("steps must be at least 1")
         b, h = self._columns(B), self.t_star / steps
+        w = None
         if self._symmetric:
-            w = self._eigen_gramian(b, self._eigen_weights(h))
+            if gramian:
+                w = self._eigen_gramian(b, self._eigen_weights(h))
             with np.errstate(over="ignore", invalid="ignore"):
                 e = (self._eigvecs * np.exp(self._eigvals * h)) @ self._eigvecs.T
-        else:
+        elif gramian:
             w, e, doubled = _doubling_gramian(self.system.A, b, h)
             w = _finite(w, "Gramian")
             with np.errstate(over="ignore", invalid="ignore"):
                 e = e @ e if doubled else e
+        else:
+            doublings = _doubling_plan(self.system.A, b.shape[1], h)[0]
+            e = expm(math.ldexp(h, -doublings) * self.system.A)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(doublings):
+                    e = e @ e
         return _finite(e, "propagator"), w
 
     def propagate(self, x0) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gramian import GramianEvaluator, flux_matrix
 from .linsys import InputSchematic, LinearSystem
-from .select import binding_check, select_state
+from .select import _bind, select_state
 
 __all__ = [
     "GpgmConfig",
@@ -180,11 +180,13 @@ def gpgm(
             steps=np.asarray(steps, dtype=float),
         )
 
-    if not binding_check(goal, z):
+    # The binding test and the goal's set-up depend on z alone: once per descent.
+    bound = _bind(goal, z)
+    if bound.solve is None:
         return result(b, 0.0, 0, True, [0.0])
 
     def select(B: np.ndarray):
-        return select_state(evaluator.bundle(B), z, goal)
+        return select_state(evaluator.bundle(B), z, bound)
 
     try:
         sel = select(b)

@@ -8,17 +8,23 @@ goal ``||O x - d||^2 = eta`` (variance: ``O = D``, ``d = 0``; repulsion:
 eigendecomposition of ``O W O^T`` turns the constraint into a diagonal secular
 equation in the Lagrange multiplier, solved by safeguarded Newton at O(n) per
 step. When no root exists below the pole (the hard case), the residual is
-completed along the pole eigenvector. Each selection carries the adjoint
-vector ``p`` with ``x* = z + W p`` and energy ``p^T W p``, so ``W`` is never
-inverted and every goal runs on singular Gramians (networks steered from a
-few inputs). A contract goal cannot move the residual along the eigenvalues
-of ``O W O^T`` at or below ``sqrt(eps)`` times the largest; below that
-reachable floor it raises ``InfeasibleGoalError`` with ``min_eta``.
+completed along the pole eigenspace, in a direction fixed by that space alone.
+A goal that starts on its target (``O z = d``, as every variance goal from
+``z = 0`` does) has only the hard case, at energy ``eta / theta_max``, so it
+reads only the pole eigenpairs, which LAPACK's ``dsyevr`` returns without the
+rest of the spectrum. Each selection carries the adjoint vector ``p`` with
+``x* = z + W p`` and energy ``p^T W p``, so ``W`` is never inverted and every
+goal runs on singular Gramians (networks steered from a few inputs). A
+contract goal cannot move the residual along the eigenvalues of ``O W O^T``
+at or below ``sqrt(eps)`` times the largest; below that reachable floor it
+raises ``InfeasibleGoalError`` with ``min_eta``.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 
 from ._util import as_matrix, as_vector, canonical_sign, centering_matrix
 from .errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
@@ -182,17 +188,24 @@ def _select_mean(W: GramianBundle, z: np.ndarray, goal: LinearGoal) -> StateSele
     )
 
 
-def _pick_leading_eigvec(u, top, ref) -> int:
-    """Pick one of the columns ``top`` of ``u``, eigenvectors tied at the top eigenvalue.
+def _pole_direction(up: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Unit coefficients ``a`` of one direction ``up @ a`` in the span of the
+    orthonormal columns ``up``, eigenvectors tied at the top eigenvalue.
 
-    Prefer the one with the largest |inner product with ref|; remaining ties
-    go to the candidate whose largest-magnitude entry sits at the lowest index,
-    then to the earliest in ``top``.
+    The direction depends on the span alone, not on the basis LAPACK returns
+    for it: the projection of ``ref`` when that has weight in the span, else
+    the projection of the coordinate axis with the most weight in it (row
+    norms of ``up``), near-ties going to the lowest index.
     """
-    scores = np.abs(u[:, top].T @ ref)
-    best = scores.max()
-    cands = [i for i, s in zip(top, scores) if s >= best - 1e-12 * (1.0 + best)]
-    return min(cands, key=lambda i: int(np.argmax(np.abs(u[:, i]))))
+    if up.shape[1] == 1:
+        return np.ones(1)
+    a = up.T @ ref
+    norm = float(np.linalg.norm(a))
+    if norm <= 1e-12 * float(np.linalg.norm(ref)):
+        weights = np.linalg.norm(up, axis=1)
+        j = int(np.argmax(weights >= weights.max() * (1.0 - 1e-12)))
+        a, norm = up[j], float(weights[j])
+    return a / norm
 
 
 def _solve_secular(eval_fn, lo, hi, target, lam_tol=1e-10, max_iter=200):
@@ -218,33 +231,62 @@ def _solve_secular(eval_fn, lo, hi, target, lam_tol=1e-10, max_iter=200):
     return lam
 
 
-def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> StateSelection:
+def _pole_pairs(M: np.ndarray):
+    """Top eigenpairs ``(theta, u)`` of the symmetric ``M``, ascending as
+    ``eigh`` returns them, from LAPACK's ``dsyevr`` (the MRRR driver of
+    Dhillon, Parlett & Voemel 2006; on an index subset it runs bisection and
+    inverse iteration on the tridiagonal form). The index range doubles from
+    the top two until it holds an eigenvalue below the pole set
+    ``theta_i >= (1 - _DEGENERACY_RTOL) theta_max``, or the whole spectrum,
+    so every eigenvalue tied at the top is in it.
+    """
+    n = M.shape[0]
+    k = min(2, n)
+    while True:
+        theta, u, found, _, info = dsyevr(M, range="I", il=n - k + 1, iu=n, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed (info={info})")
+        theta = theta[:found]
+        if k == n or theta[-1] <= 0.0 or theta[0] / theta[-1] < 1.0 - _DEGENERACY_RTOL:
+            return theta, u
+        k = min(2 * k, n)
+
+
+def _solve_quadratic(W: GramianBundle, z, O, r0, eta: float, sense: str) -> StateSelection:
     """Minimize ``(x - z)^T W^{-1} (x - z)`` subject to ``||O x - d||^2 = eta``,
-    for a goal that ``binding_check`` found binding.
+    for a goal that ``binding_check`` found binding; ``r0 = O z - d``.
 
     Stationarity gives ``x = z + W p`` with the adjoint ``p = lam O^T r`` and
     residual ``r = O x - d``. In the eigenbasis ``O W O^T = U diag(theta) U^T``
-    with ``c = U^T (O z - d)`` the residual is ``c_i / (1 - lam theta_i)``, so
+    with ``c = U^T r0`` the residual is ``c_i / (1 - lam theta_i)``, so
     the constraint is the diagonal secular equation
     ``sum_i c_i^2 / (1 - lam theta_i)^2 = eta`` and the energy is
     ``lam^2 sum_i theta_i r_i^2 = p^T W p``. Expand takes the root in
     ``[0, 1/theta_max)``; when none exists (``c`` misses the pole eigenspace)
     the residual is completed along the pole eigenvector at
-    ``lam = 1/theta_max``. Contract takes the root below zero, down to the
-    ``lam -> -inf`` limit ``lam r_i -> -c_i / theta_i`` that attains the
-    reachable minimum ``sum_{theta_i = 0} c_i^2``; every
+    ``lam = 1/theta_max`` (``_pole_selection``). On target (``r0 = 0``, so
+    ``c = 0``; only an expand goal binds there) that is the only case, and
+    only the pole eigenpairs are computed. Contract takes the root below zero,
+    down to the ``lam -> -inf`` limit ``lam r_i -> -c_i / theta_i`` that
+    attains the reachable minimum ``sum_{theta_i = 0} c_i^2``; every
     ``theta_i <= _NULL_RTOL theta_max`` counts as zero there, and its residual
     stays ``c_i``. ``W`` is never inverted, so it may be singular. ``O=None``
     is the identity, and no product with it is formed.
     """
     if O is None:
-        theta, u = np.linalg.eigh(W.W)
+        owo = W.W
     else:
         owo = O @ W.W @ O.T
-        theta, u = np.linalg.eigh(0.5 * (owo + owo.T))
-    c = u.T @ ((z if O is None else O @ z) - d)
+        owo = 0.5 * (owo + owo.T)
+    unmovable = "O W O^T is zero; the goal statistic cannot be moved"
+    if not r0.any():
+        theta, u = _pole_pairs(owo)
+        _require_movable(W, float(theta[-1]), unmovable)
+        return _pole_selection(W, z, O, u, theta, np.zeros(theta.size), eta)
+    theta, u = np.linalg.eigh(owo)
+    c = u.T @ r0
     theta_max = float(theta[-1])
-    _require_movable(W, theta_max, "O W O^T is zero; the goal statistic cannot be moved")
+    _require_movable(W, theta_max, unmovable)
     if sense == "contract":
         keep = theta > _NULL_RTOL * theta_max
         eta_min = float(c[~keep] @ c[~keep])
@@ -280,14 +322,27 @@ def _solve_quadratic(W: GramianBundle, z, O, d, eta: float, sense: str) -> State
             # of the residual falls short of eta even at the pole.
             pole = th >= 1.0 - _DEGENERACY_RTOL
             r = np.where(pole, 0.0, c / np.where(pole, 1.0, 1.0 - th))
-            k = _pick_leading_eigvec(u, np.flatnonzero(pole)[::-1], z)
-            # Either sign costs the same; orient the pole displacement W O^T u_k.
-            w = W.W @ (u[:, k] if O is None else O.T @ u[:, k])
-            sign = 1.0 if float(canonical_sign(w, ref=z) @ w) > 0.0 else -1.0
-            r[k] = sign * np.sqrt(max(eta - float(r @ r), 0.0))
-            return _adjoint_selection(W, z, O, u, theta, 1.0 / theta_max, r / theta_max)
+            return _pole_selection(W, z, O, u, theta, r, eta)
     lam = mu / theta_max
     return _adjoint_selection(W, z, O, u, theta, lam, lam * c / (1.0 - mu * th))
+
+
+def _pole_selection(W, z, O, u, theta, r, eta: float) -> StateSelection:
+    """The hard case at the pole ``lam = 1/theta_max``: the residual ``r``
+    (eigenbasis coordinates over the columns of ``u``, zero on the pole
+    eigenspace) completed along one direction of the pole eigenspace
+    (``_pole_direction``) to squared length ``eta``.
+    """
+    theta_max = float(theta[-1])
+    pole = np.flatnonzero(theta / theta_max >= 1.0 - _DEGENERACY_RTOL)
+    up = u[:, pole]
+    a = _pole_direction(up, z)
+    # Either sign costs the same; orient the pole displacement W O^T U_pole a.
+    v = up @ a
+    w = W.W @ (v if O is None else O.T @ v)
+    sign = 1.0 if float(canonical_sign(w, ref=z) @ w) > 0.0 else -1.0
+    r[pole] = sign * np.sqrt(max(eta - float(r @ r), 0.0)) * a
+    return _adjoint_selection(W, z, O, u, theta, 1.0 / theta_max, r / theta_max)
 
 
 def _adjoint_selection(W, z, O, u, theta, lam, lam_r) -> StateSelection:
@@ -356,6 +411,35 @@ def single_input_scales(b, d, eta: float):
     return ((beta - sq) / c, (beta + sq) / c)
 
 
+@dataclass(frozen=True)
+class _BoundGoal:
+    """A goal set up for one checked endpoint ``z``: the binding test done and,
+    for a quadratic goal, ``O``, ``d`` and the residual ``r0 = O z - d`` formed
+    (the variance goal's ``O`` is the n x n centering projector). ``solve``
+    maps a Gramian bundle to the selection, or is None when ``z`` meets the
+    goal. ``select_state`` takes it in place of the goal for that same ``z``
+    object, so a caller that selects on many Gramians from one endpoint (GPGM)
+    sets the goal up once.
+    """
+
+    z: np.ndarray
+    solve: Callable[[GramianBundle], StateSelection] | None
+
+
+def _bind(goal, z: np.ndarray) -> _BoundGoal:
+    """``goal`` set up for the checked endpoint ``z``."""
+    if not _violates(goal, z):
+        return _BoundGoal(z, None)
+    if isinstance(goal, LinearGoal):
+        return _BoundGoal(z, lambda W: _select_mean(W, z, goal))
+    if isinstance(goal, VarianceGoal):
+        O, d, sense = centering_matrix(z.size), np.zeros(z.size), "expand"
+    else:
+        O, d, sense = goal.O, goal.d, goal.sense
+    r0 = (z if O is None else O @ z) - d
+    return _BoundGoal(z, lambda W: _solve_quadratic(W, z, O, r0, goal.eta, sense))
+
+
 def select_state(W: GramianBundle, z, goal) -> StateSelection:
     """Minimum-energy terminal state for a moment goal.
 
@@ -368,14 +452,17 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     ``RepulsionGoal`` is ``||O x - d||^2 = eta`` in its own sense. With
     ``O = I`` and ``d = z`` the displacement is the leading eigenvector of
     ``W`` scaled to squared length ``eta``, at energy ``eta / lam_max``.
+    GPGM passes its goal set up once for its endpoint (``_bind``).
     """
-    z = as_vector(z, n=W.n, name="z")
-    if not _violates(goal, z):
+    if isinstance(goal, _BoundGoal):
+        if z is not goal.z:
+            raise InvalidInputError("a bound goal selects only from its own endpoint")
+        bound = goal
+    else:
+        bound = _bind(goal, as_vector(z, n=W.n, name="z"))
+    if bound.solve is None:
         return StateSelection(
-            x_star=z.copy(), multiplier=0.0, energy=0.0, binding=False, p=np.zeros_like(z)
+            x_star=bound.z.copy(), multiplier=0.0, energy=0.0, binding=False,
+            p=np.zeros_like(bound.z),
         )
-    if isinstance(goal, LinearGoal):
-        return _select_mean(W, z, goal)
-    if isinstance(goal, VarianceGoal):
-        return _solve_quadratic(W, z, centering_matrix(W.n), np.zeros(W.n), goal.eta, "expand")
-    return _solve_quadratic(W, z, goal.O, goal.d, goal.eta, goal.sense)
+    return bound.solve(W)

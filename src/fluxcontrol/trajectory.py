@@ -57,15 +57,19 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
     lam = np.zeros((steps + 1, n))
     if p is not None:
         lam[-1] = as_vector(p, n=n, name="p")
-    e, w = evaluator.step(schematic.B, steps)
+    # The autonomous run (lam = 0) reads no Gramian over the step.
+    e, w = evaluator._step(schematic.B, steps, gramian=p is not None)
     times = np.linspace(0.0, evaluator.t_star, steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x = x0
     # Overflow surfaces as the divergence error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps, 0, -1):
-            lam[k - 1] = lam[k] @ e
-        g = lam[1:] @ w
+        if w is None:
+            g = np.zeros((steps, n))
+        else:
+            for k in range(steps, 0, -1):
+                lam[k - 1] = lam[k] @ e
+            g = lam[1:] @ w
         for k in range(steps):
             x = e @ x + g[k]
             if not np.all(np.isfinite(x)):

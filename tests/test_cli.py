@@ -621,6 +621,22 @@ def test_overflowing_autonomous_endpoint_fails_typed(tmp_path):
         assert json.loads((tmp_path / run / "error.json").read_text())["error"] == "InvalidInputError"
 
 
+def test_simulate_certifies_states_past_the_plain_norms_range(tmp_path):
+    # exp(600) ~ 4e260 fits a float, but a plain 2-norm of such a state
+    # squares it out of range; the endpoint check must not read inf / inf.
+    a_path = tmp_path / "a.csv"
+    a_path.write_text("300,1,0\n0,300,0\n0,0,300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = _run(tmp_path, "sim", "simulate", "--input", str(a_path), "--mode", "raw-matrix",
+                   "--t-star", "2", "--x0", "1,1,1", "--steps", "10")
+    assert [str(w.message) for w in caught] == []
+    summary = json.loads((out / "simulate.json").read_text())
+    assert summary["autonomous"] is True
+    assert 0.0 <= summary["endpoint_error_rel"] <= 1e-12
+    assert 1e245 < summary["endpoint_error"] < 1e250
+
+
 @pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 2)])
 def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkeypatch,
                                                                 command, expected):

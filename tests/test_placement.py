@@ -6,6 +6,7 @@ import pytest
 
 import fluxcontrol as fc
 import fluxcontrol.placement as placement
+import fluxcontrol.select as select
 from fluxcontrol.errors import InfeasibleGoalError, InvalidInputError, PlacementAbortError
 from fluxcontrol.placement import _MAX_HALVINGS, _tangent
 
@@ -207,8 +208,11 @@ class TestGpgm:
     def test_one_eigh_and_no_eigvalsh_per_candidate(self, karate, monkeypatch):
         # The evaluator's eigenbasis bundles are not re-validated, and the
         # selectors' uncontrollability test reads no eigenvalues of W, so a
-        # candidate's one spectral call is the selector's eigh(O W O^T). The
-        # repulsion goal runs on the same singular two-input Gramians.
+        # candidate's one spectral call is the selector's: the top pairs of
+        # O W O^T (dsyevr) when the goal starts on its target (O z = d), else
+        # the full eigh. The variance goal from z = 0 and the repulsion goal
+        # with d = z = 0 start on target, on the same singular two-input
+        # Gramians; the variance goal from z != 0 does not.
         evaluator = fc.GramianEvaluator(karate["system"], 3.0)
         calls = {}
 
@@ -221,14 +225,52 @@ class TestGpgm:
         monkeypatch.setattr(evaluator, "bundle", counting("bundle", evaluator.bundle))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(select, "dsyevr", counting("dsyevr", select.dsyevr))
         cfg = fc.GpgmConfig(sigma=0.1, max_iters=20, seed=0)
-        for goal in (fc.VarianceGoal(1.0), fc.RepulsionGoal(d=np.zeros(34), eta=2.0)):
-            calls.update(bundle=0, eigh=0, eigvalsh=0)
-            result = fc.gpgm(evaluator, np.zeros(34), goal, 2, config=cfg)
+        off_target = np.random.default_rng(11).standard_normal(34)
+        for goal, z, on_target in (
+            (fc.VarianceGoal(1.0), np.zeros(34), True),
+            (fc.RepulsionGoal(d=np.zeros(34), eta=2.0), np.zeros(34), True),
+            (fc.VarianceGoal(60.0), off_target, False),
+        ):
+            calls.update(bundle=0, eigh=0, eigvalsh=0, dsyevr=0)
+            result = fc.gpgm(evaluator, z, goal, 2, config=cfg)
             assert 1 <= result.iterations <= 20
             assert calls["bundle"] >= result.iterations + 1
-            assert calls["eigh"] == calls["bundle"]
+            assert calls["eigh"] + calls["dsyevr"] == calls["bundle"]
+            assert calls["dsyevr" if on_target else "eigh"] == calls["bundle"]
             assert calls["eigvalsh"] == 0
+
+    def test_goal_set_up_once_per_descent(self, karate, monkeypatch):
+        # The binding test, the centering projector and the residual O z - d
+        # depend on z alone: gpgm forms them once, and each candidate's
+        # select_state reuses them.
+        evaluator = fc.GramianEvaluator(karate["system"], 3.0)
+        calls = {"binding": 0, "centering": 0, "select": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(select, "_violates", counting("binding", select._violates))
+        monkeypatch.setattr(select, "centering_matrix",
+                            counting("centering", select.centering_matrix))
+        monkeypatch.setattr(placement, "select_state", counting("select", placement.select_state))
+        cfg = fc.GpgmConfig(sigma=0.1, max_iters=5, seed=0)
+        result = fc.gpgm(evaluator, np.zeros(34), fc.VarianceGoal(1.0), 2, config=cfg)
+        assert calls["select"] >= result.iterations + 1 >= 3
+        assert (calls["binding"], calls["centering"]) == (1, 1)
+
+    def test_a_bound_goal_selects_only_from_its_own_endpoint(self, karate):
+        bundle = fc.GramianEvaluator(karate["system"], 3.0).bundle(np.eye(34)[:, :2])
+        z = np.zeros(34)
+        bound = select._bind(fc.VarianceGoal(1.0), z)
+        assert fc.select_state(bundle, z, bound).energy == fc.select_state(
+            bundle, z, fc.VarianceGoal(1.0)).energy
+        with pytest.raises(InvalidInputError, match="endpoint"):
+            fc.select_state(bundle, z.copy(), bound)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_ring_chords_reaches_the_bound_in_few_iterations(self, seed):

@@ -2,8 +2,12 @@
 
 For each goal kind: ``W p = x* - z``, ``E = p^T W p``, the goal holds at
 ``x*``, ``E`` is monotone in ``eta`` and scaling ``W`` by ``c`` scales ``E``
-by ``1/c``. Examples are derandomized so reruns draw the same instances.
+by ``1/c``. A goal that starts on its target (``O z = d``) reads only the
+pole eigenpairs and must select what the full spectrum selects. Examples are
+derandomized so reruns draw the same instances.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxcontrol as fc
+from fluxcontrol import select as select_module
 from fluxcontrol.select import _require_movable
 
 KINDS = ["mean", "variance", "expand", "contract", "repulsion", "corner", "limit"]
@@ -301,3 +306,132 @@ def test_identity_observer_as_none_equals_the_dense_identity(case, seed, n, data
     if case == "hard":
         rep = fc.select_state(bundle, z, fc.RepulsionGoal(d=z, eta=eta))
         assert np.array_equal(rep.x_star, sel.x_star) and rep.energy == sel.energy
+
+
+ON_TARGET_KINDS = ["variance", "repulsion", "qcls"]
+
+
+def _on_target_goal(kind, rng, n, eta, o=None):
+    """``(z, goal)`` whose residual ``O z - d`` is exactly zero: variance from
+    ``z = 0``, repulsion with ``d = z``, QCLS with ``d = O z``."""
+    if kind == "variance":
+        return np.zeros(n), fc.VarianceGoal(eta)
+    z = rng.standard_normal(n)
+    if kind == "repulsion":
+        return z, fc.RepulsionGoal(z, eta)
+    o = rng.standard_normal((n, n)) if o is None else o
+    return z, fc.RepulsionGoal(o @ z, eta, o)
+
+
+def _on_target_and_full_spectrum(bundle, z, goal):
+    """The selection, asserted to take the top-pair path, and the selection
+    with the pole eigenpairs read off the full ``eigh`` instead."""
+    with mock.patch.object(select_module, "_pole_pairs",
+                           wraps=select_module._pole_pairs) as top_pairs:
+        got = fc.select_state(bundle, z, goal)
+    assert top_pairs.call_count == 1
+    with mock.patch.object(select_module, "_pole_pairs", np.linalg.eigh):
+        ref = fc.select_state(bundle, z, goal)
+    return got, ref
+
+
+def _assert_same_selection(got, ref):
+    assert got.binding and ref.binding
+    assert got.energy == pytest.approx(ref.energy, rel=1e-12)
+    assert got.multiplier == pytest.approx(ref.multiplier, rel=1e-12)
+    for a, b in ((got.x_star, ref.x_star), (got.p, ref.p)):
+        assert np.linalg.norm(a - b) <= 1e-10 * (1.0 + np.linalg.norm(b))
+
+
+def _observed_gramian(goal, w_mat):
+    n = w_mat.shape[0]
+    o = np.eye(n) - 1.0 / n if isinstance(goal, fc.VarianceGoal) else goal.O
+    return w_mat if o is None else o @ w_mat @ o.T
+
+
+@PROPERTY_SETTINGS
+@given(
+    kind=st.sampled_from(ON_TARGET_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    eta=st.floats(0.1, 10.0),
+    data=st.data(),
+)
+def test_on_target_selection_equals_the_full_spectrum(kind, seed, n, eta, data):
+    # On full and low rank W the top pairs give the full eigh's selection,
+    # at the energy eta / theta_max.
+    n = max(n, 2) if kind == "variance" else n
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, data.draw(st.integers(1, n))))
+    w_mat = g @ g.T
+    bundle = fc.GramianBundle.from_matrix(w_mat, 1.0)
+    z, goal = _on_target_goal(kind, rng, n, eta)
+    got, ref = _on_target_and_full_spectrum(bundle, z, goal)
+    _assert_same_selection(got, ref)
+    theta_max = float(np.linalg.eigvalsh(_observed_gramian(goal, w_mat))[-1])
+    assert got.energy == pytest.approx(eta / theta_max, rel=1e-10)
+
+
+def _star(n, b):
+    adj = np.zeros((n, n))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return fc.GramianEvaluator(fc.laplacian_system(adj), 1.0).bundle(b).W
+
+
+def _karate_twins(karate):
+    # Nodes 14, 15, 18, 20 and 22 all border exactly 32 and 33. B excites
+    # their mean-zero modes and two other nodes, and is unchanged by any
+    # permutation of the five, so the top of D W D is fourfold.
+    adj = karate["adj"]
+    twins = [i for i in range(34) if set(np.flatnonzero(adj[i])) == {32, 33}]
+    assert twins == [14, 15, 18, 20, 22]
+    b = np.zeros((34, 7))
+    b[np.ix_(twins, range(5))] = np.eye(5) - 0.2
+    b[0, 5] = b[33, 6] = 1.0
+    return fc.GramianEvaluator(karate["system"], 3.0).bundle(b).W
+
+
+@pytest.mark.parametrize("case", ["star-4", "star-5", "star-6", "star-8", "karate-twins"])
+@pytest.mark.parametrize("kind", ON_TARGET_KINDS)
+def test_on_target_selection_with_tied_top_eigenvalues(karate, case, kind):
+    # Forced ties: the selection must not depend on which basis of the tied
+    # pole eigenspace LAPACK returns, and the top-pair path must widen its
+    # index range until it holds every tied eigenvalue.
+    if case == "karate-twins":
+        w_mat = _karate_twins(karate)
+    else:
+        # With B = I the top of W is the consensus mode and the leaves' n - 2
+        # modes tie below it, at the top of D W D; B = D drops the consensus.
+        n = int(case.split("-")[1])
+        w_mat = _star(n, np.eye(n) if kind == "variance" else np.eye(n) - 1.0 / n)
+    n = w_mat.shape[0]
+    rng = np.random.default_rng(7)
+    # The QCLS observer keeps the tie: an orthogonal O maps W's top eigenspace.
+    o = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    z, goal = _on_target_goal(kind, rng, n, 2.0, o=o)
+    theta = np.linalg.eigvalsh(_observed_gramian(goal, w_mat))
+    tied = int(np.sum(theta >= (1.0 - 1e-10) * theta[-1]))
+    assert tied >= 2
+    got, ref = _on_target_and_full_spectrum(fc.GramianBundle(w_mat, 1.0), z, goal)
+    _assert_same_selection(got, ref)
+    assert len(select_module._pole_pairs(_observed_gramian(goal, w_mat))[0]) > tied or tied == n
+
+
+@PROPERTY_SETTINGS
+@given(kind=st.sampled_from(ON_TARGET_KINDS), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(2, 8))
+def test_on_target_goal_outside_range_is_uncontrollable(kind, seed, n):
+    # O W O^T = 0: only the mean moves (variance), W = 0 (repulsion), or
+    # O G = 0 (QCLS). The top-pair path raises as the full one does.
+    rng = np.random.default_rng(seed)
+    if kind == "variance":
+        g, o = np.ones((n, 1)), None
+    elif kind == "repulsion":
+        g, o = np.zeros((n, 1)), None
+    else:
+        g = _low_rank_factor(rng, n)
+        q, _ = np.linalg.qr(g)
+        o = rng.standard_normal((n, n)) @ (np.eye(n) - q @ q.T)
+    z, goal = _on_target_goal(kind, rng, n, 1.0, o=o)
+    with pytest.raises(fc.errors.GoalUncontrollableError):
+        fc.select_state(fc.GramianBundle.from_matrix(g @ g.T, 1.0), z, goal)

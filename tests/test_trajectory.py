@@ -108,7 +108,49 @@ class TestMinEnergyInput:
             assert len(calls) == expected
 
 
+def _parent_recurrence(evaluator, schematic, x0, steps):
+    """States of the run with the adjoint p = 0 through ``step``'s full one-step
+    map: lam = 0 walked back through exp(hA), and its input term through W_h."""
+    e, w = evaluator.step(schematic.B, steps)
+    lam = np.zeros((steps + 1, x0.size))
+    for k in range(steps, 0, -1):
+        lam[k - 1] = lam[k] @ e
+    g = lam[1:] @ w
+    states = [x0]
+    for k in range(steps):
+        states.append(e @ states[-1] + g[k])
+    return np.array(states)
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("case", ["symmetric", "thin", "thick", "doubled-thin",
+                                      "doubled-thick"])
+    def test_autonomous_run_reads_no_step_gramian(self, karate, rng, monkeypatch, case):
+        # With p = None the run takes exp(hA) alone, from the ladder the
+        # Gramian of B would take, so its states are the full one-step map's
+        # bit for bit.
+        n, m, scale = {"symmetric": (34, 2, 1.0), "thin": (40, 1, 1.0), "thick": (5, 2, 1.0),
+                       "doubled-thin": (40, 1, 60.0), "doubled-thick": (6, 3, 60.0)}[case]
+        system = (karate["system"] if case == "symmetric"
+                  else fc.LinearSystem(random_stable_system(rng, n, scale=scale)))
+        schematic = fc.InputSchematic(rng.standard_normal((n, m)))
+        evaluator = fc.GramianEvaluator(system, 1.5)
+        x0, steps = rng.standard_normal(n), 20
+        expected = _parent_recurrence(evaluator, schematic, x0, steps)
+
+        def unread(name):
+            def formed(*args):
+                raise AssertionError(f"the autonomous run called {name}")
+            return formed
+
+        for name in ("_thin_series", "_thick_series"):
+            monkeypatch.setattr(gramian, name, unread(name))
+        monkeypatch.setattr(fc.GramianEvaluator, "_eigen_gramian", unread("_eigen_gramian"))
+        traj = fc.simulate(evaluator, schematic, x0, steps)
+        npt.assert_array_equal(traj.states, expected)
+        npt.assert_array_equal(traj.inputs, np.zeros((steps + 1, m)))
+        npt.assert_array_equal(traj.cumulative_energy, np.zeros(steps + 1))
+
     def test_zero_input_zero_dynamics_constant(self):
         schematic = fc.InputSchematic.identity(3)
         x0 = np.array([1.0, -2.0, 0.5])
