@@ -413,13 +413,11 @@ def single_input_scales(b, d, eta: float):
 
 @dataclass(frozen=True)
 class _BoundGoal:
-    """A goal set up for one checked endpoint ``z``: the binding test done and,
-    for a quadratic goal, ``O``, ``d`` and the residual ``r0 = O z - d`` formed
-    (the variance goal's ``O`` is the n x n centering projector). ``solve``
-    maps a Gramian bundle to the selection, or is None when ``z`` meets the
-    goal. ``select_state`` takes it in place of the goal for that same ``z``
-    object, so a caller that selects on many Gramians from one endpoint (GPGM)
-    sets the goal up once.
+    """A goal set up for one checked endpoint ``z``: binding test, ``O``
+    (the variance goal's n x n centering projector) and ``r0 = O z - d``.
+    ``solve`` maps a Gramian bundle to the selection; None when ``z`` meets
+    the goal. ``select_state`` takes it in place of the goal for that same
+    ``z`` object, so GPGM sets its goal up once per descent.
     """
 
     z: np.ndarray
