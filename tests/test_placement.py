@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,14 @@ from fluxcontrol.errors import InfeasibleGoalError, InvalidInputError, Placement
 from fluxcontrol.placement import _MAX_HALVINGS, _tangent
 
 from _oracles import random_stable_system, schur_variance_energy_bound
+
+
+def _counting(calls, name, fn):
+    """``fn``, counting its calls in ``calls[name]``."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _flux_closed_form(system, t_star, m, x0, goal):
@@ -215,13 +224,7 @@ class TestGpgm:
         # Gramians; the variance goal from z != 0 does not.
         evaluator = fc.GramianEvaluator(karate["system"], 3.0)
         calls = {}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+        counting = functools.partial(_counting, calls)
         monkeypatch.setattr(evaluator, "bundle", counting("bundle", evaluator.bundle))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
         monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
@@ -247,13 +250,7 @@ class TestGpgm:
         # select_state reuses them.
         evaluator = fc.GramianEvaluator(karate["system"], 3.0)
         calls = {"binding": 0, "centering": 0, "select": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
+        counting = functools.partial(_counting, calls)
         monkeypatch.setattr(select, "_violates", counting("binding", select._violates))
         monkeypatch.setattr(select, "centering_matrix",
                             counting("centering", select.centering_matrix))
