@@ -271,13 +271,14 @@ def _setup(args):
 
 
 def _place(args, goal, x0, evaluator):
-    """The schematic for ``--method`` (``--b`` when none is given) and its
-    placement payload. Flux and ram report the goal's selection energy on the
-    schematic; with no goal, flux reports ``1/(m lambda)`` and ram none."""
+    """The schematic for ``--method`` (``--b`` when none is given), its
+    placement payload and the goal's selection on it where one was made. Flux
+    and ram report that selection's energy; with no goal, flux reports
+    ``1/(m lambda)`` and ram none."""
     system = evaluator.system
     method = getattr(args, "method", None)
     if method is None:
-        return _build_schematic(args, system), None
+        return _build_schematic(args, system), None, None
     if method == "gpgm":
         if goal is None:
             raise InvalidInputError("gpgm placement needs --goal")
@@ -289,10 +290,11 @@ def _place(args, goal, x0, evaluator):
         schematic = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
         result = PlacementResult(B_star=schematic, energy=None, iterations=0,
                                  converged=True, energy_trace=np.array([]))
+    selection = None
     if method != "gpgm" and goal is not None:
-        energy = select_state(evaluator.bundle(result.B_star.B), evaluator.propagate(x0),
-                              goal).energy
-        result = replace(result, energy=energy, energy_trace=np.array([energy]))
+        selection = select_state(evaluator.bundle(result.B_star.B), evaluator.propagate(x0), goal)
+        result = replace(result, energy=selection.energy,
+                         energy_trace=np.array([selection.energy]))
     return result.B_star, {
         "B": result.B_star.B,
         "energy": result.energy,
@@ -300,7 +302,7 @@ def _place(args, goal, x0, evaluator):
         "converged": result.converged,
         "trace": result.energy_trace,
         "steps": result.steps,
-    }
+    }, selection
 
 
 def _cmd_gramian(args, outdir):
@@ -341,7 +343,7 @@ def _cmd_select_state(args, outdir):
 
 def _cmd_place(args, outdir):
     goal, x0, evaluator = _setup(args)
-    schematic, payload = _place(args, goal, x0, evaluator)
+    schematic, payload, _ = _place(args, goal, x0, evaluator)
     write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
 
@@ -362,9 +364,8 @@ def _cmd_simulate(args, outdir):
     if args.steps < 2:
         raise InvalidInputError("steps must be at least 2")
     goal, x0, evaluator = _setup(args)
-    schematic, _ = _place(args, goal, x0, evaluator)
-    selection = None
-    if goal is not None:
+    schematic, _, selection = _place(args, goal, x0, evaluator)
+    if goal is not None and selection is None:
         selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
     # Taken before the run, so an autonomous endpoint that overflows fails typed here.
     z = evaluator.propagate(x0)

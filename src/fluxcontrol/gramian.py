@@ -7,7 +7,8 @@ eigenvector is the optimal single-input placement for the observer ``v^T x``.
 Off the eigenbasis the Gramian comes from one ``expm`` of a short base step,
 a truncated Taylor series of the integral over that step, as short as its
 tail bound at that step allows, and horizon doubling; a thick input matrix
-takes the base step that needs the fewest n x n products. The flux matrix
+takes the base step that needs the fewest n x n products. The ladder's top
+is exp(tA), which ``GramianEvaluator.propagator`` keeps for reuse. The flux matrix
 runs that same engine on a k x k Arnoldi projection of its one trajectory
 exp(tA^T) v, with k fixed by an a-priori error bound, and takes its top
 eigenpair from the k x k Gramian. The Krylov space does not depend on the
@@ -61,8 +62,11 @@ class GramianBundle:
         if not np.all(np.isfinite(W)):
             raise InvalidInputError("gramian has non-finite entries")
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
-        if np.linalg.norm(W - W.T) > 1e-10 * np.linalg.norm(W) + 1e-300:
-            raise InvalidInputError("gramian is not symmetric within tolerance")
+        # Max entries, not norms: a norm squares them and overflows past ~1e154.
+        # W - W^T is antisymmetric, so its largest entry is its largest magnitude.
+        with np.errstate(over="ignore"):
+            if (W - W.T).max() > 1e-10 * scale:
+                raise InvalidInputError("gramian is not symmetric within tolerance")
         W = 0.5 * (W + W.T)
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
@@ -177,24 +181,6 @@ def _thick_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
     return y
 
 
-def _doubling_plan(a: np.ndarray, m: int, t_star: float):
-    """``(doublings, terms, series)`` of ``_doubling_gramian`` for an input of
-    ``m`` columns: the thin series when ``m(p+1) < n``, else Horner with the
-    doublings chosen together with its length."""
-    scaled = float(np.linalg.norm(a, 1)) * t_star
-    if not np.isfinite(scaled):
-        raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
-    doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
-    terms = _series_terms(math.ldexp(scaled, -doublings))
-    series = _thin_series if m * (terms + 1) < a.shape[0] else _thick_series
-    if series is _thick_series:
-        # The products stop falling within a few doublings; ties take the shorter series.
-        terms, doublings = min(((_series_terms(math.ldexp(scaled, -d)), d)
-                                for d in range(doublings, doublings + 8)),
-                               key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
-    return doublings, terms, series
-
-
 def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     """int_0^t* exp(sa) b b^T exp(sa^T) ds from a base step and horizon doublings.
 
@@ -213,7 +199,17 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     rung of the ladder and whether it was doubled: exp((t*/2) a) after one or
     more doublings, else exp(t* a).
     """
-    doublings, terms, series = _doubling_plan(a, b.shape[1], t_star)
+    scaled = float(np.linalg.norm(a, 1)) * t_star
+    if not np.isfinite(scaled):
+        raise InvalidInputError("||A|| t_star overflows: shorten t_star or rescale A")
+    doublings = int(np.ceil(np.log2(scaled / _THETA))) if scaled > _THETA else 0
+    terms = _series_terms(math.ldexp(scaled, -doublings))
+    series = _thin_series if b.shape[1] * (terms + 1) < a.shape[0] else _thick_series
+    if series is _thick_series:
+        # The products stop falling within a few doublings; ties take the shorter series.
+        terms, doublings = min(((_series_terms(math.ldexp(scaled, -d)), d)
+                                for d in range(doublings, doublings + 8)),
+                               key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
     h = math.ldexp(t_star, -doublings)
     ha = h * a
     e = expm(ha)
@@ -297,7 +293,7 @@ class _KrylovSpace:
         self.mu, self.nu = float(np.max(d + r)), float(np.min(d - r))
         self.fro, self.tol = dnrm2(a.T.ravel()), 4 * eps * math.sqrt(n)
 
-    def _step(self) -> None:
+    def _advance(self) -> None:
         k, q, h = self.steps + 1, self.q, self.h
         if k > 1:
             q[k - 1] = self.w / h[k - 1, k - 2]
@@ -324,7 +320,7 @@ class _KrylovSpace:
         with self.lock:
             for k in range(1, len(self.q) + 1):
                 if k > self.steps:
-                    self._step()
+                    self._advance()
                 if self.closed and k == self.steps or (
                         2 * self.log_p[k] + (2 * k - 2) * math.log(t_star) - math.log(2 * k - 1)
                         - 2 * math.lgamma(k) <= target):
@@ -332,7 +328,7 @@ class _KrylovSpace:
 
 
 class GramianEvaluator:
-    """Gramian integrals at a fixed system and horizon.
+    """Gramian integrals and the exponentials of a fixed system and horizon.
 
     Serves the reachability Gramian ``W(B) = int exp(tA) B B^T exp(tA^T) dt``
     and the flux matrix ``Phi(v) = int exp(tA^T) v v^T exp(tA) dt``. For
@@ -340,11 +336,11 @@ class GramianEvaluator:
     ``expm1((a_i + a_j) T) / (a_i + a_j)`` weights on the projected outer
     product), orders of magnitude faster than the series and equal to it to
     roundoff. Nonsymmetric dynamics take the series-and-doubling path per
-    call. The endpoint ``exp(t* A) x0`` of the autonomous run comes from the
-    eigenpairs, or from the first series Gramian's doubling ladder (one
-    squaring of its last rung), else ``expm``. ``step`` gives the exact
-    one-step map of a run sampled on ``steps`` equal steps: ``exp(hA)`` and
-    the Gramian over one step, by the same two paths at ``h = t*/steps``.
+    call. ``propagator(s)`` is ``exp(sA)``, kept per ``s``: from the
+    eigenpairs, else from the top of the doubling ladder of the first series
+    Gramian on ``A`` over ``s``, else from one ``expm``. ``propagate`` reads it
+    at ``t*``, and ``step``, the exact one-step map of a run sampled on
+    ``steps`` equal steps, at ``h = t*/steps``.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -356,8 +352,8 @@ class GramianEvaluator:
         self.system = system
         self.t_star = float(t_star)
         self._symmetric = system.is_symmetric()
-        # exp(t A) or exp((t/2) A) from the first doubling ladder; exp(t* A) once built.
-        self._rung = self._transition = None
+        # exp(sA) by s; the first series Gramian on A over s leaves its ladder's top here.
+        self._propagators = {}
         if self._symmetric:
             self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
             self._weights = self._eigen_weights(self.t_star)
@@ -389,25 +385,26 @@ class GramianEvaluator:
             w = self._eigvecs @ (weights * (bt @ bt.T)) @ self._eigvecs.T
         return _finite(0.5 * (w + w.T), "Gramian")
 
-    def _integral(self, B, flux: bool) -> np.ndarray:
-        """int_0^T exp(ta) B B^T exp(ta^T) dt, a = A^T if ``flux`` else A (equal when symmetric)."""
+    def _integral(self, B, t: float, flux: bool = False) -> np.ndarray:
+        """int_0^t exp(sa) B B^T exp(sa^T) ds, a = A^T if ``flux`` else A (equal when symmetric)."""
         b = self._columns(B)
         if self._symmetric:
-            return self._eigen_gramian(b, self._weights)
-        a = self.system.A.T if flux else self.system.A
-        w, rung, doubled = _doubling_gramian(a, b, self.t_star)
+            weights = self._weights if t == self.t_star else self._eigen_weights(t)
+            return self._eigen_gramian(b, weights)
+        w, rung, doubled = _doubling_gramian(self.system.A.T if flux else self.system.A, b, t)
         w = _finite(w, "Gramian")
-        if self._rung is None:
-            self._rung = (rung.T if flux else rung), doubled
+        if not flux and t not in self._propagators:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._propagators[t] = rung @ rung if doubled else rung
         return w
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
-        return self._integral(B, flux=False)
+        return self._integral(B, self.t_star)
 
     def flux(self, v) -> np.ndarray:
         """Flux matrix of the weighting ``v``: the Gramian of (A^T, v)."""
-        return self._integral(v, flux=True)
+        return self._integral(v, self.t_star, flux=True)
 
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
@@ -417,49 +414,28 @@ class GramianEvaluator:
             return GramianBundle(self.matrix(B), self.t_star)
         return GramianBundle.from_matrix(self.matrix(B), self.t_star)
 
-    def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``: the eigenpairs
-        and weights at ``h``, or one series Gramian at ``h``, whose last rung
-        is ``exp(hA)``, squared once if the step was doubled."""
-        return self._step(B, steps, gramian=True)
-
-    def _step(self, B, steps: int, gramian: bool):
-        """``step``; without ``gramian`` only ``exp(hA)`` is formed, the same
-        bits as ``step``'s (the ladder ``B``'s Gramian would take: ``expm`` on
-        its base step, squared once per doubling), and the Gramian is None."""
-        if steps < 1:
-            raise InvalidInputError("steps must be at least 1")
-        b, h = self._columns(B), self.t_star / steps
-        w = None
-        if self._symmetric:
-            if gramian:
-                w = self._eigen_gramian(b, self._eigen_weights(h))
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = (self._eigvecs * np.exp(self._eigvals * h)) @ self._eigvecs.T
-        elif gramian:
-            w, e, doubled = _doubling_gramian(self.system.A, b, h)
-            w = _finite(w, "Gramian")
-            with np.errstate(over="ignore", invalid="ignore"):
-                e = e @ e if doubled else e
-        else:
-            doublings = _doubling_plan(self.system.A, b.shape[1], h)[0]
-            e = expm(math.ldexp(h, -doublings) * self.system.A)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for _ in range(doublings):
-                    e = e @ e
-        return _finite(e, "propagator"), w
-
-    def propagate(self, x0) -> np.ndarray:
-        """Autonomous endpoint ``exp(t* A) x0``; ``exp(t* A)`` is built once."""
-        x0 = as_vector(x0, n=self.system.n, name="x0")
-        if self._transition is None:
+    def propagator(self, s: float) -> np.ndarray:
+        """``exp(sA)``, built once per ``s`` and read-only: every caller shares it."""
+        e = self._propagators.get(s)
+        if e is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 if self._symmetric:
-                    phi = (self._eigvecs * np.exp(self._eigvals * self.t_star)) @ self._eigvecs.T
-                elif self._rung is None:
-                    phi = expm(self.system.A * self.t_star)
+                    e = (self._eigvecs * np.exp(self._eigvals * s)) @ self._eigvecs.T
                 else:
-                    rung, doubled = self._rung
-                    phi = rung @ rung if doubled else rung
-            self._transition = _finite(phi, "propagator")
-        return self._transition @ x0
+                    e = expm(s * self.system.A)
+            self._propagators[s] = e
+        e.flags.writeable = False
+        return _finite(e, "propagator")
+
+    def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``."""
+        if steps < 1:
+            raise InvalidInputError("steps must be at least 1")
+        h = self.t_star / steps
+        w = self._integral(B, h)
+        return self.propagator(h), w
+
+    def propagate(self, x0) -> np.ndarray:
+        """Autonomous endpoint ``exp(t* A) x0``."""
+        x0 = as_vector(x0, n=self.system.n, name="x0")
+        return self.propagator(self.t_star) @ x0

@@ -54,19 +54,20 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
         raise InvalidInputError("steps must be at least 2")
     n = evaluator.system.n
     x0 = as_vector(x0, n=n, name="x0")
+    if schematic.B.shape[0] != n:
+        raise InvalidInputError("schematic row count must match system size")
     lam = np.zeros((steps + 1, n))
-    if p is not None:
-        lam[-1] = as_vector(p, n=n, name="p")
-    # The autonomous run (lam = 0) reads no Gramian over the step.
-    e, w = evaluator._step(schematic.B, steps, gramian=p is not None)
     times = np.linspace(0.0, evaluator.t_star, steps + 1)
     states = np.empty((steps + 1, n))
     states[0] = x = x0
-    # Overflow surfaces as the divergence error below, not as a warning.
+    # Overflow surfaces as a typed error, the evaluator's or the divergence below.
     with np.errstate(over="ignore", invalid="ignore"):
-        if w is None:
-            g = np.zeros((steps, n))
+        if p is None:
+            # The autonomous run (lam = 0) reads no Gramian over the step.
+            e, g = evaluator.propagator(evaluator.t_star / steps), np.zeros((steps, n))
         else:
+            lam[-1] = as_vector(p, n=n, name="p")
+            e, w = evaluator.step(schematic.B, steps)
             for k in range(steps, 0, -1):
                 lam[k - 1] = lam[k] @ e
             g = lam[1:] @ w

@@ -273,13 +273,14 @@ def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_gra
     assert json.loads((coarse / "simulate.json").read_text())["endpoint_error_rel"] <= 1e-12
 
 
-def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph):
+@pytest.mark.parametrize("goal", [["--goal", "variance", "--eta", "1.0"], []],
+                         ids=["steered", "autonomous"])
+def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph, goal):
     b_path = tmp_path / "b.csv"
     b_path.write_text("1\n0\n0\n")
     out = tmp_path / "err"
     code = main([
-        "simulate", "--input", path_graph, "--mode", "laplacian",
-        "--goal", "variance", "--eta", "1.0", "--b", str(b_path),
+        "simulate", "--input", path_graph, "--mode", "laplacian", *goal, "--b", str(b_path),
         "--steps", "10", "--out", str(out),
     ])
     assert code == 1
@@ -662,6 +663,66 @@ def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkey
     if command == "simulate":
         summary = json.loads((out / "simulate.json").read_text())
         assert summary["endpoint_error"] <= 1e-8 * (1 + np.linalg.norm(summary["endpoint"]))
+
+
+_GOAL = ["--goal", "variance", "--eta", "4", "--x0", "1,-1,2"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gramian"], 1),
+    (["select-state", *_GOAL], 1),
+    (["simulate", *_GOAL, "--steps", "50"], 2),
+    (["simulate", "--x0", "1,-1,2", "--steps", "50"], 2),
+    (["simulate", *_GOAL, "--b", "thin", "--steps", "50"], 2),
+    (["simulate", *_GOAL, "--method", "gpgm", "--starts", "1", "--max-iters", "3",
+      "--steps", "50"], 10),
+    (["compare", *_GOAL, "--starts", "1", "--seeds", "2", "--max-iters", "3"], 10),
+], ids=["gramian", "select-state", "simulate", "simulate-autonomous", "simulate-thin",
+        "simulate-gpgm", "compare"])
+def test_expm_calls_per_run(tmp_path, monkeypatch, argv, expected):
+    # Each series Gramian takes one expm, and exp(t* A) and exp(hA) come from
+    # a ladder or one expm each; a new exponential anywhere shows up here.
+    from scipy.linalg import expm
+
+    import fluxcontrol.gramian as gramian
+
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return expm(x)
+
+    monkeypatch.setattr(gramian, "expm", counting)
+    a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
+    a_path.write_text("-1,2,0\n0,-2,1.5\n0.5,0,-1\n")
+    b_path.write_text("1\n0\n0.5\n")
+    argv = [str(b_path) if arg == "thin" else arg for arg in argv]
+    _run(tmp_path, "run", *argv, "--input", str(a_path), "--mode", "raw-matrix", "--t-star", "2")
+    assert calls == [(3, 3)] * expected
+
+
+@pytest.mark.parametrize("command", [["place"], ["simulate", "--steps", "50"]])
+@pytest.mark.parametrize("method", ["ram", "flux"])
+def test_placement_selection_is_made_once(tmp_path, karate_path, monkeypatch, command, method):
+    # simulate steers by the selection its placement made for the payload.
+    import fluxcontrol.cli as cli
+
+    bundles, selections = [], []
+    bundle, select = fc.GramianEvaluator.bundle, cli.select_state
+
+    def counting_bundle(self, b):
+        bundles.append(None)
+        return bundle(self, b)
+
+    def counting_select(*args):
+        selections.append(None)
+        return select(*args)
+
+    monkeypatch.setattr(fc.GramianEvaluator, "bundle", counting_bundle)
+    monkeypatch.setattr(cli, "select_state", counting_select)
+    _run(tmp_path, "run", *command, "--method", method, "--input", karate_path, "--m", "2",
+         "--mode", "adjacency", "--goal", "variance", "--x0", "random", "--t-star", "0.5")
+    assert (len(bundles), len(selections)) == (1, 1)
 
 
 @pytest.mark.parametrize("d", ["1,2,3", "0"])

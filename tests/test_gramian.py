@@ -350,17 +350,48 @@ class TestGramianEvaluator:
             got = fc.GramianEvaluator(system, t).propagate(x0)
             assert np.linalg.norm(got - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref))
 
-    def test_propagate_nonsymmetric_is_the_transition_matrix(self, rng):
+    def test_propagator_is_kept_per_step(self, rng, monkeypatch):
+        # Each s takes one expm(sA), read again on later calls; another s is
+        # another exponential.
+        sizes = _record_expm(monkeypatch)
         system = fc.LinearSystem(random_stable_system(rng, 5))
+        ev = fc.GramianEvaluator(system, 1.7)
+        e = ev.propagator(0.4)
+        npt.assert_array_equal(e, expm(0.4 * system.A))
+        assert ev.propagator(0.4) is e and sizes == [5]
+        assert not e.flags.writeable
         x0 = rng.standard_normal(5)
-        got = fc.GramianEvaluator(system, 1.7).propagate(x0)
-        npt.assert_array_equal(got, expm(1.7 * system.A) @ x0)
+        npt.assert_array_equal(ev.propagate(x0), expm(1.7 * system.A) @ x0)
+        assert ev.propagator(1.7) is not e and sizes == [5, 5]
+
+    @pytest.mark.parametrize("t", [0.1, 3.0], ids=["rung", "squared"])
+    def test_step_and_propagate_read_the_gramians_ladder(self, rng, monkeypatch, t):
+        # A series Gramian on A over s leaves propagator(s) the top of its
+        # ladder: propagate after matrix, and step's exp(hA) after its own
+        # Gramian at h, take no expm of their own.
+        sizes = _record_expm(monkeypatch)
+        system = fc.LinearSystem(random_stable_system(rng, 40))
+        b, x0 = rng.standard_normal((40, 1)), rng.standard_normal(40)
+        ev = fc.GramianEvaluator(system, t)
+        w = ev.matrix(b)
+        z = ev.propagate(x0)
+        e, _ = ev.step(b, 4)
+        assert sizes == [40, 40]
+        _, rung, doubled = gramian._doubling_gramian(system.A, b, t)
+        assert doubled == (t == 3.0)
+        npt.assert_array_equal(z, (rung @ rung if doubled else rung) @ x0)
+        _, rung, doubled = gramian._doubling_gramian(system.A, b, t / 4)
+        npt.assert_array_equal(e, rung @ rung if doubled else rung)
+        assert ev.step(b, 4)[0] is e and ev.step(b, 1)[0] is ev.propagator(t)
+        assert not e.flags.writeable
+        npt.assert_array_equal(ev.step(b, 1)[1], w)
 
     @pytest.mark.parametrize("first", ["matrix", "flux"])
     @pytest.mark.parametrize("t, doubled", [(0.1, False), (3.0, True)], ids=["rung", "squared"])
     def test_propagate_from_the_doubling_ladder_matches_expm(self, rng, first, t, doubled):
         # After a Gramian, exp(t* A) is the ladder's last rung (no doubling) or
-        # its square; a first flux call ran the ladder on A^T.
+        # its square; a flux call runs its ladder on A^T and leaves no exp(t* A),
+        # so propagate takes its own expm.
         a = random_stable_system(rng, 5) + 4.0 * np.eye(5, k=1)
         assert (np.linalg.norm(a, 1) * t > 2.0) == doubled
         ev = fc.GramianEvaluator(fc.LinearSystem(a), t)
@@ -512,6 +543,13 @@ class TestGramianEvaluator:
     def test_non_finite_matrix_is_an_input_error(self):
         with pytest.raises(InvalidInputError):
             fc.GramianBundle.from_matrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0)
+
+    def test_asymmetry_past_the_norms_range_is_an_input_error(self):
+        # A 2-norm squares entries past ~1e154 to inf, and inf > inf is false.
+        with pytest.raises(InvalidInputError):
+            fc.GramianBundle.from_matrix([[1e200, 0.0], [5e199, 1e200]], 1.0)
+        w = fc.GramianBundle.from_matrix([[1e200, 5e199], [5e199, 1e200]], 1.0)
+        npt.assert_allclose(w.eigenvalues, [1.5e200, 5e199], rtol=1e-15)
 
     def test_one_expm_per_block_exponential(self, rng, monkeypatch):
         # exp(hA) of the series' base step drives the horizon doublings, so

@@ -33,8 +33,8 @@ def test_no_gramian_solves_in_src():
 
 
 def test_only_gramian_imports_expm():
-    # GramianEvaluator is the one way to exp(tA): the doubling ladder, the
-    # autonomous endpoint and the adjoint step all take it there.
+    # GramianEvaluator is the one way to exp(tA): the doubling ladder and
+    # propagator(s), which propagate, step and simulate read, take it there.
     pattern = re.compile(r"import.*\bexpm\b|\bexpm\(")
     hits = [
         f"{path.name}:{k}"
@@ -54,6 +54,19 @@ def test_only_cli_builds_a_gramian_evaluator():
         for path in SRC.rglob("*.py")
         if path.name != "cli.py" and "GramianEvaluator(" in path.read_text()
     )
+    assert hits == []
+
+
+def test_evaluator_privates_stay_in_gramian():
+    # Placement and simulation reach the evaluator through its public methods.
+    pattern = re.compile(r"\bevaluator\._")
+    hits = [
+        f"{path.name}:{k}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "gramian.py"
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
     assert hits == []
 
 

@@ -126,17 +126,21 @@ class TestSimulate:
     @pytest.mark.parametrize("case", ["symmetric", "thin", "thick", "doubled-thin",
                                       "doubled-thick"])
     def test_autonomous_run_reads_no_step_gramian(self, karate, rng, monkeypatch, case):
-        # With p = None the run takes exp(hA) alone, from the ladder the
-        # Gramian of B would take, so its states are the full one-step map's
-        # bit for bit.
-        n, m, scale = {"symmetric": (34, 2, 1.0), "thin": (40, 1, 1.0), "thick": (5, 2, 1.0),
-                       "doubled-thin": (40, 1, 60.0), "doubled-thick": (6, 3, 60.0)}[case]
+        # With p = None the run takes exp(hA) alone, from the eigenpairs or one
+        # expm(hA). The full one-step map, on an evaluator of its own, takes it
+        # from the top of the ladder of B's Gramian at h: the same bits where
+        # that ladder is one expm(hA), and within roundoff where it is doubled.
+        n, m, scale, doubled = {
+            "symmetric": (34, 2, 1.0, False), "thin": (40, 1, 1.0, False),
+            "thick": (5, 2, 1.0, True), "doubled-thin": (40, 1, 60.0, True),
+            "doubled-thick": (6, 3, 60.0, True)}[case]
         system = (karate["system"] if case == "symmetric"
                   else fc.LinearSystem(random_stable_system(rng, n, scale=scale)))
         schematic = fc.InputSchematic(rng.standard_normal((n, m)))
-        evaluator = fc.GramianEvaluator(system, 1.5)
         x0, steps = rng.standard_normal(n), 20
-        expected = _parent_recurrence(evaluator, schematic, x0, steps)
+        if case != "symmetric":
+            assert gramian._doubling_gramian(system.A, schematic.B, 1.5 / steps)[2] == doubled
+        expected = _parent_recurrence(fc.GramianEvaluator(system, 1.5), schematic, x0, steps)
 
         def unread(name):
             def formed(*args):
@@ -146,8 +150,12 @@ class TestSimulate:
         for name in ("_thin_series", "_thick_series"):
             monkeypatch.setattr(gramian, name, unread(name))
         monkeypatch.setattr(fc.GramianEvaluator, "_eigen_gramian", unread("_eigen_gramian"))
-        traj = fc.simulate(evaluator, schematic, x0, steps)
-        npt.assert_array_equal(traj.states, expected)
+        traj = fc.simulate(fc.GramianEvaluator(system, 1.5), schematic, x0, steps)
+        if doubled:
+            # Relative to the largest state, as the CLI's endpoint check scales its error.
+            assert np.abs(traj.states - expected).max() <= 1e-14 * np.abs(expected).max()
+        else:
+            npt.assert_array_equal(traj.states, expected)
         npt.assert_array_equal(traj.inputs, np.zeros((steps + 1, m)))
         npt.assert_array_equal(traj.cumulative_energy, np.zeros(steps + 1))
 
