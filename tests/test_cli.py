@@ -273,19 +273,19 @@ def test_autonomous_simulate_certifies_against_the_transition(tmp_path, path_gra
     assert json.loads((coarse / "simulate.json").read_text())["endpoint_error_rel"] <= 1e-12
 
 
-@pytest.mark.parametrize("goal", [["--goal", "variance", "--eta", "1.0"], []],
-                         ids=["steered", "autonomous"])
-def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph, goal):
+def test_simulate_schematic_row_mismatch_is_typed(tmp_path, path_graph):
+    # Steered and autonomous runs alike.
     b_path = tmp_path / "b.csv"
     b_path.write_text("1\n0\n0\n")
-    out = tmp_path / "err"
-    code = main([
-        "simulate", "--input", path_graph, "--mode", "laplacian", *goal, "--b", str(b_path),
-        "--steps", "10", "--out", str(out),
-    ])
-    assert code == 1
-    payload = json.loads((out / "error.json").read_text())
-    assert payload["error"] == "InvalidInputError"
+    for name, goal in (("err", ["--goal", "variance", "--eta", "1.0"]), ("auto", [])):
+        out = tmp_path / name
+        code = main([
+            "simulate", "--input", path_graph, "--mode", "laplacian", *goal, "--b", str(b_path),
+            "--steps", "10", "--out", str(out),
+        ])
+        assert code == 1
+        payload = json.loads((out / "error.json").read_text())
+        assert payload["error"] == "InvalidInputError"
 
 
 def test_compare_small_graph(tmp_path, path_graph):
