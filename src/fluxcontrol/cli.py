@@ -23,7 +23,7 @@ from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
 from .gramian import GramianEvaluator
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
-from .linsys import InputSchematic, LinearSystem, laplacian_system
+from .linsys import InputSchematic, LinearSystem
 from .placement import (
     GpgmConfig,
     PlacementResult,
@@ -163,10 +163,8 @@ def _build_system(args):
         raise InvalidInputError("--input is required for this command")
     if args.mode == "raw-matrix":
         return LinearSystem(load_dense_matrix(args.input))
-    adj = parse_edge_list(args.input, undirected=args.undirected)
-    if args.mode == "adjacency":
-        return LinearSystem(adj)
-    return laplacian_system(adj)
+    edges = parse_edge_list(args.input, undirected=args.undirected)
+    return LinearSystem.from_edges(*edges, laplacian=args.mode == "laplacian")
 
 
 def _build_schematic(args, system):

@@ -67,7 +67,10 @@ class GramianBundle:
         with np.errstate(over="ignore"):
             if (W - W.T).max() > 1e-10 * scale:
                 raise InvalidInputError("gramian is not symmetric within tolerance")
-        W = 0.5 * (W + W.T)
+            # Halving before the sum would move normal entries' bits; past ~9e307 it overflows.
+            W = 0.5 * (W + W.T)
+        if not np.all(np.isfinite(W)):
+            raise InvalidInputError("gramian overflows when symmetrized: rescale it")
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
@@ -226,13 +229,14 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     """Flux matrix of the observer ``v^T x`` over the horizon, on the Krylov
     space of (A^T, v).
 
-    Arnoldi on A^T from v / ||v|| (two Gram-Schmidt passes) gives orthonormal
-    rows Q_k and the Hessenberg H_k; the Gramian G of (H_k, e_1) from
+    Arnoldi on A^T from v / ||v|| (two Gram-Schmidt passes), which reads A only
+    through matvecs (``_KrylovSpace``), gives orthonormal rows Q_k and the Hessenberg H_k; the Gramian G of (H_k, e_1) from
     ``_doubling_gramian`` gives the top pair from ``eigh(G)``, and
     Phi = ||v||^2 Q_k^T G Q_k on first read of ``FluxMatrix.Phi``. The residual
     of y_k(s) = ||v|| Q_k^T exp(sH_k) e_1 is ||v|| h_{k+1,k} (e_k^T exp(sH_k) e_1)
     q_{k+1} (Saad 1992), and its middle factor is at most P s^(k-1) exp(mu s)/(k-1)!,
-    P the product of H_k's subdiagonal and mu, nu Gershgorin bounds on the extreme eigenvalues of (A + A^T)/2. So with
+    P the product of H_k's subdiagonal and mu, nu Gershgorin bounds on the extreme
+    eigenvalues of (A + A^T)/2, about a_ii with radius (sum_j |a_ij| + |a_ji|)/2. So with
     c = int_0^t* exp(2 mu u) du, int ||y - y_k||^2 <= ||v||^2 t* c exp(2 max(mu, 0) t*)
     (P h_{k+1,k})^2 t*^(2k-1) / ((2k-1) (k-1)!^2). Arnoldi stops once that is at most
     eps^2 ||v||^2 int_0^t* exp(2 nu u) du <= eps^2 ||v||^2 tr G, at k = n, or at a
@@ -256,7 +260,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
         space = slot[0]
         if space is None or space.key != key:
             # A new weighting's space takes the slot of the last one.
-            space = slot[0] = _KrylovSpace(system.A.T, vv / beta, key)
+            space = slot[0] = _KrylovSpace(system, vv / beta, key)
         k = space.order(t_star)
         g = _finite(_doubling_gramian(space.h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
         theta, vecs = np.linalg.eigh(g)
@@ -275,29 +279,53 @@ class _KrylovSpace:
     """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask;
     ``key`` is the bytes of the weighting v that q_1 normalizes.
 
-    Holds what no horizon changes: mu and nu, Gershgorin bounds on the
-    extreme eigenvalues of (A + A^T)/2, and ||A||_F. Step k fills the k-th
-    column of H and keeps its residual w and log P_k, the log of the product
-    of H's subdiagonal through h_{k+1,k}; q_{k+1} = w / h_{k+1,k} is formed
-    only when a horizon takes step k + 1. ``closed`` marks a breakdown or k = n.
-    A lock keeps threads that share the system from taking a step twice.
+    Reads A through A^T q alone: a bincount over the system's edge arrays, else
+    a gemv. Holds what no horizon changes: mu and nu, and ||A||_F. The
+    Gershgorin radius (sum_j |a_ij| + |a_ji|)/2, one O(nnz) formula, is exact
+    for a sign-consistent off-diagonal (graphs, Laplacians) and a looser bound
+    otherwise. Step k fills the k-th column of H and keeps its residual w and
+    log P_k, the log of the product of H's subdiagonal through h_{k+1,k};
+    q_{k+1} = w / h_{k+1,k} is formed only when a horizon takes step k + 1.
+    Q and H double their rows as steps ask. ``closed`` marks a breakdown or
+    k = n. A lock keeps threads that share the system from taking a step twice.
     """
 
-    def __init__(self, a: np.ndarray, q1: np.ndarray, key: bytes):
-        n, eps = a.shape[0], np.finfo(float).eps
-        self.a, self.key, self.steps, self.closed = a, key, 0, False
-        self.q, self.h = np.empty((n, n)), np.zeros((n + 1, n))
-        self.q[0], self.log_p, self.w, self.lock = q1, [0.0], None, threading.Lock()
-        s = 0.5 * (a + a.T)
-        d, r = np.diag(s), np.abs(s).sum(axis=1) - np.abs(np.diag(s))
+    def __init__(self, system: LinearSystem, q1: np.ndarray, key: bytes):
+        n, eps, self.edges = system.n, np.finfo(float).eps, system.edges
+        self.n, self.key, self.steps, self.closed = n, key, 0, False
+        self.q, self.h = q1[None], np.zeros((2, 1))
+        self.log_p, self.w, self.lock = [0.0], None, threading.Lock()
+        if self.edges is None:
+            self.a, absa, self.fro = system.A.T, np.abs(system.A), dnrm2(system.A.ravel())
+            d, sums = np.diag(self.a), absa.sum(axis=0) + absa.sum(axis=1)
+        else:
+            rows, cols, vals = self.edges
+            d = np.bincount(rows, weights=vals * (rows == cols), minlength=n)
+            sums = sum(np.bincount(i, weights=np.abs(vals), minlength=n) for i in (rows, cols))
+            self.fro = dnrm2(vals)
+        r = 0.5 * sums - np.abs(d)
         self.mu, self.nu = float(np.max(d + r)), float(np.min(d - r))
-        self.fro, self.tol = dnrm2(a.T.ravel()), 4 * eps * math.sqrt(n)
+        self.tol = 4 * eps * math.sqrt(n)
+
+    def _matvec(self, q: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """A^T q, or |A^T| |q| for the breakdown test."""
+        f = np.abs if absolute else np.asarray
+        if self.edges is None:
+            return f(self.a) @ f(q)
+        rows, cols, vals = self.edges
+        return np.bincount(cols, weights=f(vals) * f(q)[rows], minlength=self.n)
 
     def _advance(self) -> None:
-        k, q, h = self.steps + 1, self.q, self.h
+        k = self.steps + 1
+        if k > len(self.q):
+            cap = min(2 * len(self.q), self.n)
+            q, h = np.empty((cap, self.n)), np.zeros((cap + 1, cap))
+            q[:k - 1], h[:k, :k - 1] = self.q, self.h
+            self.q, self.h = q, h
+        q, h = self.q, self.h
         if k > 1:
             q[k - 1] = self.w / h[k - 1, k - 2]
-        w = self.a @ q[k - 1]
+        w = self._matvec(q[k - 1])
         for _ in range(2):
             proj = q[:k] @ w
             w -= proj @ q[:k]
@@ -305,8 +333,8 @@ class _KrylovSpace:
         h[k, k - 1] = dnrm2(w)
         self.steps, self.w = k, w
         # A breakdown; ||A||_F >= || |A^T| |q_k| || screens the test.
-        if k == len(q) or h[k, k - 1] <= self.tol * self.fro and (
-                h[k, k - 1] <= self.tol * dnrm2(np.abs(self.a) @ np.abs(q[k - 1]))):
+        if k == self.n or h[k, k - 1] <= self.tol * self.fro and (
+                h[k, k - 1] <= self.tol * dnrm2(self._matvec(q[k - 1], absolute=True))):
             self.closed = True
         else:
             self.log_p.append(self.log_p[-1] + math.log(h[k, k - 1]))
@@ -318,7 +346,7 @@ class _KrylovSpace:
         # The stopping bound in logs, with its factors that do not change with k on this side.
         target = np.log(eps**2 * lower / c) - 2 * (math.log(t_star) + max(mu, 0.0) * t_star)
         with self.lock:
-            for k in range(1, len(self.q) + 1):
+            for k in range(1, self.n + 1):
                 if k > self.steps:
                     self._advance()
                 if self.closed and k == self.steps or (

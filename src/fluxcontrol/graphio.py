@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EdgeListParseError, InvalidInputError
+from .linsys import LinearSystem
 
 __all__ = [
     "parse_edge_list",
@@ -54,11 +55,13 @@ def _parse_lines(lines, undirected: bool):
 
 
 def parse_edge_list(path, undirected: bool = True):
-    """Read a whitespace-separated `i j [w]` edge list into an adjacency matrix.
+    """Read a whitespace-separated `i j [w]` edge list as index and weight arrays.
 
     Node ids are 1-based; `#` starts a comment; weights default to 1; repeated
-    edges sum with a warning. The undirected flag mirrors each entry. Returns
-    the dense n x n adjacency, n being the highest id seen.
+    edges sum with a warning. The undirected flag mirrors each entry off the
+    diagonal. Returns `(n, rows, cols, weights)`, n being the highest id seen
+    and each 0-based position (rows[k], cols[k]) occurring once, as
+    ``LinearSystem.from_edges`` takes them.
     """
     try:
         with open(path) as fh:
@@ -67,14 +70,13 @@ def parse_edge_list(path, undirected: bool = True):
         raise EdgeListParseError(f"{path}: cannot be decoded as text: {exc}") from exc
     keys = np.array(list(edges), dtype=np.intp)
     n, (rows, cols) = int(keys.max()) + 1, keys.T
-    adj = np.zeros((n, n))
-    # Each key occurs once, so every entry takes one sum onto zero (a -0 weight
-    # reads 0); undirected keys hold i <= j, and the mirror copies them below
-    # the diagonal.
-    adj[rows, cols] += np.fromiter(edges.values(), dtype=float, count=len(edges))
+    weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
     if undirected:
-        adj[cols, rows] = adj[rows, cols]
-    return adj
+        # Undirected keys hold i <= j, so the mirrored positions are new.
+        off = rows != cols
+        rows, cols, weights = (np.concatenate([x, y[off]]) for x, y in
+                               ((rows, cols), (cols, rows), (weights, weights)))
+    return n, rows, cols, weights
 
 
 def load_dense_matrix(path):
@@ -98,4 +100,4 @@ def karate_club_adjacency():
     """Bundled Zachary karate club network (34 nodes, 78 undirected edges)."""
     ref = resources.files("fluxcontrol").joinpath("data/karate_club.edges")
     with resources.as_file(ref) as path:
-        return parse_edge_list(path, undirected=True)
+        return np.array(LinearSystem.from_edges(*parse_edge_list(path, undirected=True)).A)

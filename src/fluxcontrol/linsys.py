@@ -1,7 +1,9 @@
 """Linear time-invariant network systems and the PBH controllability test.
 
-A system is the dense dynamics matrix ``A`` of ``xdot = A x + B u`` together
-with the weighted digraph it encodes (edge (i, j) present iff ``A[i, j] != 0``).
+A system is the dynamics matrix ``A`` of ``xdot = A x + B u`` together with the
+weighted digraph it encodes (edge (i, j) present iff ``A[i, j] != 0``). It is
+kept dense, or as the index and value arrays of its entries, from which the
+flux path reads matvecs in O(nnz) and the dense ``A`` is formed on first read.
 """
 
 from dataclasses import dataclass, field
@@ -26,35 +28,74 @@ _EIG_CLUSTER_TOL = 1e-8
 _SYMMETRY_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
 class LinearSystem:
-    """Dense LTI dynamics matrix.
+    """LTI dynamics matrix, dense or from an edge list.
 
     Attributes:
         A: n x n real dynamics matrix, all entries finite; a read-only copy
-            of the argument, so what is derived from it cannot go stale.
+            of the argument, so what is derived from it cannot go stale, or
+            formed on first read for a system from ``from_edges``.
+        edges: ``(rows, cols, values)`` of A's entries for a system from
+            ``from_edges``, else None.
     """
 
-    A: np.ndarray
-    # One slot for flux_matrix's Krylov space of (A^T, v), for the last v it took.
-    _krylov: list = field(default_factory=lambda: [None], init=False, repr=False,
-                          compare=False)
-
-    def __post_init__(self):
-        a = as_matrix(self.A, name="A")
+    def __init__(self, A):
+        a = as_matrix(A, name="A")
         if a.shape[0] != a.shape[1]:
             raise InvalidInputError(f"A must be square, got shape {a.shape}")
         a = a.copy()
         a.flags.writeable = False
-        object.__setattr__(self, "A", a)
+        # One slot for flux_matrix's Krylov space of (A^T, v), for the last v it took.
+        self.n, self.edges, self._source, self._a, self._krylov = a.shape[0], None, None, a, [None]
 
-    def __reduce__(self):
-        # Pickle and deepcopy rebuild from A: the cached space holds a lock.
-        return type(self), (self.A,)
+    @classmethod
+    def from_edges(cls, n, rows, cols, weights, laplacian=False) -> "LinearSystem":
+        """The system whose adjacency holds ``weights[k]`` at each 0-based
+        position ``(rows[k], cols[k])``, which occurs once; ``laplacian`` makes
+        it minus the graph Laplacian, as ``laplacian_system`` does. No n x n
+        array is formed until ``A`` is read."""
+        rows, cols = (np.asarray(x, dtype=np.intp) for x in (rows, cols))
+        weights = as_vector(weights, name="weights")
+        idx = np.concatenate([rows, cols])
+        if not rows.shape == cols.shape == weights.shape or np.any((idx < 0) | (idx >= n)):
+            raise InvalidInputError(f"edge arrays must be equal-length positions in 0..{n - 1}")
+        source, edges = (n, rows, cols, weights, laplacian), (rows, cols, weights)
+        if laplacian:
+            if np.any(weights < 0):
+                raise InvalidInputError("adjacency weights must be nonnegative")
+            if np.any(weights[rows == cols] != 0):
+                raise InvalidInputError("adjacency must have a zero diagonal")
+            # a_ij + a_ji and a_ij - a_ji at each position of either, as the dense sums round them.
+            keys, at = np.unique(np.concatenate([rows * n + cols, cols * n + rows]),
+                                 return_inverse=True)
+            sym, skew = (np.bincount(at, weights=np.concatenate([weights, sign * weights]))
+                         for sign in (1, -1))
+            if np.any(np.abs(skew) > 1e-12 * np.max(np.abs(weights), initial=1.0)):
+                raise InvalidInputError("adjacency must be symmetric")
+            (rows, cols), off, diag = np.divmod(keys, n), 0.5 * sym, np.arange(n)
+            edges = (np.concatenate([rows, diag]), np.concatenate([cols, diag]), as_vector(
+                np.concatenate([off, -np.bincount(rows, weights=off, minlength=n)]), name="A"))
+        system = cls.__new__(cls)
+        system.n, system.edges, system._source, system._a, system._krylov = n, edges, source, None, [None]
+        return system
 
     @property
-    def n(self) -> int:
-        return self.A.shape[0]
+    def A(self) -> np.ndarray:
+        if self._a is None:
+            n, rows, cols, weights, laplacian = self._source
+            adj = np.zeros((n, n))
+            # Each position occurs once, so every entry takes one sum onto zero (a -0 weight reads 0).
+            adj[rows, cols] += weights
+            if laplacian:
+                adj = 0.5 * (adj + adj.T)
+                adj = -(np.diag(adj.sum(axis=1)) - adj)
+            self._a = as_matrix(adj, name="A")
+            self._a.flags.writeable = False
+        return self._a
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild from A or the edge arrays: the cached space holds a lock.
+        return (type(self), (self._a,)) if self._source is None else (self.from_edges, self._source)
 
     def is_symmetric(self) -> bool:
         # Max-abs entries, not norms: a norm squares them and overflows past ~1e154.
@@ -127,21 +168,14 @@ def laplacian_system(adjacency) -> LinearSystem:
 
     Returns the system with dynamics matrix equal to minus the graph
     Laplacian (degree matrix minus adjacency), so row sums are zero and the
-    all-ones vector is invariant.
+    all-ones vector is invariant. The adjacency is kept as its nonzero
+    entries (``LinearSystem.from_edges``).
     """
     adj = as_matrix(adjacency, name="adjacency")
     if adj.shape[0] != adj.shape[1]:
         raise InvalidInputError("adjacency must be square")
-    if np.any(adj < 0):
-        raise InvalidInputError("adjacency weights must be nonnegative")
-    if np.any(np.diag(adj) != 0):
-        raise InvalidInputError("adjacency must have a zero diagonal")
-    scale = max(np.abs(adj).max(), 1.0)
-    if not np.allclose(adj, adj.T, rtol=0.0, atol=1e-12 * scale):
-        raise InvalidInputError("adjacency must be symmetric")
-    adj = 0.5 * (adj + adj.T)
-    lap = np.diag(adj.sum(axis=1)) - adj
-    return LinearSystem(-lap)
+    rows, cols = np.nonzero(adj)
+    return LinearSystem.from_edges(adj.shape[0], rows, cols, adj[rows, cols], laplacian=True)
 
 
 def _numeric_rank(mat: np.ndarray, n: int) -> int:

@@ -13,6 +13,11 @@ from _oracles import parse_edge_list_reference
 from fluxcontrol.errors import EdgeListParseError, InvalidInputError
 
 
+def _adjacency(path, undirected=True):
+    """The dense adjacency of an edge list, as an adjacency-mode system forms it."""
+    return fc.LinearSystem.from_edges(*fc.parse_edge_list(path, undirected=undirected)).A
+
+
 def _write(tmp_path, text, name="g.edges"):
     path = tmp_path / name
     path.write_text(text)
@@ -21,32 +26,39 @@ def _write(tmp_path, text, name="g.edges"):
 
 class TestParseEdgeList:
     def test_small_undirected(self, tmp_path):
-        adj = fc.parse_edge_list(_write(tmp_path, "1 2\n2 3\n"))
+        adj = _adjacency(_write(tmp_path, "1 2\n2 3\n"))
         assert adj.shape == (3, 3)
         npt.assert_array_equal(adj, adj.T)
         assert adj.sum() == 4.0  # two edges mirrored
 
     def test_directed_mode(self, tmp_path):
-        adj = fc.parse_edge_list(_write(tmp_path, "1 2 3.5\n"), undirected=False)
+        adj = _adjacency(_write(tmp_path, "1 2 3.5\n"), undirected=False)
         assert adj[0, 1] == 3.5
         assert adj[1, 0] == 0.0
 
     def test_comments_and_blank_lines(self, tmp_path):
         text = "# header\n\n1 2 2.0  # inline comment\n# trailing\n"
-        adj = fc.parse_edge_list(_write(tmp_path, text))
+        adj = _adjacency(_write(tmp_path, text))
         assert adj[0, 1] == 2.0
 
     def test_default_weight_is_one(self, tmp_path):
-        adj = fc.parse_edge_list(_write(tmp_path, "1 3\n"))
+        adj = _adjacency(_write(tmp_path, "1 3\n"))
         assert adj[0, 2] == 1.0
         assert adj.shape == (3, 3)
 
     def test_duplicate_edges_sum_with_warning(self, tmp_path):
         path = _write(tmp_path, "1 2 1.0\n2 1 0.5\n")
         with pytest.warns(UserWarning, match="duplicate edge"):
-            adj = fc.parse_edge_list(path)
+            adj = _adjacency(path)
         assert adj[0, 1] == 1.5
         assert adj[1, 0] == 1.5
+
+    def test_reader_yields_each_position_once(self, tmp_path):
+        # An undirected self-loop is not mirrored; every other entry is.
+        n, rows, cols, weights = fc.parse_edge_list(_write(tmp_path, "1 1 2\n2 1 3\n3 2\n"))
+        assert n == 3
+        got = sorted(zip(rows.tolist(), cols.tolist(), weights.tolist()))
+        assert got == [(0, 0, 2.0), (0, 1, 3.0), (1, 0, 3.0), (1, 2, 1.0), (2, 1, 1.0)]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = _write(tmp_path, "1 2\nnot an edge line here\n")
@@ -76,7 +88,7 @@ class TestParseEdgeList:
             fc.parse_edge_list(path)
 
     def test_node_count_is_max_id(self, tmp_path):
-        adj = fc.parse_edge_list(_write(tmp_path, "1 5\n"))
+        adj = _adjacency(_write(tmp_path, "1 5\n"))
         assert adj.shape == (5, 5)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e999"])
@@ -119,7 +131,7 @@ def test_reader_matches_the_line_by_line_reference(lines, undirected, bad):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.edges"
         path.write_text("\n".join(lines) + "\n")
-        got, got_warnings = _read(fc.parse_edge_list, path, undirected)
+        got, got_warnings = _read(_adjacency, path, undirected)
         want, want_warnings = _read(parse_edge_list_reference, path, undirected)
     assert len(got_warnings) == len(want_warnings)
     # The warning points at the reader's caller, as the reference's does.
