@@ -399,3 +399,19 @@ def parse_edge_list_reference(path, undirected=True):
         if undirected and i != j:
             adj[j, i] += w
     return adj
+
+
+def laplacian_reference(adj):
+    """Minus the graph Laplacian of a dense adjacency, checked entry by entry
+    as the dense path did before systems kept edge arrays: nonnegative, zero
+    diagonal, symmetric to 1e-12 of the largest weight (or of 1)."""
+    adj = np.asarray(adj, dtype=float)
+    if np.any(adj < 0):
+        raise InvalidInputError("adjacency weights must be nonnegative")
+    if np.any(np.diag(adj) != 0):
+        raise InvalidInputError("adjacency must have a zero diagonal")
+    scale = max(np.abs(adj).max(), 1.0)
+    if not np.allclose(adj, adj.T, rtol=0.0, atol=1e-12 * scale):
+        raise InvalidInputError("adjacency must be symmetric")
+    adj = 0.5 * (adj + adj.T)
+    return -(np.diag(adj.sum(axis=1)) - adj)

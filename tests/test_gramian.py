@@ -551,6 +551,16 @@ class TestGramianEvaluator:
         w = fc.GramianBundle.from_matrix([[1e200, 5e199], [5e199, 1e200]], 1.0)
         npt.assert_allclose(w.eigenvalues, [1.5e200, 5e199], rtol=1e-15)
 
+    def test_symmetrizing_past_the_float_range_is_an_input_error(self):
+        # W + W^T overflows where entries pass ~9e307; halving first would
+        # move the bits of every normal Gramian, so the sum is checked instead.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="overflows"):
+                fc.GramianBundle.from_matrix([[1.7e308, 1e308], [1e308, 1.7e308]], 1.0)
+            w = fc.GramianBundle.from_matrix([[8e307, 1e307], [1e307, 8e307]], 1.0)
+        npt.assert_allclose(w.eigenvalues, [9e307, 7e307], rtol=1e-15)
+
     def test_one_expm_per_block_exponential(self, rng, monkeypatch):
         # exp(hA) of the series' base step drives the horizon doublings, so
         # each integral costs one n x n expm.

@@ -1,14 +1,27 @@
+import copy
 import dataclasses
+import pickle
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fluxcontrol as fc
+from fluxcontrol import cli
 from fluxcontrol.errors import InvalidInputError
 
-from _oracles import brute_force_min_drivers, random_stable_system
+from _oracles import (
+    brute_force_min_drivers,
+    laplacian_reference,
+    parse_edge_list_reference,
+    random_stable_system,
+)
 
 
 def _transition(a, t):
@@ -101,6 +114,141 @@ class TestLaplacianSystem:
     def test_asymmetric_rejected(self):
         with pytest.raises(InvalidInputError):
             fc.laplacian_system([[0.0, 1.0], [2.0, 0.0]])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge lines (i, j, w) on up to 7 nodes with positive weights, at most
+    one odd line (a negative or zero weight, or a self-loop), and for a
+    directed list now and then every line mirrored, so that Laplacian mode
+    sees lists it accepts and lists it rejects."""
+    n = draw(st.integers(2, 7))
+    node = st.integers(1, n)
+    edge = st.tuples(node, st.integers(1, n - 1), st.sampled_from([1.0, 0.5, 2.0]) | st.floats(0.05, 2.0))
+    lines = draw(st.lists(edge.map(lambda e: (e[0], (e[0] + e[1] - 1) % n + 1, e[2])),
+                          min_size=1, max_size=10))
+    lines += draw(st.lists(st.tuples(node, node, st.sampled_from([-1.0, 0.0, 1.5])), max_size=1))
+    undirected = draw(st.booleans())
+    if not undirected and draw(st.booleans()):
+        lines += [(j, i, w) for i, j, w in lines]
+    return lines, undirected
+
+
+def _edge_file(tmp, lines, undirected):
+    """An edge list with one line per position the reader keeps, so no
+    duplicate warning fires."""
+    kept = {}
+    for i, j, w in lines:
+        kept.setdefault((min(i, j), max(i, j)) if undirected else (i, j), w)
+    path = Path(tmp) / "g.edges"
+    path.write_text("".join(f"{i} {j} {w!r}\n" for (i, j), w in kept.items()))
+    return path
+
+
+def _top_vectors_agree(edge_system, dense_system, t_star):
+    """1 - |cos| of the two flux top vectors of the all-ones weighting, or
+    None where Phi's top eigenvalue is within 1e-6 of the next: there the
+    vector is not determined to 1e-12 by either path."""
+    ones = np.ones(dense_system.n)
+    got, want = (fc.flux_matrix(s, ones, t_star) for s in (edge_system, dense_system))
+    lam = np.linalg.eigvalsh(want.Phi)
+    if lam.size > 1 and lam[-1] - lam[-2] <= 1e-6 * lam[-1]:
+        return None
+    assert got.lam_max == pytest.approx(want.lam_max, rel=1e-12)
+    return 1.0 - abs(float(got.top_vector @ want.top_vector))
+
+
+class TestEdgeSystems:
+    """Systems from edge arrays against the dense path: the same A bit for bit
+    (or the same error), and flux top vectors within 1e-12 in 1 - |cos|."""
+
+    @given(drawn=_edge_lists(), laplacian=st.booleans())
+    @example(drawn=([(1, 2, 1.0)], True), laplacian=False)
+    @example(drawn=([(1, 2, 0.5)], False), laplacian=False)
+    @example(drawn=([(1, 2, 1.0), (3, 4, 2.0)], True), laplacian=True)
+    @example(drawn=([(1, 1, 2.0), (1, 2, 1.0)], False), laplacian=False)
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_edge_path_matches_the_dense_path(self, drawn, laplacian):
+        lines, undirected = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _edge_file(tmp, lines, undirected)
+            edges = fc.parse_edge_list(path, undirected=undirected)
+            adj = parse_edge_list_reference(path, undirected=undirected)
+        try:
+            want = laplacian_reference(adj) if laplacian else adj
+        except InvalidInputError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                fc.LinearSystem.from_edges(*edges, laplacian=laplacian)
+            return
+        system = fc.LinearSystem.from_edges(*edges, laplacian=laplacian)
+        dense = fc.LinearSystem(want)
+        for t_star in (0.05, 0.6, 1.5):
+            gap = _top_vectors_agree(system, dense, t_star)
+            assert gap is None or gap <= 1e-12
+        assert system._a is None  # the flux path never formed A
+        assert system.A.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, undirected", [
+        ("1 2 -1\n2 3\n", True),
+        ("1 1 2\n1 2\n", True),
+        ("1 2 1\n2 1 2\n", False),
+        ("1 2 1\n", False),
+    ], ids=["negative-weight", "self-loop", "asymmetric", "one-way"])
+    def test_cli_rejects_what_the_dense_laplacian_rejects(self, tmp_path, text, undirected):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as want:
+            laplacian_reference(parse_edge_list_reference(path, undirected=undirected))
+        argv = ["flux", "--input", str(path), "--mode", "laplacian", "--out", str(tmp_path / "o")]
+        assert cli.main(argv + ([] if undirected else ["--no-undirected"])) == 1
+        error = (tmp_path / "o" / "error.json").read_text()
+        assert '"InvalidInputError"' in error and str(want.value) in error
+
+    @pytest.mark.parametrize("args", [
+        (3, [0, 3], [1, 0], [1.0, 1.0]),
+        (3, [0, -1], [1, 0], [1.0, 1.0]),
+        (3, [0, 1], [1], [1.0, 1.0]),
+        (3, [0], [1], [np.inf]),
+    ], ids=["index-past-n", "negative-index", "ragged", "non-finite"])
+    def test_malformed_edge_arrays_are_typed(self, args):
+        with pytest.raises(InvalidInputError):
+            fc.LinearSystem.from_edges(*args)
+
+    @pytest.mark.parametrize("clone_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+    @pytest.mark.parametrize("laplacian", [False, True])
+    def test_pickle_and_deepcopy_keep_the_edge_arrays(self, clone_of, laplacian):
+        edges = (4, np.array([0, 1, 1, 2, 2, 3]), np.array([1, 0, 2, 1, 3, 2]),
+                 np.array([1.0, 1.0, 0.5, 0.5, 2.0, 2.0]))
+        system = fc.LinearSystem.from_edges(*edges, laplacian=laplacian)
+        first = fc.flux_centrality(system, 0.8)
+        clone = clone_of(system)
+        assert clone._a is None and system._a is None
+        for got, want in zip(clone.edges, system.edges):
+            npt.assert_array_equal(got, want)
+        npt.assert_array_equal(fc.flux_centrality(clone, 0.8), first)
+        npt.assert_array_equal(clone.A, system.A)
+
+    def test_flux_on_a_5000_node_edge_list_forms_no_n_by_n_array(self, tmp_path):
+        # A ring plus n/2 chords, adjacency mode, horizons 0.015 to 1.5: a
+        # dense A alone would take 8 n^2 bytes = 200 MB.
+        n = 5000
+        rng = np.random.default_rng(5)
+        pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+        pairs += rng.integers(1, n + 1, size=(n // 2, 2)).tolist()
+        edges = {(min(i, j), max(i, j)) for i, j in pairs if i != j}
+        path = tmp_path / "ring.edges"
+        path.write_text("".join(f"{i} {j}\n" for i, j in sorted(edges)))
+        argv = ["flux", "--input", str(path), "--mode", "adjacency",
+                "--t-star", "0.015,0.05,0.15,0.5,1.5", "--out", str(tmp_path / "o")]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 20
+        rows = np.loadtxt(tmp_path / "o" / "flux.csv", delimiter=",", skiprows=1)
+        npt.assert_allclose(np.linalg.norm(rows[:, 1:], axis=1), 1.0, rtol=1e-12)
 
 
 class TestControllabilityReport:
