@@ -258,22 +258,22 @@ def _selection_payload(selection):
     }
 
 
-def _setup(args):
-    """Goal, x0 and the run's one Gramian evaluator, which carries the system.
-    Callers take ``z = exp(t* A) x0`` from ``evaluator.propagate(x0)`` after
-    their first Gramian, whose doubling ladder already holds most of it."""
+def _setup(args, gramian=True):
+    """Goal, x0, the system and the run's one Gramian evaluator (None unless
+    ``gramian``). Callers take ``z = exp(t* A) x0`` from
+    ``evaluator.propagate(x0)`` after their first Gramian, whose doubling
+    ladder already holds most of it."""
     system = _build_system(args)
     goal = _build_goal(args, system.n)
     x0 = _build_x0(args, system.n)
-    return goal, x0, GramianEvaluator(system, _horizon(args))
+    return goal, x0, system, GramianEvaluator(system, _horizon(args)) if gramian else None
 
 
-def _place(args, goal, x0, evaluator):
+def _place(args, goal, x0, system, evaluator):
     """The schematic for ``--method`` (``--b`` when none is given), its
     placement payload and the goal's selection on it where one was made. Flux
     and ram report that selection's energy; with no goal, flux reports
-    ``1/(m lambda)`` and ram none."""
-    system = evaluator.system
+    ``1/(m lambda)`` and ram none, and flux reads no ``evaluator``."""
     method = getattr(args, "method", None)
     if method is None:
         return _build_schematic(args, system), None, None
@@ -283,7 +283,7 @@ def _place(args, goal, x0, evaluator):
         result = gpgm_multistart(evaluator, evaluator.propagate(x0), goal, args.m,
                                  config=_gpgm_config(args), n_starts=args.starts)
     elif method == "flux":
-        result = place_mean_optimal(system, np.ones(system.n), evaluator.t_star, args.m)
+        result = place_mean_optimal(system, np.ones(system.n), _horizon(args), args.m)
     else:
         schematic = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
         result = PlacementResult(B_star=schematic, energy=None, iterations=0,
@@ -331,17 +331,19 @@ def _cmd_flux(args, outdir):
 
 
 def _cmd_select_state(args, outdir):
-    goal, x0, evaluator = _setup(args)
+    goal, x0, system, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
-    schematic = _build_schematic(args, evaluator.system)
+    schematic = _build_schematic(args, system)
     selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
 def _cmd_place(args, outdir):
-    goal, x0, evaluator = _setup(args)
-    schematic, payload, _ = _place(args, goal, x0, evaluator)
+    # Goal-less flux placement reads only the system, never a Gramian: no
+    # evaluator, whose set-up takes eigh of the dense A.
+    goal, x0, system, evaluator = _setup(args, args.method != "flux" or bool(args.goal))
+    schematic, payload, _ = _place(args, goal, x0, system, evaluator)
     write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
 
@@ -361,8 +363,8 @@ def _norm(x, axis=None):
 def _cmd_simulate(args, outdir):
     if args.steps < 2:
         raise InvalidInputError("steps must be at least 2")
-    goal, x0, evaluator = _setup(args)
-    schematic, _, selection = _place(args, goal, x0, evaluator)
+    goal, x0, system, evaluator = _setup(args)
+    schematic, _, selection = _place(args, goal, x0, system, evaluator)
     if goal is not None and selection is None:
         selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
     # Taken before the run, so an autonomous endpoint that overflows fails typed here.
@@ -395,7 +397,7 @@ def _cmd_simulate(args, outdir):
 
 
 def _cmd_compare(args, outdir):
-    goal, x0, evaluator = _setup(args)
+    goal, x0, system, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("compare needs --goal")
     if args.seeds < 1:
@@ -406,7 +408,7 @@ def _cmd_compare(args, outdir):
                                   config=_gpgm_config(args), n_starts=args.starts)
     ram_energies = []
     for seed in range(args.seed, args.seed + args.seeds):
-        schematic = ram_baseline(evaluator.system.n, args.m, seed=seed, epsilon=args.epsilon)
+        schematic = ram_baseline(system.n, args.m, seed=seed, epsilon=args.epsilon)
         ram_energies.append(select_state(evaluator.bundle(schematic.B), z, goal).energy)
     median_ram = float(np.median(ram_energies))
 

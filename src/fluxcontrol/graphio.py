@@ -54,6 +54,39 @@ def _parse_lines(lines, undirected: bool):
     return edges
 
 
+# numpy's row types for files whose data lines all have 2 fields, or all 3.
+_ROWS = {2: np.dtype([("i", np.intp), ("j", np.intp)]),
+         3: np.dtype([("i", np.intp), ("j", np.intp), ("w", float)])}
+
+
+def _read_uniform(text, undirected: bool):
+    """``(n, rows, cols, weights)`` of ``text`` by numpy's C reader, in line
+    order, or None where it is not a file that reader takes whole: data lines
+    of one field count (2 or 3), ids it parses as int64, all at least 1 and
+    with n² within int64, finite weights and each position once.
+    ``_parse_lines`` reads the rest."""
+    first = next((p for raw in io.StringIO(text) if (p := raw.split("#", 1)[0].split())), ())
+    if len(first) not in _ROWS:
+        return None
+    try:
+        data = np.loadtxt(io.StringIO(text), dtype=_ROWS[len(first)], comments="#", ndmin=1)
+    except ValueError:
+        return None
+    i, j = data["i"], data["j"]
+    weights = data["w"] if len(first) == 3 else np.ones(len(data))
+    if undirected:
+        i, j = np.minimum(i, j), np.maximum(i, j)
+    n = int(max(i.max(), j.max()))
+    # The duplicate test codes each position as rows * n + cols < n**2.
+    if min(i.min(), j.min()) < 1 or n * n > np.iinfo(np.intp).max or not np.isfinite(weights).all():
+        return None
+    rows, cols = i - 1, j - 1
+    codes = np.sort(rows * n + cols)
+    if (codes[1:] == codes[:-1]).any():
+        return None
+    return n, rows, cols, weights
+
+
 def parse_edge_list(path, undirected: bool = True):
     """Read a whitespace-separated `i j [w]` edge list as index and weight arrays.
 
@@ -61,16 +94,38 @@ def parse_edge_list(path, undirected: bool = True):
     edges sum with a warning. The undirected flag mirrors each entry off the
     diagonal. Returns `(n, rows, cols, weights)`, n being the highest id seen
     and each 0-based position (rows[k], cols[k]) occurring once, as
-    ``LinearSystem.from_edges`` takes them.
+    ``LinearSystem.from_edges`` takes them, in the order of the lines.
+
+    The file is read and decoded once. numpy's C reader (``np.loadtxt``)
+    takes it whole when every data line has 2 fields, or every one 3, the
+    ids are at least 1 and n² fits int64, the weights are finite and no
+    position repeats. Every other file goes to the line-by-line reader,
+    which alone names a line in an error or in a duplicate warning: mixed
+    field counts, ids or weights Python reads and numpy does not (``1_0``,
+    non-ASCII digits, ids past int64), malformed lines, zero ids, non-finite
+    weights and duplicates. Both give the same arrays, byte for byte, and
+    the same errors and warnings.
     """
     try:
         with open(path) as fh:
-            edges = _parse_lines(fh, undirected)
+            try:
+                text = fh.read()
+            except UnicodeDecodeError:
+                # The line loop decodes as it reads, so a bad line before the
+                # undecodable bytes is named first, as it always was.
+                fh.seek(0)
+                _parse_lines(fh, undirected)
+                raise
     except UnicodeDecodeError as exc:
         raise EdgeListParseError(f"{path}: cannot be decoded as text: {exc}") from exc
-    keys = np.array(list(edges), dtype=np.intp)
-    n, (rows, cols) = int(keys.max()) + 1, keys.T
-    weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    edges = _read_uniform(text, undirected)
+    if edges is not None:
+        n, rows, cols, weights = edges
+    else:
+        edges = _parse_lines(io.StringIO(text), undirected)
+        keys = np.array(list(edges), dtype=np.intp)
+        n, (rows, cols) = int(keys.max()) + 1, keys.T
+        weights = np.fromiter(edges.values(), dtype=float, count=len(edges))
     if undirected:
         # Undirected keys hold i <= j, so the mirrored positions are new.
         off = rows != cols

@@ -401,6 +401,22 @@ def parse_edge_list_reference(path, undirected=True):
     return adj
 
 
+def parse_edge_arrays_reference(path, undirected=True):
+    """``(n, rows, cols, weights)`` from the same line loop: each 0-based
+    position in the order of the line that first gives it, then, for
+    undirected input, the mirror of each one off the diagonal in that order."""
+    with open(path) as fh:
+        edges, n = _edge_list_lines(fh, undirected)
+    rows, cols = [i for i, _ in edges], [j for _, j in edges]
+    weights = list(edges.values())
+    if undirected:
+        off = [k for k, (i, j) in enumerate(edges) if i != j]
+        rows, cols, weights = (rows + [cols[k] for k in off], cols + [rows[k] for k in off],
+                               weights + [weights[k] for k in off])
+    return (n, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+            np.array(weights, dtype=float))
+
+
 def laplacian_reference(adj):
     """Minus the graph Laplacian of a dense adjacency, checked entry by entry
     as the dense path did before systems kept edge arrays: nonnegative, zero

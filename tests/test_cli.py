@@ -6,6 +6,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
@@ -152,6 +153,39 @@ def test_place_flux_and_ram(tmp_path, path_graph):
     ]) == 0
     payload = json.loads((out_ram / "placement.json").read_text())
     assert payload["energy"] > 0
+
+
+def test_goal_less_flux_placement_never_forms_the_dynamics_matrix(tmp_path, karate_path,
+                                                                monkeypatch):
+    # It reads only the edge arrays: no Gramian evaluator, whose set-up takes eigh(A).
+    def unread(self):
+        raise AssertionError("LinearSystem.A was read")
+
+    monkeypatch.setattr(fc.LinearSystem, "A", property(unread))
+    out = _run(tmp_path, "pf", "place", "--input", karate_path, "--mode", "adjacency",
+               "--method", "flux", "--t-star", "1", "--m", "2")
+    payload = json.loads((out / "placement.json").read_text())
+    assert np.asarray(payload["B"]).shape == (34, 2) and payload["energy"] > 0
+
+
+@pytest.mark.parametrize("undirected", [True, False], ids=["undirected", "directed"])
+def test_flux_columns_follow_a_relabelling_of_the_ids(tmp_path, karate_path, undirected):
+    # Node k of the original is node perm[k] of the relabelled list, so its
+    # centrality moves to column perm[k]; rows agree to 1e-12 in 1 - |cos|.
+    rng = np.random.default_rng(11)
+    pairs = np.loadtxt(karate_path, dtype=int, comments="#", ndmin=2) - 1
+    weights = rng.uniform(0.5, 2.0, len(pairs))
+    perm = rng.permutation(34)
+    rows = {}
+    for name, ids in (("orig", pairs), ("relabelled", perm[pairs])):
+        path = tmp_path / f"{name}.edges"
+        path.write_text("".join(f"{i + 1} {j + 1} {w:.17g}\n" for (i, j), w in zip(ids, weights)))
+        out = _run(tmp_path, name, "flux", "--input", str(path), "--mode", "adjacency",
+                   "--t-star", "0.015,0.15,1.5", *([] if undirected else ["--no-undirected"]))
+        rows[name] = np.loadtxt(out / "flux.csv", delimiter=",", skiprows=1)
+    npt.assert_array_equal(rows["relabelled"][:, 0], rows["orig"][:, 0])
+    cos = np.abs(np.sum(rows["relabelled"][:, 1:][:, perm] * rows["orig"][:, 1:], axis=1))
+    assert np.all(1.0 - cos <= 1e-12)
 
 
 def test_simulate_mean_goal(tmp_path, path_graph):

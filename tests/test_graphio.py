@@ -1,6 +1,7 @@
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fluxcontrol as fc
-from _oracles import parse_edge_list_reference
+from _oracles import parse_edge_arrays_reference, parse_edge_list_reference
+from fluxcontrol import graphio
 from fluxcontrol.errors import EdgeListParseError, InvalidInputError
 
 
@@ -77,8 +79,12 @@ class TestParseEdgeList:
             fc.parse_edge_list(_write(tmp_path, "0 1\n"))
 
     def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(EdgeListParseError, match="no edges"):
-            fc.parse_edge_list(_write(tmp_path, "# only comments\n"))
+        # numpy's reader warns "input contained no data" on these; none may get out.
+        for text in ["", "\n", "# only comments\n", "# a\n\n  \t\n# b  1 2\n"]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EdgeListParseError, match="no edges"):
+                    fc.parse_edge_list(_write(tmp_path, text))
 
     def test_undecodable_file_is_a_parse_error(self, tmp_path):
         # 0xff 0xfe opens a UTF-16 file; it is no UTF-8 edge list.
@@ -103,16 +109,60 @@ _SEP = st.sampled_from([" ", "  ", "\t", " \t "])
 _WEIGHT = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["-0.0", "2.5e-3", "-1e2"]),
                     st.floats(-1e3, 1e3, allow_nan=False).map(repr))
 _COMMENT = st.sampled_from(["", " # inline", "# 1 2 3", "\t#, a comment"])
+_FILLER = st.sampled_from(["", "   ", "\t", "# header, i j w"])
+
+
+def _edge_text(i, j, w, sep_j, sep_w, comment):
+    return f"{i}{sep_j}{j}" + (f"{sep_w}{w}" if w is not None else "") + comment
+
+
 _EDGE = st.tuples(st.integers(1, 7), st.integers(1, 7), st.none() | _WEIGHT, _SEP, _SEP,
-                  _COMMENT).map(
-    lambda e: f"{e[0]}{e[3]}{e[1]}" + (f"{e[4]}{e[2]}" if e[2] is not None else "") + e[5])
-_LINE = st.one_of(_EDGE, _EDGE, _EDGE, st.sampled_from(["", "   ", "\t", "# header, i j w"]))
+                  _COMMENT).map(lambda e: _edge_text(*e))
 _MALFORMED = st.sampled_from(["1", "1 2 3 4", "x 2", "1 y", "0 3", "2 -1", "1 2 nan",
                               "1 2 inf", "1 2 w", "1.5 2"])
 
 
+@st.composite
+def _mixed_file(draw):
+    """Lines with 2 or 3 fields each, mostly repeating positions, and maybe
+    one malformed line: ``(lines, None)``, the reader's path left open."""
+    lines = draw(st.lists(st.one_of(_EDGE, _EDGE, _EDGE, _FILLER), max_size=25))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(_MALFORMED))
+    return lines, None
+
+
+@st.composite
+def _uniform_file(draw):
+    """Data lines that all have 2 fields, or all 3, each position once in
+    either direction, between comment and blank lines, and maybe one line
+    that sends the file to the line loop: ``(lines, numpy reads it)``."""
+    fields = draw(st.sampled_from([2, 3]))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)), max_size=20,
+                          unique_by=frozenset))
+    lines = []
+    for i, j in pairs:
+        lines += draw(st.lists(_FILLER, max_size=1))
+        w = draw(_WEIGHT) if fields == 3 else None
+        lines.append(_edge_text(i, j, w, *draw(st.tuples(_SEP, _SEP, _COMMENT))))
+    case = draw(st.none() | st.sampled_from(["mixed", "duplicate", "zero", "non-finite", "1_0"]))
+    if case is not None:
+        w = " 0.5" if fields == 3 else ""
+        if not pairs:
+            pairs, lines = [(41, 42)], [f"41 42{w}"]
+        i, j = pairs[0]
+        bad = {"mixed": "43 44" + (" 0.5" if fields == 2 else ""),
+               "duplicate": f"{i} {j}{w}",
+               "zero": f"0 43{w}",
+               "non-finite": "43 44 " + draw(st.sampled_from(["nan", "-inf", "1e999"])),
+               "1_0": draw(st.sampled_from(["1_0 43" + w, "43 44 1_0"]))}[case]
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return lines, case is None and bool(pairs)
+
+
 def _read(reader, path, undirected):
-    """The reader's adjacency or its error, and the duplicate warnings it raised."""
+    """The reader's result or its error, and the duplicate warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -122,27 +172,52 @@ def _read(reader, path, undirected):
     return out, [w for w in caught if "duplicate edge" in str(w.message)]
 
 
-@given(lines=st.lists(_LINE, max_size=25), undirected=st.booleans(),
-       bad=st.none() | st.tuples(st.integers(0, 25), _MALFORMED))
-@settings(derandomize=True, deadline=None, max_examples=300)
-def test_reader_matches_the_line_by_line_reference(lines, undirected, bad):
-    if bad is not None:
-        lines = lines[:bad[0]] + [bad[1]] + lines[bad[0]:]
+@given(file=st.one_of(_mixed_file(), _uniform_file()), undirected=st.booleans())
+@settings(derandomize=True, deadline=None, max_examples=500)
+def test_reader_matches_the_line_by_line_reference(file, undirected):
+    lines, numpy_reads = file
+    numpy_took = []
+
+    def spy(text, undirected):
+        out = read_uniform(text, undirected)
+        numpy_took.append(out is not None)
+        return out
+
+    read_uniform = graphio._read_uniform
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.edges"
         path.write_text("\n".join(lines) + "\n")
-        got, got_warnings = _read(_adjacency, path, undirected)
-        want, want_warnings = _read(parse_edge_list_reference, path, undirected)
+        with mock.patch.object(graphio, "_read_uniform", spy):
+            got, got_warnings = _read(fc.parse_edge_list, path, undirected)
+        want, want_warnings = _read(parse_edge_arrays_reference, path, undirected)
+        adj, _ = _read(_adjacency, path, undirected)
+        want_adj, _ = _read(parse_edge_list_reference, path, undirected)
+    if numpy_reads is not None:
+        assert numpy_took == [numpy_reads]
     assert len(got_warnings) == len(want_warnings)
     # The warning points at the reader's caller, as the reference's does.
     assert all(w.filename == __file__ for w in got_warnings)
     if isinstance(want, EdgeListParseError):
         assert type(got) is type(want)
         assert (got.line_number, str(got)) == (want.line_number, str(want))
-    else:
-        assert isinstance(got, np.ndarray)
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()  # signed zeros too
+        assert numpy_took == [False]
+        return
+    # The same arrays in the same order, signed zeros too: sums over the
+    # entries (the flux matvec) run in this order.
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert np.array_equal(adj, want_adj) and adj.tobytes() == want_adj.tobytes()
+
+
+def test_undecodable_bytes_after_a_bad_line_name_the_line(tmp_path):
+    # The first bad line still wins over bytes that no longer decode
+    # further on, past the first read-ahead chunk.
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"1 2\n1 2 3 4\n" + b"# pad\n" * 4000 + b"3 4 \xff\n")
+    with pytest.raises(EdgeListParseError) as exc:
+        fc.parse_edge_list(path)
+    assert exc.value.line_number == 2
 
 
 class TestKarateClubFixture:
