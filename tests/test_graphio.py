@@ -145,7 +145,8 @@ def _uniform_file(draw):
     for i, j in pairs:
         lines += draw(st.lists(_FILLER, max_size=1))
         w = draw(_WEIGHT) if fields == 3 else None
-        lines.append(_edge_text(i, j, w, *draw(st.tuples(_SEP, _SEP, _COMMENT))))
+        lead = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(lead + _edge_text(i, j, w, *draw(st.tuples(_SEP, _SEP, _COMMENT))))
     case = draw(st.none() | st.sampled_from(["mixed", "duplicate", "zero", "non-finite", "1_0"]))
     if case is not None:
         w = " 0.5" if fields == 3 else ""
