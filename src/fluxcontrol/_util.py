@@ -25,10 +25,10 @@ def as_matrix(x, shape=None, name="matrix"):
     return a
 
 
-def write_csv_rows(fh, rows) -> None:
+def write_csv_rows(fh, rows, end="\r\n") -> None:
     """Write each row of a 2-D float array as ``%.17g`` fields, each line ending
-    in CRLF as csv.writer's do; one row at a time keeps memory flat."""
-    template = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+    in ``end``, CRLF by default as csv.writer's do; one row at a time keeps memory flat."""
+    template = ",".join(["%.17g"] * rows.shape[1]) + end
     for r in rows:
         fh.write(template % tuple(r.tolist()))
 

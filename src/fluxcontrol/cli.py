@@ -177,6 +177,8 @@ def _horizon(args):
     """The one horizon of a subcommand that takes a single ``--t-star``."""
     if len(args.t_star) != 1:
         raise InvalidInputError(f"--t-star needs exactly one horizon, got {len(args.t_star)}")
+    if not np.isfinite(args.t_star[0]) or args.t_star[0] <= 0:
+        raise InvalidInputError("t_star must be a positive real")
     return args.t_star[0]
 
 
@@ -226,9 +228,9 @@ def _json_default(obj):
 
 
 def _write_json(path, payload):
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(outdir, cfg):
@@ -265,15 +267,22 @@ def _setup(args, gramian=True):
     ladder already holds most of it."""
     system = _build_system(args)
     goal = _build_goal(args, system.n)
-    x0 = _build_x0(args, system.n)
-    return goal, x0, system, GramianEvaluator(system, _horizon(args)) if gramian else None
+    x0, t_star = _build_x0(args, system.n), _horizon(args)
+    return goal, x0, system, GramianEvaluator(system, t_star) if gramian else None
 
 
-def _place(args, goal, x0, system, evaluator):
+def _select(evaluator, B, x0, goal, steps=None):
+    """The goal's selection on ``W(B)``, after the step map of a run of ``steps`` steps."""
+    if steps:
+        evaluator.step(B, steps)
+    return select_state(evaluator.bundle(B), evaluator.propagate(x0), goal)
+
+
+def _place(args, goal, x0, system, evaluator, steps=None):
     """The schematic for ``--method`` (``--b`` when none is given), its
     placement payload and the goal's selection on it where one was made. Flux
     and ram report that selection's energy; with no goal, flux reports
-    ``1/(m lambda)`` and ram none, and flux reads no ``evaluator``."""
+    ``1/(m lambda)`` and ram none, and neither reads ``evaluator``."""
     method = getattr(args, "method", None)
     if method is None:
         return _build_schematic(args, system), None, None
@@ -290,7 +299,7 @@ def _place(args, goal, x0, system, evaluator):
                                  converged=True, energy_trace=np.array([]))
     selection = None
     if method != "gpgm" and goal is not None:
-        selection = select_state(evaluator.bundle(result.B_star.B), evaluator.propagate(x0), goal)
+        selection = _select(evaluator, result.B_star.B, x0, goal, steps)
         result = replace(result, energy=selection.energy,
                          energy_trace=np.array([selection.energy]))
     return result.B_star, {
@@ -324,25 +333,23 @@ def _cmd_flux(args, outdir):
     if args.hist:
         for idx, t in enumerate(profile.horizons):
             counts, edges = centrality_histogram(profile.phi[idx])
-            rows = np.column_stack([edges[:-1], edges[1:], counts])
-            header = f"bin_lo,bin_hi,count (t_star={t:g})"
-            np.savetxt(outdir / f"flux_hist_{idx}.csv", rows,
-                       delimiter=",", fmt="%.17g", header=header)
+            write_matrix_csv(outdir / f"flux_hist_{idx}.csv",
+                             np.column_stack([edges[:-1], edges[1:], counts]),
+                             header=f"bin_lo,bin_hi,count (t_star={t:g})")
 
 
 def _cmd_select_state(args, outdir):
     goal, x0, system, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
-    schematic = _build_schematic(args, system)
-    selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
+    selection = _select(evaluator, _build_schematic(args, system).B, x0, goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
 def _cmd_place(args, outdir):
-    # Goal-less flux placement reads only the system, never a Gramian: no
-    # evaluator, whose set-up takes eigh of the dense A.
-    goal, x0, system, evaluator = _setup(args, args.method != "flux" or bool(args.goal))
+    # Goal-less flux and ram placement read no Gramian: no evaluator, whose
+    # set-up takes eigh of the dense A.
+    goal, x0, system, evaluator = _setup(args, args.method == "gpgm" or bool(args.goal))
     schematic, payload, _ = _place(args, goal, x0, system, evaluator)
     write_matrix_csv(outdir / "B.csv", schematic.B)
     _write_json(outdir / "placement.json", payload)
@@ -364,9 +371,9 @@ def _cmd_simulate(args, outdir):
     if args.steps < 2:
         raise InvalidInputError("steps must be at least 2")
     goal, x0, system, evaluator = _setup(args)
-    schematic, _, selection = _place(args, goal, x0, system, evaluator)
+    schematic, _, selection = _place(args, goal, x0, system, evaluator, args.steps)
     if goal is not None and selection is None:
-        selection = select_state(evaluator.bundle(schematic.B), evaluator.propagate(x0), goal)
+        selection = _select(evaluator, schematic.B, x0, goal, args.steps)
     # Taken before the run, so an autonomous endpoint that overflows fails typed here.
     z = evaluator.propagate(x0)
     target, p = (z, None) if selection is None else (selection.x_star, selection.p)
@@ -380,9 +387,9 @@ def _cmd_simulate(args, outdir):
             "energy_simulated": traj.total_energy,
             "energy_closed_form": selection.energy,
         })
-    # The recurrence sums its steps, while x* = z + W p comes from the
-    # full-horizon Gramian; the largest state norm puts the roundoff of large
-    # states in the scale.
+    # x* = z + W p, with W the sum of the run's steps on nonsymmetric A and the
+    # eigenbasis closed form on symmetric A; the largest state norm puts the
+    # roundoff of large states in the scale.
     error = float(_norm(traj.endpoint - target))
     peak = float(_norm(traj.states, axis=1).max())
     relative = error / (1.0 + float(_norm(target - z)) + peak)

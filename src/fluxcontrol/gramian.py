@@ -184,7 +184,7 @@ def _thick_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
     return y
 
 
-def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
+def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float, top: bool = False):
     """int_0^t* exp(sa) b b^T exp(sa^T) ds from a base step and horizon doublings.
 
     On the base step h = t*/2^d, ||a||_1 h <= _THETA, the integral is the
@@ -195,12 +195,9 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
     step. Else Horner runs on L, and d is chosen with p, as Al-Mohy & Higham
     (2011) choose the scaling and the degree together: each doubling past
     the least halves the step and shortens the series, and d minimizes the
-    n x n products, p for Horner plus 3d - 1 for the doublings. The full
-    horizon is rebuilt with the exact identity
-    W(2t) = W(t) + exp(ta) W(t) exp(ta^T), from one ``expm(ha)``. An integral
-    too large for floats comes back non-finite. Returns the integral, the last
-    rung of the ladder and whether it was doubled: exp((t*/2) a) after one or
-    more doublings, else exp(t* a).
+    n x n products, p for Horner plus 3d - 1 for the doublings. ``_chain``
+    takes it to t* from one ``expm(ha)``; returns it and, if ``top``, exp(t* a),
+    both non-finite past floats, where callers silence the overflow warnings.
     """
     scaled = float(np.linalg.norm(a, 1)) * t_star
     if not np.isfinite(scaled):
@@ -215,14 +212,25 @@ def _doubling_gramian(a: np.ndarray, b: np.ndarray, t_star: float):
                                key=lambda pd: (pd[0] + max(3 * pd[1] - 1, 0), -pd[1]))
     h = math.ldexp(t_star, -doublings)
     ha = h * a
-    e = expm(ha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = h * series(ha, b, terms)
-        for k in range(doublings):
-            if k:
-                e = e @ e
-            w += e @ w @ e.T
-        return 0.5 * (w + w.T), e, doublings > 0
+    return _chain(expm(ha), h * series(ha, b, terms), 2**doublings, top)
+
+
+def _chain(e_h: np.ndarray, w_h: np.ndarray, steps: int, top: bool = False):
+    """The integral over ``steps`` base steps from one step's exp(ha) and
+    integral ``w_h``, by the left-to-right binary chain (Knuth, TAOCP 4.6.3):
+    each bit past the leading one doubles, W(2t) = W(t) + exp(ta) W(t) exp(ta^T),
+    and a set bit adds a step, W(t + h) = w_h + exp(ha) W(t) exp(ha^T). Its
+    roundoff grows with ``steps``, as overscaling does in scaling and squaring.
+    Returns the symmetrized integral and, if ``top``, exp(steps h a), else
+    None: the last rung's exponential is formed only when read."""
+    e, w, bits = e_h, w_h, bin(steps)[3:]
+    for k, bit in enumerate(bits, 1):
+        w = w + e @ w @ e.T
+        if bit == "1":
+            w = w_h + e_h @ w @ e_h.T
+        if top or k < len(bits):
+            e = e @ e @ e_h if bit == "1" else e @ e
+    return 0.5 * (w + w.T), e if top else None
 
 
 def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
@@ -368,7 +376,10 @@ class GramianEvaluator:
     eigenpairs, else from the top of the doubling ladder of the first series
     Gramian on ``A`` over ``s``, else from one ``expm``. ``propagate`` reads it
     at ``t*``, and ``step``, the exact one-step map of a run sampled on
-    ``steps`` equal steps, at ``h = t*/steps``.
+    ``steps`` equal steps, at ``h = t*/steps``. On nonsymmetric dynamics the
+    held step map makes ``W(t*)`` of its ``B`` the sum of its steps (``_chain``),
+    with ``exp(t* A)`` if the table lacks it: it moves the bits of ``W(t*)``, as
+    the first Gramian's ladder moves those of ``propagator(t*)``.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -380,8 +391,9 @@ class GramianEvaluator:
         self.system = system
         self.t_star = float(t_star)
         self._symmetric = system.is_symmetric()
-        # exp(sA) by s; the first series Gramian on A over s leaves its ladder's top here.
-        self._propagators = {}
+        # exp(sA) by s, the first series Gramian on A over s leaving its ladder's top
+        # here; and the last step map, ((B's shape and bytes, steps), exp(hA), W_h).
+        self._propagators, self._step_map = {}, None
         if self._symmetric:
             self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
             self._weights = self._eigen_weights(self.t_star)
@@ -419,12 +431,15 @@ class GramianEvaluator:
         if self._symmetric:
             weights = self._weights if t == self.t_star else self._eigen_weights(t)
             return self._eigen_gramian(b, weights)
-        w, rung, doubled = _doubling_gramian(self.system.A.T if flux else self.system.A, b, t)
-        w = _finite(w, "Gramian")
-        if not flux and t not in self._propagators:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._propagators[t] = rung @ rung if doubled else rung
-        return w
+        top, held = not flux and t not in self._propagators, self._step_map
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not flux and t == self.t_star and held and held[0][0] == (b.shape, b.tobytes()):
+                w, e = _chain(held[1], held[2], held[0][1], top)
+            else:
+                w, e = _doubling_gramian(self.system.A.T if flux else self.system.A, b, t, top)
+        if top:
+            self._propagators[t] = e
+        return _finite(w, "Gramian")
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
@@ -456,12 +471,18 @@ class GramianEvaluator:
         return _finite(e, "propagator")
 
     def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``."""
+        """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``, read-only and held."""
         if steps < 1:
             raise InvalidInputError("steps must be at least 1")
-        h = self.t_star / steps
-        w = self._integral(B, h)
-        return self.propagator(h), w
+        b = self._columns(B)
+        key, held = ((b.shape, b.tobytes()), steps), self._step_map
+        if held is None or held[0] != key:
+            # W_h is the ladder's, never a chain of the map it replaces.
+            self._step_map, h = None, self.t_star / steps
+            w = self._integral(b, h)
+            w.flags.writeable = False
+            held = self._step_map = (key, self.propagator(h), w)
+        return held[1:]
 
     def propagate(self, x0) -> np.ndarray:
         """Autonomous endpoint ``exp(t* A) x0``."""

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._util import write_csv_rows
 from .errors import EdgeListParseError, InvalidInputError
 from .linsys import LinearSystem
 
@@ -147,8 +148,11 @@ def load_dense_matrix(path):
     raise InvalidInputError(f"{path}: no data rows")
 
 
-def write_matrix_csv(path, matrix) -> None:
-    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
+def write_matrix_csv(path, matrix, header=None) -> None:
+    """``matrix`` as ``np.savetxt(fmt="%.17g")`` writes it, with an optional ``# header``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {header}\n" if header else "")
+        write_csv_rows(fh, np.atleast_2d(matrix), end="\n")
 
 
 def karate_club_adjacency():

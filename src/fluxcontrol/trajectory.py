@@ -72,13 +72,11 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
                 lam[k - 1] = lam[k] @ e
             g = lam[1:] @ w
         for k in range(steps):
-            x = e @ x + g[k]
-            if not np.all(np.isfinite(x)):
-                raise DivergenceError(
-                    f"state became non-finite after t={times[k]:.6g}",
-                    last_valid_time=float(times[k]),
-                )
-            states[k + 1] = x
+            states[k + 1] = x = e @ x + g[k]
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+        if bad.size:
+            t = float(times[bad[0] - 1])  # that of the last finite state
+            raise DivergenceError(f"state became non-finite after t={t:.6g}", last_valid_time=t)
         energy = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", g, lam[1:]))))
         inputs = lam @ schematic.B
     return Trajectory(times=times, states=states, inputs=inputs, cumulative_energy=energy)

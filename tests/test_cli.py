@@ -85,7 +85,27 @@ def test_flux_histogram_written(tmp_path, karate_path):
         "--out", str(out),
     ])
     assert code == 0
-    assert (out / "flux_hist_0.csv").exists()
+    # The layout np.savetxt gave it: a "# " header and "\n" line ends.
+    path = out / "flux_hist_0.csv"
+    header = path.read_text().splitlines()[0]
+    assert header == "# bin_lo,bin_hi,count (t_star=1)"
+    ref = tmp_path / "ref.csv"
+    np.savetxt(ref, np.loadtxt(path, delimiter=",", ndmin=2), delimiter=",", fmt="%.17g",
+               header=header[2:])
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_json_outputs_are_the_bytes_of_json_dump(tmp_path):
+    from fluxcontrol.cli import _json_default, _write_json
+
+    payload = {"W": np.array([[-0.0, 1.5], [1e-300, np.pi]]), "energy": np.float64(-0.0),
+               "m": np.int64(3), "multiplier": None, "binding": True,
+               "nested": {"z": [1, 2.5e300], "a": "text"}}
+    _write_json(tmp_path / "ours.json", payload)
+    with open(tmp_path / "ref.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+    assert (tmp_path / "ours.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_flux_histogram_on_a_vertex_transitive_graph(tmp_path):
@@ -166,6 +186,60 @@ def test_goal_less_flux_placement_never_forms_the_dynamics_matrix(tmp_path, kara
                "--method", "flux", "--t-star", "1", "--m", "2")
     payload = json.loads((out / "placement.json").read_text())
     assert np.asarray(payload["B"]).shape == (34, 2) and payload["energy"] > 0
+
+
+@pytest.mark.parametrize("method", ["ram", "flux"])
+def test_goal_less_placement_builds_no_evaluator(tmp_path, karate_path, monkeypatch, method):
+    # Neither reads a Gramian, so neither builds an evaluator; the horizon is
+    # still checked, with the evaluator's message. A goal takes one.
+    import fluxcontrol.cli as cli
+
+    built = []
+
+    class Counting(fc.GramianEvaluator):
+        def __init__(self, *args):
+            built.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cli, "GramianEvaluator", Counting)
+    argv = ["place", "--input", karate_path, "--method", method, "--m", "2"]
+    assert (_run(tmp_path, "ok", *argv) / "B.csv").exists() and built == []
+    for t in ("-1", "0", "nan", "inf"):
+        out = tmp_path / f"t{t}"
+        assert main([*argv, "--t-star", t, "--out", str(out)]) == 1
+        assert json.loads((out / "error.json").read_text()) == {
+            "error": "InvalidInputError", "message": "t_star must be a positive real"}
+    assert built == []
+    _run(tmp_path, "goal", *argv, "--goal", "mean", "--eta", "2")
+    assert built == [None]
+
+
+def test_simulate_columns_follow_a_relabelling_of_the_nodes(tmp_path):
+    # Node k of the original is node perm[k] of the relabelled system:
+    # A -> P A P^T, with x0 and d permuted to match. The steered run's state
+    # and input columns (B = I) move with it, through the step map's chain.
+    rng = np.random.default_rng(11)
+    n = 12
+    adj = (rng.uniform(size=(n, n)) < 0.3) * rng.uniform(0.5, 2.0, (n, n))
+    np.fill_diagonal(adj, 0.0)
+    a, x0, d = adj - np.diag(adj.sum(1)), rng.standard_normal(n), rng.standard_normal(n)
+    assert not np.array_equal(a, a.T)
+    perm = rng.permutation(n)
+    inv = np.argsort(perm)
+    runs = {}
+    for name, (mat, x, target) in {"orig": (a, x0, d),
+                                   "relabelled": (a[np.ix_(inv, inv)], x0[inv], d[inv])}.items():
+        path = tmp_path / f"{name}.csv"
+        np.savetxt(path, mat, delimiter=",", fmt="%.17g")
+        out = _run(tmp_path, name, "simulate", "--input", str(path), "--mode", "raw-matrix",
+                   "--goal", "repulsion", "--eta", "48", "--d=" + ",".join(map(repr, target.tolist())),
+                   "--x0=" + ",".join(map(repr, x.tolist())), "--steps", "50")
+        runs[name] = (np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1),
+                      json.loads((out / "simulate.json").read_text())["energy_closed_form"])
+    (orig, energy), (relabelled, relabelled_energy) = runs["orig"], runs["relabelled"]
+    columns = np.concatenate([[0], 1 + perm, 1 + n + perm, [2 * n + 1]])
+    assert np.abs(relabelled[:, columns] - orig).max() <= 1e-12 * np.abs(orig).max()
+    assert abs(relabelled_energy - energy) <= 1e-12 * energy
 
 
 @pytest.mark.parametrize("undirected", [True, False], ids=["undirected", "directed"])
@@ -672,11 +746,12 @@ def test_simulate_certifies_states_past_the_plain_norms_range(tmp_path):
     assert 1e245 < summary["endpoint_error"] < 1e250
 
 
-@pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 2)])
+@pytest.mark.parametrize("command, expected", [("select-state", 1), ("simulate", 1)])
 def test_nonsymmetric_run_takes_z_from_the_gramians_exponential(tmp_path, monkeypatch,
                                                                 command, expected):
-    # One n x n expm for W, whose doubling ladder also gives z; the series
-    # Gramian over one step, whose last rung is exp(hA), is simulate's second.
+    # One n x n expm for W, whose doubling ladder also gives z. simulate's one
+    # is the series Gramian over one step, whose last rung is exp(hA); the
+    # chain of its steps gives W(t*) and z.
     from scipy.linalg import expm
 
     import fluxcontrol.gramian as gramian
@@ -705,17 +780,18 @@ _GOAL = ["--goal", "variance", "--eta", "4", "--x0", "1,-1,2"]
 @pytest.mark.parametrize("argv, expected", [
     (["gramian"], 1),
     (["select-state", *_GOAL], 1),
-    (["simulate", *_GOAL, "--steps", "50"], 2),
+    (["simulate", *_GOAL, "--steps", "50"], 1),
     (["simulate", "--x0", "1,-1,2", "--steps", "50"], 2),
-    (["simulate", *_GOAL, "--b", "thin", "--steps", "50"], 2),
+    (["simulate", *_GOAL, "--b", "thin", "--steps", "50"], 1),
     (["simulate", *_GOAL, "--method", "gpgm", "--starts", "1", "--max-iters", "3",
-      "--steps", "50"], 10),
+      "--steps", "50"], 9),
     (["compare", *_GOAL, "--starts", "1", "--seeds", "2", "--max-iters", "3"], 10),
 ], ids=["gramian", "select-state", "simulate", "simulate-autonomous", "simulate-thin",
         "simulate-gpgm", "compare"])
 def test_expm_calls_per_run(tmp_path, monkeypatch, argv, expected):
     # Each series Gramian takes one expm, and exp(t* A) and exp(hA) come from
-    # a ladder or one expm each; a new exponential anywhere shows up here.
+    # a ladder or one expm each; a steered run's W(t*) is the chain of its
+    # step map and takes none. A new exponential anywhere shows up here.
     from scipy.linalg import expm
 
     import fluxcontrol.gramian as gramian

@@ -377,14 +377,35 @@ class TestGramianEvaluator:
         z = ev.propagate(x0)
         e, _ = ev.step(b, 4)
         assert sizes == [40, 40]
-        _, rung, doubled = gramian._doubling_gramian(system.A, b, t)
-        assert doubled == (t == 3.0)
-        npt.assert_array_equal(z, (rung @ rung if doubled else rung) @ x0)
-        _, rung, doubled = gramian._doubling_gramian(system.A, b, t / 4)
-        npt.assert_array_equal(e, rung @ rung if doubled else rung)
+        _, top = gramian._doubling_gramian(system.A, b, t, top=True)
+        # At t = 3 the ladder doubles, and its top is no longer expm(tA)'s bits.
+        assert np.array_equal(top, expm(t * system.A)) == (t == 0.1)
+        npt.assert_array_equal(z, top @ x0)
+        npt.assert_array_equal(e, gramian._doubling_gramian(system.A, b, t / 4, top=True)[1])
         assert ev.step(b, 4)[0] is e and ev.step(b, 1)[0] is ev.propagator(t)
         assert not e.flags.writeable
         npt.assert_array_equal(ev.step(b, 1)[1], w)
+
+    def test_a_held_step_map_sums_the_horizon_gramian(self, rng, monkeypatch):
+        # After step(B, N), W(t*) of that B is the chain of the held map and
+        # takes no expm, and it leaves exp(t* A). Another B takes its own
+        # ladder; a step map of other steps replaces the held one.
+        sizes = _record_expm(monkeypatch)
+        a, b = _draw_system(7, 6, 2, 1.0, False)
+        ev = fc.GramianEvaluator(fc.LinearSystem(a), 2.0)
+        e, w = ev.step(b, 50)
+        assert sizes == [6] and not w.flags.writeable
+        assert ev.step(b.copy(), 50)[0] is e and ev.step(b, 50)[1] is w
+        chain_w, chain_e = gramian._chain(e, w, 50, top=True)
+        npt.assert_array_equal(ev.matrix(b), chain_w)
+        npt.assert_array_equal(ev.propagator(2.0), chain_e)
+        assert sizes == [6]
+        other = rng.standard_normal((6, 2))
+        npt.assert_array_equal(ev.matrix(other), gramian._doubling_gramian(a, other, 2.0)[0])
+        e, w = ev.step(b, 20)
+        npt.assert_array_equal(ev.matrix(b), gramian._chain(e, w, 20)[0])
+        # Step 50, the other B's ladder and its reference here, and step 20.
+        assert sizes == [6] * 4
 
     @pytest.mark.parametrize("first", ["matrix", "flux"])
     @pytest.mark.parametrize("t, doubled", [(0.1, False), (3.0, True)], ids=["rung", "squared"])
@@ -644,6 +665,58 @@ class TestSeriesKernel:
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
         assert _rel(w, _quadrature(a, b, t_star)) <= 1e-8
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), scale=st.floats(0.05, 5.0),
+           t_star=st.floats(0.01, 3.0), growth=st.floats(-2.0, 1.0),
+           steps=st.sampled_from([1, 2, 3, 5, 50, 200]), data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_step_map_sum_matches_block(self, seed, n, scale, t_star, growth, steps, data):
+        # On nonsymmetric A, W(t*) of a held step map's B is the chain of its
+        # steps, and the chain's top is exp(t* A).
+        m = data.draw(st.integers(1, n))
+        a, b = _draw_system(seed, n, m, scale, False, growth / t_star)
+        ev = fc.GramianEvaluator(fc.LinearSystem(a), t_star)
+        ev.step(b, steps)
+        assert _rel(ev.matrix(b), van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-12
+        assert _rel(ev.propagator(t_star), expm(t_star * a)) <= 1e-12
+
+    @pytest.mark.parametrize("doublings", [0, 1, 2, 7])
+    def test_chain_over_a_power_of_two_is_the_doubling_ladder(self, doublings):
+        # Bit for bit the ladder W(2t) = W(t) + e W(t) e^T, e squared after each
+        # rung but the last, whose square is the top when read.
+        a, b = _draw_system(5, 6, 2, 1.0, False)
+        e, w = expm(0.01 * a), gramian._thick_series(0.01 * a, b, 12)
+        ref_e, ref_w = e, w.copy()
+        for k in range(doublings):
+            if k:
+                ref_e = ref_e @ ref_e
+            ref_w += ref_e @ ref_w @ ref_e.T
+        got_w, got_e = gramian._chain(e, w, 2**doublings, top=True)
+        npt.assert_array_equal(got_w, 0.5 * (ref_w + ref_w.T))
+        npt.assert_array_equal(got_e, ref_e @ ref_e if doublings else ref_e)
+        assert gramian._chain(e, w, 2**doublings)[1] is None
+
+    @pytest.mark.parametrize("seed", [13, 17])
+    def test_step_map_sum_matches_the_eigenbasis_form(self, seed):
+        # A symmetric 200-node ring-plus-chords Laplacian with B = I, whose
+        # Gramian has the closed form V diag(expm1(2 lam t)/(2 lam)) V^T. The
+        # chain's roundoff grows with the step count; at 2000 steps it is
+        # about 1e-13 of the largest entry.
+        n, rng = 200, np.random.default_rng(seed)
+        adj = np.zeros((n, n))
+        ring = np.arange(n)
+        adj[ring, (ring + 1) % n] = adj[(ring + 1) % n, ring] = 1.0
+        i, j = rng.integers(n, size=(2, n // 2))
+        adj[i, j] = adj[j, i] = 1.0
+        np.fill_diagonal(adj, 0.0)
+        a = adj - np.diag(adj.sum(1))
+        lam, v = np.linalg.eigh(a)
+        zero = np.abs(lam) < 1e-12
+        ref = (v * np.where(zero, 1.0, np.expm1(2 * lam) / np.where(zero, 1.0, 2 * lam))) @ v.T
+        for steps in (200, 2000):
+            w_h = gramian._doubling_gramian(a, np.eye(n), 1.0 / steps)[0]
+            w = gramian._chain(expm(a / steps), w_h, steps)[0]
+            assert np.abs(w - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 80), symmetric=st.booleans(),
            scale=st.floats(0.1, 2.0), t_star=st.floats(0.05, 1.5),
            growth=st.floats(-2.0, 1.0), data=st.data())
@@ -679,10 +752,10 @@ class TestSeriesKernel:
         a, b = _draw_system(3, 6, 2, 1.0, False)
         t_star = side * gramian._THETA / np.linalg.norm(a, 1)
         calls = _record_thick_series(monkeypatch)
-        w, _, doubled = gramian._doubling_gramian(a, b, t_star)
+        w = gramian._doubling_gramian(a, b, t_star)[0]
         [(x, terms)] = calls
         assert x <= gramian._THETA
-        assert doubled == (x < np.linalg.norm(a, 1) * t_star) and (doubled or side < 1.0)
+        assert x < np.linalg.norm(a, 1) * t_star or side < 1.0
         assert series_tail(x, terms) <= 2.0**-53 < series_tail(x, terms - 1)
         assert _rel(w, van_loan_block_reference(a, b @ b.T, t_star)) <= 1e-13
 

@@ -244,6 +244,17 @@ class TestDenseMatrixIO:
         back = fc.load_dense_matrix(path)
         npt.assert_allclose(back, mat, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("matrix", [
+        [[-0.0, 1.5, 1e-300], [np.pi, -2.0, 7.0]], [[-0.0, 3.0, -1e300]], [0.5, -0.0],
+        np.arange(6).reshape(3, 2), np.random.default_rng(3).standard_normal((34, 2)),
+    ], ids=["signed-zero", "one-row", "vector", "integers", "column-pair"])
+    @pytest.mark.parametrize("header", [None, "bin_lo,bin_hi,count (t_star=0.5)"])
+    def test_matrix_csv_is_the_bytes_of_savetxt(self, tmp_path, matrix, header):
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        fc.write_matrix_csv(ours, np.asarray(matrix), header=header)
+        np.savetxt(ref, np.atleast_2d(matrix), delimiter=",", fmt="%.17g", header=header or "")
+        assert ours.read_bytes() == ref.read_bytes()
+
     def test_whitespace_matrix(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 2\n3 4\n")

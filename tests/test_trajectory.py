@@ -139,7 +139,9 @@ class TestSimulate:
         schematic = fc.InputSchematic(rng.standard_normal((n, m)))
         x0, steps = rng.standard_normal(n), 20
         if case != "symmetric":
-            assert gramian._doubling_gramian(system.A, schematic.B, 1.5 / steps)[2] == doubled
+            # A doubled ladder's top is no longer expm(hA)'s bits.
+            top = gramian._doubling_gramian(system.A, schematic.B, 1.5 / steps, top=True)[1]
+            assert np.array_equal(top, expm(1.5 / steps * system.A)) != doubled
         expected = _parent_recurrence(fc.GramianEvaluator(system, 1.5), schematic, x0, steps)
 
         def unread(name):
@@ -237,9 +239,18 @@ class TestSimulate:
             times = np.linspace(0.0, t_star, 101)
             logs = [c * t + np.log(np.abs(expm(t * (a - c * np.eye(2))) @ x0).max()) for t in times]
             reference = times[np.argmax(np.array(logs) >= big) - 1]
+            evaluator = _evaluator(a, t_star)
             with pytest.raises(DivergenceError) as exc:
-                fc.simulate(_evaluator(a, t_star), fc.InputSchematic([[1.0], [0.0]]), x0, 100)
+                fc.simulate(evaluator, fc.InputSchematic([[1.0], [0.0]]), x0, 100)
             assert 0.0 < exc.value.last_valid_time == reference < t_star
+            # The run checks its states once, after the recurrence: the time is
+            # that of the state before the first non-finite one.
+            e, x, first = evaluator.propagator(t_star / 100), x0, 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                while np.all(np.isfinite(x)):
+                    x, first = e @ x, first + 1
+            assert exc.value.last_valid_time == times[first - 1]
+            assert str(exc.value) == f"state became non-finite after t={times[first - 1]:.6g}"
 
     @pytest.mark.parametrize("width", [0, 2])
     def test_wrong_input_length_rejected(self, width):
