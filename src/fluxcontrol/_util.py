@@ -6,23 +6,55 @@ from .errors import InvalidInputError
 
 
 def as_vector(x, n=None, name="vector"):
-    """Coerce to a finite 1-D float array, optionally of length ``n``."""
-    v = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if not np.all(np.isfinite(v)):
+    """Coerce to a finite 1-D float array, optionally of length ``n``; a scalar
+    or an array with one axis past length 1 is one."""
+    v = np.asarray(x, dtype=float)
+    if sum(k != 1 for k in v.shape) > 1:
+        raise InvalidInputError(f"{name} must be a vector, got shape {v.shape}")
+    v = v.ravel()
+    if not np.isfinite(v).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     if n is not None and v.shape[0] != n:
         raise InvalidInputError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
 
 
-def as_matrix(x, shape=None, name="matrix"):
-    """Coerce to a finite 2-D float array, optionally of the given shape."""
+def as_matrix(x, shape=None, name="matrix", square=False):
+    """Coerce to a finite 2-D float array, optionally square or of the given shape."""
     a = np.atleast_2d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(a)):
+    if a.ndim > 2:
+        raise InvalidInputError(f"{name} must be a matrix, got shape {a.shape}")
+    if square and a.shape[0] != a.shape[1]:
+        raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     if shape is not None and a.shape != shape:
         raise InvalidInputError(f"{name} has shape {a.shape}, expected {shape}")
     return a
+
+
+def as_columns(x, n=None, name="B"):
+    """Coerce an input schematic to a finite n x m float array, m >= 1, n
+    rows when ``n`` is given; a vector is one column."""
+    b = np.asarray(x, dtype=float)
+    if b.ndim == 1:
+        b = b[:, None]
+    if b.ndim != 2 or b.shape[1] < 1:
+        raise InvalidInputError(f"{name} must be a vector or an n x m matrix with m >= 1, "
+                                f"got shape {b.shape}")
+    if n is not None and b.shape[0] != n:
+        raise InvalidInputError(f"{name} row count {b.shape[0]} must match system size {n}")
+    if not np.isfinite(b).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
+    return b
+
+
+def as_horizon(t_star) -> float:
+    """A horizon as a float; it must be finite and positive."""
+    t_star = float(t_star)
+    if not 0.0 < t_star < np.inf:
+        raise InvalidInputError("t_star must be a positive real")
+    return t_star
 
 
 def write_csv_rows(fh, rows, end="\r\n") -> None:

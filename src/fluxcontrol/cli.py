@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._util import as_vector
+from ._util import as_horizon, as_vector
 from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
 from .gramian import GramianEvaluator
@@ -177,9 +177,7 @@ def _horizon(args):
     """The one horizon of a subcommand that takes a single ``--t-star``."""
     if len(args.t_star) != 1:
         raise InvalidInputError(f"--t-star needs exactly one horizon, got {len(args.t_star)}")
-    if not np.isfinite(args.t_star[0]) or args.t_star[0] <= 0:
-        raise InvalidInputError("t_star must be a positive real")
-    return args.t_star[0]
+    return as_horizon(args.t_star[0])
 
 
 def _build_goal(args, n):
@@ -263,8 +261,9 @@ def _selection_payload(selection):
 def _setup(args, gramian=True):
     """Goal, x0, the system and the run's one Gramian evaluator (None unless
     ``gramian``). Callers take ``z = exp(t* A) x0`` from
-    ``evaluator.propagate(x0)`` after their first Gramian, whose doubling
-    ladder already holds most of it."""
+    ``evaluator.propagate(x0)``: ``_select`` after its Gramian, whose doubling
+    ladder leaves ``exp(t* A)`` behind, but ``_place --method gpgm`` and
+    ``compare`` before any, which on nonsymmetric A costs one more ``expm``."""
     system = _build_system(args)
     goal = _build_goal(args, system.n)
     x0, t_star = _build_x0(args, system.n), _horizon(args)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm, hilbert
 from scipy.linalg.blas import dnrm2
 
-from ._util import as_vector, canonical_sign
+from ._util import as_columns, as_horizon, as_matrix, as_vector, canonical_sign
 from .errors import InvalidInputError
 from .linsys import LinearSystem
 
@@ -58,9 +58,7 @@ class GramianBundle:
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
         """Validate and symmetrize a computed Gramian and take its eigenvalues."""
-        W = np.asarray(W, dtype=float)
-        if not np.all(np.isfinite(W)):
-            raise InvalidInputError("gramian has non-finite entries")
+        W = as_matrix(W, name="W", square=True)
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
         # Max entries, not norms: a norm squares them and overflows past ~1e154.
         # W - W^T is antisymmetric, so its largest entry is its largest magnitude.
@@ -74,7 +72,7 @@ class GramianBundle:
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
-        bundle = cls(W=W, t_star=float(t_star))
+        bundle = cls(W=W, t_star=as_horizon(t_star))
         # Seed the cached property with the eigenvalues the check just took.
         bundle.__dict__["eigenvalues"] = vals[::-1]
         return bundle
@@ -257,8 +255,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     horizon's bound asks for them, so each horizon gets the k, Q_k and H_k that
     a fresh run would give. A call with another v replaces the kept space.
     """
-    if not np.isfinite(t_star) or t_star <= 0:
-        raise InvalidInputError("t_star must be a positive real")
+    t_star = as_horizon(t_star)
     vv = as_vector(v, n=system.n, name="v")
     beta = np.float64(dnrm2(vv))
     if beta == 0.0:
@@ -278,7 +275,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     if lam <= 0.0:
         raise InvalidInputError("flux matrix has no positive eigenvalue")
     top = vecs[:, -1] @ basis
-    return FluxMatrix(v=vv, t_star=float(t_star),
+    return FluxMatrix(v=vv, t_star=t_star,
                       top_pair=(lam, canonical_sign(top / np.linalg.norm(top), ref=vv)),
                       basis=basis, core=beta**2 * g)
 
@@ -386,10 +383,8 @@ class GramianEvaluator:
     _SERIES_TOL = 1e-8
 
     def __init__(self, system: LinearSystem, t_star: float):
-        if not np.isfinite(t_star) or t_star <= 0:
-            raise InvalidInputError("t_star must be a positive real")
         self.system = system
-        self.t_star = float(t_star)
+        self.t_star = as_horizon(t_star)
         self._symmetric = system.is_symmetric()
         # exp(sA) by s, the first series Gramian on A over s leaving its ladder's top
         # here; and the last step map, ((B's shape and bytes, steps), exp(hA), W_h).
@@ -411,23 +406,15 @@ class GramianEvaluator:
         series = t * (1.0 + 0.5 * t * np.where(small, s, 0.0))
         return _finite(np.where(small, series, growth), "Gramian weights")
 
-    def _columns(self, B) -> np.ndarray:
-        b = np.asarray(B, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        if b.shape[0] != self.system.n:
-            raise InvalidInputError("schematic row count must match system size")
-        return b
-
     def _eigen_gramian(self, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
         bt = self._eigvecs.T @ b
         with np.errstate(over="ignore", invalid="ignore"):
             w = self._eigvecs @ (weights * (bt @ bt.T)) @ self._eigvecs.T
         return _finite(0.5 * (w + w.T), "Gramian")
 
-    def _integral(self, B, t: float, flux: bool = False) -> np.ndarray:
-        """int_0^t exp(sa) B B^T exp(sa^T) ds, a = A^T if ``flux`` else A (equal when symmetric)."""
-        b = self._columns(B)
+    def _integral(self, b: np.ndarray, t: float, flux: bool = False) -> np.ndarray:
+        """int_0^t exp(sa) b b^T exp(sa^T) ds, a = A^T if ``flux`` else A (equal
+        when symmetric), for a checked schematic ``b``."""
         if self._symmetric:
             weights = self._weights if t == self.t_star else self._eigen_weights(t)
             return self._eigen_gramian(b, weights)
@@ -443,11 +430,11 @@ class GramianEvaluator:
 
     def matrix(self, B) -> np.ndarray:
         """Gramian of the fixed (A, t*) for the input matrix ``B``."""
-        return self._integral(B, self.t_star)
+        return self._integral(as_columns(B, self.system.n), self.t_star)
 
     def flux(self, v) -> np.ndarray:
         """Flux matrix of the weighting ``v``: the Gramian of (A^T, v)."""
-        return self._integral(v, self.t_star, flux=True)
+        return self._integral(as_columns(v, self.system.n, name="v"), self.t_star, flux=True)
 
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
@@ -474,7 +461,7 @@ class GramianEvaluator:
         """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``, read-only and held."""
         if steps < 1:
             raise InvalidInputError("steps must be at least 1")
-        b = self._columns(B)
+        b = as_columns(B, self.system.n)
         key, held = ((b.shape, b.tobytes()), steps), self._step_map
         if held is None or held[0] != key:
             # W_h is the ladder's, never a chain of the map it replaces.

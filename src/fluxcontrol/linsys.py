@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_matrix, as_vector
+from ._util import as_columns, as_matrix, as_vector
 from .errors import InvalidInputError
 
 __all__ = [
@@ -40,10 +40,7 @@ class LinearSystem:
     """
 
     def __init__(self, A):
-        a = as_matrix(A, name="A")
-        if a.shape[0] != a.shape[1]:
-            raise InvalidInputError(f"A must be square, got shape {a.shape}")
-        a = a.copy()
+        a = as_matrix(A, name="A", square=True).copy()
         a.flags.writeable = False
         # One slot for flux_matrix's Krylov space of (A^T, v), for the last v it took.
         self.n, self.edges, self._source, self._a, self._krylov = a.shape[0], None, None, a, [None]
@@ -53,8 +50,15 @@ class LinearSystem:
         """The system whose adjacency holds ``weights[k]`` at each 0-based
         position ``(rows[k], cols[k])``, which occurs once; ``laplacian`` makes
         it minus the graph Laplacian, as ``laplacian_system`` does. No n x n
-        array is formed until ``A`` is read."""
-        rows, cols = (np.asarray(x, dtype=np.intp) for x in (rows, cols))
+        array is formed until ``A`` is read; ``n`` is an integer, and the
+        positions are integer arrays, never truncated."""
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise InvalidInputError(f"n must be a positive integer, got {n!r}")
+        rows, cols = (np.asarray(x) for x in (rows, cols))
+        if any(x.dtype.kind not in "iu" and x.size for x in (rows, cols)):
+            raise InvalidInputError(f"rows and cols must be integer arrays, got "
+                                    f"{rows.dtype} and {cols.dtype}")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         weights = as_vector(weights, name="weights")
         idx = np.concatenate([rows, cols])
         if not rows.shape == cols.shape == weights.shape or np.any((idx < 0) | (idx >= n)):
@@ -118,12 +122,7 @@ class InputSchematic:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        b = np.asarray(self.B, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        b = as_matrix(b, name="B")
-        if b.shape[1] < 1:
-            raise InvalidInputError("schematic needs at least one controller column")
+        b = as_columns(self.B, name="B")
         object.__setattr__(self, "B", b)
         if self.sphere_normalized:
             m = b.shape[1]
@@ -171,9 +170,7 @@ def laplacian_system(adjacency) -> LinearSystem:
     all-ones vector is invariant. The adjacency is kept as its nonzero
     entries (``LinearSystem.from_edges``).
     """
-    adj = as_matrix(adjacency, name="adjacency")
-    if adj.shape[0] != adj.shape[1]:
-        raise InvalidInputError("adjacency must be square")
+    adj = as_matrix(adjacency, name="adjacency", square=True)
     rows, cols = np.nonzero(adj)
     return LinearSystem.from_edges(adj.shape[0], rows, cols, adj[rows, cols], laplacian=True)
 
@@ -216,8 +213,7 @@ def controllability_report(
     like the powers of ``A``, so its numerical rank falls short of n on
     controllable systems from n of about 20 on (Paige 1981).
     """
-    if schematic.n != system.n:
-        raise InvalidInputError("schematic row count must match system size")
+    as_columns(schematic.B, system.n, name="schematic")
     n = system.n
     eigs = np.linalg.eigvals(system.A)
     controllable = True

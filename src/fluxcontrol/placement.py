@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import as_vector
+from ._util import as_columns, as_vector
 from .errors import (
     FluxControlError,
     InvalidInputError,
@@ -83,9 +83,7 @@ class PlacementResult:
 
 def project_sphere(B, epsilon: float = 0.0) -> np.ndarray:
     """Rescale a schematic matrix onto the sphere tr(B^T B) = m + epsilon."""
-    b = np.asarray(B, dtype=float)
-    if b.ndim == 1:
-        b = b[:, None]
+    b = as_columns(B)
     m = b.shape[1]
     tr = float(np.sum(b * b))
     if tr <= 0.0:
@@ -158,11 +156,9 @@ def gpgm(
     if B_init is None:
         b = ram_baseline(n, m, cfg.seed, cfg.epsilon).B
     else:
-        b = np.asarray(B_init, dtype=float)
-        if b.ndim == 1:
-            b = b[:, None]
-        if b.shape != (n, m):
-            raise InvalidInputError(f"B_init must have shape {(n, m)}")
+        b = as_columns(B_init, n, name="B_init")
+        if b.shape[1] != m:
+            raise InvalidInputError(f"B_init has {b.shape[1]} columns, expected m = {m}")
         b = project_sphere(b, epsilon=cfg.epsilon)
 
     def result(best_b, best_e, iters, converged, trace, steps=()):
@@ -212,8 +208,9 @@ def gpgm(
         accepted = False
         infeasible = 0
         for _ in range(_MAX_HALVINGS + 1):
-            cand = project_sphere(b - sigma * direction, epsilon=cfg.epsilon)
             try:
+                # A non-finite candidate fails project_sphere's check: an infeasible step.
+                cand = project_sphere(b - sigma * direction, epsilon=cfg.epsilon)
                 cand_sel = select(cand)
             except FluxControlError:
                 infeasible += 1

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_vector, write_csv_rows
+from ._util import as_columns, as_vector, write_csv_rows
 from .errors import DivergenceError, InvalidInputError
 from .gramian import GramianEvaluator
 from .linsys import InputSchematic
@@ -54,8 +54,7 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
         raise InvalidInputError("steps must be at least 2")
     n = evaluator.system.n
     x0 = as_vector(x0, n=n, name="x0")
-    if schematic.B.shape[0] != n:
-        raise InvalidInputError("schematic row count must match system size")
+    as_columns(schematic.B, n, name="schematic")
     lam = np.zeros((steps + 1, n))
     times = np.linspace(0.0, evaluator.t_star, steps + 1)
     states = np.empty((steps + 1, n))

@@ -242,6 +242,62 @@ def test_simulate_columns_follow_a_relabelling_of_the_nodes(tmp_path):
     assert abs(relabelled_energy - energy) <= 1e-12 * energy
 
 
+def _directed_system(seed, n=12, m=2):
+    """A seeded directed diffusion: nonsymmetric A, an n x m B, x0 and d."""
+    rng = np.random.default_rng(seed)
+    adj = (rng.uniform(size=(n, n)) < 0.3) * rng.uniform(0.5, 2.0, (n, n))
+    np.fill_diagonal(adj, 0.0)
+    a = adj - np.diag(adj.sum(1))
+    assert not np.array_equal(a, a.T)
+    return a, rng.standard_normal((n, m)), rng.standard_normal(n), rng.standard_normal(n)
+
+
+def _csv_arg(flag, x):
+    return f"--{flag}=" + ",".join(map(repr, x.tolist()))
+
+
+def _gramian_run(tmp_path, name, a, b, *argv):
+    """``gramian`` or ``select-state`` on the raw matrix ``a`` with ``--b`` ``b``."""
+    np.savetxt(tmp_path / f"{name}_a.csv", a, delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / f"{name}_b.csv", b, delimiter=",", fmt="%.17g")
+    return _run(tmp_path, name, *argv, "--input", str(tmp_path / f"{name}_a.csv"),
+                "--mode", "raw-matrix", "--b", str(tmp_path / f"{name}_b.csv"), "--t-star", "0.8")
+
+
+def test_gramian_follows_a_relabelling_and_a_rotation_of_the_inputs(tmp_path):
+    # A -> P A P^T, B -> P B gives P W P^T; B -> B Q, Q a rotation, leaves W as
+    # it is, since W depends on B through B B^T.
+    a, b, _, _ = _directed_system(17)
+    perm = np.random.default_rng(18).permutation(len(a))
+    inv, c, s = np.argsort(perm), np.cos(0.7), np.sin(0.7)
+    runs = {name: np.loadtxt(_gramian_run(tmp_path, name, mat, bb, "gramian") / "W.csv",
+                             delimiter=",")
+            for name, (mat, bb) in {"orig": (a, b), "relabelled": (a[np.ix_(inv, inv)], b[inv]),
+                                    "rotated": (a, b @ [[c, -s], [s, c]])}.items()}
+    w = runs["orig"]
+    assert np.abs(runs["relabelled"][np.ix_(perm, perm)] - w).max() <= 1e-12 * np.abs(w).max()
+    assert np.abs(runs["rotated"] - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("goal", ["repulsion", "variance"])
+def test_selection_follows_a_relabelling_of_the_nodes(tmp_path, goal):
+    # Node k of the original is node perm[k] of the relabelled system: A -> P A P^T
+    # and B -> P B, with x0 and d permuted to match, move x* with the nodes.
+    a, b, x0, d = _directed_system(17)
+    perm = np.random.default_rng(18).permutation(len(a))
+    inv = np.argsort(perm)
+    x_star = {}
+    for name, idx in (("orig", np.arange(len(a))), ("relabelled", inv)):
+        argv = ["select-state", "--goal", goal, "--eta", "48", _csv_arg("x0", x0[idx]),
+                *([_csv_arg("d", d[idx])] if goal == "repulsion" else [])]
+        out = _gramian_run(tmp_path, name, a[np.ix_(idx, idx)], b[idx], *argv)
+        selection = json.loads((out / "selection.json").read_text())
+        assert selection["binding"]
+        x_star[name] = np.array(selection["x_star"])
+    x = x_star["orig"]
+    assert np.abs(x_star["relabelled"][perm] - x).max() <= 1e-12 * np.abs(x).max()
+
+
 @pytest.mark.parametrize("undirected", [True, False], ids=["undirected", "directed"])
 def test_flux_columns_follow_a_relabelling_of_the_ids(tmp_path, karate_path, undirected):
     # Node k of the original is node perm[k] of the relabelled list, so its

@@ -209,7 +209,10 @@ class TestEdgeSystems:
         (3, [0, -1], [1, 0], [1.0, 1.0]),
         (3, [0, 1], [1], [1.0, 1.0]),
         (3, [0], [1], [np.inf]),
-    ], ids=["index-past-n", "negative-index", "ragged", "non-finite"])
+        (3, [0.5, 1.7], [1, 2], [1.0, 1.0]),
+        (3.5, [0, 1], [1, 2], [1.0, 1.0]),
+    ], ids=["index-past-n", "negative-index", "ragged", "non-finite", "fractional-position",
+            "fractional-n"])
     def test_malformed_edge_arrays_are_typed(self, args):
         with pytest.raises(InvalidInputError):
             fc.LinearSystem.from_edges(*args)
