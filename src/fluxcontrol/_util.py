@@ -6,8 +6,8 @@ from .errors import InvalidInputError
 
 
 def as_vector(x, n=None, name="vector"):
-    """Coerce to a finite 1-D float array, optionally of length ``n``; a scalar
-    or an array with one axis past length 1 is one."""
+    """Coerce to a finite 1-D float array, optionally of length ``n``; a scalar,
+    or an array with at most one axis longer than 1, is a vector."""
     v = np.asarray(x, dtype=float)
     if sum(k != 1 for k in v.shape) > 1:
         raise InvalidInputError(f"{name} must be a vector, got shape {v.shape}")
