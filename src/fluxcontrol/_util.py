@@ -50,11 +50,20 @@ def as_columns(x, n=None, name="B"):
 
 
 def as_horizon(t_star) -> float:
-    """A horizon as a float; it must be finite and positive."""
-    t_star = float(t_star)
-    if not 0.0 < t_star < np.inf:
+    """A horizon as a float; it must be a finite and positive real number."""
+    t = np.asarray(t_star)
+    if t.shape or t.dtype.kind not in "iuf" or not 0.0 < float(t) < np.inf:
         raise InvalidInputError("t_star must be a positive real")
-    return t_star
+    return float(t)
+
+
+def as_count(x, name, minimum=1) -> int:
+    """An integer count, a Python or numpy integer (never a bool), of at least ``minimum``."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {x!r}")
+    if x < minimum:
+        raise InvalidInputError(f"{name} must be at least {minimum}")
+    return int(x)
 
 
 def write_csv_rows(fh, rows, end="\r\n") -> None:

@@ -18,12 +18,12 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._util import as_horizon, as_vector
+from ._util import as_columns, as_count, as_horizon, as_vector
 from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
 from .gramian import GramianEvaluator
 from .graphio import load_dense_matrix, parse_edge_list, write_matrix_csv
-from .linsys import InputSchematic, LinearSystem
+from .linsys import LinearSystem
 from .placement import (
     GpgmConfig,
     PlacementResult,
@@ -169,8 +169,8 @@ def _build_system(args):
 
 def _build_schematic(args, system):
     if getattr(args, "b", None):
-        return InputSchematic(load_dense_matrix(args.b))
-    return InputSchematic.identity(system.n)
+        return as_columns(load_dense_matrix(args.b), system.n)
+    return np.eye(system.n)
 
 
 def _horizon(args):
@@ -293,16 +293,16 @@ def _place(args, goal, x0, system, evaluator, steps=None):
     elif method == "flux":
         result = place_mean_optimal(system, np.ones(system.n), _horizon(args), args.m)
     else:
-        schematic = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
-        result = PlacementResult(B_star=schematic, energy=None, iterations=0,
+        B = ram_baseline(system.n, args.m, seed=args.seed, epsilon=args.epsilon)
+        result = PlacementResult(B_star=B, energy=None, iterations=0,
                                  converged=True, energy_trace=np.array([]))
     selection = None
     if method != "gpgm" and goal is not None:
-        selection = _select(evaluator, result.B_star.B, x0, goal, steps)
+        selection = _select(evaluator, result.B_star, x0, goal, steps)
         result = replace(result, energy=selection.energy,
                          energy_trace=np.array([selection.energy]))
     return result.B_star, {
-        "B": result.B_star.B,
+        "B": result.B_star,
         "energy": result.energy,
         "iterations": result.iterations,
         "converged": result.converged,
@@ -313,8 +313,8 @@ def _place(args, goal, x0, system, evaluator, steps=None):
 
 def _cmd_gramian(args, outdir):
     system = _build_system(args)
-    schematic = _build_schematic(args, system)
-    bundle = GramianEvaluator(system, _horizon(args)).bundle(schematic.B)
+    B = _build_schematic(args, system)
+    bundle = GramianEvaluator(system, _horizon(args)).bundle(B)
     write_matrix_csv(outdir / "W.csv", bundle.W)
     _write_json(outdir / "gramian.json", {
         "t_star": bundle.t_star,
@@ -322,7 +322,7 @@ def _cmd_gramian(args, outdir):
         "lam_max": bundle.lam_max,
         "lam_min": bundle.lam_min,
         "n": bundle.n,
-        "m": schematic.m,
+        "m": B.shape[1],
     })
 
 
@@ -341,7 +341,7 @@ def _cmd_select_state(args, outdir):
     goal, x0, system, evaluator = _setup(args)
     if goal is None:
         raise InvalidInputError("select-state needs --goal")
-    selection = _select(evaluator, _build_schematic(args, system).B, x0, goal)
+    selection = _select(evaluator, _build_schematic(args, system), x0, goal)
     _write_json(outdir / "selection.json", _selection_payload(selection))
 
 
@@ -349,8 +349,8 @@ def _cmd_place(args, outdir):
     # Goal-less flux and ram placement read no Gramian: no evaluator, whose
     # set-up takes eigh of the dense A.
     goal, x0, system, evaluator = _setup(args, args.method == "gpgm" or bool(args.goal))
-    schematic, payload, _ = _place(args, goal, x0, system, evaluator)
-    write_matrix_csv(outdir / "B.csv", schematic.B)
+    B, payload, _ = _place(args, goal, x0, system, evaluator)
+    write_matrix_csv(outdir / "B.csv", B)
     _write_json(outdir / "placement.json", payload)
 
 
@@ -367,17 +367,16 @@ def _norm(x, axis=None):
 
 
 def _cmd_simulate(args, outdir):
-    if args.steps < 2:
-        raise InvalidInputError("steps must be at least 2")
+    as_count(args.steps, "steps", 2)
     goal, x0, system, evaluator = _setup(args)
-    schematic, _, selection = _place(args, goal, x0, system, evaluator, args.steps)
+    B, _, selection = _place(args, goal, x0, system, evaluator, args.steps)
     if goal is not None and selection is None:
-        selection = _select(evaluator, schematic.B, x0, goal, args.steps)
+        selection = _select(evaluator, B, x0, goal, args.steps)
     # Taken before the run, so an autonomous endpoint that overflows fails typed here.
     z = evaluator.propagate(x0)
     target, p = (z, None) if selection is None else (selection.x_star, selection.p)
-    traj = simulate(evaluator, schematic, x0, args.steps, p)
-    summary = {"t_star": evaluator.t_star, "steps": args.steps, "m": schematic.m,
+    traj = simulate(evaluator, B, x0, args.steps, p)
+    summary = {"t_star": evaluator.t_star, "steps": args.steps, "m": B.shape[1],
                "autonomous": selection is None}
     if selection is not None:
         summary.update({
@@ -414,8 +413,8 @@ def _cmd_compare(args, outdir):
                                   config=_gpgm_config(args), n_starts=args.starts)
     ram_energies = []
     for seed in range(args.seed, args.seed + args.seeds):
-        schematic = ram_baseline(system.n, args.m, seed=seed, epsilon=args.epsilon)
-        ram_energies.append(select_state(evaluator.bundle(schematic.B), z, goal).energy)
+        B = ram_baseline(system.n, args.m, seed=seed, epsilon=args.epsilon)
+        ram_energies.append(select_state(evaluator.bundle(B), z, goal).energy)
     median_ram = float(np.median(ram_energies))
 
     with open(outdir / "compare.csv", "w") as fh:

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm, hilbert
 from scipy.linalg.blas import dnrm2
 
-from ._util import as_columns, as_horizon, as_matrix, as_vector, canonical_sign
+from ._util import as_columns, as_count, as_horizon, as_matrix, as_vector, canonical_sign
 from .errors import InvalidInputError
 from .linsys import LinearSystem
 
@@ -459,9 +459,7 @@ class GramianEvaluator:
 
     def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``, read-only and held."""
-        if steps < 1:
-            raise InvalidInputError("steps must be at least 1")
-        b = as_columns(B, self.system.n)
+        steps, b = as_count(steps, "steps"), as_columns(B, self.system.n)
         key, held = ((b.shape, b.tobytes()), steps), self._step_map
         if held is None or held[0] != key:
             # W_h is the ladder's, never a chain of the map it replaces.

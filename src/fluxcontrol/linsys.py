@@ -10,12 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_columns, as_matrix, as_vector
+from ._util import as_columns, as_count, as_matrix, as_vector
 from .errors import InvalidInputError
 
 __all__ = [
     "LinearSystem",
-    "InputSchematic",
     "ControllabilityReport",
     "laplacian_system",
     "controllability_report",
@@ -52,8 +51,7 @@ class LinearSystem:
         it minus the graph Laplacian, as ``laplacian_system`` does. No n x n
         array is formed until ``A`` is read; ``n`` is an integer, and the
         positions are integer arrays, never truncated."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise InvalidInputError(f"n must be a positive integer, got {n!r}")
+        n = as_count(n, "n")
         rows, cols = (np.asarray(x) for x in (rows, cols))
         if any(x.dtype.kind not in "iu" and x.size for x in (rows, cols)):
             raise InvalidInputError(f"rows and cols must be integer arrays, got "
@@ -110,45 +108,8 @@ class LinearSystem:
 
 
 @dataclass(frozen=True)
-class InputSchematic:
-    """n x m input matrix routing m control signals to nodes.
-
-    When ``sphere_normalized`` is set the trace constraint
-    ``tr(B^T B) = m + epsilon`` is enforced at construction.
-    """
-
-    B: np.ndarray
-    sphere_normalized: bool = False
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        b = as_columns(self.B, name="B")
-        object.__setattr__(self, "B", b)
-        if self.sphere_normalized:
-            m = b.shape[1]
-            target = m + self.epsilon
-            if abs(float(np.trace(b.T @ b)) - target) > 1e-10 * m:
-                raise InvalidInputError(
-                    "schematic flagged sphere-normalized but tr(B^T B) is off target"
-                )
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    @classmethod
-    def identity(cls, n: int) -> "InputSchematic":
-        """Full actuation: one controller per node."""
-        return cls(np.eye(n))
-
-
-@dataclass(frozen=True)
 class ControllabilityReport:
-    """Controllability of a system and schematic, and the minimum controller count.
+    """Controllability of a system and input matrix, and the minimum controller count.
 
     Attributes:
         controllable: the PBH test's verdict on ``(A, B)``.
@@ -199,10 +160,9 @@ def _cluster_eigenvalues(eigs: np.ndarray) -> list[complex]:
     return reps
 
 
-def controllability_report(
-    system: LinearSystem, schematic: InputSchematic
-) -> ControllabilityReport:
-    """PBH controllability test and the minimum number of controllers.
+def controllability_report(system: LinearSystem, B) -> ControllabilityReport:
+    """PBH controllability test of the n x m input matrix ``B`` and the minimum
+    number of controllers.
 
     ``(A, B)`` is controllable iff ``[lam I - A, B]`` has full row rank at
     every eigenvalue ``lam`` of ``A`` (Popov-Belevitch-Hautus). The minimum
@@ -213,8 +173,7 @@ def controllability_report(
     like the powers of ``A``, so its numerical rank falls short of n on
     controllable systems from n of about 20 on (Paige 1981).
     """
-    as_columns(schematic.B, system.n, name="schematic")
-    n = system.n
+    b, n = as_columns(B, system.n), system.n
     eigs = np.linalg.eigvals(system.A)
     controllable = True
     min_drivers = 1
@@ -223,7 +182,7 @@ def controllability_report(
         shifted = lam * eye - system.A
         geo_mult = n - _numeric_rank(shifted, n)
         min_drivers = max(min_drivers, geo_mult)
-        if _numeric_rank(np.hstack([shifted, schematic.B.astype(complex)]), n) < n:
+        if _numeric_rank(np.hstack([shifted, b.astype(complex)]), n) < n:
             controllable = False
     return ControllabilityReport(
         controllable=controllable,
@@ -232,16 +191,14 @@ def controllability_report(
     )
 
 
-def output_controllable_sufficient(weights, schematic: InputSchematic) -> bool:
+def output_controllable_sufficient(weights, B) -> bool:
     """Sufficient test that the linear observer w^T x can reach any threshold.
 
-    True iff some controller column has a nonzero weighted column sum; a true
-    result guarantees the observer is controllable from that schematic alone.
+    True iff some column of the n x m input matrix ``B`` has a nonzero
+    weighted column sum; a true result guarantees the observer is
+    controllable from that ``B`` alone.
     """
-    w = as_vector(weights, n=schematic.n, name="weights")
+    b = as_columns(B)
+    w = as_vector(weights, n=b.shape[0], name="weights")
     wn = np.linalg.norm(w)
-    for j in range(schematic.m):
-        col = schematic.B[:, j]
-        if abs(float(w @ col)) > 1e-12 * wn * np.linalg.norm(col):
-            return True
-    return False
+    return any(abs(float(w @ col)) > 1e-12 * wn * np.linalg.norm(col) for col in b.T)

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import as_columns, as_vector
+from ._util import as_columns, as_count, as_vector
 from .errors import (
     FluxControlError,
     InvalidInputError,
     PlacementAbortError,
 )
 from .gramian import GramianEvaluator, flux_matrix
-from .linsys import InputSchematic, LinearSystem
+from .linsys import LinearSystem
 from .select import _bind, select_state
 
 __all__ = [
@@ -61,19 +61,20 @@ class GpgmConfig:
         for name in ("sigma", "delta_star", "epsilon"):
             if not 0 < getattr(self, name) < np.inf:
                 raise InvalidInputError(f"{name} must be positive and finite")
-        if self.max_iters < 1:
-            raise InvalidInputError("max_iters must be at least 1")
+        as_count(self.max_iters, "max_iters")
 
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """Optimized schematic with its energy and convergence record.
+    """Optimized n x m schematic ``B_star`` with its energy and convergence
+    record. ``B_star`` lies on the sphere tr(B^T B) = m + epsilon, with
+    epsilon 0 for the closed form.
 
     ``energy_trace`` holds the energy of the start and of each accepted
     iterate; ``steps`` the step each accepted iterate took, after halvings.
     """
 
-    B_star: InputSchematic
+    B_star: np.ndarray
     energy: float
     iterations: int
     converged: bool
@@ -110,14 +111,11 @@ def place_mean_optimal(
     goal ``v^T x >= c`` is ``select_state`` on this schematic, which is the
     squared gap times that, or 0 when the goal already holds.
     """
-    if m < 1:
-        raise InvalidInputError("m must be at least 1")
+    m = as_count(m, "m")
     fm = flux_matrix(system, v, t_star)
-    b = np.tile(fm.top_vector[:, None], (1, m))
-    schematic = InputSchematic(b, sphere_normalized=True, epsilon=0.0)
     energy = 1.0 / (m * fm.lam_max)
     return PlacementResult(
-        B_star=schematic,
+        B_star=np.tile(fm.top_vector[:, None], (1, m)),
         energy=energy,
         iterations=0,
         converged=True,
@@ -147,14 +145,13 @@ def gpgm(
     monotone. Stops when successive iterates align within ``delta_star`` or
     no usable step remains; returns the best iterate.
     """
-    if m < 1:
-        raise InvalidInputError("m must be at least 1")
+    m = as_count(m, "m")
     cfg = config if config is not None else GpgmConfig()
     n = evaluator.system.n
     z = as_vector(z, n=n, name="z")
 
     if B_init is None:
-        b = ram_baseline(n, m, cfg.seed, cfg.epsilon).B
+        b = ram_baseline(n, m, cfg.seed, cfg.epsilon)
     else:
         b = as_columns(B_init, n, name="B_init")
         if b.shape[1] != m:
@@ -162,13 +159,8 @@ def gpgm(
         b = project_sphere(b, epsilon=cfg.epsilon)
 
     def result(best_b, best_e, iters, converged, trace, steps=()):
-        schematic = InputSchematic(
-            project_sphere(best_b, epsilon=cfg.epsilon),
-            sphere_normalized=True,
-            epsilon=cfg.epsilon,
-        )
         return PlacementResult(
-            B_star=schematic,
+            B_star=project_sphere(best_b, epsilon=cfg.epsilon),
             energy=best_e,
             iterations=iters,
             converged=converged,
@@ -252,8 +244,7 @@ def gpgm_multistart(
     """Best of ``n_starts`` seeded ``gpgm`` descents on one evaluator and
     endpoint ``z``; the energy landscape is non-convex. Start ``i`` uses seed
     ``config.seed + i``."""
-    if n_starts < 1:
-        raise InvalidInputError("n_starts must be at least 1")
+    as_count(n_starts, "n_starts")
     cfg = config if config is not None else GpgmConfig()
     best = None
     first_error = None
@@ -273,36 +264,32 @@ def gpgm_multistart(
     return best
 
 
-def ram_baseline(n: int, m: int, seed: int, epsilon: float = 1e-6) -> InputSchematic:
-    """Uniform random schematic renormalized onto the shrunken sphere."""
-    if n < 1 or m < 1:
-        raise InvalidInputError("n and m must be at least 1")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be nonnegative, got {seed}")
-    b = np.random.default_rng(seed).random((n, m))
-    return InputSchematic(
-        project_sphere(b, epsilon=epsilon), sphere_normalized=True, epsilon=epsilon
-    )
+def ram_baseline(n: int, m: int, seed: int, epsilon: float = 1e-6) -> np.ndarray:
+    """Uniform random n x m schematic renormalized onto the shrunken sphere."""
+    shape = as_count(n, "n"), as_count(m, "m")
+    b = np.random.default_rng(as_count(seed, "seed", 0)).random(shape)
+    return project_sphere(b, epsilon=epsilon)
 
 
-def pgme_driver_select(schematic: InputSchematic, k: int):
-    """Convert a dense schematic into a driver-node set of size ``k``.
+def pgme_driver_select(B, k: int):
+    """Convert a dense n x m schematic into a driver-node set of size ``k``.
 
     Walks the first ``k`` columns, taking per column the largest-magnitude row
     not yet chosen (ties to the lowest index). Returns the 0-based node
-    indices in column order and the matching canonical-basis schematic.
+    indices in column order and the matching n x k canonical-basis schematic.
     """
-    if not 1 <= k <= schematic.m:
-        raise InvalidInputError("k must satisfy 1 <= k <= m")
+    b = as_columns(B)
+    n, m = b.shape
+    if as_count(k, "k") > m:
+        raise InvalidInputError(f"k must be at most m = {m}, got {k}")
     chosen: list[int] = []
-    taken = np.zeros(schematic.n, dtype=bool)
+    taken = np.zeros(n, dtype=bool)
     for j in range(k):
-        weights = np.abs(schematic.B[:, j]).copy()
+        weights = np.abs(b[:, j])
         weights[taken] = -np.inf
         row = int(np.argmax(weights))
         chosen.append(row)
         taken[row] = True
-    binary = np.zeros((schematic.n, k))
-    for j, row in enumerate(chosen):
-        binary[row, j] = 1.0
-    return chosen, InputSchematic(binary)
+    binary = np.zeros((n, k))
+    binary[chosen, np.arange(k)] = 1.0
+    return chosen, binary

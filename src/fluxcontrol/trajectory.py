@@ -8,10 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import as_columns, as_vector, write_csv_rows
-from .errors import DivergenceError, InvalidInputError
+from ._util import as_columns, as_count, as_vector, write_csv_rows
+from .errors import DivergenceError
 from .gramian import GramianEvaluator
-from .linsys import InputSchematic
 
 __all__ = ["Trajectory", "simulate"]
 
@@ -43,18 +42,17 @@ class Trajectory:
             write_csv_rows(fh, data)
 
 
-def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: int,
-             p=None) -> Trajectory:
-    """Run ``xdot = A x + B u`` from ``x0`` over the evaluator's horizon in
-    ``steps`` equal steps, steered by the adjoint ``p`` of a selection made on
-    ``W(B)`` to ``x* = z + W p`` with energy ``p^T W p``, or with no input when
-    ``p`` is None. Non-finite states abort with the last valid time.
+def simulate(evaluator: GramianEvaluator, B, x0, steps: int, p=None) -> Trajectory:
+    """Run ``xdot = A x + B u``, ``B`` an n x m array, from ``x0`` over the
+    evaluator's horizon in ``steps`` equal steps, steered by the adjoint ``p``
+    of a selection made on ``W(B)`` to ``x* = z + W p`` with energy
+    ``p^T W p``, or with no input when ``p`` is None. Non-finite states abort
+    with the last valid time.
     """
-    if steps < 2:
-        raise InvalidInputError("steps must be at least 2")
+    steps = as_count(steps, "steps", 2)
     n = evaluator.system.n
     x0 = as_vector(x0, n=n, name="x0")
-    as_columns(schematic.B, n, name="schematic")
+    b = as_columns(B, n)
     lam = np.zeros((steps + 1, n))
     times = np.linspace(0.0, evaluator.t_star, steps + 1)
     states = np.empty((steps + 1, n))
@@ -66,7 +64,7 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
             e, g = evaluator.propagator(evaluator.t_star / steps), np.zeros((steps, n))
         else:
             lam[-1] = as_vector(p, n=n, name="p")
-            e, w = evaluator.step(schematic.B, steps)
+            e, w = evaluator.step(b, steps)
             for k in range(steps, 0, -1):
                 lam[k - 1] = lam[k] @ e
             g = lam[1:] @ w
@@ -77,5 +75,5 @@ def simulate(evaluator: GramianEvaluator, schematic: InputSchematic, x0, steps: 
             t = float(times[bad[0] - 1])  # that of the last finite state
             raise DivergenceError(f"state became non-finite after t={t:.6g}", last_valid_time=t)
         energy = np.concatenate(([0.0], np.cumsum(np.einsum("ij,ij->i", g, lam[1:]))))
-        inputs = lam @ schematic.B
+        inputs = lam @ b
     return Trajectory(times=times, states=states, inputs=inputs, cumulative_energy=energy)

@@ -238,9 +238,9 @@ def simpson_scalar_gramian(a, t_star, steps):
     return float((t_star / steps) / 3.0 * (wgt @ f))
 
 
-def gramian_quadrature(system, schematic, t_star, steps):
+def gramian_quadrature(system, B, t_star, steps):
     """Composite Simpson approximation of the reachability Gramian of
-    ``(system.A, schematic.B)``.
+    ``(system.A, B)``, ``B`` an n x m array.
 
     Fourth-order oracle kept independent of the library's eigenbasis and
     series paths; ``steps`` is the (even, >= 2) number of intervals.
@@ -249,11 +249,12 @@ def gramian_quadrature(system, schematic, t_star, steps):
         raise InvalidInputError("t_star must be a positive real")
     if steps < 2 or steps % 2 != 0:
         raise InvalidInputError("steps must be an even integer >= 2")
-    if schematic.n != system.n:
-        raise InvalidInputError("schematic row count must match system size")
+    b = np.asarray(B, dtype=float)
+    if b.shape[0] != system.n:
+        raise InvalidInputError("B row count must match system size")
     h = float(t_star) / steps
     e_h = expm(system.A * h)
-    q = schematic.B @ schematic.B.T
+    q = b @ b.T
 
     x = np.eye(system.n)
     acc = np.zeros_like(q)

@@ -46,7 +46,7 @@ def _random_controllable(rng, n, t_star):
         b = rng.standard_normal((n, n))
         bundle = fc.GramianEvaluator(fc.LinearSystem(a), t_star).bundle(b)
         if bundle.lam_min > 1e-9 * bundle.lam_max:
-            return fc.LinearSystem(a), fc.InputSchematic(b), bundle
+            return fc.LinearSystem(a), b, bundle
 
 
 def test_criterion_1_mean_closed_form_vs_kkt_oracle():
@@ -80,7 +80,7 @@ def test_criterion_2_flux_placement_optimality():
     m, t_star = 2, 1.3
     fm = fc.flux_matrix(system, np.ones(4), t_star)
     placed = fc.place_mean_optimal(system, np.ones(4), t_star, m)
-    kappa_star = fc.GramianEvaluator(system, t_star).bundle(placed.B_star.B).kappa
+    kappa_star = fc.GramianEvaluator(system, t_star).bundle(placed.B_star).kappa
     cap = m * fm.lam_max
     rel_gap = abs(kappa_star - cap) / cap
     assert rel_gap <= 1e-8, f"kappa(B*)={kappa_star} vs m*lam_max={cap}"
@@ -197,7 +197,7 @@ def test_criterion_6_gpgm_vs_ram_on_karate_club():
     ram_energies = []
     for seed in range(20):
         schematic = fc.ram_baseline(34, m, seed=seed)
-        bundle = fc.GramianEvaluator(system, t_star).bundle(schematic.B)
+        bundle = fc.GramianEvaluator(system, t_star).bundle(schematic)
         ram_energies.append(fc.select_state(bundle, x0, goal).energy)
     median_ram = float(np.median(ram_energies))
 
@@ -305,9 +305,8 @@ def test_criterion_9_gramian_integrator_cross_check():
         b = rng.standard_normal((n, int(rng.integers(1, 4))))
         t_star = float(rng.uniform(0.5, 3.0))
         system = fc.LinearSystem(a)
-        schematic = fc.InputSchematic(b)
-        w_block = fc.GramianEvaluator(system, t_star).bundle(schematic.B).W
-        w_simpson = gramian_quadrature(system, schematic, t_star, steps=512)
+        w_block = fc.GramianEvaluator(system, t_star).bundle(b).W
+        w_simpson = gramian_quadrature(system, b, t_star, steps=512)
         rel = np.linalg.norm(w_block - w_simpson) / np.linalg.norm(w_block)
         worst = max(worst, rel)
         assert rel <= 1e-8, rel
@@ -343,7 +342,7 @@ def test_criterion_10_min_drivers_matches_brute_force():
     assert len(cases) == 100
     for a in cases:
         n = a.shape[0]
-        report = fc.controllability_report(fc.LinearSystem(a), fc.InputSchematic.identity(n))
+        report = fc.controllability_report(fc.LinearSystem(a), np.eye(n))
         expected = brute_force_min_drivers(a)
         assert report.min_drivers == expected, (report.min_drivers, expected, a)
     elapsed = time.perf_counter() - start

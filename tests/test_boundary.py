@@ -1,6 +1,7 @@
 """The library's boundary: each kind of input a caller hands in (the dynamics
-matrix, a schematic, a horizon, a vector) fails typed when it is malformed,
-with the argument's name at the head of the message, and no numpy warning."""
+matrix, a schematic, a horizon, a vector, a count) fails typed when it is
+malformed, with the argument's name at the head of the message, and no numpy
+warning."""
 
 import re
 import warnings
@@ -28,6 +29,9 @@ def _gpgm_from(b_init):
     return fc.gpgm(ev, ev.propagate(np.zeros(4)), fc.VarianceGoal(1.0), 1, B_init=b_init)
 
 
+# A three-axis schematic.
+_B3 = np.ones((4, 1, 1))
+
 _BAD = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
 # (argument name, call) per case.
@@ -40,7 +44,12 @@ _CASES = {
        for k, x in _BAD.items()},
     "matrix-B-no-columns": ("B", lambda: _evaluator().matrix(np.zeros((4, 0)))),
     "A-3d": ("A", lambda: fc.LinearSystem(np.ones((2, 2, 2)))),
-    "B-3d": ("B", lambda: fc.InputSchematic(np.ones((4, 1, 1)))),
+    "simulate-B-3d": ("B", lambda: fc.simulate(_evaluator(), _B3, np.zeros(4), 4)),
+    "controllability_report-B-3d": (
+        "B", lambda: fc.controllability_report(fc.laplacian_system(_PATH), _B3)),
+    "output_controllable_sufficient-B-3d": (
+        "B", lambda: fc.output_controllable_sufficient(np.ones(4), _B3)),
+    "pgme_driver_select-B-3d": ("B", lambda: fc.pgme_driver_select(_B3, 1)),
     "matrix-B-3d": ("B", lambda: _evaluator().matrix(np.ones((4, 1, 1)))),
     "adjacency-3d": ("adjacency", lambda: fc.laplacian_system(np.ones((2, 2, 2)))),
     "W-3d": ("W", lambda: fc.GramianBundle.from_matrix(np.ones((2, 2, 2)), 1.0)),
@@ -49,6 +58,24 @@ _CASES = {
     "LinearGoal-v-2x2": ("v", lambda: fc.LinearGoal(np.ones((2, 2)), 1.0)),
     "RepulsionGoal-d-2x2": ("d", lambda: fc.RepulsionGoal(np.ones((2, 2)), 1.0)),
     "gpgm-B_init-nan": ("B_init", lambda: _gpgm_from(_column(np.nan))),
+    **{f"evaluator-t_star-{k}": (
+        "t_star", lambda x=x: fc.GramianEvaluator(fc.laplacian_system(_PATH), x))
+       for k, x in {"str": "abc", "numeric-str": "2"}.items()},
+    "step-steps-float": ("steps", lambda: _evaluator().step(np.eye(4), 2.5)),
+    "step-steps-bool": ("steps", lambda: _evaluator().step(np.eye(4), True)),
+    "simulate-steps-float": (
+        "steps", lambda: fc.simulate(_evaluator(), np.eye(4), np.zeros(4), 2.5)),
+    "gpgm-m-float": ("m", lambda: fc.gpgm(_evaluator(), np.zeros(4), fc.VarianceGoal(1.0), 1.5)),
+    "gpgm_multistart-n_starts-float": ("n_starts", lambda: fc.gpgm_multistart(
+        _evaluator(), np.zeros(4), fc.VarianceGoal(1.0), 1, n_starts=2.5)),
+    "place_mean_optimal-m-float": (
+        "m", lambda: fc.place_mean_optimal(fc.laplacian_system(_PATH), np.ones(4), 1.0, 1.5)),
+    "GpgmConfig-max_iters-float": ("max_iters", lambda: fc.GpgmConfig(max_iters=2.5)),
+    "ram_baseline-n-float": ("n", lambda: fc.ram_baseline(3.5, 1, 0)),
+    "ram_baseline-m-float": ("m", lambda: fc.ram_baseline(4, 1.5, 0)),
+    "ram_baseline-seed-float": ("seed", lambda: fc.ram_baseline(4, 1, 0.5)),
+    "pgme_driver_select-k-float": ("k", lambda: fc.pgme_driver_select(np.eye(4), 1.5)),
+    "from_edges-n-float": ("n", lambda: fc.LinearSystem.from_edges(2.5, [0], [1], [1.0])),
 }
 
 

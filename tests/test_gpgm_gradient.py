@@ -16,7 +16,7 @@ from _oracles import fd_gradient, random_stable_system
 
 
 def _karate_case(karate, x0, eta):
-    return karate["system"], fc.ram_baseline(34, 2, seed=0).B, x0, 3.0, fc.VarianceGoal(eta)
+    return karate["system"], fc.ram_baseline(34, 2, seed=0), x0, 3.0, fc.VarianceGoal(eta)
 
 
 def _nonsymmetric_case(make_goal):

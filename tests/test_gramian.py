@@ -235,13 +235,13 @@ class TestFluxMatrix:
 class TestGramianQuadrature:
     def test_exact_for_constant_integrand(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
-        schematic = fc.InputSchematic(np.eye(2)[:, [0]])
+        schematic = np.eye(2)[:, [0]]
         w = gramian_quadrature(system, schematic, 2.0, steps=4)
         npt.assert_allclose(w, [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
     def test_scalar_convergence(self):
         system = fc.LinearSystem([[1.0]])
-        schematic = fc.InputSchematic([[1.0]])
+        schematic = [[1.0]]
         exact = (np.e**2 - 1.0) / 2.0
         w = gramian_quadrature(system, schematic, 1.0, steps=200)
         assert abs(w[0, 0] - exact) <= 1e-8
@@ -251,7 +251,7 @@ class TestGramianQuadrature:
 
     def test_fourth_order_richardson(self):
         system = fc.LinearSystem([[1.0]])
-        schematic = fc.InputSchematic([[1.0]])
+        schematic = [[1.0]]
         exact = (np.e**2 - 1.0) / 2.0
         err = [
             abs(gramian_quadrature(system, schematic, 1.0, steps=s)[0, 0] - exact)
@@ -263,7 +263,7 @@ class TestGramianQuadrature:
     def test_odd_steps_rejected(self):
         system = fc.LinearSystem(np.zeros((2, 2)))
         with pytest.raises(InvalidInputError):
-            gramian_quadrature(system, fc.InputSchematic.identity(2), 1.0, steps=5)
+            gramian_quadrature(system, np.eye(2), 1.0, steps=5)
 
     def test_cross_check_block_exponential(self, rng):
         for _ in range(6):
@@ -272,9 +272,8 @@ class TestGramianQuadrature:
             b = rng.standard_normal((n, int(rng.integers(1, 3))))
             t_star = float(rng.uniform(0.5, 3.0))
             system = fc.LinearSystem(a)
-            schematic = fc.InputSchematic(b)
-            w_block = fc.GramianEvaluator(system, t_star).bundle(schematic.B).W
-            w_simpson = gramian_quadrature(system, schematic, t_star, steps=512)
+            w_block = fc.GramianEvaluator(system, t_star).bundle(b).W
+            w_simpson = gramian_quadrature(system, b, t_star, steps=512)
             rel = np.linalg.norm(w_block - w_simpson) / np.linalg.norm(w_block)
             assert rel <= 1e-8
 
@@ -469,7 +468,7 @@ class TestGramianEvaluator:
             assert _rel(e, expm(system.A * 0.1)) <= 1e-13
             assert _rel(w, van_loan_block_reference(system.A, b @ b.T, 0.1)) <= 1e-13
             p = rng.standard_normal(system.n)
-            inputs = fc.simulate(ev, fc.InputSchematic.identity(system.n),
+            inputs = fc.simulate(ev, np.eye(system.n),
                                  np.zeros(system.n), 20, p).inputs
             for s in (0.0, 0.7, 2.0):
                 ref = expm(system.A.T * (2.0 - s)) @ p
@@ -483,7 +482,7 @@ class TestGramianEvaluator:
         for system in (karate["system"], fc.LinearSystem(non_normal)):
             ev = fc.GramianEvaluator(system, 2.0)
             p = rng.standard_normal(system.n)
-            inputs = fc.simulate(ev, fc.InputSchematic.identity(system.n),
+            inputs = fc.simulate(ev, np.eye(system.n),
                                  np.zeros(system.n), 4000, p).inputs
             assert inputs.shape == (4001, system.n)
             for j in range(0, 4001, 400):
@@ -606,7 +605,7 @@ class TestGramianEvaluator:
         # flux_matrix's one small Gramian is 5 x 5.
         fc.flux_matrix(system, np.ones(5), t)
         assert calls == [5, 5]
-        w_ref = gramian_quadrature(system, fc.InputSchematic(b), t, 4000)
+        w_ref = gramian_quadrature(system, b, t, 4000)
         assert np.linalg.norm(w - w_ref) <= 1e-8 * np.linalg.norm(w_ref)
 
 
@@ -627,7 +626,7 @@ def _rel(x, ref):
 def _quadrature(a, b, t_star):
     # Simpson with ||A||_1 h <= 1/80 stays within about 1e-9 of the integral.
     steps = 2 * max(100, math.ceil(40 * np.linalg.norm(a, 1) * t_star))
-    return gramian_quadrature(fc.LinearSystem(a), fc.InputSchematic(b), t_star, steps)
+    return gramian_quadrature(fc.LinearSystem(a), b, t_star, steps)
 
 
 def _record_thick_series(monkeypatch):

@@ -257,13 +257,13 @@ class TestEdgeSystems:
 class TestControllabilityReport:
     def test_zero_dynamics_single_input(self):
         system = fc.LinearSystem(np.zeros((3, 3)))
-        report = fc.controllability_report(system, fc.InputSchematic(np.eye(3)[:, [0]]))
+        report = fc.controllability_report(system, np.eye(3)[:, [0]])
         assert not report.controllable
         assert report.min_drivers == 3
 
     def test_identity_needs_all_drivers(self):
         system = fc.LinearSystem(np.eye(3))
-        report = fc.controllability_report(system, fc.InputSchematic(np.eye(3)[:, [0]]))
+        report = fc.controllability_report(system, np.eye(3)[:, [0]])
         assert report.min_drivers == 3
 
     def test_directed_chain_single_driver(self):
@@ -271,7 +271,7 @@ class TestControllabilityReport:
         for i in range(3):
             a[i + 1, i] = 1.0
         system = fc.LinearSystem(a)
-        report = fc.controllability_report(system, fc.InputSchematic(np.eye(4)[:, [0]]))
+        report = fc.controllability_report(system, np.eye(4)[:, [0]])
         assert report.controllable
         assert report.min_drivers == 1
 
@@ -280,7 +280,7 @@ class TestControllabilityReport:
             n = int(rng.integers(2, 7))
             a = rng.standard_normal((n, n))
             system = fc.LinearSystem(a)
-            report = fc.controllability_report(system, fc.InputSchematic.identity(n))
+            report = fc.controllability_report(system, np.eye(n))
             assert report.min_drivers == brute_force_min_drivers(a)
 
     def test_min_drivers_on_repeated_eigenvalue_constructions(self, rng):
@@ -294,13 +294,13 @@ class TestControllabilityReport:
                 ]
             )
             report = fc.controllability_report(
-                fc.LinearSystem(a), fc.InputSchematic.identity(k + 3)
+                fc.LinearSystem(a), np.eye(k + 3)
             )
             assert report.min_drivers == k
 
     def test_jordan_block_counts_geometric_not_algebraic(self):
         a = np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0]])
-        report = fc.controllability_report(fc.LinearSystem(a), fc.InputSchematic.identity(3))
+        report = fc.controllability_report(fc.LinearSystem(a), np.eye(3))
         assert report.min_drivers == 1
 
     def test_min_driver_count_is_sharp(self, rng):
@@ -316,11 +316,11 @@ class TestControllabilityReport:
             )
             n = k + 2
             system = fc.LinearSystem(a)
-            enough = fc.InputSchematic(rng.standard_normal((n, k)))
+            enough = rng.standard_normal((n, k))
             report = fc.controllability_report(system, enough)
             assert report.min_drivers == k
             assert report.controllable
-            short = fc.InputSchematic(rng.standard_normal((n, k - 1)))
+            short = rng.standard_normal((n, k - 1))
             starved = fc.controllability_report(system, short)
             assert not starved.controllable
 
@@ -329,13 +329,13 @@ class TestControllabilityReport:
         a = random_stable_system(rng, n)
         b = rng.standard_normal((n, m))
         system = fc.LinearSystem(a)
-        base = fc.controllability_report(system, fc.InputSchematic(b))
-        perm = fc.controllability_report(system, fc.InputSchematic(b[:, [2, 0, 1]]))
+        base = fc.controllability_report(system, b)
+        perm = fc.controllability_report(system, b[:, [2, 0, 1]])
         assert base.controllable and perm.controllable
         assert base.min_drivers == perm.min_drivers
 
     def test_full_actuation_controls_karate(self, karate):
-        report = fc.controllability_report(karate["system"], fc.InputSchematic.identity(34))
+        report = fc.controllability_report(karate["system"], np.eye(34))
         assert report.controllable
         assert report.min_drivers == 5
 
@@ -349,7 +349,7 @@ class TestControllabilityReport:
         idx = np.arange(n - 1)
         adj[idx, idx + 1] = adj[idx + 1, idx] = 1.0
         report = fc.controllability_report(
-            fc.laplacian_system(adj), fc.InputSchematic(np.eye(n)[:, [node]])
+            fc.laplacian_system(adj), np.eye(n)[:, [node]]
         )
         assert report.controllable is controllable
         assert report.min_drivers == 1
@@ -361,32 +361,30 @@ class TestControllabilityReport:
     def test_schematic_row_mismatch_rejected(self):
         with pytest.raises(InvalidInputError, match="row count"):
             fc.controllability_report(
-                fc.LinearSystem(np.eye(3)), fc.InputSchematic.identity(4)
+                fc.LinearSystem(np.eye(3)), np.eye(4)
             )
 
 
 class TestDomainTypes:
-    def test_sphere_flag_enforced(self):
-        good = fc.project_sphere(np.ones((3, 2)), epsilon=1e-6)
-        fc.InputSchematic(good, sphere_normalized=True, epsilon=1e-6)
-        with pytest.raises(InvalidInputError):
-            fc.InputSchematic(np.ones((3, 2)), sphere_normalized=True, epsilon=1e-6)
-
     def test_column_vector_promotion(self):
-        schematic = fc.InputSchematic(np.array([1.0, 2.0]))
-        assert schematic.B.shape == (2, 1)
-        assert schematic.m == 1
+        # A vector schematic is one column at every entry that takes B.
+        system, b = fc.LinearSystem(np.diag([-1.0, -2.0])), np.array([1.0, 2.0])
+        assert fc.controllability_report(system, b).controllable
+        assert fc.output_controllable_sufficient(np.ones(2), b)
+        assert fc.pgme_driver_select(b, 1)[1].shape == (2, 1)
+        traj = fc.simulate(fc.GramianEvaluator(system, 1.0), b, np.zeros(2), 4, np.ones(2))
+        assert traj.inputs.shape == (5, 1)
 
 
 class TestOutputControllableSufficient:
     def test_single_node_moves_the_average(self):
-        schematic = fc.InputSchematic(np.eye(2)[:, [0]])
+        schematic = np.eye(2)[:, [0]]
         assert fc.output_controllable_sufficient(np.full(2, 0.5), schematic)
 
     def test_equal_and_opposite_column_fails(self):
-        schematic = fc.InputSchematic(np.array([[1.0], [-1.0]]))
+        schematic = np.array([[1.0], [-1.0]])
         assert not fc.output_controllable_sufficient(np.full(2, 0.5), schematic)
 
     def test_zero_functional(self):
-        schematic = fc.InputSchematic(np.eye(2)[:, [0]])
+        schematic = np.eye(2)[:, [0]]
         assert not fc.output_controllable_sufficient(np.zeros(2), schematic)

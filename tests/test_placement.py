@@ -27,7 +27,7 @@ def _flux_closed_form(system, t_star, m, x0, goal):
     placed = fc.place_mean_optimal(system, np.ones(system.n), t_star, m=m)
     evaluator = fc.GramianEvaluator(system, t_star)
     z = evaluator.propagate(x0)
-    return placed.B_star, fc.select_state(evaluator.bundle(placed.B_star.B), z, goal).energy
+    return placed.B_star, fc.select_state(evaluator.bundle(placed.B_star), z, goal).energy
 
 
 class TestSphereOps:
@@ -49,23 +49,41 @@ class TestSphereOps:
             out = _tangent(v, b)
             assert abs(float(np.sum(out * g))) <= 1e-8 * np.linalg.norm(v) * np.linalg.norm(g)
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_every_placement_returns_a_schematic_on_its_sphere(self, karate, m):
+        # The sphere is a guarantee of the placement functions, not a flag on
+        # the array: tr(B^T B) = m + epsilon, and m for the closed form.
+        system, cfg = karate["system"], fc.GpgmConfig(sigma=0.1, epsilon=1e-3, max_iters=5)
+        evaluator, goal = fc.GramianEvaluator(system, 2.0), fc.VarianceGoal(1.0)
+        z = np.zeros(34)
+        placed = {
+            "gpgm": (fc.gpgm(evaluator, z, goal, m, config=cfg).B_star, cfg.epsilon),
+            "gpgm_multistart": (fc.gpgm_multistart(evaluator, z, goal, m, config=cfg,
+                                                   n_starts=2).B_star, cfg.epsilon),
+            "ram_baseline": (fc.ram_baseline(34, m, seed=5, epsilon=cfg.epsilon), cfg.epsilon),
+            "place_mean_optimal": (fc.place_mean_optimal(system, np.ones(34), 2.0, m).B_star, 0.0),
+        }
+        for name, (b, eps) in placed.items():
+            assert b.shape == (34, m), name
+            assert abs(float(np.trace(b.T @ b)) - (m + eps)) <= 1e-10 * m, name
+
 
 class TestPlaceMeanOptimal:
     def test_zero_dynamics_uniform_vector(self):
         system = fc.LinearSystem(np.zeros((3, 3)))
         result = fc.place_mean_optimal(system, np.ones(3), 1.0, m=1)
-        npt.assert_allclose(result.B_star.B[:, 0], np.full(3, 1.0 / np.sqrt(3.0)), rtol=1e-12)
+        npt.assert_allclose(result.B_star[:, 0], np.full(3, 1.0 / np.sqrt(3.0)), rtol=1e-12)
         lam = fc.flux_matrix(system, np.ones(3), 1.0).lam_max
         assert lam == pytest.approx(3.0, rel=1e-12)
         assert result.energy == pytest.approx(1.0 / 3.0, rel=1e-12)
-        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star.B)
+        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star)
         assert w.kappa == pytest.approx(3.0, rel=1e-10)
 
     def test_one_dimensional(self):
         system = fc.LinearSystem([[0.5]])
         result = fc.place_mean_optimal(system, np.ones(1), 1.0, m=1)
-        assert abs(result.B_star.B[0, 0]) == pytest.approx(1.0, rel=1e-12)
-        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star.B)
+        assert abs(result.B_star[0, 0]) == pytest.approx(1.0, rel=1e-12)
+        w = fc.GramianEvaluator(system, 1.0).bundle(result.B_star)
         lam = fc.flux_matrix(system, np.ones(1), 1.0).lam_max
         assert w.kappa == pytest.approx(lam, rel=1e-10)
 
@@ -85,7 +103,7 @@ class TestPlaceMeanOptimal:
         system = fc.LinearSystem(a)
         result = fc.place_mean_optimal(system, np.ones(5), 1.0, m=2)
         fm = fc.flux_matrix(system, np.ones(5), 1.0)
-        b = result.B_star.B
+        b = result.B_star
         residual = np.linalg.norm(fm.Phi @ b - fm.lam_max * b)
         assert residual <= 1e-8 * fm.lam_max
 
@@ -131,7 +149,7 @@ class TestGpgm:
         cfg = fc.GpgmConfig(max_iters=50)
         evaluator = fc.GramianEvaluator(system, 1.0)
         result = fc.gpgm(evaluator, evaluator.propagate(x0), goal, m=1, config=cfg,
-                         B_init=closed.B)
+                         B_init=closed)
         assert result.iterations <= 2
         assert result.converged
         # Unchanged across iterations; the epsilon-shrunk sphere shifts the
@@ -147,7 +165,7 @@ class TestGpgm:
         result = fc.gpgm(fc.GramianEvaluator(system, 1.5), np.zeros(4), goal, m=2, config=cfg)
         trace = result.energy_trace
         assert np.all(np.diff(trace) <= 1e-8 * (1.0 + np.abs(trace[:-1])))
-        tr = float(np.sum(result.B_star.B ** 2))
+        tr = float(np.sum(result.B_star ** 2))
         assert abs(tr - (2.0 + cfg.epsilon)) <= 1e-10 * 2.0
 
     def test_random_start_is_the_ram_baseline(self, karate):
@@ -158,7 +176,7 @@ class TestGpgm:
         result = fc.gpgm(evaluator, z, goal, m=2, config=cfg)
         start = fc.ram_baseline(34, 2, cfg.seed, cfg.epsilon)
         assert result.energy_trace[0] == fc.select_state(
-            evaluator.bundle(start.B), z, goal).energy
+            evaluator.bundle(start), z, goal).energy
 
     def test_negative_seed_is_an_input_error(self):
         evaluator = fc.GramianEvaluator(fc.LinearSystem(np.zeros((3, 3))), 1.0)
@@ -192,7 +210,7 @@ class TestGpgm:
         assert result.energy <= optimum * 1.01
         ram = [
             fc.select_state(
-                evaluator.bundle(fc.ram_baseline(34, m, seed=s).B), x0, goal
+                evaluator.bundle(fc.ram_baseline(34, m, seed=s)), x0, goal
             ).energy
             for s in range(20)
         ]
@@ -316,6 +334,29 @@ class TestGpgm:
         assert result.energy_trace[-1] <= result.energy_trace[0]
 
 
+@pytest.mark.parametrize("case", ["karate", "directed-12"])
+def test_gpgm_energy_trace_is_invariant_under_a_rotation_of_the_start(karate, case):
+    # W(BQ) = W(B) for an orthogonal Q; the gradient -2 Phi(p) B, its tangent
+    # part and the Barzilai-Borwein step all follow B to BQ, so the descent
+    # from B_init Q is the descent from B_init times Q, energies unchanged.
+    rng = np.random.default_rng(31)
+    if case == "karate":
+        system, m = karate["system"], 3
+    else:
+        system, m = fc.LinearSystem(random_stable_system(rng, 12)), 2
+    q, r = np.linalg.qr(rng.standard_normal((m, m)))
+    q = q * np.sign(np.diag(r))
+    q[:, 0] *= np.linalg.det(q)  # a rotation: det Q = +1
+    b_init = rng.standard_normal((system.n, m))
+    evaluator, goal = fc.GramianEvaluator(system, 2.0), fc.VarianceGoal(1.0)
+    cfg = fc.GpgmConfig(sigma=0.1, max_iters=30)
+    base, turned = (fc.gpgm(evaluator, np.zeros(system.n), goal, m, config=cfg, B_init=b)
+                    for b in (b_init, b_init @ q))
+    assert base.iterations > 2 and turned.iterations == base.iterations
+    npt.assert_allclose(turned.energy_trace, base.energy_trace, rtol=1e-10)
+    npt.assert_allclose(turned.B_star, base.B_star @ q, atol=1e-10)
+
+
 def _inject_infeasible(monkeypatch, fails):
     """Make gpgm's selections raise InfeasibleGoalError on the calls k (from 0)
     where ``fails(k)`` holds; returns the list of calls made."""
@@ -369,7 +410,7 @@ class TestGpgmFailurePaths:
         partial = info.value.partial_result
         assert (partial.iterations, partial.converged) == (2, False)
         assert partial.energy == first.energy
-        npt.assert_array_equal(partial.B_star.B, first.B_star.B)
+        npt.assert_array_equal(partial.B_star, first.B_star)
         npt.assert_array_equal(partial.energy_trace, first.energy_trace)
         npt.assert_array_equal(partial.steps, first.steps)
 
@@ -389,8 +430,8 @@ class TestGpgmFailurePaths:
         assert result.energy == sels[0].energy
         npt.assert_array_equal(result.energy_trace, [sels[0].energy])
         assert result.steps.size == 0
-        start = fc.ram_baseline(34, 2, cfg.seed, cfg.epsilon).B
-        npt.assert_array_equal(result.B_star.B, fc.project_sphere(start, epsilon=cfg.epsilon))
+        start = fc.ram_baseline(34, 2, cfg.seed, cfg.epsilon)
+        npt.assert_array_equal(result.B_star, fc.project_sphere(start, epsilon=cfg.epsilon))
 
     def test_multistart_skips_an_aborted_start(self, case, monkeypatch):
         cfg = fc.GpgmConfig(max_iters=5, seed=3)
@@ -400,7 +441,7 @@ class TestGpgmFailurePaths:
         with pytest.warns(UserWarning, match="some starts aborted: .*call 0"):
             result = fc.gpgm_multistart(*case, m=2, config=cfg, n_starts=3)
         assert result.energy == expected.energy
-        npt.assert_array_equal(result.B_star.B, expected.B_star.B)
+        npt.assert_array_equal(result.B_star, expected.B_star)
 
     def test_multistart_raises_the_first_error_when_every_start_aborts(self, case, monkeypatch):
         calls = _inject_infeasible(monkeypatch, lambda k: True)
@@ -425,16 +466,16 @@ class TestRamBaseline:
 
     def test_trace_normalization(self):
         schematic = fc.ram_baseline(34, 2, seed=0)
-        tr = float(np.sum(schematic.B ** 2))
+        tr = float(np.sum(schematic ** 2))
         assert abs(tr - (2.0 + 1e-6)) <= 1e-10 * 2.0
 
     def test_deterministic_per_seed(self):
         a = fc.ram_baseline(10, 3, seed=42)
         b = fc.ram_baseline(10, 3, seed=42)
-        npt.assert_array_equal(a.B, b.B)
+        npt.assert_array_equal(a, b)
 
     def test_distinct_seeds_full_rank(self):
-        mats = [fc.ram_baseline(34, 2, seed=s).B for s in range(20)]
+        mats = [fc.ram_baseline(34, 2, seed=s) for s in range(20)]
         for i in range(20):
             assert np.linalg.matrix_rank(mats[i]) == 2
             for j in range(i + 1, 20):
@@ -443,25 +484,25 @@ class TestRamBaseline:
 
 class TestPgmeDriverSelect:
     def test_uniform_tie_breaks_low_index(self):
-        schematic = fc.InputSchematic(np.full((3, 1), 1.0 / np.sqrt(3.0)))
+        schematic = np.full((3, 1), 1.0 / np.sqrt(3.0))
         nodes, binary = fc.pgme_driver_select(schematic, 1)
         assert nodes == [0]
-        npt.assert_array_equal(binary.B[:, 0], [1.0, 0.0, 0.0])
+        npt.assert_array_equal(binary[:, 0], [1.0, 0.0, 0.0])
 
     def test_argmax_row(self):
-        schematic = fc.InputSchematic(np.array([[0.1], [0.9], [0.2]]))
+        schematic = np.array([[0.1], [0.9], [0.2]])
         nodes, binary = fc.pgme_driver_select(schematic, 1)
         assert nodes == [1]
-        npt.assert_array_equal(binary.B[:, 0], [0.0, 1.0, 0.0])
+        npt.assert_array_equal(binary[:, 0], [0.0, 1.0, 0.0])
 
     def test_no_repeat_rule(self):
         b = np.array([[0.9, 0.8], [0.1, 0.7], [0.0, 0.1]])
-        nodes, binary = fc.pgme_driver_select(fc.InputSchematic(b), 2)
+        nodes, binary = fc.pgme_driver_select(b, 2)
         assert nodes == [0, 1]
-        npt.assert_array_equal(binary.B, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        npt.assert_array_equal(binary, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
     def test_k_out_of_range(self):
-        schematic = fc.InputSchematic(np.ones((3, 2)))
+        schematic = np.ones((3, 2))
         with pytest.raises(InvalidInputError):
             fc.pgme_driver_select(schematic, 3)
         with pytest.raises(InvalidInputError):

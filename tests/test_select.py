@@ -137,8 +137,8 @@ class TestSelectMeanState:
     def test_unmovable_observer_raises(self):
         # Equal-and-opposite column: the average is genuinely uncontrollable.
         system = fc.LinearSystem(np.zeros((2, 2)))
-        schematic = fc.InputSchematic(np.array([[1.0], [-1.0]]))
-        w = fc.GramianEvaluator(system, 1.0).bundle(schematic.B)
+        schematic = np.array([[1.0], [-1.0]])
+        w = fc.GramianEvaluator(system, 1.0).bundle(schematic)
         with pytest.raises(GoalUncontrollableError):
             fc.select_state(w, np.zeros(2), fc.mean_goal(2, 1.0))
 
@@ -323,7 +323,7 @@ class TestSolveQcls:
             x0, d = rng.standard_normal(n), rng.standard_normal(n)
             z = evaluator.propagate(x0)
             eta = float(rng.uniform(0.2, 0.95)) * float((z - d) @ (z - d))
-            bundle = evaluator.bundle(schematic.B)
+            bundle = evaluator.bundle(schematic)
             try:
                 sel = fc.select_state(bundle, z, fc.RepulsionGoal(d, eta, np.eye(n), "contract"))
             except InfeasibleGoalError as exc:

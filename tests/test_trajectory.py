@@ -25,29 +25,29 @@ class TestMinEnergyInput:
     def test_zero_displacement_means_zero_input(self, rng):
         a = random_stable_system(rng, 3)
         system = fc.LinearSystem(a)
-        schematic = fc.InputSchematic.identity(3)
+        schematic = np.eye(3)
         x0 = rng.standard_normal(3)
         evaluator = fc.GramianEvaluator(system, 1.0)
         z = expm(system.A) @ x0
         # Already met at z: the selection is the corner x* = z with p = 0.
         goal = fc.LinearGoal(np.ones(3), float(np.ones(3) @ z) - 1.0)
-        sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
+        sel = fc.select_state(evaluator.bundle(schematic), z, goal)
         assert not sel.binding
         traj = fc.simulate(evaluator, schematic, x0, 10, sel.p)
         npt.assert_allclose(traj.inputs, np.zeros((11, 3)), atol=1e-10)
         npt.assert_allclose(traj.endpoint, z, rtol=1e-12, atol=1e-14)
 
     def test_scalar_constant_input(self):
-        schematic = fc.InputSchematic([[1.0]])
+        schematic = [[1.0]]
         evaluator = _evaluator([[0.0]], 1.0)
-        w = evaluator.matrix(schematic.B)
+        w = evaluator.matrix(schematic)
         traj = fc.simulate(evaluator, schematic, [0.0], 10, [1.0 / w[0, 0]])
         npt.assert_allclose(traj.inputs[:, 0], np.ones(11), rtol=1e-12)
 
     def test_scalar_longer_horizon_halves_input(self):
-        schematic = fc.InputSchematic([[1.0]])
+        schematic = [[1.0]]
         evaluator = _evaluator([[0.0]], 2.0)
-        w = evaluator.matrix(schematic.B)
+        w = evaluator.matrix(schematic)
         traj = fc.simulate(evaluator, schematic, [0.0], 400, [1.0 / w[0, 0]])
         npt.assert_allclose(traj.inputs[:, 0], np.full(401, 0.5), rtol=1e-12)
         npt.assert_allclose(traj.states[:, 0], 0.5 * traj.times, rtol=1e-12, atol=1e-15)
@@ -56,9 +56,9 @@ class TestMinEnergyInput:
     @pytest.mark.parametrize("t_star", [1e-9, 1e5 / 3])
     def test_extreme_horizons_reach_the_target(self, t_star):
         # The single integrator from 0 to 1: u = 1/t* throughout, energy 1/t*.
-        schematic = fc.InputSchematic([[1.0]])
+        schematic = [[1.0]]
         evaluator = _evaluator([[0.0]], t_star)
-        w = evaluator.matrix(schematic.B)
+        w = evaluator.matrix(schematic)
         traj = fc.simulate(evaluator, schematic, [0.0], 1000, [1.0 / w[0, 0]])
         assert traj.times[-1] == t_star
         npt.assert_allclose(traj.inputs[:, 0], np.full(1001, 1.0 / t_star), rtol=1e-12)
@@ -76,7 +76,7 @@ class TestMinEnergyInput:
         x0 = np.random.default_rng(0).standard_normal(34)
         evaluator = fc.GramianEvaluator(system, t_star)
         z = expm(t_star * system.A) @ x0
-        sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
+        sel = fc.select_state(evaluator.bundle(schematic), z, goal)
         assert sel.binding
         traj = fc.simulate(evaluator, schematic, x0, 400, sel.p)
         assert np.linalg.norm(traj.endpoint - sel.x_star) <= 1e-12 * (1.0 + np.linalg.norm(sel.x_star))
@@ -85,7 +85,7 @@ class TestMinEnergyInput:
     @pytest.mark.parametrize("steps", [0, -3])
     def test_steps_below_one_rejected(self, steps):
         with pytest.raises(InvalidInputError):
-            fc.simulate(_evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]]), [0.0], steps, [1.0])
+            fc.simulate(_evaluator([[0.0]], 1.0), [[1.0]], [0.0], steps, [1.0])
 
     @pytest.mark.parametrize("steps", [50, 500])
     def test_adjoint_takes_one_expm_whatever_the_steps(self, karate, rng, monkeypatch, steps):
@@ -101,7 +101,7 @@ class TestMinEnergyInput:
         nonsymmetric = fc.LinearSystem(random_stable_system(rng, 5))
         for system, expected in ((nonsymmetric, 1), (karate["system"], 0)):
             calls.clear()
-            schematic = fc.InputSchematic(rng.standard_normal((system.n, 2)))
+            schematic = rng.standard_normal((system.n, 2))
             evaluator = fc.GramianEvaluator(system, 1.5)
             fc.simulate(evaluator, schematic, np.zeros(system.n), steps,
                         rng.standard_normal(system.n))
@@ -111,7 +111,7 @@ class TestMinEnergyInput:
 def _parent_recurrence(evaluator, schematic, x0, steps):
     """States of the run with the adjoint p = 0 through ``step``'s full one-step
     map: lam = 0 walked back through exp(hA), and its input term through W_h."""
-    e, w = evaluator.step(schematic.B, steps)
+    e, w = evaluator.step(schematic, steps)
     lam = np.zeros((steps + 1, x0.size))
     for k in range(steps, 0, -1):
         lam[k - 1] = lam[k] @ e
@@ -136,11 +136,11 @@ class TestSimulate:
             "doubled-thick": (6, 3, 60.0, True)}[case]
         system = (karate["system"] if case == "symmetric"
                   else fc.LinearSystem(random_stable_system(rng, n, scale=scale)))
-        schematic = fc.InputSchematic(rng.standard_normal((n, m)))
+        schematic = rng.standard_normal((n, m))
         x0, steps = rng.standard_normal(n), 20
         if case != "symmetric":
             # A doubled ladder's top is no longer expm(hA)'s bits.
-            top = gramian._doubling_gramian(system.A, schematic.B, 1.5 / steps, top=True)[1]
+            top = gramian._doubling_gramian(system.A, schematic, 1.5 / steps, top=True)[1]
             assert np.array_equal(top, expm(1.5 / steps * system.A)) != doubled
         expected = _parent_recurrence(fc.GramianEvaluator(system, 1.5), schematic, x0, steps)
 
@@ -162,7 +162,7 @@ class TestSimulate:
         npt.assert_array_equal(traj.cumulative_energy, np.zeros(steps + 1))
 
     def test_zero_input_zero_dynamics_constant(self):
-        schematic = fc.InputSchematic.identity(3)
+        schematic = np.eye(3)
         x0 = np.array([1.0, -2.0, 0.5])
         traj = fc.simulate(_evaluator(np.zeros((3, 3)), 1.0), schematic, x0, 10)
         npt.assert_allclose(traj.states, np.tile(x0, (11, 1)), atol=1e-15)
@@ -172,7 +172,7 @@ class TestSimulate:
     def test_consensus_contracts_toward_average(self, karate, rng):
         system = karate["system"]
         x0 = rng.standard_normal(34)
-        schematic = fc.InputSchematic(np.eye(34)[:, [0]])
+        schematic = np.eye(34)[:, [0]]
         traj = fc.simulate(fc.GramianEvaluator(system, 3.0), schematic, x0, 300)
         deviations = np.abs(traj.states - traj.states.mean(axis=1, keepdims=True)).max(axis=1)
         sampled = deviations[::30]
@@ -184,7 +184,7 @@ class TestSimulate:
 
     def test_cumulative_energy_monotone_and_zero_start(self, rng):
         a = random_stable_system(rng, 3)
-        traj = fc.simulate(_evaluator(a, 2.0), fc.InputSchematic.identity(3), np.zeros(3), 100,
+        traj = fc.simulate(_evaluator(a, 2.0), np.eye(3), np.zeros(3), 100,
                            rng.standard_normal(3))
         assert traj.cumulative_energy[0] == 0.0
         assert np.all(np.diff(traj.cumulative_energy) >= 0.0)
@@ -194,13 +194,13 @@ class TestSimulate:
             n = int(rng.integers(2, 6))
             a = random_stable_system(rng, n)
             system = fc.LinearSystem(a)
-            schematic = fc.InputSchematic(rng.standard_normal((n, n)))
+            schematic = rng.standard_normal((n, n))
             t_star = float(rng.uniform(0.6, 1.5))
             evaluator = fc.GramianEvaluator(system, t_star)
             x0 = rng.standard_normal(n)
             z = expm(t_star * system.A) @ x0
             goal = fc.LinearGoal(np.ones(n), float(np.ones(n) @ z) + 1.0)
-            sel = fc.select_state(evaluator.bundle(schematic.B), z, goal)
+            sel = fc.select_state(evaluator.bundle(schematic), z, goal)
             traj = fc.simulate(evaluator, schematic, x0, 2000, sel.p)
             err = np.linalg.norm(traj.endpoint - sel.x_star)
             assert err <= 1e-12 * (1.0 + np.linalg.norm(sel.x_star))
@@ -220,7 +220,7 @@ class TestSimulate:
         b = rng.standard_normal((n, m))
         x0, p = rng.standard_normal((2, n))
         t_star = float(rng.uniform(0.1, 3.0))
-        traj = fc.simulate(_evaluator(a, t_star), fc.InputSchematic(b), x0, steps, p)
+        traj = fc.simulate(_evaluator(a, t_star), b, x0, steps, p)
         times, states, inputs, energy = exact_grid_reference(a, b, p, x0, t_star, steps)
         npt.assert_array_equal(traj.times, times)
         for got, ref in ((traj.states, states), (traj.inputs, inputs),
@@ -241,7 +241,7 @@ class TestSimulate:
             reference = times[np.argmax(np.array(logs) >= big) - 1]
             evaluator = _evaluator(a, t_star)
             with pytest.raises(DivergenceError) as exc:
-                fc.simulate(evaluator, fc.InputSchematic([[1.0], [0.0]]), x0, 100)
+                fc.simulate(evaluator, [[1.0], [0.0]], x0, 100)
             assert 0.0 < exc.value.last_valid_time == reference < t_star
             # The run checks its states once, after the recurrence: the time is
             # that of the state before the first non-finite one.
@@ -256,15 +256,15 @@ class TestSimulate:
     def test_wrong_input_length_rejected(self, width):
         # The adjoint p sets the input, so it must match the state dimension.
         with pytest.raises(InvalidInputError):
-            fc.simulate(_evaluator([[-1.0]], 1.0), fc.InputSchematic([[1.0]]), [1.0], 10,
+            fc.simulate(_evaluator([[-1.0]], 1.0), [[1.0]], [1.0], 10,
                         np.ones(width))
 
     def test_bad_steps_rejected(self):
         with pytest.raises(InvalidInputError):
-            fc.simulate(_evaluator([[0.0]], 1.0), fc.InputSchematic([[1.0]]), [0.0], 1)
+            fc.simulate(_evaluator([[0.0]], 1.0), [[1.0]], [0.0], 1)
 
     def test_csv_roundtrip(self, tmp_path):
-        schematic = fc.InputSchematic.identity(2)
+        schematic = np.eye(2)
         traj = fc.simulate(_evaluator(np.zeros((2, 2)), 1.0), schematic, [1.0, 2.0], 4)
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
