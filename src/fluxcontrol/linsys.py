@@ -201,4 +201,8 @@ def output_controllable_sufficient(weights, B) -> bool:
     b = as_columns(B)
     w = as_vector(weights, n=b.shape[0], name="weights")
     wn = np.linalg.norm(w)
-    return any(abs(float(w @ col)) > 1e-12 * wn * np.linalg.norm(col) for col in b.T)
+    for j in range(b.shape[1]):
+        col = b[:, j]
+        if abs(float(w @ col)) > 1e-12 * wn * np.linalg.norm(col):
+            return True
+    return False

@@ -86,6 +86,10 @@ def project_sphere(B, epsilon: float = 0.0) -> np.ndarray:
     """Rescale a schematic matrix onto the sphere tr(B^T B) = m + epsilon."""
     b = as_columns(B)
     m = b.shape[1]
+    e = np.asarray(epsilon)
+    if e.shape or e.dtype.kind not in "iuf" or not -m < float(e) < np.inf:
+        raise InvalidInputError(f"epsilon must be a finite real with m + epsilon > 0, "
+                                f"got {epsilon!r} for m = {m}")
     tr = float(np.sum(b * b))
     if tr <= 0.0:
         raise InvalidInputError("cannot project the zero matrix onto the sphere")
@@ -285,11 +289,12 @@ def pgme_driver_select(B, k: int):
     chosen: list[int] = []
     taken = np.zeros(n, dtype=bool)
     for j in range(k):
-        weights = np.abs(b[:, j])
+        weights = np.abs(b[:, j]).copy()
         weights[taken] = -np.inf
         row = int(np.argmax(weights))
         chosen.append(row)
         taken[row] = True
     binary = np.zeros((n, k))
-    binary[chosen, np.arange(k)] = 1.0
+    for j, row in enumerate(chosen):
+        binary[row, j] = 1.0
     return chosen, binary

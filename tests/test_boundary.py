@@ -74,6 +74,10 @@ _CASES = {
     "ram_baseline-n-float": ("n", lambda: fc.ram_baseline(3.5, 1, 0)),
     "ram_baseline-m-float": ("m", lambda: fc.ram_baseline(4, 1.5, 0)),
     "ram_baseline-seed-float": ("seed", lambda: fc.ram_baseline(4, 1, 0.5)),
+    **{f"ram_baseline-epsilon-{k}": ("epsilon", lambda x=x: fc.ram_baseline(4, 1, 0, epsilon=x))
+       for k, x in {"nan": np.nan, "inf": np.inf, "-2": -2.0}.items()},
+    "project_sphere-epsilon-nan": (
+        "epsilon", lambda: fc.project_sphere(np.ones((3, 1)), epsilon=np.nan)),
     "pgme_driver_select-k-float": ("k", lambda: fc.pgme_driver_select(np.eye(4), 1.5)),
     "from_edges-n-float": ("n", lambda: fc.LinearSystem.from_edges(2.5, [0], [1], [1.0])),
 }

@@ -944,8 +944,9 @@ def test_gpgm_repulsion_runs_on_few_input_gramians(tmp_path, karate_path):
     ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--epsilon", "inf"],
     ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--sigma", "inf"],
     ["place", "--method", "gpgm", "--goal", "variance", "--starts", "1", "--delta-star", "nan"],
+    ["place", "--method", "ram", "--epsilon", "inf"],
 ], ids=["variance-nan", "variance-inf", "mean-inf", "repulsion-inf", "epsilon-inf",
-        "sigma-inf", "delta-star-nan"])
+        "sigma-inf", "delta-star-nan", "ram-epsilon-inf"])
 def test_non_finite_thresholds_are_input_errors(tmp_path, karate_path, argv):
     # NaN passed the sign checks (a non-binding corner, exit 0), and inf reached
     # the solvers: NaN x_star, "energy": Infinity, or a Gramian overflow after
