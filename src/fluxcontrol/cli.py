@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._util import as_columns, as_count, as_horizon, as_vector
+from ._util import as_columns, as_count, as_positive_real, as_vector
 from .centrality import centrality_histogram, flux_sweep
 from .errors import FluxControlError, InvalidInputError, SimulationAccuracyError
 from .gramian import GramianEvaluator
@@ -177,7 +177,7 @@ def _horizon(args):
     """The one horizon of a subcommand that takes a single ``--t-star``."""
     if len(args.t_star) != 1:
         raise InvalidInputError(f"--t-star needs exactly one horizon, got {len(args.t_star)}")
-    return as_horizon(args.t_star[0])
+    return as_positive_real(args.t_star[0], "t_star")
 
 
 def _build_goal(args, n):

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm, hilbert
 from scipy.linalg.blas import dnrm2
 
-from ._util import as_columns, as_count, as_horizon, as_matrix, as_vector, canonical_sign
+from ._util import as_columns, as_count, as_matrix, as_positive_real, as_vector, canonical_sign
 from .errors import InvalidInputError
 from .linsys import LinearSystem
 
@@ -72,7 +72,7 @@ class GramianBundle:
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
-        bundle = cls(W=W, t_star=as_horizon(t_star))
+        bundle = cls(W=W, t_star=as_positive_real(t_star, "t_star"))
         # Seed the cached property with the eigenvalues the check just took.
         bundle.__dict__["eigenvalues"] = vals[::-1]
         return bundle
@@ -255,7 +255,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     horizon's bound asks for them, so each horizon gets the k, Q_k and H_k that
     a fresh run would give. A call with another v replaces the kept space.
     """
-    t_star = as_horizon(t_star)
+    t_star = as_positive_real(t_star, "t_star")
     vv = as_vector(v, n=system.n, name="v")
     beta = np.float64(dnrm2(vv))
     if beta == 0.0:
@@ -384,7 +384,7 @@ class GramianEvaluator:
 
     def __init__(self, system: LinearSystem, t_star: float):
         self.system = system
-        self.t_star = as_horizon(t_star)
+        self.t_star = as_positive_real(t_star, "t_star")
         self._symmetric = system.is_symmetric()
         # exp(sA) by s, the first series Gramian on A over s leaving its ladder's top
         # here; and the last step map, ((B's shape and bytes, steps), exp(hA), W_h).

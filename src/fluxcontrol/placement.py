@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._util import as_columns, as_count, as_vector
+from ._util import as_columns, as_count, as_positive_real, as_vector
 from .errors import (
     FluxControlError,
     InvalidInputError,
@@ -59,9 +59,9 @@ class GpgmConfig:
 
     def __post_init__(self):
         for name in ("sigma", "delta_star", "epsilon"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise InvalidInputError(f"{name} must be positive and finite")
+            as_positive_real(getattr(self, name), name)
         as_count(self.max_iters, "max_iters")
+        as_count(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,11 @@ _CASES = {
     "place_mean_optimal-m-float": (
         "m", lambda: fc.place_mean_optimal(fc.laplacian_system(_PATH), np.ones(4), 1.0, 1.5)),
     "GpgmConfig-max_iters-float": ("max_iters", lambda: fc.GpgmConfig(max_iters=2.5)),
+    "GpgmConfig-sigma-str": ("sigma", lambda: fc.GpgmConfig(sigma="a")),
+    "GpgmConfig-delta_star-None": ("delta_star", lambda: fc.GpgmConfig(delta_star=None)),
+    "GpgmConfig-epsilon-nan": ("epsilon", lambda: fc.GpgmConfig(epsilon=np.nan)),
+    "GpgmConfig-seed-negative": ("seed", lambda: fc.GpgmConfig(seed=-1)),
+    "GpgmConfig-seed-float": ("seed", lambda: fc.GpgmConfig(seed=2.5)),
     "ram_baseline-n-float": ("n", lambda: fc.ram_baseline(3.5, 1, 0)),
     "ram_baseline-m-float": ("m", lambda: fc.ram_baseline(4, 1.5, 0)),
     "ram_baseline-seed-float": ("seed", lambda: fc.ram_baseline(4, 1, 0.5)),

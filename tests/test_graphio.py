@@ -247,7 +247,8 @@ class TestDenseMatrixIO:
     @pytest.mark.parametrize("matrix", [
         [[-0.0, 1.5, 1e-300], [np.pi, -2.0, 7.0]], [[-0.0, 3.0, -1e300]], [0.5, -0.0],
         np.arange(6).reshape(3, 2), np.random.default_rng(3).standard_normal((34, 2)),
-    ], ids=["signed-zero", "one-row", "vector", "integers", "column-pair"])
+        np.random.default_rng(4).standard_normal((300, 7)) * np.logspace(-12, 22, 2100).reshape(300, 7),
+    ], ids=["signed-zero", "one-row", "vector", "integers", "column-pair", "decades"])
     @pytest.mark.parametrize("header", [None, "bin_lo,bin_hi,count (t_star=0.5)"])
     def test_matrix_csv_is_the_bytes_of_savetxt(self, tmp_path, matrix, header):
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"

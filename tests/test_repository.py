@@ -1,5 +1,6 @@
 """Source invariants and the README's runnable examples."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -42,6 +43,19 @@ def test_only_gramian_imports_expm():
         if path.name != "gramian.py"
         for k, line in enumerate(path.read_text().splitlines(), 1)
         if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_float_csvs_go_through_the_one_writer():
+    # _util.write_csv_rows writes every float CSV, with '%.17g' fields; no
+    # module formats an array through np.savetxt or ndarray.tofile.
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("savetxt", "tofile")
     ]
     assert hits == []
 

@@ -275,10 +275,18 @@ class TestSimulate:
         assert first == [0.0, 1.0, 2.0, 0.0, 0.0, 0.0]
 
     def test_csv_bytes_match_csv_writer_reference(self, tmp_path, rng):
+        # The 20 drawn shapes take write_csv_rows's row template. The fixed ones
+        # pass its 256-field crossover to the numpy path: 325 fields in one
+        # block, then several 1024-field blocks, narrow rows, and rows of 1103
+        # fields that span two blocks, with half their values in the decades
+        # that path prints in fixed notation.
         specials = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, np.nan, np.inf, -np.inf])
-        for k in range(20):
-            n, m, rows = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 9))
-            cols = [rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-300, 300, (rows, width))
+        large = [(60, 3, 5, 8), (400, 2, 7, 20), (1, 1, 1500, 20), (1100, 1, 2, 20)]
+        for k, shape in enumerate([None] * 20 + large):
+            n, m, rows, decades = shape or (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
+                                            int(rng.integers(1, 9)), 300)
+            cols = [rng.standard_normal((rows, width))
+                    * 10.0 ** rng.integers(-decades, decades, (rows, width))
                     for width in (1, n, m, 1)]
             for col in cols:
                 mask = rng.random(col.shape) < 0.3
