@@ -1,5 +1,7 @@
 """Small numeric helpers shared across modules."""
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidInputError
@@ -179,47 +181,51 @@ def _fixed_digits(x):
 _CONSTANTS = b"\0" + b"0.%17g-,"
 _NUL, _ZERO, _POINT, _PERCENT, _ONE, _SEVEN, _G, _MINUS, _COMMA, _END = range(10)
 _LEAD, _SRC_COLS, _WIDTH = 11, 28, 25  # "-0.000" + 17 digits + 2 line-end bytes
-_GROUPS = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-_DIGITS4 = (_GROUPS + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-# _LAST[i, g]: the place among digits 1..16 of group i's last nonzero digit, 0 for g = 0.
-_LAST = np.where(_GROUPS.any(axis=1),
-                 4 * np.arange(1, 5)[:, None] - np.argmax(_GROUPS[:, ::-1] != 0, axis=1),
-                 0).astype(np.uint8)
-del _GROUPS
 _ROW_START = np.arange(0, _BLOCK * _SRC_COLS, _SRC_COLS)[:, None]
-
-
-# Layout rows, one per key = 4 * (17 * (X + 4) + last) + 2 * negative + line_end:
-# a fixed field shows the decimal places 10**top down to 10**bottom, top =
-# max(X, 0) and bottom = min(X - last, 0), with a point after 10**0 when bottom
-# < 0; the place 10**p holds digit X - p when p <= X, else a leading '0'. Keys
-# _PLACEHOLDER and _PLACEHOLDER + 1 write '%.17g'.
+# Layout rows, one per key = 4 * (17 * (X + 4) + last) + 2 * negative + line_end;
+# keys _PLACEHOLDER and _PLACEHOLDER + 1 write '%.17g'.
 _PLACEHOLDER = 2 * 2 * 21 * 17
 
 
-def _layouts():
-    key = np.arange(_PLACEHOLDER)[:, None]
+@functools.cache
+def _tables():
+    """The ASCII digits of each 4-digit group as one 32-bit word; ``last_place[i,
+    g]``, the place among digits 1..16 of group i's last nonzero digit (0 for g = 0);
+    and the layout rows. Built on the first write that takes the numpy path,
+    so a process that writes no large CSV pays neither their time nor memory."""
+    groups = np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+    groups %= 10
+    digits4 = (groups + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    last_place = np.where(groups.any(axis=1),
+                          4 * np.arange(1, 5, dtype=np.uint8)[:, None]
+                          - np.argmax(groups[:, ::-1] != 0, axis=1).astype(np.uint8),
+                          0).astype(np.uint8)
+    # A fixed field shows the decimal places 10**top down to 10**bottom, top =
+    # max(X, 0) and bottom = min(X - last, 0), with a point after 10**0 when
+    # bottom < 0; the place 10**p holds digit X - p when p <= X, else a '0'.
+    key = np.arange(_PLACEHOLDER, dtype=np.int16)[:, None]
     x, last, negative, line_end = key // 68 - 4, key // 4 % 17, key // 2 % 2, key % 2
     top, bottom = np.maximum(x, 0), np.minimum(x - last, 0)
-    slot = np.arange(_WIDTH) - negative  # the byte's place in the unsigned number
+    slot = np.arange(_WIDTH, dtype=np.int16) - negative  # the byte's place in the unsigned number
     place = top - slot + (slot > top)
     cols = np.where(place > x, _ZERO, _LEAD + x - place)
     cols = np.where(slot == top + 1, _POINT, cols)
     end = top - bottom + 1 + (bottom < 0)
     cols = np.where(slot < end, cols, np.where(slot > end, _NUL, np.where(line_end, _END, _COMMA)))
     cols = np.where((slot == end + 1) & (line_end == 1), _END + 1, cols)
-    placeholder = np.zeros((2, _WIDTH), np.intp)
+    placeholder = np.zeros((2, _WIDTH), np.int16)
     placeholder[:, :5] = [_PERCENT, _POINT, _ONE, _SEVEN, _G]
     placeholder[:, 5:7] = [[_COMMA, _NUL], [_END, _END + 1]]
-    return np.vstack([np.where(slot < 0, _MINUS, cols), placeholder])
-
-
-_LAYOUTS = _layouts()
+    layouts = np.vstack([np.where(slot < 0, _MINUS, cols), placeholder]).astype(np.intp)
+    for table in (digits4, last_place, layouts):
+        table.flags.writeable = False
+    return digits4, last_place, layouts
 
 
 def _format_block(x, src, first, ncols):
     """The text of the flat fields ``x``, the first of them field ``first`` of
     rows ``ncols`` wide; ``src`` holds the constants in its leading columns."""
+    digits4, last_place, layouts = _tables()
     d, e, fixed = _fixed_digits(x)
     k = x.size
     top, low = np.divmod(d, 10**8)
@@ -229,11 +235,11 @@ def _format_block(x, src, first, ncols):
     src[:k, _LEAD] = lead + ord("0")
     words, last = src.view(np.uint32), np.zeros(k, np.uint8)
     for i, g in enumerate((g1, g2, g3, g4)):
-        words[:k, 3 + i] = _DIGITS4[g]
-        np.maximum(last, _LAST[i, g], out=last)
+        words[:k, 3 + i] = digits4[g]
+        np.maximum(last, last_place[i, g], out=last)
     line_end = np.arange(first, first + k) % ncols == ncols - 1
     key = np.where(fixed, 4 * (17 * (e + 4) + last) + 2 * (x < 0), _PLACEHOLDER) + line_end
-    index = np.take(_LAYOUTS, key, axis=0)
+    index = np.take(layouts, key, axis=0)
     index += _ROW_START[:k]
     text = np.take(src.ravel(), index).tobytes().translate(None, b"\0").decode("ascii")
     return text if fixed.all() else text % tuple(x[~fixed].tolist())
