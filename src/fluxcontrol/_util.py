@@ -60,6 +60,13 @@ def as_positive_real(x, name) -> float:
     return float(t)
 
 
+def same_bits(x, y) -> bool:
+    """Whether two arrays hold the same values bit for bit: equal shapes and
+    dtypes, and elements equal as unsigned integers, so -0.0 is not 0.0."""
+    return x is y or (x.shape == y.shape and x.dtype == y.dtype and np.array_equal(
+        x.view(f"u{x.itemsize}"), y.view(f"u{y.itemsize}")))
+
+
 def as_count(x, name, minimum=1) -> int:
     """An integer count, a Python or numpy integer (never a bool), of at least ``minimum``."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):

@@ -26,7 +26,15 @@ import numpy as np
 from scipy.linalg import expm, hilbert
 from scipy.linalg.blas import dnrm2
 
-from ._util import as_columns, as_count, as_matrix, as_positive_real, as_vector, canonical_sign
+from ._util import (
+    as_columns,
+    as_count,
+    as_matrix,
+    as_positive_real,
+    as_vector,
+    canonical_sign,
+    same_bits,
+)
 from .errors import InvalidInputError
 from .linsys import LinearSystem
 
@@ -45,36 +53,48 @@ class GramianBundle:
     ``from_matrix`` validates a Gramian from outside (finite, symmetric, PSD)
     and keeps the eigenvalues its check computed. ``GramianEvaluator.bundle``
     builds the bundle directly on symmetric dynamics, where W is symmetric by
-    construction and PSD by the Schur product theorem.
+    construction and PSD by the Schur product theorem. On nonsymmetric
+    dynamics the system's kernel memo holds the bundle of its last W, so
+    every array a bundle holds or derives is read-only: a bundle may be
+    shared by later runs on the same system.
 
     Attributes:
-        W: symmetric positive semidefinite n x n matrix.
+        W: symmetric positive semidefinite n x n matrix, read-only (a
+            read-only view of a writeable argument).
         t_star: horizon the integral was taken over.
     """
 
     W: np.ndarray
     t_star: float
 
+    def __post_init__(self):
+        if self.W.flags.writeable:
+            object.__setattr__(self, "W", _read_only(self.W.view()))
+
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
-        """Validate and symmetrize a computed Gramian and take its eigenvalues."""
+        """Validate and symmetrize a computed Gramian and take its eigenvalues.
+        A read-only W that is symmetric to the bit is kept, not copied:
+        0.5 (W + W^T) would equal it."""
         W = as_matrix(W, name="W", square=True)
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
+        keep = not W.flags.writeable and same_bits(W, W.T)
         # Max entries, not norms: a norm squares them and overflows past ~1e154.
         # W - W^T is antisymmetric, so its largest entry is its largest magnitude.
         with np.errstate(over="ignore"):
-            if (W - W.T).max() > 1e-10 * scale:
-                raise InvalidInputError("gramian is not symmetric within tolerance")
-            # Halving before the sum would move normal entries' bits; past ~9e307 it overflows.
-            W = 0.5 * (W + W.T)
-        if not np.all(np.isfinite(W)):
+            if not keep:
+                if (W - W.T).max() > 1e-10 * scale:
+                    raise InvalidInputError("gramian is not symmetric within tolerance")
+                # Halving before the sum would move normal entries' bits; past ~9e307 it overflows.
+                W = 0.5 * (W + W.T)
+        if not (2.0 * scale < np.inf if keep else np.all(np.isfinite(W))):
             raise InvalidInputError("gramian overflows when symmetrized: rescale it")
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
         bundle = cls(W=W, t_star=as_positive_real(t_star, "t_star"))
         # Seed the cached property with the eigenvalues the check just took.
-        bundle.__dict__["eigenvalues"] = vals[::-1]
+        bundle.__dict__["eigenvalues"] = _read_only(vals[::-1])
         return bundle
 
     @cached_property
@@ -86,7 +106,13 @@ class GramianBundle:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of W sorted descending."""
-        return np.linalg.eigvalsh(self.W)[::-1]
+        return _read_only(np.linalg.eigvalsh(self.W)[::-1])
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors."""
+        vals, vecs = np.linalg.eigh(self.W)
+        return _read_only(vals), _read_only(vecs)
 
     @property
     def n(self) -> int:
@@ -143,6 +169,59 @@ def _finite(x: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise InvalidInputError(f"{what} overflow: shorten t_star or rescale A")
     return x
+
+
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+# A system's kernel memo, ``LinearSystem._memo``, maps a kernel kind to one
+# (key, value) pair: the value is a tuple of the kernel's outputs, read-only,
+# and the key its exact inputs, arrays among them by identity. Every array in
+# a key is the read-only output of another entry, or the held copy of a
+# schematic, so identity stands for equal bits. Threads may share a system:
+# each step reads or replaces a whole pair, so a race costs a second kernel
+# call, never a value under another's key.
+
+
+def _recall(memo: dict, kind: str, key: tuple, compute) -> tuple:
+    """``compute()`` through ``memo``: the held value of ``kind`` if its key
+    matches ``key``, else the new value, which replaces it. A miss drops the
+    held entry before it computes, so no call's peak memory grows."""
+    held = memo.get(kind)
+    if held is not None and len(held[0]) == len(key) and all(
+            h is k if isinstance(h, np.ndarray) else h == k for h, k in zip(held[0], key)):
+        return held[1]
+    _forget(memo, kind)
+    value = tuple(compute())
+    for x in value:
+        if isinstance(x, np.ndarray):
+            _read_only(x)
+    memo[kind] = (key, value)
+    return value
+
+
+def _forget(memo: dict, kind: str) -> None:
+    """Drop the entry of ``kind`` and, in turn, every entry keyed on its arrays."""
+    held = memo.pop(kind, None)
+    if held is not None:
+        for other, (key, _) in list(memo.items()):
+            if any(x is y for x in key for y in held[1] if y is not None):
+                _forget(memo, other)
+
+
+def _schematic(memo: dict, b: np.ndarray) -> np.ndarray:
+    """The memo's one read-only copy of the schematic ``b``, which kernels
+    read in its place. A ``b`` of other bits or strides replaces it, and with
+    it every entry keyed on it."""
+    held = memo.get("B")
+    if held is not None and held[1][0].strides == b.strides and same_bits(held[1][0], b):
+        return held[1][0]
+    _forget(memo, "B")
+    copy = _read_only(b.copy(order="K"))
+    memo["B"] = ((), (copy,))
+    return copy
 
 
 # Base step h = t*/2^d of the Gramian series: ||A||_1 h <= _THETA.
@@ -377,6 +456,16 @@ class GramianEvaluator:
     held step map makes ``W(t*)`` of its ``B`` the sum of its steps (``_chain``),
     with ``exp(t* A)`` if the table lacks it: it moves the bits of ``W(t*)``, as
     the first Gramian's ladder moves those of ``propagator(t*)``.
+
+    Which route each exponential and Gramian takes is this evaluator's own
+    state, and a new evaluator starts it empty, so it makes the kernel calls
+    that one on a fresh system makes, in the same order. The kernels are pure,
+    and the system memoizes them under their exact inputs (one entry per kind):
+    ``eigh(A)`` and the eigen weights of a horizon, a series Gramian
+    (``_doubling_gramian``), the chain of a step map, ``expm(sA)`` and the
+    bundle of a series W. So evaluators on one system, such as successive CLI
+    runs on one network, reuse the work and get the bits a fresh system gives.
+    Every array it returns is read-only.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.
@@ -387,15 +476,21 @@ class GramianEvaluator:
         self.t_star = as_positive_real(t_star, "t_star")
         self._symmetric = system.is_symmetric()
         # exp(sA) by s, the first series Gramian on A over s leaving its ladder's top
-        # here; and the last step map, ((B's shape and bytes, steps), exp(hA), W_h).
+        # here; and the last step map, (B's held copy, steps, exp(hA), W_h).
         self._propagators, self._step_map = {}, None
         if self._symmetric:
-            self._eigvals, self._eigvecs = np.linalg.eigh(system.A)
+            self._eigvals, self._eigvecs = _recall(system._memo, "eigh", (),
+                                                   lambda: np.linalg.eigh(system.A))
             self._weights = self._eigen_weights(self.t_star)
 
     def _eigen_weights(self, t: float) -> np.ndarray:
+        """The weights of the eigenbasis Gramian over [0, t] (``_weights_at``),
+        memoized on the system."""
+        return _recall(self.system._memo, "weights", (t.hex(),), lambda: (self._weights_at(t),))[0]
+
+    def _weights_at(self, t: float) -> np.ndarray:
         """Entrywise ``expm1((a_i + a_j) t) / (a_i + a_j)`` over the eigenvalues,
-        the series limit where the sum is small: the eigenbasis Gramian over [0, t]."""
+        the series limit where the sum is small."""
         s = self._eigvals[:, None] + self._eigvals[None, :]
         small = np.abs(s) < self._SERIES_TOL
         safe = np.where(small, 1.0, s)
@@ -414,16 +509,21 @@ class GramianEvaluator:
 
     def _integral(self, b: np.ndarray, t: float, flux: bool = False) -> np.ndarray:
         """int_0^t exp(sa) b b^T exp(sa^T) ds, a = A^T if ``flux`` else A (equal
-        when symmetric), for a checked schematic ``b``."""
+        when symmetric), for a checked schematic ``b``; read-only."""
         if self._symmetric:
             weights = self._weights if t == self.t_star else self._eigen_weights(t)
-            return self._eigen_gramian(b, weights)
-        top, held = not flux and t not in self._propagators, self._step_map
+            return _read_only(self._eigen_gramian(b, weights))
+        memo = self.system._memo
+        top, held, b = not flux and t not in self._propagators, self._step_map, _schematic(memo, b)
         with np.errstate(over="ignore", invalid="ignore"):
-            if not flux and t == self.t_star and held and held[0][0] == (b.shape, b.tobytes()):
-                w, e = _chain(held[1], held[2], held[0][1], top)
+            if not flux and t == self.t_star and held and same_bits(held[0], b):
+                _, steps, e_h, w_h = held
+                w, e = _recall(memo, "chain", (e_h, w_h, steps, top),
+                               lambda: _chain(e_h, w_h, steps, top))
             else:
-                w, e = _doubling_gramian(self.system.A.T if flux else self.system.A, b, t, top)
+                a = self.system.A.T if flux else self.system.A
+                w, e = _recall(memo, "doubling", (b, t.hex(), flux, top),
+                               lambda: _doubling_gramian(a, b, t, top))
         if top:
             self._propagators[t] = e
         return _finite(w, "Gramian")
@@ -439,10 +539,13 @@ class GramianEvaluator:
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
         construction, so only the series W, which roundoff in the doublings can
-        leave indefinite, goes through ``GramianBundle.from_matrix``'s checks."""
+        leave indefinite, goes through ``GramianBundle.from_matrix``'s checks;
+        the system's memo holds that bundle with its W."""
+        W = self.matrix(B)
         if self._symmetric:
-            return GramianBundle(self.matrix(B), self.t_star)
-        return GramianBundle.from_matrix(self.matrix(B), self.t_star)
+            return GramianBundle(W, self.t_star)
+        return _recall(self.system._memo, "bundle", (W, self.t_star.hex()),
+                       lambda: (GramianBundle.from_matrix(W, self.t_star),))[0]
 
     def propagator(self, s: float) -> np.ndarray:
         """``exp(sA)``, built once per ``s`` and read-only: every caller shares it."""
@@ -452,22 +555,21 @@ class GramianEvaluator:
                 if self._symmetric:
                     e = (self._eigvecs * np.exp(self._eigvals * s)) @ self._eigvecs.T
                 else:
-                    e = expm(s * self.system.A)
-            self._propagators[s] = e
-        e.flags.writeable = False
+                    e = _recall(self.system._memo, "expm", (float(s).hex(),),
+                                lambda: (expm(s * self.system.A),))[0]
+            self._propagators[s] = _read_only(e)
         return _finite(e, "propagator")
 
     def step(self, B, steps: int) -> tuple[np.ndarray, np.ndarray]:
         """``(exp(hA), W_h(B))`` over one step ``h = t*/steps``, read-only and held."""
         steps, b = as_count(steps, "steps"), as_columns(B, self.system.n)
-        key, held = ((b.shape, b.tobytes()), steps), self._step_map
-        if held is None or held[0] != key:
+        held = self._step_map
+        if held is None or held[1] != steps or not same_bits(held[0], b):
             # W_h is the ladder's, never a chain of the map it replaces.
             self._step_map, h = None, self.t_star / steps
             w = self._integral(b, h)
-            w.flags.writeable = False
-            held = self._step_map = (key, self.propagator(h), w)
-        return held[1:]
+            held = self._step_map = (_schematic(self.system._memo, b), steps, self.propagator(h), w)
+        return held[2:]
 
     def propagate(self, x0) -> np.ndarray:
         """Autonomous endpoint ``exp(t* A) x0``."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import as_columns, as_count, as_matrix, as_vector
+from ._util import as_columns, as_count, as_matrix, as_vector, same_bits
 from .errors import InvalidInputError
 
 __all__ = [
@@ -36,13 +36,18 @@ class LinearSystem:
             formed on first read for a system from ``from_edges``.
         edges: ``(rows, cols, values)`` of A's entries for a system from
             ``from_edges``, else None.
+
+    A system also keeps what the Gramian engine derived from it: one slot for
+    ``flux_matrix``'s Krylov space of (A^T, v), for the last v it took, and a
+    memo of the engine's pure kernels (``gramian``), each value under its
+    exact inputs. Neither is pickled or copied.
     """
 
     def __init__(self, A):
         a = as_matrix(A, name="A", square=True).copy()
         a.flags.writeable = False
-        # One slot for flux_matrix's Krylov space of (A^T, v), for the last v it took.
-        self.n, self.edges, self._source, self._a, self._krylov = a.shape[0], None, None, a, [None]
+        self.n, self.edges, self._source, self._a = a.shape[0], None, None, a
+        self._krylov, self._memo = [None], {}
 
     @classmethod
     def from_edges(cls, n, rows, cols, weights, laplacian=False) -> "LinearSystem":
@@ -78,7 +83,8 @@ class LinearSystem:
             edges = (np.concatenate([rows, diag]), np.concatenate([cols, diag]), as_vector(
                 np.concatenate([off, -np.bincount(rows, weights=off, minlength=n)]), name="A"))
         system = cls.__new__(cls)
-        system.n, system.edges, system._source, system._a, system._krylov = n, edges, source, None, [None]
+        system.n, system.edges, system._source, system._a = n, edges, source, None
+        system._krylov, system._memo = [None], {}
         return system
 
     @property
@@ -98,6 +104,16 @@ class LinearSystem:
     def __reduce__(self):
         # Pickle and deepcopy rebuild from A or the edge arrays: the cached space holds a lock.
         return (type(self), (self._a,)) if self._source is None else (self.from_edges, self._source)
+
+    def same_bits(self, other: "LinearSystem") -> bool:
+        """Whether ``other`` was built from the same bits: the same dense A, or
+        the same edge arrays and ``laplacian`` flag (-0.0 is not 0.0)."""
+        if (self._source is None) != (other._source is None):
+            return False
+        if self._source is None:
+            return same_bits(self._a, other._a)
+        (n, *arrays, laplacian), (m, *others, lap) = self._source, other._source
+        return n == m and bool(laplacian) == bool(lap) and all(map(same_bits, arrays, others))
 
     def is_symmetric(self) -> bool:
         # Max-abs entries, not norms: a norm squares them and overflows past ~1e154.

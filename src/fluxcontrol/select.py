@@ -271,7 +271,8 @@ def _solve_quadratic(W: GramianBundle, z, O, r0, eta: float, sense: str) -> Stat
     attains the reachable minimum ``sum_{theta_i = 0} c_i^2``; every
     ``theta_i <= _NULL_RTOL theta_max`` counts as zero there, and its residual
     stays ``c_i``. ``W`` is never inverted, so it may be singular. ``O=None``
-    is the identity, and no product with it is formed.
+    is the identity, and no product with it is formed: the eigenpairs are
+    ``W.eigh``, taken once per bundle.
     """
     if O is None:
         owo = W.W
@@ -283,7 +284,7 @@ def _solve_quadratic(W: GramianBundle, z, O, r0, eta: float, sense: str) -> Stat
         theta, u = _pole_pairs(owo)
         _require_movable(W, float(theta[-1]), unmovable)
         return _pole_selection(W, z, O, u, theta, np.zeros(theta.size), eta)
-    theta, u = np.linalg.eigh(owo)
+    theta, u = W.eigh if O is None else np.linalg.eigh(owo)
     c = u.T @ r0
     theta_max = float(theta[-1])
     _require_movable(W, theta_max, unmovable)

@@ -14,3 +14,11 @@ def karate():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def cold_cli():
+    """Each test starts with no system held by the CLI from an earlier run."""
+    import fluxcontrol.cli as cli
+
+    cli._held_system = None

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fluxcontrol as fc
 from fluxcontrol.cli import main
@@ -477,18 +479,126 @@ def test_compare_small_graph(tmp_path, path_graph):
     assert len(rows) == 5
 
 
-def test_rerun_is_byte_identical(tmp_path, path_graph):
-    args = [
-        "flux", "--input", path_graph, "--mode", "adjacency",
-        "--t-star", "0.5,1.5", "--out", None,
-    ]
-    outputs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        args[-1] = str(out)
-        assert main(args) == 0
-        outputs.append((out / "flux.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+# Order independence of CLI runs in one process. A run takes the last run's
+# system when its input has the same bits, with the Gramian kernels memoized
+# on it; its result files must be those of the same run from an empty slot.
+_RUN_KINDS = ["gramian", "select-state", "compare", "simulate", "simulate-autonomous", "flux"]
+# Three files of one dense matrix (0.0 at a corner, that corner -0.0, one
+# entry one ulp up) and one weighted edge list read in three modes.
+_INPUTS = {
+    "raw": ["--mode", "raw-matrix"],
+    "raw-negzero": ["--mode", "raw-matrix"],
+    "raw-ulp": ["--mode", "raw-matrix"],
+    "directed": ["--mode", "adjacency", "--no-undirected"],
+    "undirected": ["--mode", "adjacency"],
+    "laplacian": ["--mode", "laplacian"],
+}
+_CLI_RUN = st.tuples(st.sampled_from(_RUN_KINDS), st.sampled_from(sorted(_INPUTS)),
+                     st.sampled_from([1.0, 1.5]), st.sampled_from(["eye", "thin"]),
+                     st.sampled_from([10, 16]), st.sampled_from(["variance", "repulsion"]),
+                     st.integers(0, 1))
+
+
+def _write_run_inputs(root, seed, n):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) / np.sqrt(n) - 1.5 * np.eye(n)
+    a[0, -1] = 0.0
+    for name, corner, ulp in (("raw", "0", False), ("raw-negzero", "-0", False),
+                              ("raw-ulp", "0", True)):
+        rows = [[repr(float(x)) for x in row] for row in a]
+        rows[0][-1] = corner
+        if ulp:
+            rows[1][0] = repr(float(np.nextafter(a[1, 0], np.inf)))
+        (root / f"{name}.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    # Each pair once, in a drawn direction; the ring through every node keeps n.
+    pairs = [(i, (i + 1) % n) for i in range(n)] + [(0, 2)] * (n > 3)
+    lines = [f"{j + 1} {i + 1} {w!r}" if rng.random() < 0.5 else f"{i + 1} {j + 1} {w!r}"
+             for (i, j), w in zip(pairs, rng.uniform(0.5, 2.0, len(pairs)).tolist())]
+    (root / "edges.txt").write_text("\n".join(lines) + "\n")
+    (root / "thin.csv").write_text("".join(f"{x!r}\n" for x in rng.standard_normal(n).tolist()))
+    return ",".join(repr(float(x)) for x in rng.standard_normal(n))
+
+
+def _cli_argv(root, d, run):
+    kind, source, t_star, b, steps, goal, x0_seed = run
+    path = root / ("edges.txt" if source in ("directed", "undirected", "laplacian")
+                   else f"{source}.csv")
+    command = "simulate" if kind.startswith("simulate") else kind
+    argv = [command, "--input", str(path), *_INPUTS[source], "--t-star", repr(t_star)]
+    if kind in ("gramian", "select-state", "simulate") and b == "thin":
+        argv += ["--b", str(root / "thin.csv")]
+    if kind.startswith("simulate"):
+        argv += ["--steps", str(steps)]
+    if kind in ("select-state", "compare", "simulate", "simulate-autonomous"):
+        argv += ["--x0", "random", "--x0-seed", str(x0_seed)]
+    if kind in ("select-state", "compare", "simulate"):
+        argv += (["--goal", "variance", "--eta", "4"] if goal == "variance" else
+                 ["--goal", "repulsion", f"--d={d}", "--eta", "100"])
+    if kind == "compare":
+        argv += ["--starts", "1", "--seeds", "2", "--max-iters", "3"]
+    return argv
+
+
+def _cli_result(argv, out):
+    """The result files of one run (not manifest.json, which names --out),
+    and the expm calls it made."""
+    from scipy.linalg import expm
+
+    import fluxcontrol.gramian as gramian
+
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return expm(x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gramian, "expm", counting)
+        main([*argv, "--out", str(out)])
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir()) if f.name != "manifest.json"}
+    return files, len(calls)
+
+
+_SELECT = ("select-state", "raw", 1.0, "eye", 10, "repulsion", 0)
+_STEER = ("simulate", "raw", 1.0, "eye", 10, "repulsion", 1)
+
+
+@example(seed=0, n=4, runs=[_STEER, _SELECT])
+@example(seed=1, n=5, runs=[_SELECT, _STEER])
+@example(seed=2, n=3, runs=[_STEER, _STEER[:-1] + (0,), _SELECT])
+@example(seed=3, n=6, runs=[_STEER, ("simulate-autonomous", *_STEER[1:]), _STEER])
+@example(seed=4, n=4, runs=[_SELECT, ("select-state", "raw-negzero", *_SELECT[2:]),
+                            ("select-state", "raw-ulp", *_SELECT[2:])])
+@example(seed=5, n=5, runs=[("gramian", "directed", 1.5, "eye", 10, "variance", 0),
+                            ("gramian", "undirected", 1.5, "eye", 10, "variance", 0),
+                            ("gramian", "laplacian", 1.5, "eye", 10, "variance", 0)])
+@example(seed=6, n=4, runs=[_STEER, _STEER[:2] + (1.5,) + _STEER[3:],
+                            _STEER[:3] + ("thin", 16) + _STEER[5:]])
+@example(seed=7, n=6, runs=[("flux", "undirected", 1.5, "eye", 10, "variance", 0)] * 2)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**16), n=st.integers(3, 6), runs=st.lists(_CLI_RUN, min_size=2,
+                                                                      max_size=3))
+def test_rerun_is_byte_identical(tmp_path_factory, seed, n, runs):
+    import fluxcontrol.cli as cli
+
+    root = tmp_path_factory.mktemp("runs")
+    d = _write_run_inputs(root, seed, n)
+    argvs = [_cli_argv(root, d, run) for run in runs]
+    cold = []
+    for k, argv in enumerate(argvs):
+        cli._held_system = None
+        cold.append(_cli_result(argv, root / f"cold{k}"))
+    cli._held_system = None
+    for k, (argv, run) in enumerate(zip(argvs, runs)):
+        held = cli._held_system
+        files, calls = _cli_result(argv, root / f"warm{k}")
+        assert files == cold[k][0]
+        # The system is the last run's exactly when its input bits and mode are.
+        assert (cli._held_system is held) == (k > 0 and runs[k - 1][1] == run[1])
+        # Every kernel reads A and t* or a step of it: a run on a network or
+        # horizon no earlier run had makes all the exponentials a cold run makes.
+        if all(earlier[1:3] != run[1:3] for earlier in runs[:k]):
+            assert calls == cold[k][1]
 
 
 def test_solver_error_writes_error_json(tmp_path):
@@ -865,6 +975,71 @@ def test_expm_calls_per_run(tmp_path, monkeypatch, argv, expected):
     argv = [str(b_path) if arg == "thin" else arg for arg in argv]
     _run(tmp_path, "run", *argv, "--input", str(a_path), "--mode", "raw-matrix", "--t-star", "2")
     assert calls == [(3, 3)] * expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["select-state", "--goal", "variance", "--eta", "4"],
+    ["simulate", "--goal", "variance", "--eta", "4", "--steps", "50"],
+], ids=["select-state", "simulate"])
+def test_a_repeated_run_takes_no_expm(tmp_path, monkeypatch, argv):
+    # The second run on the same network, from another x0, takes the system the
+    # first left and reads every Gramian kernel it memoized.
+    from scipy.linalg import expm
+
+    import fluxcontrol.cli as cli
+    import fluxcontrol.gramian as gramian
+
+    calls = []
+
+    def counting(x):
+        calls.append(x.shape)
+        return expm(x)
+
+    monkeypatch.setattr(gramian, "expm", counting)
+    a_path = tmp_path / "a.csv"
+    a_path.write_text("-1,2,0\n0,-2,1.5\n0.5,0,-1\n")
+    argv = [*argv, "--input", str(a_path), "--mode", "raw-matrix", "--t-star", "2"]
+    _run(tmp_path, "first", *argv, "--x0", "1,-1,2")
+    system = cli._held_system
+    assert calls == [(3, 3)]
+    _run(tmp_path, "second", *argv, "--x0", "2,0.5,-1")
+    assert calls == [(3, 3)] and cli._held_system is system
+
+
+def _held_bytes(memo):
+    """Bytes of the distinct buffers the memo's entries reach."""
+    buffers = {}
+
+    def visit(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            buffers[id(x)] = x.nbytes
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                visit(y)
+        elif isinstance(x, fc.GramianBundle):
+            visit([x.W, *vars(x).values()])
+
+    visit(list(memo.values()))
+    return sum(buffers.values())
+
+
+def test_the_memo_of_a_steered_run_holds_each_matrix_once(tmp_path):
+    # B = I, the step map (exp(hA), W_h), W(t*) and exp(t* A), and the
+    # eigenpairs of W that the repulsion goal read: six n x n arrays and two
+    # eigenvalue vectors. W is held once, by its chain entry and its bundle.
+    import fluxcontrol.cli as cli
+
+    n = 12
+    a = _directed_system(5, n)[0]
+    a_path = tmp_path / "a.csv"
+    np.savetxt(a_path, a, delimiter=",", fmt="%.17g")
+    for x0 in ("0", "1"):
+        _run(tmp_path, f"run{x0}", "simulate", "--input", str(a_path), "--mode", "raw-matrix",
+             "--goal", "repulsion", "--d=" + ",".join(["1"] * n), "--eta", "100",
+             "--x0", "random", "--x0-seed", x0, "--steps", "40")
+        assert _held_bytes(cli._held_system._memo) <= 8 * (6 * n * n + 2 * n)
 
 
 @pytest.mark.parametrize("command", [["place"], ["simulate", "--steps", "50"]])

@@ -629,6 +629,130 @@ def _quadrature(a, b, t_star):
     return gramian_quadrature(fc.LinearSystem(a), b, t_star, steps)
 
 
+class TestKernelMemo:
+    """The system's memo of the engine's kernels: shared by its evaluators,
+    read-only, one entry per kind."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["symmetric", "nonsymmetric"])
+    def test_held_arrays_are_read_only(self, rng, karate, symmetric):
+        # Bundles and kernel outputs are shared by later runs on the system:
+        # an in-place write through any of them must fail.
+        system = karate["system"] if symmetric else fc.LinearSystem(random_stable_system(rng, 6))
+        b = rng.standard_normal((system.n, 2))
+        ev = fc.GramianEvaluator(system, 1.3)
+        e_h, w_h = ev.step(b, 4)
+        bundle = ev.bundle(b)
+        validated = fc.GramianBundle.from_matrix(np.eye(3), 1.0)
+        direct = fc.GramianBundle(np.eye(3), 1.0)
+        held = [e_h, w_h, bundle.W, bundle.eigenvalues, *bundle.eigh, ev.matrix(b),
+                ev.propagator(1.3), ev.propagator(0.1), ev.flux(np.ones(system.n)),
+                validated.W, validated.eigenvalues, direct.W, *direct.eigh]
+        for x in held:
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+
+    def test_from_matrix_keeps_a_read_only_symmetric_matrix(self):
+        # 0.5 (W + W^T) is W to the bit when W is symmetric to the bit, -0.0
+        # entries included; a writeable argument is copied, so a later write
+        # to it cannot reach the bundle.
+        w = np.array([[2.0, -0.0, 1.0], [-0.0, 1.0, 0.5], [1.0, 0.5, 3.0]])
+        copied = fc.GramianBundle.from_matrix(w, 1.0)
+        w[0, 0] = 5.0
+        assert copied.W[0, 0] == 2.0
+        w[0, 0] = 2.0
+        w.flags.writeable = False
+        assert fc.GramianBundle.from_matrix(w, 1.0).W is w
+        assert copied.W.tobytes() == w.tobytes()
+
+    def test_evaluators_on_one_system_share_its_kernels(self, rng, monkeypatch):
+        # A second evaluator on the system makes no expm for what the first
+        # computed, and gets the arrays a fresh system gives, bit for bit.
+        sizes = _record_expm(monkeypatch)
+        a = random_stable_system(rng, 6) + 3.0 * np.eye(6, k=1)
+        system, b, x0 = fc.LinearSystem(a), rng.standard_normal((6, 2)), rng.standard_normal(6)
+        # A steered run's order: the step map, then W(t*) as the chain of its steps.
+        first = fc.GramianEvaluator(system, 1.5)
+        (e_h, w_h), bundle = first.step(b, 8), first.bundle(b)
+        assert sizes == [6]
+        second = fc.GramianEvaluator(system, 1.5)
+        e, w = second.step(b, 8)
+        assert e is e_h and w is w_h and second.bundle(b.copy()) is bundle and sizes == [6]
+        fresh = fc.GramianEvaluator(fc.LinearSystem(a), 1.5)
+        fresh.step(b, 8)
+        assert fresh.bundle(b).W.tobytes() == bundle.W.tobytes()
+        npt.assert_array_equal(second.propagate(x0), fresh.propagate(x0))
+        assert sizes == [6, 6]
+        # Another horizon or schematic is another kernel call.
+        fc.GramianEvaluator(system, 1.25).bundle(b)
+        second.bundle(b[:, :1])
+        assert sizes == [6] * 4
+
+    def test_a_miss_drops_the_held_entry_before_it_computes(self, rng, monkeypatch):
+        # The memo holds one entry per kind and never one past the call that
+        # replaces it; what was keyed on a dropped entry goes with it.
+        system = fc.LinearSystem(random_stable_system(rng, 5))
+        b, other = rng.standard_normal((5, 2)), rng.standard_normal((5, 1))
+        ev = fc.GramianEvaluator(system, 1.0)
+        ev.step(b, 4)
+        ev.bundle(b)
+        assert sorted(system._memo) == ["B", "bundle", "chain", "doubling"]
+        held, doubling = [], gramian._doubling_gramian
+
+        def recording(*args):
+            held.append(sorted(system._memo))
+            return doubling(*args)
+
+        monkeypatch.setattr(gramian, "_doubling_gramian", recording)
+        # Another horizon: the chain of the dropped step map, and W's bundle, go too.
+        fc.GramianEvaluator(system, 2.0).matrix(b)
+        # Another schematic replaces the held copy of B and what was keyed on it.
+        fc.GramianEvaluator(system, 2.0).matrix(other)
+        assert held == [["B"], ["B"]] and sorted(system._memo) == ["B", "doubling"]
+        assert system._memo["B"][1][0].tobytes() == other.tobytes()
+
+    def test_threads_sharing_a_system_match_a_fresh_system(self):
+        # Each thread runs evaluators in its own order over systems they all
+        # share, so the memo's entries are replaced under them; every result
+        # must be the bits that the same calls on a fresh system give.
+        rng = np.random.default_rng(3)
+        a = random_stable_system(rng, 12) + 2.0 * np.eye(12, k=1)
+        x0 = rng.standard_normal(12)
+        cases = [(t, rng.standard_normal((12, m))) for t in (0.5, 1.5) for m in (1, 3)]
+
+        def run(system, t, b):
+            ev = fc.GramianEvaluator(system, t)
+            e_h, w_h = ev.step(b, 6)
+            bundle = ev.bundle(b)
+            return [e_h, w_h, bundle.W, bundle.eigh[1], ev.propagate(x0), ev.matrix(2.0 * b)]
+
+        ref = [run(fc.LinearSystem(a), t, b) for t, b in cases]
+        systems, results, errors = [fc.LinearSystem(a) for _ in range(3)], [], []
+
+        def work(i):
+            try:
+                for system in systems:
+                    for k in range(len(cases)):
+                        j = (i + k) % len(cases)
+                        results.append((j, run(system, *cases[j])))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(th.is_alive() for th in threads)
+        assert len(results) == 6 * len(systems) * len(cases)
+        for j, got in results:
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(got, ref[j]))
+
+
 def _record_thick_series(monkeypatch):
     """Make ``_thick_series`` record the (||ha||_1, terms) of each call."""
     calls, thick = [], gramian._thick_series

@@ -158,6 +158,39 @@ def _top_vectors_agree(edge_system, dense_system, t_star):
     return 1.0 - abs(float(got.top_vector @ want.top_vector))
 
 
+class TestSameBits:
+    """``LinearSystem.same_bits``: built from the same bits and the same kind."""
+
+    A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 1.5], [0.5, 0.0, -1.0]])
+
+    @pytest.mark.parametrize("edit, same", [
+        (lambda a: a, True),
+        (lambda a: np.where(a == 0.0, -0.0, a), False),
+        (lambda a: a + np.eye(3) * np.spacing(a), False),
+        (lambda a: a[:2, :2], False),
+    ], ids=["equal", "negative-zero", "one-ulp", "shape"])
+    def test_dense(self, edit, same):
+        assert fc.LinearSystem(self.A).same_bits(fc.LinearSystem(edit(self.A.copy()))) == same
+
+    @pytest.mark.parametrize("edit, same", [
+        ({}, True),
+        ({"laplacian": True}, False),
+        ({"n": 4}, False),
+        ({"weights": [1.0, np.nextafter(1.0, 2.0)]}, False),
+        ({"rows": [1, 0], "cols": [0, 1]}, False),
+    ], ids=["equal", "laplacian", "n", "one-ulp", "order"])
+    def test_edges(self, edit, same):
+        # Listing the same entries in another order is another source.
+        base = {"n": 3, "rows": [0, 1], "cols": [1, 0], "weights": [1.0, 1.0], "laplacian": False}
+        built = [fc.LinearSystem.from_edges(**kw) for kw in (base, {**base, **edit})]
+        assert built[0].same_bits(built[1]) == same
+
+    def test_dense_and_edge_systems_differ(self):
+        edges = fc.LinearSystem.from_edges(2, [0], [1], [1.0])
+        assert not edges.same_bits(fc.LinearSystem(edges.A))
+        assert not fc.LinearSystem(edges.A).same_bits(edges)
+
+
 class TestEdgeSystems:
     """Systems from edge arrays against the dense path: the same A bit for bit
     (or the same error), and flux top vectors within 1e-12 in 1 - |cos|."""
