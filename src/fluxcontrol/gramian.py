@@ -190,8 +190,8 @@ def _recall(memo: dict, kind: str, key: tuple, compute) -> tuple:
     matches ``key``, else the new value, which replaces it. A miss drops the
     held entry before it computes, so no call's peak memory grows."""
     held = memo.get(kind)
-    if held is not None and len(held[0]) == len(key) and all(
-            h is k if isinstance(h, np.ndarray) else h == k for h, k in zip(held[0], key)):
+    if held is not None and all(h is k if isinstance(h, np.ndarray) else h == k
+                                for h, k in zip(held[0], key)):
         return held[1]
     _forget(memo, kind)
     value = tuple(compute())
@@ -207,7 +207,7 @@ def _forget(memo: dict, kind: str) -> None:
     held = memo.pop(kind, None)
     if held is not None:
         for other, (key, _) in list(memo.items()):
-            if any(x is y for x in key for y in held[1] if y is not None):
+            if any(x is y for x in key for y in held[1]):
                 _forget(memo, other)
 
 
