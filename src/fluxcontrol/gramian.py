@@ -108,11 +108,20 @@ class GramianBundle:
         """Eigenvalues of W sorted descending."""
         return _read_only(np.linalg.eigvalsh(self.W)[::-1])
 
-    @cached_property
+    @property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors."""
+        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors.
+        The pair is kept from its second read on, as when a later run reads a
+        bundle that the system's memo holds. After a lone read no n x n
+        eigenvectors stay alive, which would slow what the run does next (1-2%
+        of a steered run on a new network)."""
+        held = self.__dict__.get("_eigh")
+        if isinstance(held, tuple):
+            return held
         vals, vecs = np.linalg.eigh(self.W)
-        return _read_only(vals), _read_only(vecs)
+        pair = _read_only(vals), _read_only(vecs)
+        self.__dict__["_eigh"] = pair if held else True
+        return pair
 
     @property
     def n(self) -> int:
@@ -465,7 +474,8 @@ class GramianEvaluator:
     (``_doubling_gramian``), the chain of a step map, ``expm(sA)`` and the
     bundle of a series W. So evaluators on one system, such as successive CLI
     runs on one network, reuse the work and get the bits a fresh system gives.
-    Every array it returns is read-only.
+    ``matrix``, ``flux``, ``bundle``, ``propagator`` and ``step`` return
+    read-only arrays.
     """
 
     # Below this magnitude the entrywise weight switches to its series limit.

@@ -1027,19 +1027,20 @@ def _held_bytes(memo):
 
 def test_the_memo_of_a_steered_run_holds_each_matrix_once(tmp_path):
     # B = I, the step map (exp(hA), W_h), W(t*) and exp(t* A), and the
-    # eigenpairs of W that the repulsion goal read: six n x n arrays and two
-    # eigenvalue vectors. W is held once, by its chain entry and its bundle.
+    # eigenvalues of W: five n x n arrays and a vector. W is held once, by its
+    # chain entry and its bundle. The second run reads W's eigenpairs again,
+    # and its bundle keeps them: one more n x n array and vector.
     import fluxcontrol.cli as cli
 
     n = 12
     a = _directed_system(5, n)[0]
     a_path = tmp_path / "a.csv"
     np.savetxt(a_path, a, delimiter=",", fmt="%.17g")
-    for x0 in ("0", "1"):
+    for x0, held in (("0", 5 * n * n + n), ("1", 6 * n * n + 2 * n)):
         _run(tmp_path, f"run{x0}", "simulate", "--input", str(a_path), "--mode", "raw-matrix",
              "--goal", "repulsion", "--d=" + ",".join(["1"] * n), "--eta", "100",
              "--x0", "random", "--x0-seed", x0, "--steps", "40")
-        assert _held_bytes(cli._held_system._memo) <= 8 * (6 * n * n + 2 * n)
+        assert _held_bytes(cli._held_system._memo) == 8 * held
 
 
 @pytest.mark.parametrize("command", [["place"], ["simulate", "--steps", "50"]])

@@ -664,6 +664,14 @@ class TestKernelMemo:
         assert fc.GramianBundle.from_matrix(w, 1.0).W is w
         assert copied.W.tobytes() == w.tobytes()
 
+    def test_a_bundle_keeps_its_eigenpairs_from_the_second_read(self):
+        # A lone read leaves no eigenvectors held; a second read, as a later
+        # run's, keeps the pair for every read after it, with the same bits.
+        bundle = fc.GramianBundle.from_matrix([[2.0, 0.5], [0.5, 1.0]], 1.0)
+        first, second, third = (bundle.eigh for _ in range(3))
+        assert first is not second and second is third
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
+
     def test_evaluators_on_one_system_share_its_kernels(self, rng, monkeypatch):
         # A second evaluator on the system makes no expm for what the first
         # computed, and gets the arrays a fresh system gives, bit for bit.
