@@ -1271,9 +1271,11 @@ class TestSharedKrylovSpace:
         a, v, _ = _krylov_case(2, "symmetric", 10)
         system = fc.LinearSystem(a)
         first = fc.flux_matrix(system, v, 1.2)
+        fc.GramianEvaluator(system, 1.2)
         clone = clone_of(system)
         npt.assert_array_equal(clone.A, system.A)
         assert clone._krylov == [None] and not clone.A.flags.writeable
+        assert system._memo and clone._memo == {}
         again = fc.flux_matrix(clone, v, 1.2)
         assert again.lam_max == first.lam_max
         npt.assert_array_equal(again.Phi, first.Phi)
