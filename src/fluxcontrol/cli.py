@@ -159,7 +159,9 @@ def _config_value(key, value, action):
 
 
 # The last run's system. A run whose input builds a system of the same bits
-# takes it instead, with what the Gramian engine memoized on it.
+# takes it instead, with what the Gramian engine memoized on it. It stays
+# held after ``main`` returns (six n x n arrays after a steered run), until a
+# run on another network replaces it.
 _held_system = None
 
 

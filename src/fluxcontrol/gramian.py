@@ -59,8 +59,9 @@ class GramianBundle:
     shared by later runs on the same system.
 
     Attributes:
-        W: symmetric positive semidefinite n x n matrix, read-only (a
-            read-only view of a writeable argument).
+        W: symmetric positive semidefinite n x n matrix, read-only:
+            ``from_matrix``'s new symmetrized copy, the evaluator's own
+            array, or a read-only view of a writeable argument.
         t_star: horizon the integral was taken over.
     """
 
@@ -73,22 +74,24 @@ class GramianBundle:
 
     @classmethod
     def from_matrix(cls, W, t_star: float) -> "GramianBundle":
-        """Validate and symmetrize a computed Gramian and take its eigenvalues.
-        A read-only W that is symmetric to the bit is kept, not copied:
-        0.5 (W + W^T) would equal it."""
+        """Validate and symmetrize a computed Gramian and take its eigenvalues."""
         W = as_matrix(W, name="W", square=True)
         scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
-        keep = not W.flags.writeable and same_bits(W, W.T)
         # Max entries, not norms: a norm squares them and overflows past ~1e154.
         # W - W^T is antisymmetric, so its largest entry is its largest magnitude.
         with np.errstate(over="ignore"):
-            if not keep:
-                if (W - W.T).max() > 1e-10 * scale:
-                    raise InvalidInputError("gramian is not symmetric within tolerance")
-                # Halving before the sum would move normal entries' bits; past ~9e307 it overflows.
-                W = 0.5 * (W + W.T)
-        if not (2.0 * scale < np.inf if keep else np.all(np.isfinite(W))):
+            if (W - W.T).max() > 1e-10 * scale:
+                raise InvalidInputError("gramian is not symmetric within tolerance")
+            # Halving before the sum would move normal entries' bits; past ~9e307 it overflows.
+            W = 0.5 * (W + W.T)
+        if not np.all(np.isfinite(W)):
             raise InvalidInputError("gramian overflows when symmetrized: rescale it")
+        return cls._positive(W, t_star, scale)
+
+    @classmethod
+    def _positive(cls, W, t_star: float, scale: float) -> "GramianBundle":
+        """The bundle of a finite W, symmetric to the bit, whose largest entry
+        is ``scale``: kept as it is once ``eigvalsh`` finds it PSD."""
         vals = np.linalg.eigvalsh(W)
         if vals[0] < -1e-10 * max(vals[-1], 0.0) - 1e-300 * scale:
             raise InvalidInputError("gramian is not positive semidefinite")
@@ -108,20 +111,11 @@ class GramianBundle:
         """Eigenvalues of W sorted descending."""
         return _read_only(np.linalg.eigvalsh(self.W)[::-1])
 
-    @property
+    @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors.
-        The pair is kept from its second read on, as when a later run reads a
-        bundle that the system's memo holds. After a lone read no n x n
-        eigenvectors stay alive, which would slow what the run does next (1-2%
-        of a steered run on a new network)."""
-        held = self.__dict__.get("_eigh")
-        if isinstance(held, tuple):
-            return held
+        """``np.linalg.eigh(W)``: eigenvalues ascending and their eigenvectors."""
         vals, vecs = np.linalg.eigh(self.W)
-        pair = _read_only(vals), _read_only(vecs)
-        self.__dict__["_eigh"] = pair if held else True
-        return pair
+        return _read_only(vals), _read_only(vecs)
 
     @property
     def n(self) -> int:
@@ -471,8 +465,9 @@ class GramianEvaluator:
     that one on a fresh system makes, in the same order. The kernels are pure,
     and the system memoizes them under their exact inputs (one entry per kind):
     ``eigh(A)`` and the eigen weights of a horizon, a series Gramian
-    (``_doubling_gramian``), the chain of a step map, ``expm(sA)`` and the
-    bundle of a series W. So evaluators on one system, such as successive CLI
+    (``_doubling_gramian``), the chain of a step map, and the bundle of a
+    series W. A lone ``expm``, which ``propagate`` takes before any Gramian,
+    is not memoized. So evaluators on one system, such as successive CLI
     runs on one network, reuse the work and get the bits a fresh system gives.
     ``matrix``, ``flux``, ``bundle``, ``propagator`` and ``step`` return
     read-only arrays.
@@ -549,13 +544,22 @@ class GramianEvaluator:
     def bundle(self, B) -> GramianBundle:
         """Gramian bundle of ``B``. The eigenbasis W is symmetric and PSD by
         construction, so only the series W, which roundoff in the doublings can
-        leave indefinite, goes through ``GramianBundle.from_matrix``'s checks;
-        the system's memo holds that bundle with its W."""
+        leave indefinite, takes ``GramianBundle.from_matrix``'s checks.
+        ``_chain`` returns it as 0.5 (w + w^T), symmetric to the bit, so the
+        bundle keeps that array instead of a copy of the same bits. The
+        system's memo holds the bundle with its W."""
         W = self.matrix(B)
         if self._symmetric:
             return GramianBundle(W, self.t_star)
-        return _recall(self.system._memo, "bundle", (W, self.t_star.hex()),
-                       lambda: (GramianBundle.from_matrix(W, self.t_star),))[0]
+
+        def checked():
+            scale = max(float(np.abs(W).max()), np.finfo(float).tiny)
+            # from_matrix's W + W^T is 2W here, which overflows where 2 scale does.
+            if not 2.0 * scale < np.inf:
+                raise InvalidInputError("gramian overflows when symmetrized: rescale it")
+            return (GramianBundle._positive(W, self.t_star, scale),)
+
+        return _recall(self.system._memo, "bundle", (W, self.t_star.hex()), checked)[0]
 
     def propagator(self, s: float) -> np.ndarray:
         """``exp(sA)``, built once per ``s`` and read-only: every caller shares it."""
@@ -565,8 +569,7 @@ class GramianEvaluator:
                 if self._symmetric:
                     e = (self._eigvecs * np.exp(self._eigvals * s)) @ self._eigvecs.T
                 else:
-                    e = _recall(self.system._memo, "expm", (float(s).hex(),),
-                                lambda: (expm(s * self.system.A),))[0]
+                    e = expm(s * self.system.A)
             self._propagators[s] = _read_only(e)
         return _finite(e, "propagator")
 

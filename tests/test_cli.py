@@ -515,16 +515,21 @@ def _write_run_inputs(root, seed, n):
     lines = [f"{j + 1} {i + 1} {w!r}" if rng.random() < 0.5 else f"{i + 1} {j + 1} {w!r}"
              for (i, j), w in zip(pairs, rng.uniform(0.5, 2.0, len(pairs)).tolist())]
     (root / "edges.txt").write_text("\n".join(lines) + "\n")
+    (root / "path.edges").write_text("1 2\n2 3\n3 4\n")
     (root / "thin.csv").write_text("".join(f"{x!r}\n" for x in rng.standard_normal(n).tolist()))
     return ",".join(repr(float(x)) for x in rng.standard_normal(n))
 
 
 def _cli_argv(root, d, run):
     kind, source, t_star, b, steps, goal, x0_seed = run
+    # The unweighted 4-node path is drawn by no strategy: its n is not the drawn n.
     path = root / ("edges.txt" if source in ("directed", "undirected", "laplacian")
-                   else f"{source}.csv")
+                   else "path.edges" if source == "path" else f"{source}.csv")
     command = "simulate" if kind.startswith("simulate") else kind
-    argv = [command, "--input", str(path), *_INPUTS[source], "--t-star", repr(t_star)]
+    # A flux run sweeps two horizons, the drawn one last.
+    horizons = f"0.5,{t_star!r}" if kind == "flux" else repr(t_star)
+    mode = ["--mode", "adjacency"] if source == "path" else _INPUTS[source]
+    argv = [command, "--input", str(path), *mode, "--t-star", horizons]
     if kind in ("gramian", "select-state", "simulate") and b == "thin":
         argv += ["--b", str(root / "thin.csv")]
     if kind.startswith("simulate"):
@@ -575,6 +580,8 @@ _STEER = ("simulate", "raw", 1.0, "eye", 10, "repulsion", 1)
 @example(seed=6, n=4, runs=[_STEER, _STEER[:2] + (1.5,) + _STEER[3:],
                             _STEER[:3] + ("thin", 16) + _STEER[5:]])
 @example(seed=7, n=6, runs=[("flux", "undirected", 1.5, "eye", 10, "variance", 0)] * 2)
+# A flux rerun on an undirected path over t* = 0.5 and 1.5.
+@example(seed=8, n=4, runs=[("flux", "path", 1.5, "eye", 10, "variance", 0)] * 2)
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**16), n=st.integers(3, 6), runs=st.lists(_CLI_RUN, min_size=2,
                                                                       max_size=3))
@@ -1026,21 +1033,21 @@ def _held_bytes(memo):
 
 
 def test_the_memo_of_a_steered_run_holds_each_matrix_once(tmp_path):
-    # B = I, the step map (exp(hA), W_h), W(t*) and exp(t* A), and the
-    # eigenvalues of W: five n x n arrays and a vector. W is held once, by its
-    # chain entry and its bundle. The second run reads W's eigenpairs again,
-    # and its bundle keeps them: one more n x n array and vector.
+    # B = I, the step map (exp(hA), W_h), W(t*) and exp(t* A), and W's
+    # eigenvalues and eigenpairs: six n x n arrays and two vectors. W is held
+    # once, by its chain entry and its bundle, and a second run on the
+    # network holds no more.
     import fluxcontrol.cli as cli
 
     n = 12
     a = _directed_system(5, n)[0]
     a_path = tmp_path / "a.csv"
     np.savetxt(a_path, a, delimiter=",", fmt="%.17g")
-    for x0, held in (("0", 5 * n * n + n), ("1", 6 * n * n + 2 * n)):
+    for x0 in ("0", "1"):
         _run(tmp_path, f"run{x0}", "simulate", "--input", str(a_path), "--mode", "raw-matrix",
              "--goal", "repulsion", "--d=" + ",".join(["1"] * n), "--eta", "100",
              "--x0", "random", "--x0-seed", x0, "--steps", "40")
-        assert _held_bytes(cli._held_system._memo) == 8 * held
+        assert _held_bytes(cli._held_system._memo) == 8 * (6 * n * n + 2 * n)
 
 
 @pytest.mark.parametrize("command", [["place"], ["simulate", "--steps", "50"]])

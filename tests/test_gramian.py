@@ -651,26 +651,31 @@ class TestKernelMemo:
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 1.0
 
-    def test_from_matrix_keeps_a_read_only_symmetric_matrix(self):
-        # 0.5 (W + W^T) is W to the bit when W is symmetric to the bit, -0.0
-        # entries included; a writeable argument is copied, so a later write
-        # to it cannot reach the bundle.
+    def test_from_matrix_owns_its_matrix(self):
+        # A held bundle's W must not change under it: from_matrix copies a
+        # writeable argument and a read-only view of one alike, so a later
+        # write through the caller's array cannot reach the bundle or leave
+        # its eigenvalues describing another matrix.
         w = np.array([[2.0, -0.0, 1.0], [-0.0, 1.0, 0.5], [1.0, 0.5, 3.0]])
-        copied = fc.GramianBundle.from_matrix(w, 1.0)
+        view = w.view()
+        view.flags.writeable = False
+        bundles = [fc.GramianBundle.from_matrix(x, 1.0) for x in (w, view)]
         w[0, 0] = 5.0
-        assert copied.W[0, 0] == 2.0
-        w[0, 0] = 2.0
-        w.flags.writeable = False
-        assert fc.GramianBundle.from_matrix(w, 1.0).W is w
-        assert copied.W.tobytes() == w.tobytes()
+        for bundle in bundles:
+            assert bundle.W[0, 0] == 2.0 and not np.shares_memory(bundle.W, w)
+            npt.assert_array_equal(bundle.eigenvalues, np.linalg.eigvalsh(bundle.W)[::-1])
 
-    def test_a_bundle_keeps_its_eigenpairs_from_the_second_read(self):
-        # A lone read leaves no eigenvectors held; a second read, as a later
-        # run's, keeps the pair for every read after it, with the same bits.
-        bundle = fc.GramianBundle.from_matrix([[2.0, 0.5], [0.5, 1.0]], 1.0)
-        first, second, third = (bundle.eigh for _ in range(3))
-        assert first is not second and second is third
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(first, second))
+    def test_a_series_bundle_keeps_the_memos_matrix(self, rng):
+        # The evaluator's series W is symmetric to the bit, so its bundle
+        # holds that array and no copy, with from_matrix's bits.
+        system = fc.LinearSystem(random_stable_system(rng, 5))
+        b = rng.standard_normal((5, 2))
+        ev = fc.GramianEvaluator(system, 1.0)
+        bundle = ev.bundle(b)
+        assert bundle.W is system._memo["doubling"][1][0]
+        checked = fc.GramianBundle.from_matrix(bundle.W, 1.0)
+        assert checked.W.tobytes() == bundle.W.tobytes()
+        assert checked.eigenvalues.tobytes() == bundle.eigenvalues.tobytes()
 
     def test_evaluators_on_one_system_share_its_kernels(self, rng, monkeypatch):
         # A second evaluator on the system makes no expm for what the first
