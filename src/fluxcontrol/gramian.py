@@ -86,10 +86,10 @@ class GramianBundle:
             W = 0.5 * (W + W.T)
         if not np.all(np.isfinite(W)):
             raise InvalidInputError("gramian overflows when symmetrized: rescale it")
-        return cls._positive(W, t_star, scale)
+        return cls._psd_checked(W, t_star, scale)
 
     @classmethod
-    def _positive(cls, W, t_star: float, scale: float) -> "GramianBundle":
+    def _psd_checked(cls, W, t_star: float, scale: float) -> "GramianBundle":
         """The bundle of a finite W, symmetric to the bit, whose largest entry
         is ``scale``: kept as it is once ``eigvalsh`` finds it PSD."""
         vals = np.linalg.eigvalsh(W)
@@ -557,7 +557,7 @@ class GramianEvaluator:
             # from_matrix's W + W^T is 2W here, which overflows where 2 scale does.
             if not 2.0 * scale < np.inf:
                 raise InvalidInputError("gramian overflows when symmetrized: rescale it")
-            return (GramianBundle._positive(W, self.t_star, scale),)
+            return (GramianBundle._psd_checked(W, self.t_star, scale),)
 
         return _recall(self.system._memo, "bundle", (W, self.t_star.hex()), checked)[0]
 
