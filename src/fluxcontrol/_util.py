@@ -111,11 +111,6 @@ def canonical_sign(vec, ref):
     return -vec if vec[i] < 0 else vec
 
 
-def centering_matrix(n):
-    """Projector removing the per-entry mean: identity minus the all-ones rank-1 part."""
-    return np.eye(n) - np.full((n, n), 1.0 / n)
-
-
 # '%.17g' in numpy. A finite nonzero x whose decimal exponent X, after rounding
 # to 17 significant digits, lies in [-4, 16] is printed in fixed notation from
 # those digits D, 10**16 <= D < 10**17. |x| * 10**(16 - X) is formed exactly as

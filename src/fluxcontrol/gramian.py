@@ -185,7 +185,8 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 # a key is the read-only output of another entry, or the held copy of a
 # schematic, so identity stands for equal bits. Threads may share a system:
 # each step reads or replaces a whole pair, so a race costs a second kernel
-# call, never a value under another's key.
+# call, never a value under another's key. The one mutable value is flux's
+# Krylov space ("krylov", keyed by v's bytes), which grows under its own lock.
 
 
 def _recall(memo: dict, kind: str, key: tuple, compute) -> tuple:
@@ -332,7 +333,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     the products that formed it, so an exact small coupling is followed. The bound
     reads no entry of G: its small entries are only accurate to roundoff in G's largest.
 
-    The Arnoldi steps do not depend on t*: ``system`` keeps them (a
+    The Arnoldi steps do not depend on t*: ``system`` memoizes them (a
     ``_KrylovSpace``) for the last v it was given and takes more only when a
     horizon's bound asks for them, so each horizon gets the k, Q_k and H_k that
     a fresh run would give. A call with another v replaces the kept space.
@@ -343,11 +344,8 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
     if beta == 0.0:
         raise InvalidInputError("flux weighting v must be nonzero")
     with np.errstate(all="ignore"):
-        key, slot = vv.tobytes(), system._krylov
-        space = slot[0]
-        if space is None or space.key != key:
-            # A new weighting's space takes the slot of the last one.
-            space = slot[0] = _KrylovSpace(system, vv / beta, key)
+        space = _recall(system._memo, "krylov", (vv.tobytes(),),
+                        lambda: (_KrylovSpace(system, vv / beta),))[0]
         k = space.order(t_star)
         g = _finite(_doubling_gramian(space.h[:k, :k], np.eye(k, 1), t_star)[0], "flux matrix")
         theta, vecs = np.linalg.eigh(g)
@@ -363,8 +361,7 @@ def flux_matrix(system: LinearSystem, v, t_star: float) -> FluxMatrix:
 
 
 class _KrylovSpace:
-    """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask;
-    ``key`` is the bytes of the weighting v that q_1 normalizes.
+    """Arnoldi state of (A^T, q_1), grown one step at a time as horizons ask.
 
     Reads A through A^T q alone: a bincount over the system's edge arrays, else
     a gemv. Holds what no horizon changes: mu and nu, and ||A||_F. The
@@ -377,9 +374,9 @@ class _KrylovSpace:
     k = n. A lock keeps threads that share the system from taking a step twice.
     """
 
-    def __init__(self, system: LinearSystem, q1: np.ndarray, key: bytes):
+    def __init__(self, system: LinearSystem, q1: np.ndarray):
         n, eps, self.edges = system.n, np.finfo(float).eps, system.edges
-        self.n, self.key, self.steps, self.closed = n, key, 0, False
+        self.n, self.steps, self.closed = n, 0, False
         self.q, self.h = q1[None], np.zeros((2, 1))
         self.log_p, self.w, self.lock = [0.0], None, threading.Lock()
         if self.edges is None:

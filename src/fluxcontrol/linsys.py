@@ -37,17 +37,17 @@ class LinearSystem:
         edges: ``(rows, cols, values)`` of A's entries for a system from
             ``from_edges``, else None.
 
-    A system also keeps what the Gramian engine derived from it: one slot for
-    ``flux_matrix``'s Krylov space of (A^T, v), for the last v it took, and a
-    memo of the engine's pure kernels (``gramian``), each value under its
-    exact inputs. Neither is pickled or copied.
+    A system also keeps what the Gramian engine derived from it: a memo of
+    the engine's kernels (``gramian``), each value under its exact inputs,
+    among them ``flux_matrix``'s Krylov space of (A^T, v) for the last v it
+    took. The memo is not pickled or copied.
     """
 
     def __init__(self, A):
         a = as_matrix(A, name="A", square=True).copy()
         a.flags.writeable = False
         self.n, self.edges, self._source, self._a = a.shape[0], None, None, a
-        self._krylov, self._memo = [None], {}
+        self._memo = {}
 
     @classmethod
     def from_edges(cls, n, rows, cols, weights, laplacian=False) -> "LinearSystem":
@@ -84,7 +84,7 @@ class LinearSystem:
                 np.concatenate([off, -np.bincount(rows, weights=off, minlength=n)]), name="A"))
         system = cls.__new__(cls)
         system.n, system.edges, system._source, system._a = n, edges, source, None
-        system._krylov, system._memo = [None], {}
+        system._memo = {}
         return system
 
     @property
@@ -102,7 +102,7 @@ class LinearSystem:
         return self._a
 
     def __reduce__(self):
-        # Pickle and deepcopy rebuild from A or the edge arrays: the cached space holds a lock.
+        # Pickle and deepcopy rebuild from A or the edge arrays: the memo's Krylov space holds a lock.
         return (type(self), (self._a,)) if self._source is None else (self.from_edges, self._source)
 
     def same_bits(self, other: "LinearSystem") -> bool:
@@ -120,7 +120,7 @@ class LinearSystem:
         scale = float(np.max(np.abs(self.A)))
         with np.errstate(over="ignore"):
             skew = float(np.max(np.abs(self.A - self.A.T)))
-        return skew <= _SYMMETRY_RTOL * max(scale, 1.0)
+        return skew <= _SYMMETRY_RTOL * scale
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,8 @@ def pgme_driver_select(B, k: int):
     """
     b = as_columns(B)
     n, m = b.shape
-    if as_count(k, "k") > m:
-        raise InvalidInputError(f"k must be at most m = {m}, got {k}")
+    if as_count(k, "k") > min(n, m):
+        raise InvalidInputError(f"k must be at most m = {m} and n = {n}, got {k}")
     chosen: list[int] = []
     taken = np.zeros(n, dtype=bool)
     for j in range(k):

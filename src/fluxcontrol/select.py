@@ -3,21 +3,21 @@
 Given the autonomous endpoint ``z`` and a Gramian ``W``, ``select_state`` picks
 the state satisfying a goal at the least value of the energy quadratic form
 ``(z - x)^T W^{-1} (z - x)``. Linear goals have a closed form. Every quadratic
-goal ``||O x - d||^2 = eta`` (variance: ``O = D``, ``d = 0``; repulsion:
-``O = I``, ``d = z``; general QCLS) goes through one solver: a single
-eigendecomposition of ``O W O^T`` turns the constraint into a diagonal secular
-equation in the Lagrange multiplier, solved by safeguarded Newton at O(n) per
-step. When no root exists below the pole (the hard case), the residual is
-completed along the pole eigenspace, in a direction fixed by that space alone.
-A goal that starts on its target (``O z = d``, as every variance goal from
-``z = 0`` does) has only the hard case, at energy ``eta / theta_max``, so it
-reads only the pole eigenpairs, which LAPACK's ``dsyevr`` returns without the
-rest of the spectrum. Each selection carries the adjoint vector ``p`` with
-``x* = z + W p`` and energy ``p^T W p``, so ``W`` is never inverted and every
-goal runs on singular Gramians (networks steered from a few inputs). A
-contract goal cannot move the residual along the eigenvalues of ``O W O^T``
-at or below ``sqrt(eps)`` times the largest; below that reachable floor it
-raises ``InfeasibleGoalError`` with ``min_eta``.
+goal ``||O x - d||^2 = eta`` (variance: ``O = D``, the centering projector,
+applied as mean subtraction and never formed, ``d = 0``; repulsion: ``O = I``,
+``d = z``; general QCLS) goes through one solver: a single eigendecomposition
+of ``O W O^T`` turns the constraint into a diagonal secular equation in the
+Lagrange multiplier, solved by safeguarded Newton at O(n) per step. When no
+root exists below the pole (the hard case), the residual is completed along the
+pole eigenspace, in a direction fixed by that space alone. A goal that starts
+on its target (``O z = d``, as every variance goal from ``z = 0`` does) has
+only the hard case, at energy ``eta / theta_max``, so it reads only the pole
+eigenpairs, which LAPACK's ``dsyevr`` returns without the rest of the spectrum.
+Each selection carries the adjoint vector ``p`` with ``x* = z + W p`` and
+energy ``p^T W p``, so ``W`` is never inverted and every goal runs on singular
+Gramians (networks steered from a few inputs). A contract goal cannot move the
+residual along the eigenvalues of ``O W O^T`` at or below ``sqrt(eps)`` times
+the largest; below that floor it raises ``InfeasibleGoalError`` with ``min_eta``.
 """
 
 from collections.abc import Callable
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsyevr
 
-from ._util import as_matrix, as_vector, canonical_sign, centering_matrix
+from ._util import as_matrix, as_vector, canonical_sign
 from .errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
 from .gramian import GramianBundle
 
@@ -50,6 +50,15 @@ _DEGENERACY_RTOL = 1e-10
 # than sqrt(eps) of each of them, and the contract adjoint grows like
 # c_i / theta_i.
 _NULL_RTOL = float(np.sqrt(np.finfo(float).eps))
+_CENTER = object()  # The variance goal's observer, the centering projector I - J/n.
+
+
+def _observe(O, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A goal's observer applied to a vector or to the columns of a matrix: ``O x``,
+    or ``O^T x``; None is the identity and ``_CENTER`` subtracts the means along axis 0."""
+    if O is None or O is _CENTER:
+        return x if O is None else x - x.sum(axis=0) / x.shape[0]
+    return (O.T if transpose else O) @ x
 
 
 def _threshold(eta) -> float:
@@ -142,13 +151,13 @@ def _violates(goal, z: np.ndarray) -> bool:
         return float(as_vector(goal.v, n=z.size, name="v") @ z) < goal.c
     if isinstance(goal, RepulsionGoal):
         d = as_vector(goal.d, n=z.size, name="d")
-        r = (goal.O @ z if goal.O is not None else z) - d
+        r = _observe(goal.O, z) - d
         val = float(r @ r)
         return val < goal.eta if goal.sense == "expand" else val > goal.eta
     if isinstance(goal, VarianceGoal):
         if z.size < 2:
             raise InvalidInputError("variance is undefined for a single node")
-        dz = z - z.mean()
+        dz = _observe(_CENTER, z)
         return float(dz @ dz) < goal.eta
     raise InvalidInputError(f"unknown goal type {type(goal).__name__}")
 
@@ -272,12 +281,12 @@ def _solve_quadratic(W: GramianBundle, z, O, r0, eta: float, sense: str) -> Stat
     ``theta_i <= _NULL_RTOL theta_max`` counts as zero there, and its residual
     stays ``c_i``. ``W`` is never inverted, so it may be singular. ``O=None``
     is the identity, and no product with it is formed: the eigenpairs are
-    ``W.eigh``, taken once per bundle.
+    ``W.eigh``, taken once per bundle; else ``O W O^T`` is ``O (O W)^T``.
     """
     if O is None:
         owo = W.W
     else:
-        owo = O @ W.W @ O.T
+        owo = _observe(O, _observe(O, W.W).T)
         owo = 0.5 * (owo + owo.T)
     unmovable = "O W O^T is zero; the goal statistic cannot be moved"
     if not r0.any():
@@ -340,7 +349,7 @@ def _pole_selection(W, z, O, u, theta, r, eta: float) -> StateSelection:
     a = _pole_direction(up, z)
     # Either sign costs the same; orient the pole displacement W O^T U_pole a.
     v = up @ a
-    w = W.W @ (v if O is None else O.T @ v)
+    w = W.W @ _observe(O, v, transpose=True)
     sign = 1.0 if float(canonical_sign(w, ref=z) @ w) > 0.0 else -1.0
     r[pole] = sign * np.sqrt(max(eta - float(r @ r), 0.0)) * a
     return _adjoint_selection(W, z, O, u, theta, 1.0 / theta_max, r / theta_max)
@@ -348,9 +357,7 @@ def _pole_selection(W, z, O, u, theta, r, eta: float) -> StateSelection:
 
 def _adjoint_selection(W, z, O, u, theta, lam, lam_r) -> StateSelection:
     """Selection from the eigenbasis coordinates of ``lam r``: ``p = O^T U lam_r``."""
-    p = u @ lam_r
-    if O is not None:
-        p = O.T @ p
+    p = _observe(O, u @ lam_r, transpose=True)
     energy = float(theta @ (lam_r * lam_r))
     return StateSelection(
         x_star=z + W.W @ p, multiplier=lam, energy=max(energy, 0.0), binding=True, p=p
@@ -369,13 +376,11 @@ def variance_energy_bound(W: GramianBundle, z, eta: float) -> float:
         raise InvalidInputError("variance is undefined for a single node")
     z = as_vector(z, n=n, name="z")
     eta = _threshold(eta)
-    d_mat = centering_matrix(n)
-    theta_max = float(np.linalg.eigvalsh(d_mat @ W.W @ d_mat)[-1])
+    theta_max = float(np.linalg.eigvalsh(_observe(_CENTER, _observe(_CENTER, W.W).T))[-1])
     _require_movable(
         W, theta_max, "no mean-zero direction is controllable; variance cannot be raised"
     )
-    dz = z - z.mean()
-    return (np.linalg.norm(dz) + np.sqrt(eta)) ** 2 / theta_max
+    return (np.linalg.norm(_observe(_CENTER, z)) + np.sqrt(eta)) ** 2 / theta_max
 
 
 def repulsion_min_threshold(d) -> float:
@@ -415,7 +420,7 @@ def single_input_scales(b, d, eta: float):
 @dataclass(frozen=True)
 class _BoundGoal:
     """A goal set up for one checked endpoint ``z``: binding test, ``O``
-    (the variance goal's n x n centering projector) and ``r0 = O z - d``.
+    (for the variance goal, the ``_CENTER`` marker) and ``r0 = O z - d``.
     ``solve`` maps a Gramian bundle to the selection; None when ``z`` meets
     the goal. ``select_state`` takes it in place of the goal for that same
     ``z`` object, so GPGM sets its goal up once per descent.
@@ -432,10 +437,10 @@ def _bind(goal, z: np.ndarray) -> _BoundGoal:
     if isinstance(goal, LinearGoal):
         return _BoundGoal(z, lambda W: _select_mean(W, z, goal))
     if isinstance(goal, VarianceGoal):
-        O, d, sense = centering_matrix(z.size), np.zeros(z.size), "expand"
+        O, d, sense = _CENTER, 0.0, "expand"
     else:
         O, d, sense = goal.O, goal.d, goal.sense
-    r0 = (z if O is None else O @ z) - d
+    r0 = _observe(O, z) - d
     return _BoundGoal(z, lambda W: _solve_quadratic(W, z, O, r0, goal.eta, sense))
 
 
@@ -446,8 +451,8 @@ def select_state(W: GramianBundle, z, goal) -> StateSelection:
     costs nothing: the selection is ``z`` with ``p = 0``. Otherwise a
     ``LinearGoal`` has a closed form, and every quadratic goal goes through one
     solver (``_solve_quadratic``) that finds the multiplier closest to zero:
-    ``VarianceGoal`` is ``||D x||^2 = eta`` with the centering projector
-    ``O = D`` and ``d = 0``, so it needs some controllable mean-zero direction;
+    ``VarianceGoal`` is ``||D x||^2 = eta`` with the centering projector ``O = D``
+    (mean subtraction) and ``d = 0``, so it needs a controllable mean-zero direction;
     ``RepulsionGoal`` is ``||O x - d||^2 = eta`` in its own sense. With
     ``O = I`` and ``d = z`` the displacement is the leading eigenvector of
     ``W`` scaled to squared length ``eta``, at energy ``eta / lam_max``.

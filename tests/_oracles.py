@@ -121,6 +121,17 @@ def variance_grid_min_energy(w_mat, z, eta, samples=4_000):
     return best
 
 
+def centering_matrix(n):
+    """The dense centering projector ``D = I - J/n``, the variance goal's observer."""
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def variance_energy_bound_dense(w_mat, z, eta):
+    """``(||D z|| + sqrt(eta))^2 / lam_max(D W D)`` with ``D`` formed densely."""
+    d = centering_matrix(len(z))
+    return (np.linalg.norm(d @ z) + np.sqrt(eta)) ** 2 / np.linalg.eigvalsh(d @ w_mat @ d)[-1]
+
+
 def mean_zero_basis(n):
     """Orthonormal Helmert basis (n x (n-1)) of the mean-zero subspace.
 

@@ -84,6 +84,7 @@ _CASES = {
     "project_sphere-epsilon-nan": (
         "epsilon", lambda: fc.project_sphere(np.ones((3, 1)), epsilon=np.nan)),
     "pgme_driver_select-k-float": ("k", lambda: fc.pgme_driver_select(np.eye(4), 1.5)),
+    "pgme_driver_select-k-above-n": ("k", lambda: fc.pgme_driver_select(np.ones((2, 4)), 3)),
     "from_edges-n-float": ("n", lambda: fc.LinearSystem.from_edges(2.5, [0], [1], [1.0])),
 }
 

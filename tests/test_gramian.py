@@ -1255,9 +1255,9 @@ class TestSharedKrylovSpace:
                 assert got.lam_max == ref.lam_max
                 npt.assert_array_equal(got.top_vector, ref.top_vector)
                 npt.assert_array_equal(got.Phi, ref.Phi)
-        assert len(system._krylov) == 1 and system._krylov[0].key == v.tobytes()
+        assert system._memo["krylov"][0] == (v.tobytes(),)
         if kind in ("zero", "blocks"):
-            assert system._krylov[0].closed
+            assert system._memo["krylov"][1][0].closed
 
     def test_a_new_weighting_replaces_the_kept_space(self):
         a, v, w = _krylov_case(7, "nonsymmetric", 12)
@@ -1265,11 +1265,10 @@ class TestSharedKrylovSpace:
         system = fc.LinearSystem(a)
         for weighting in (v, w, u):
             fc.flux_matrix(system, weighting, 0.5)
-            assert len(system._krylov) == 1
-            assert system._krylov[0].key == weighting.tobytes()
+            assert system._memo["krylov"][0] == (weighting.tobytes(),)
         got = fc.flux_matrix(system, v, 0.5)
         npt.assert_array_equal(got.Phi, fc.flux_matrix(fc.LinearSystem(a), v, 0.5).Phi)
-        assert len(system._krylov) == 1 and system._krylov[0].key == v.tobytes()
+        assert system._memo["krylov"][0] == (v.tobytes(),)
 
     @pytest.mark.parametrize("clone_of", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
     def test_a_system_with_a_kept_space_survives_pickle_and_deepcopy(self, clone_of):
@@ -1279,7 +1278,7 @@ class TestSharedKrylovSpace:
         fc.GramianEvaluator(system, 1.2)
         clone = clone_of(system)
         npt.assert_array_equal(clone.A, system.A)
-        assert clone._krylov == [None] and not clone.A.flags.writeable
+        assert "krylov" in system._memo and not clone.A.flags.writeable
         assert system._memo and clone._memo == {}
         again = fc.flux_matrix(clone, v, 1.2)
         assert again.lam_max == first.lam_max

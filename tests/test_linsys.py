@@ -74,6 +74,32 @@ def test_symmetry_test_on_huge_entries():
         assert not fc.LinearSystem([[0.0, 1e308], [-1e308, 0.0]]).is_symmetric()
 
 
+def _directed_ring(c):
+    """A directed 4-node ring, ``a[i, i+1] = 1`` and diagonal -1.5, scaled by ``c``."""
+    a = -1.5 * np.eye(4) + np.roll(np.eye(4), 1, axis=1)
+    return c * a
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-200])
+def test_symmetry_test_on_tiny_entries(c):
+    # The tolerance is relative to the largest entry alone: a directed system
+    # whose entries are all tiny is not symmetric, and the zero matrix is.
+    assert not fc.LinearSystem(_directed_ring(c)).is_symmetric()
+    assert not fc.LinearSystem.from_edges(3, [0, 1], [1, 2], [1e-14, 1e-14]).is_symmetric()
+    assert fc.LinearSystem(c * np.diag([1.0, 2.0, 3.0])).is_symmetric()
+    assert fc.LinearSystem(np.zeros((3, 3))).is_symmetric()
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-200])
+def test_time_rescaling_of_tiny_dynamics(c):
+    # W_{cA}(t) = W_A(c t) / c: slowing the dynamics by c and stretching the
+    # horizon by 1/c leaves the Gramian of the directed ring scaled by 1/c.
+    b = np.eye(4)[:, :1]
+    ref = fc.GramianEvaluator(fc.LinearSystem(_directed_ring(1.0)), 2.0).matrix(b)
+    got = c * fc.GramianEvaluator(fc.LinearSystem(_directed_ring(c)), 2.0 / c).matrix(b)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_nonsquare_dynamics_rejected():
     with pytest.raises(InvalidInputError):
         fc.LinearSystem(np.zeros((2, 3)))

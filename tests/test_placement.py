@@ -263,20 +263,18 @@ class TestGpgm:
             assert calls["eigvalsh"] == 0
 
     def test_goal_set_up_once_per_descent(self, karate, monkeypatch):
-        # The binding test, the centering projector and the residual O z - d
-        # depend on z alone: gpgm forms them once, and each candidate's
-        # select_state reuses them.
+        # The binding test and the residual O z - d depend on z alone: gpgm
+        # binds its goal once, and each candidate's select_state reuses it.
         evaluator = fc.GramianEvaluator(karate["system"], 3.0)
-        calls = {"binding": 0, "centering": 0, "select": 0}
+        calls = {"binding": 0, "bind": 0, "select": 0}
         counting = functools.partial(_counting, calls)
         monkeypatch.setattr(select, "_violates", counting("binding", select._violates))
-        monkeypatch.setattr(select, "centering_matrix",
-                            counting("centering", select.centering_matrix))
+        monkeypatch.setattr(placement, "_bind", counting("bind", placement._bind))
         monkeypatch.setattr(placement, "select_state", counting("select", placement.select_state))
         cfg = fc.GpgmConfig(sigma=0.1, max_iters=5, seed=0)
         result = fc.gpgm(evaluator, np.zeros(34), fc.VarianceGoal(1.0), 2, config=cfg)
         assert calls["select"] >= result.iterations + 1 >= 3
-        assert (calls["binding"], calls["centering"]) == (1, 1)
+        assert (calls["binding"], calls["bind"]) == (1, 1)
 
     def test_a_bound_goal_selects_only_from_its_own_endpoint(self, karate):
         bundle = fc.GramianEvaluator(karate["system"], 3.0).bundle(np.eye(34)[:, :2])
@@ -507,3 +505,6 @@ class TestPgmeDriverSelect:
             fc.pgme_driver_select(schematic, 3)
         with pytest.raises(InvalidInputError):
             fc.pgme_driver_select(schematic, 0)
+        # More columns than nodes: a third driver would repeat a node.
+        with pytest.raises(InvalidInputError, match=r"^k .*n = 2, got 3"):
+            fc.pgme_driver_select(np.ones((2, 4)), 3)

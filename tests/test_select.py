@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import fluxcontrol as fc
+from fluxcontrol import select
 from fluxcontrol.errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
 
 from _oracles import (
@@ -590,12 +593,25 @@ class TestSelectStateDispatch:
         npt.assert_array_equal(a.x_star, b.x_star)
 
     def test_variance_dispatch(self, rng):
-        # A variance goal is the quadratic goal O = D, d = 0, expand.
+        # A variance goal is the quadratic goal O = D, d = 0, expand. The
+        # variance route subtracts means and the dense route multiplies by D,
+        # so the two agree to roundoff, not to the bit.
         bundle, _ = _random_pd_bundle(rng, 3)
         a = fc.select_state(bundle, np.zeros(3), fc.VarianceGoal(1.0))
         centering = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
         b = fc.select_state(bundle, np.zeros(3), fc.RepulsionGoal(np.zeros(3), 1.0, centering))
-        npt.assert_array_equal(a.x_star, b.x_star)
+        npt.assert_allclose(a.x_star, b.x_star, rtol=1e-12)
+
+    def test_variance_goal_never_forms_the_centering_projector(self):
+        # D = I - J/n at n = 2000 would take 32 MB; binding needs O(n).
+        z = np.zeros(2000)
+        tracemalloc.start()
+        try:
+            bound = select._bind(fc.VarianceGoal(1.0), z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound.solve is not None and peak < 2**20
 
 
 _NON_FINITE = [np.nan, np.inf, -np.inf]

@@ -18,6 +18,8 @@ import fluxcontrol as fc
 from fluxcontrol import select as select_module
 from fluxcontrol.select import _require_movable
 
+from _oracles import centering_matrix, random_stable_system, variance_energy_bound_dense
+
 KINDS = ["mean", "variance", "expand", "contract", "repulsion", "corner", "limit"]
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=70)
 
@@ -243,6 +245,54 @@ def test_variance_adjoint_on_singular_karate_gramian(karate_two_inputs, seed, sc
         w_mat, lambda b, eta: fc.select_state(b, z, fc.VarianceGoal(eta)), etas, True, scale, z,
         lambda x: float(_centered(x) @ _centered(x)), "variance",
     )
+
+
+def _assert_variance_matches_dense_projector(bundle, z, eta):
+    # The variance goal applies D by subtracting means; the QCLS goal with
+    # the dense D, d = 0 and expand is the same problem by products with D.
+    n = z.size
+    sel = fc.select_state(bundle, z, fc.VarianceGoal(eta))
+    ref = fc.select_state(bundle, z, fc.RepulsionGoal(np.zeros(n), eta, centering_matrix(n)))
+    assert sel.binding and ref.binding
+    assert sel.energy == pytest.approx(ref.energy, rel=1e-12)
+    for got, want in ((sel.x_star, ref.x_star), (sel.p, ref.p)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert fc.variance_energy_bound(bundle, z, eta) == pytest.approx(
+        variance_energy_bound_dense(bundle.W, z, eta), rel=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    symmetric=st.booleans(),
+    on_target=st.booleans(),
+    data=st.data(),
+)
+def test_variance_selection_matches_the_dense_projector(seed, n, symmetric, on_target, data):
+    # Symmetric dynamics take the eigenbasis Gramian, the rest the series; a
+    # zero endpoint is on target (pole pairs only), another one takes Newton.
+    rng = np.random.default_rng(seed)
+    a = random_stable_system(rng, n)
+    if symmetric:
+        a = 0.5 * (a + a.T)
+        a -= max(float(np.linalg.eigvalsh(a)[-1]) + 0.1, 0.0) * np.eye(n)
+    b = rng.standard_normal((n, data.draw(st.integers(1, n))))
+    bundle = fc.GramianEvaluator(fc.LinearSystem(a), 1.0).bundle(b)
+    z = np.zeros(n) if on_target else rng.standard_normal(n)
+    spread = float(_centered(z) @ _centered(z))
+    _assert_variance_matches_dense_projector(bundle, z, spread + data.draw(st.floats(0.1, 10.0)))
+
+
+@pytest.mark.parametrize("on_target", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_karate_variance_selection_matches_the_dense_projector(karate, m, seed, on_target):
+    evaluator = fc.GramianEvaluator(karate["system"], 3.0)
+    bundle = evaluator.bundle(fc.ram_baseline(34, m, seed))
+    rng = np.random.default_rng(seed)
+    z = np.zeros(34) if on_target else evaluator.propagate(rng.standard_normal(34))
+    _assert_variance_matches_dense_projector(bundle, z, float(_centered(z) @ _centered(z)) + 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
