@@ -3,21 +3,21 @@
 Given the autonomous endpoint ``z`` and a Gramian ``W``, ``select_state`` picks
 the state satisfying a goal at the least value of the energy quadratic form
 ``(z - x)^T W^{-1} (z - x)``. Linear goals have a closed form. Every quadratic
-goal ``||O x - d||^2 = eta`` (variance: ``O = D``, the centering projector,
-applied as mean subtraction and never formed, ``d = 0``; repulsion: ``O = I``,
-``d = z``; general QCLS) goes through one solver: a single eigendecomposition
-of ``O W O^T`` turns the constraint into a diagonal secular equation in the
-Lagrange multiplier, solved by safeguarded Newton at O(n) per step. When no
-root exists below the pole (the hard case), the residual is completed along the
-pole eigenspace, in a direction fixed by that space alone. A goal that starts
-on its target (``O z = d``, as every variance goal from ``z = 0`` does) has
-only the hard case, at energy ``eta / theta_max``, so it reads only the pole
-eigenpairs, which LAPACK's ``dsyevr`` returns without the rest of the spectrum.
-Each selection carries the adjoint vector ``p`` with ``x* = z + W p`` and
-energy ``p^T W p``, so ``W`` is never inverted and every goal runs on singular
-Gramians (networks steered from a few inputs). A contract goal cannot move the
-residual along the eigenvalues of ``O W O^T`` at or below ``sqrt(eps)`` times
-the largest; below that floor it raises ``InfeasibleGoalError`` with ``min_eta``.
+goal ``||O x - d||^2 = eta`` (variance: ``O = D``, applied by subtracting
+means, ``d = 0``; repulsion: ``O = I``, ``d = z``; general QCLS) goes through
+one solver: a single eigendecomposition of ``O W O^T`` turns the constraint
+into a diagonal secular equation in the Lagrange multiplier, solved by
+safeguarded Newton at O(n) per step. When no root exists below the pole (the
+hard case), the residual is completed along the pole eigenspace, in a direction
+fixed by that space alone. A goal that starts on its target (``O z = d``, as
+every variance goal from ``z = 0`` does) has only the hard case, at energy
+``eta / theta_max``, so it reads only the pole eigenpairs, which LAPACK's
+``dsyevr`` returns without the rest of the spectrum. Each selection carries the
+adjoint vector ``p`` with ``x* = z + W p`` and energy ``p^T W p``, so ``W`` is
+never inverted and every goal runs on singular Gramians (networks steered from
+a few inputs). A contract goal cannot move the residual along the eigenvalues
+of ``O W O^T`` at or below ``sqrt(eps)`` times the largest; below that
+reachable floor it raises ``InfeasibleGoalError`` with ``min_eta``.
 """
 
 from collections.abc import Callable
@@ -56,9 +56,9 @@ _CENTER = object()  # The variance goal's observer, the centering projector I - 
 def _observe(O, x: np.ndarray, transpose: bool = False) -> np.ndarray:
     """A goal's observer applied to a vector or to the columns of a matrix: ``O x``,
     or ``O^T x``; None is the identity and ``_CENTER`` subtracts the means along axis 0."""
-    if O is None or O is _CENTER:
-        return x if O is None else x - x.sum(axis=0) / x.shape[0]
-    return (O.T if transpose else O) @ x
+    if O is _CENTER:
+        return x - x.sum(axis=0) / x.shape[0]
+    return x if O is None else (O.T if transpose else O) @ x
 
 
 def _threshold(eta) -> float:
@@ -419,11 +419,11 @@ def single_input_scales(b, d, eta: float):
 
 @dataclass(frozen=True)
 class _BoundGoal:
-    """A goal set up for one checked endpoint ``z``: binding test, ``O``
-    (for the variance goal, the ``_CENTER`` marker) and ``r0 = O z - d``.
-    ``solve`` maps a Gramian bundle to the selection; None when ``z`` meets
-    the goal. ``select_state`` takes it in place of the goal for that same
-    ``z`` object, so GPGM sets its goal up once per descent.
+    """A goal set up for one checked endpoint ``z``: binding test, ``O`` (for
+    the variance goal the ``_CENTER`` marker, never an n x n matrix) and
+    ``r0 = O z - d``. ``solve`` maps a Gramian bundle to the selection; None
+    when ``z`` meets the goal. ``select_state`` takes it in place of the goal
+    for that same ``z`` object, so GPGM sets its goal up once per descent.
     """
 
     z: np.ndarray

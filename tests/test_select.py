@@ -9,6 +9,7 @@ from fluxcontrol import select
 from fluxcontrol.errors import GoalUncontrollableError, InfeasibleGoalError, InvalidInputError
 
 from _oracles import (
+    centering_matrix,
     kkt_mean_oracle,
     mean_zero_basis,
     random_stable_system,
@@ -598,8 +599,8 @@ class TestSelectStateDispatch:
         # so the two agree to roundoff, not to the bit.
         bundle, _ = _random_pd_bundle(rng, 3)
         a = fc.select_state(bundle, np.zeros(3), fc.VarianceGoal(1.0))
-        centering = np.eye(3) - np.full((3, 3), 1.0 / 3.0)
-        b = fc.select_state(bundle, np.zeros(3), fc.RepulsionGoal(np.zeros(3), 1.0, centering))
+        goal = fc.RepulsionGoal(np.zeros(3), 1.0, centering_matrix(3))
+        b = fc.select_state(bundle, np.zeros(3), goal)
         npt.assert_allclose(a.x_star, b.x_star, rtol=1e-12)
 
     def test_variance_goal_never_forms_the_centering_projector(self):
