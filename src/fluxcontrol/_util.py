@@ -81,8 +81,9 @@ def write_csv_rows(fh, rows, end="\r\n") -> None:
     ending in ``end`` (``"\\r\\n"``, csv.writer's, or ``"\\n"``).
 
     Every field is byte-identical to ``'%.17g' % v``. An array of at least
-    ``_VECTOR_MIN`` fields is formatted in numpy, ``_BLOCK`` fields at a time,
-    so memory stays bounded whatever its size; a smaller one row by row.
+    ``_VECTOR_MIN`` fields is formatted in numpy: its digits ``_CHUNK`` fields
+    at a time, in arrays reused within a chunk, and its bytes ``_BLOCK`` fields
+    at a time, so memory stays bounded whatever its size; a smaller one row by row.
     """
     if rows.size < _VECTOR_MIN:
         template = ",".join(["%.17g"] * rows.shape[1]) + end
@@ -90,10 +91,10 @@ def write_csv_rows(fh, rows, end="\r\n") -> None:
             fh.write(template % tuple(r.tolist()))
         return
     x = np.asarray(rows, dtype=float).ravel()
-    src = np.empty((_BLOCK, _SRC_COLS), np.uint8)
+    src = np.empty((min(_CHUNK, x.size), _SRC_COLS), np.uint8)
     src[:, :_LEAD] = np.frombuffer(_CONSTANTS + end.encode("ascii").ljust(2, b"\0"), np.uint8)
-    for start in range(0, x.size, _BLOCK):
-        fh.write(_format_block(x[start:start + _BLOCK], src, start, rows.shape[1]))
+    for start in range(0, x.size, _CHUNK):
+        _write_chunk(fh, x[start:start + _CHUNK], src, start, rows.shape[1])
 
 
 def canonical_sign(vec, ref):
@@ -124,9 +125,13 @@ def canonical_sign(vec, ref):
 # placeholder that Python's own formatting fills.
 
 # Fields below which the row-by-row template is faster (200 to 250 on a 2-vCPU
-# Xeon VM); blocks of 1024 fields keep the gather index near 200 KB.
+# Xeon VM). The gather index holds 25 intp per field, so blocks of 1024 fields
+# keep it, the largest array here, near 200 KB. The digit stage holds about
+# 60 bytes per field (the source table's 28 and a few int64 and bool arrays),
+# so chunks of 4096 fields amortize its numpy calls at about the same memory.
 _VECTOR_MIN = 256
 _BLOCK = 1024
+_CHUNK = 4 * _BLOCK
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp's split into two 26-bit halves
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**q, exact for q <= 22
@@ -143,9 +148,17 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 def _scaled(a, q):
     """``a * 10**q`` exactly, as the rounded product ``hi`` and its error ``lo``."""
-    (ah, al), bh, bl = _split(a), _POW10_HI[q], _POW10_LO[q]
+    ah = _SPLITTER * a
+    t = ah - a
+    ah -= t
+    al = a - ah
+    bh, bl = _POW10_HI[q], _POW10_LO[q]
     hi = a * _POW10[q]
-    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+    lo = ah * bh
+    lo -= hi
+    for u, v in ((ah, bl), (al, bh), (al, bl)):
+        lo += np.multiply(u, v, out=t)
+    return hi, lo
 
 
 def _in_decade(hi, lo):
@@ -159,10 +172,14 @@ def _fixed_digits(x):
     the fields ``fixed`` marks, those printed in fixed notation."""
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(a))
-    fixed = (e >= -4) & (e <= 16)  # False for 0, nan and inf
-    a = np.where(fixed, a, 1.0)
-    e = np.where(fixed, e, 0.0).astype(np.intp)
+        e = np.log10(a)
+    np.floor(e, out=e)
+    fixed = e >= -4
+    fixed &= e <= 16  # False for 0, nan and inf
+    other = ~fixed
+    np.copyto(a, 1.0, where=other)
+    np.copyto(e, 0.0, where=other)
+    e = e.astype(np.intp)
     hi, lo = _scaled(a, 16 - e)
     # log10 can land in the next decade near a power of ten: move e by one.
     redo = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
@@ -170,11 +187,12 @@ def _fixed_digits(x):
         redo = redo[~_in_decade(hi[redo], lo[redo])]
         e[redo] += np.where(hi[redo] <= 1e16, -1, 1)
         hi[redo], lo[redo] = _scaled(a[redo], 16 - np.minimum(e[redo], 16))
-        fixed[redo] &= (e[redo] <= 16) & _in_decade(hi[redo], lo[redo])
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+        fixed[redo] &= (e[redo] >= -4) & (e[redo] <= 16) & _in_decade(hi[redo], lo[redo])
+    d = hi.astype(np.int64)
+    d += np.rint(lo, out=lo).astype(np.int64)
     # No double in [1e-5, 1e17) is within half a 17th digit below a power of
     # ten, so D never rounds up to 10**17 here; one that did would not be fixed.
-    fixed &= (e >= -4) & (d < 10**17)
+    fixed &= d < 10**17
     return d, e, fixed
 
 
@@ -183,7 +201,7 @@ def _fixed_digits(x):
 _CONSTANTS = b"\0" + b"0.%17g-,"
 _NUL, _ZERO, _POINT, _PERCENT, _ONE, _SEVEN, _G, _MINUS, _COMMA, _END = range(10)
 _LEAD, _SRC_COLS, _WIDTH = 11, 28, 25  # "-0.000" + 17 digits + 2 line-end bytes
-_ROW_START = np.arange(0, _BLOCK * _SRC_COLS, _SRC_COLS)[:, None]
+_ROW_START = np.arange(0, _CHUNK * _SRC_COLS, _SRC_COLS)[:, None]
 # Layout rows, one per key = 4 * (17 * (X + 4) + last) + 2 * negative + line_end;
 # keys _PLACEHOLDER and _PLACEHOLDER + 1 write '%.17g'.
 _PLACEHOLDER = 2 * 2 * 21 * 17
@@ -224,24 +242,45 @@ def _tables():
     return digits4, last_place, layouts
 
 
-def _format_block(x, src, first, ncols):
-    """The text of the flat fields ``x``, the first of them field ``first`` of
-    rows ``ncols`` wide; ``src`` holds the constants in its leading columns."""
+def _write_chunk(fh, x, src, first, ncols):
+    """Write the text of the flat fields ``x``, the first of them field
+    ``first`` of rows ``ncols`` wide; ``src`` holds the constants in its
+    leading columns and takes the digits of ``x``."""
     digits4, last_place, layouts = _tables()
-    d, e, fixed = _fixed_digits(x)
+    d, key, fixed = _fixed_digits(x)
     k = x.size
-    top, low = np.divmod(d, 10**8)
-    top, g2 = np.divmod(top, 10**4)
-    lead, g1 = np.divmod(top, 10**4)
-    g3, g4 = np.divmod(low, 10**4)
-    src[:k, _LEAD] = lead + ord("0")
+    # D's four low 4-digit groups, lowest first, then its leading digit; the
+    # quotient and D swap arrays, and D - 10**4 * quotient is the group.
     words, last = src.view(np.uint32), np.zeros(k, np.uint8)
-    for i, g in enumerate((g1, g2, g3, g4)):
-        words[:k, 3 + i] = digits4[g]
-        np.maximum(last, last_place[i, g], out=last)
-    line_end = np.arange(first, first + k) % ncols == ncols - 1
-    key = np.where(fixed, 4 * (17 * (e + 4) + last) + 2 * (x < 0), _PLACEHOLDER) + line_end
-    index = np.take(layouts, key, axis=0)
-    index += _ROW_START[:k]
-    text = np.take(src.ravel(), index).tobytes().translate(None, b"\0").decode("ascii")
-    return text if fixed.all() else text % tuple(x[~fixed].tolist())
+    quotient, scratch = np.empty_like(d), np.empty_like(d)
+    for i in range(3, -1, -1):
+        np.floor_divide(d, 10**4, out=quotient)
+        d -= np.multiply(quotient, 10**4, out=scratch)
+        words[:k, 3 + i] = digits4[d]
+        np.maximum(last, last_place[i][d], out=last)
+        d, quotient = quotient, d
+    d += ord("0")
+    src[:k, _LEAD] = d
+    del d, quotient, scratch
+    # The layout key, built in the exponent's array.
+    key += 4
+    key *= 17
+    key += last
+    key *= 4
+    negative = x < 0
+    key += negative
+    key += negative
+    np.copyto(key, _PLACEHOLDER, where=~fixed)
+    key[(ncols - 1 - first) % ncols::ncols] += 1
+    for start in range(0, k, _BLOCK):
+        block = slice(start, min(start + _BLOCK, k))
+        text = _block_text(src, np.take(layouts, key[block], axis=0), _ROW_START[block])
+        part = fixed[block]
+        fh.write(text if part.all() else text % tuple(x[block][~part].tolist()))
+
+
+def _block_text(src, index, row_start):
+    """The text of the fields whose layout rows are ``index``, taken in place
+    as flat positions in ``src`` from those fields' ``row_start``; NULs dropped."""
+    index += row_start
+    return np.take(src.ravel(), index).tobytes().translate(None, b"\0").decode("ascii")

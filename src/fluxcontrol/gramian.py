@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm, hilbert
+from scipy.linalg import expm
 from scipy.linalg.blas import dnrm2
 
 from ._util import (
@@ -250,7 +250,8 @@ def _thin_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:
     for j in range(1, terms + 1):
         y.append(ha @ y[-1] / j)
     y = np.hstack(y)
-    return y @ np.kron(hilbert(terms + 1), np.eye(b.shape[1])) @ y.T
+    i = np.arange(terms + 1)
+    return y @ np.kron(1.0 / (i[:, None] + i + 1.0), np.eye(b.shape[1])) @ y.T
 
 
 def _thick_series(ha: np.ndarray, b: np.ndarray, terms: int) -> np.ndarray:

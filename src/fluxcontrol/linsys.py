@@ -77,7 +77,7 @@ class LinearSystem:
                                  return_inverse=True)
             sym, skew = (np.bincount(at, weights=np.concatenate([weights, sign * weights]))
                          for sign in (1, -1))
-            if np.any(np.abs(skew) > 1e-12 * np.max(np.abs(weights), initial=1.0)):
+            if np.any(np.abs(skew) > _SYMMETRY_RTOL * np.max(np.abs(weights), initial=0.0)):
                 raise InvalidInputError("adjacency must be symmetric")
             (rows, cols), off, diag = np.divmod(keys, n), 0.5 * sym, np.arange(n)
             edges = (np.concatenate([rows, diag]), np.concatenate([cols, diag]), as_vector(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxcontrol._util import _VECTOR_MIN, write_csv_rows
+from fluxcontrol._util import _BLOCK, _CHUNK, _VECTOR_MIN, write_csv_rows
 
 
 def _written(rows, end):
@@ -65,6 +65,28 @@ def test_any_floats_are_the_bytes_of_percent_17g(pool, shape, end):
     assert _written(rows, end) == _reference(rows, end)
 
 
+_NOT_FIXED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300, 1e-300]
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\n"])
+@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + _BLOCK + 1])
+def test_chunk_and_block_edges_are_the_bytes_of_percent_17g(size, end):
+    # Fixed-notation fields, with each field that is not fixed in turn as the
+    # first and last field of every chunk and block. Rows one field wide put
+    # a line end on each chunk's last field, one row on none but the last.
+    rng = np.random.default_rng(size)
+    fixed = rng.standard_normal(size) * 10.0 ** rng.integers(-4, 16, size)
+    edges = sorted({0, size - 1} | {b + s for step in (_BLOCK, _CHUNK)
+                                    for b in range(step, size, step) for s in (-1, 0)})
+    width = max(w for w in range(2, 100) if size % w == 0)
+    for value in _NOT_FIXED:
+        x = fixed.copy()
+        x[edges] = value
+        for shape in [(size, 1), (size // width, width), (1, size)]:
+            rows = x.reshape(shape)
+            assert _written(rows, end) == _reference(rows, end), (value, shape)
+
+
 def test_memory_stays_below_the_array_written():
     # A steered trajectory's shape: 201 rows of 402 fields, 646 KB of floats.
     rows = np.random.default_rng(0).standard_normal((201, 402))
@@ -76,3 +98,18 @@ def test_memory_stays_below_the_array_written():
         finally:
             tracemalloc.stop()
     assert peak < rows.nbytes
+
+
+def test_memory_does_not_grow_with_the_array_written():
+    # A 2000-node trajectory's shape: 201 rows of 4002 fields, 6.4 MB of floats.
+    # The peak stays below the 646 KB of the 201 x 402 trajectory above.
+    rows = np.random.default_rng(0).standard_normal((201, 4002))
+    with open(os.devnull, "w", newline="") as fh:
+        tracemalloc.start()
+        try:
+            write_csv_rows(fh, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < rows.nbytes
+    assert peak < 201 * 402 * rows.itemsize

@@ -141,6 +141,18 @@ class TestLaplacianSystem:
         with pytest.raises(InvalidInputError):
             fc.laplacian_system([[0.0, 1.0], [2.0, 0.0]])
 
+    def test_symmetry_is_relative_to_the_largest_weight_alone(self):
+        # 1e-14 against 3e-14 is as asymmetric as 1 against 3, however small;
+        # a symmetric tiny pair and the empty graph are symmetric.
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            fc.laplacian_system([[0.0, 1e-14, 0.0], [3e-14, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="symmetric"):
+            fc.LinearSystem.from_edges(3, [0, 1], [1, 0], [1e-14, 3e-14], laplacian=True)
+        system = fc.laplacian_system([[0.0, 1e-14, 0.0], [1e-14, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        npt.assert_array_equal(system.A[:2, :2], [[-1e-14, 1e-14], [1e-14, -1e-14]])
+        system = fc.LinearSystem.from_edges(3, [0, 1], [1, 0], [0.0, 0.0], laplacian=True)
+        npt.assert_array_equal(system.A, np.zeros((3, 3)))
+
 
 @st.composite
 def _edge_lists(draw):

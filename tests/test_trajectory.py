@@ -277,11 +277,12 @@ class TestSimulate:
     def test_csv_bytes_match_csv_writer_reference(self, tmp_path, rng):
         # The 20 drawn shapes take write_csv_rows's row template. The fixed ones
         # pass its 256-field crossover to the numpy path: 325 fields in one
-        # block, then several 1024-field blocks, narrow rows, and rows of 1103
-        # fields that span two blocks, with half their values in the decades
-        # that path prints in fixed notation.
+        # block, then several blocks of one chunk, narrow rows over two chunks,
+        # and 4 rows of 1103 fields, the last of them across the first chunk's
+        # end, with half their values in the decades that path prints in fixed
+        # notation.
         specials = np.array([-0.0, 5e-324, -2.5e-310, 1e300, -1e-300, np.nan, np.inf, -np.inf])
-        large = [(60, 3, 5, 8), (400, 2, 7, 20), (1, 1, 1500, 20), (1100, 1, 2, 20)]
+        large = [(60, 3, 5, 8), (400, 2, 7, 20), (1, 1, 1500, 20), (1100, 1, 4, 20)]
         for k, shape in enumerate([None] * 20 + large):
             n, m, rows, decades = shape or (int(rng.integers(1, 6)), int(rng.integers(1, 4)),
                                             int(rng.integers(1, 9)), 300)
