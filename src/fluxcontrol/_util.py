@@ -126,9 +126,10 @@ def canonical_sign(vec, ref):
 
 # Fields below which the row-by-row template is faster (200 to 250 on a 2-vCPU
 # Xeon VM). The gather index holds 25 intp per field, so blocks of 1024 fields
-# keep it, the largest array here, near 200 KB. The digit stage holds about
-# 60 bytes per field (the source table's 28 and a few int64 and bool arrays),
-# so chunks of 4096 fields amortize its numpy calls at about the same memory.
+# keep it, the largest array here, near 200 KB. The digit stage peaks at about
+# 110 bytes per field (the source table's 28 and the float and int64 arrays
+# of Dekker's product), so chunks of 4096 fields amortize its numpy calls in
+# about 450 KB, the same peak as a block's gather.
 _VECTOR_MIN = 256
 _BLOCK = 1024
 _CHUNK = 4 * _BLOCK
@@ -138,9 +139,10 @@ _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**q, exact for q <= 22
 
 
 def _split(a):
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
+    hi = _SPLITTER * a
+    lo = hi - a
+    hi -= lo
+    return hi, np.subtract(a, hi, out=lo)
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
@@ -148,14 +150,11 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 def _scaled(a, q):
     """``a * 10**q`` exactly, as the rounded product ``hi`` and its error ``lo``."""
-    ah = _SPLITTER * a
-    t = ah - a
-    ah -= t
-    al = a - ah
-    bh, bl = _POW10_HI[q], _POW10_LO[q]
+    (ah, al), bh, bl = _split(a), _POW10_HI[q], _POW10_LO[q]
     hi = a * _POW10[q]
     lo = ah * bh
     lo -= hi
+    t = np.empty_like(lo)
     for u, v in ((ah, bl), (al, bh), (al, bl)):
         lo += np.multiply(u, v, out=t)
     return hi, lo
@@ -245,8 +244,18 @@ def _tables():
 def _write_chunk(fh, x, src, first, ncols):
     """Write the text of the flat fields ``x``, the first of them field
     ``first`` of rows ``ncols`` wide; ``src`` holds the constants in its
-    leading columns and takes the digits of ``x``."""
-    digits4, last_place, layouts = _tables()
+    leading columns."""
+    key, fixed = _layout_keys(x, src, first, ncols)
+    for start in range(0, x.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        text, part = _block_text(src, key[block], start), fixed[block]
+        fh.write(text if part.all() else text % tuple(x[block][~part].tolist()))
+
+
+def _layout_keys(x, src, first, ncols):
+    """Write the digits of the fields ``x`` into the rows of ``src``, and
+    return each field's layout key and whether it is fixed."""
+    digits4, last_place, _ = _tables()
     d, key, fixed = _fixed_digits(x)
     k = x.size
     # D's four low 4-digit groups, lowest first, then its leading digit; the
@@ -261,8 +270,7 @@ def _write_chunk(fh, x, src, first, ncols):
         d, quotient = quotient, d
     d += ord("0")
     src[:k, _LEAD] = d
-    del d, quotient, scratch
-    # The layout key, built in the exponent's array.
+    # The key, built in the exponent's array.
     key += 4
     key *= 17
     key += last
@@ -272,15 +280,12 @@ def _write_chunk(fh, x, src, first, ncols):
     key += negative
     np.copyto(key, _PLACEHOLDER, where=~fixed)
     key[(ncols - 1 - first) % ncols::ncols] += 1
-    for start in range(0, k, _BLOCK):
-        block = slice(start, min(start + _BLOCK, k))
-        text = _block_text(src, np.take(layouts, key[block], axis=0), _ROW_START[block])
-        part = fixed[block]
-        fh.write(text if part.all() else text % tuple(x[block][~part].tolist()))
+    return key, fixed
 
 
-def _block_text(src, index, row_start):
-    """The text of the fields whose layout rows are ``index``, taken in place
-    as flat positions in ``src`` from those fields' ``row_start``; NULs dropped."""
-    index += row_start
+def _block_text(src, key, first):
+    """The text of the fields with layout keys ``key``, their digits in
+    ``src`` from row ``first`` on; NULs dropped."""
+    index = np.take(_tables()[2], key, axis=0)
+    index += _ROW_START[first:first + key.size]
     return np.take(src.ravel(), index).tobytes().translate(None, b"\0").decode("ascii")
